@@ -23,8 +23,9 @@ from .oracle import (
 from .resolution import (
     ProblemInstance, build_tables, check_feasibility, tables_to_json,
 )
+from .sets import _fmt
 from .simplify import Mode
-from .tnorms import InvalidParameter, validate
+from .tnorms import validate
 
 _VERIFY_FAMILIES = (("lukasiewicz", None), ("product", None),
                     ("yager", 2.0), ("hamacher", 1.0))
@@ -61,9 +62,17 @@ def problem_to_dict(p: ProblemInstance) -> dict:
             "a_minus": [list(r) for r in p.a_minus], "b": list(p.b), "c": list(p.c)}
 
 
-def _fmt(v: float) -> str:
-    s = f"{v:.6g}"
-    return "0" if s == "-0" else s
+class _BadInput(Exception):
+    """A problem file that cannot be read or describes no valid instance."""
+
+
+def _load(path) -> ProblemInstance:
+    """load_problem, with every way a file can be bad turned into _BadInput
+    (errors raised later, by the solver itself, are not input errors)."""
+    try:
+        return load_problem(path)
+    except (OSError, ValueError, TypeError) as exc:
+        raise _BadInput(exc) from exc
 
 
 def _print_tables(tables, out):
@@ -105,11 +114,7 @@ def _solution_json(sol: Solution) -> dict:
 
 def cmd_solve(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        p = load_problem(args.path)
-    except (OSError, ValueError, InvalidParameter, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _load(args.path)
     t0 = time.perf_counter()
     mode = Mode.FEASIBILITY_PRESERVING if args.no_simplify else Mode.OPTIMALITY_PRESERVING
     sol = solve(p, mode=mode, record=args.trace)
@@ -148,21 +153,13 @@ def cmd_solve(args, out=None) -> int:
 
 def cmd_resolve(args, out=None) -> int:
     out = out or sys.stdout
-    try:
-        p = load_problem(args.path)
-    except (OSError, ValueError, InvalidParameter, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    p = _load(args.path)
     t0 = time.perf_counter()
     tables = build_tables(p)
     report = check_feasibility(tables)
     boxes = None
     if args.boxes:
-        try:
-            boxes = enumerate_feasible_decomposition(p, cap=args.cap)
-        except CapExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        boxes = enumerate_feasible_decomposition(p, cap=args.cap)
     if args.json:
         doc = {"feasibility": report.status.value, "tables": tables_to_json(tables)}
         if report.witness is not None:
@@ -210,16 +207,7 @@ def cmd_verify(args, out=None) -> int:
     failures = 0
     checked = 0
     if args.path is not None:
-        try:
-            p = load_problem(args.path)
-        except (OSError, ValueError, InvalidParameter, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            mismatches = _compare(p, args.cap)
-        except CapExceeded as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        mismatches = _compare(_load(args.path), args.cap)
         checked += 1
         for msg in mismatches:
             failures += 1
@@ -229,12 +217,7 @@ def cmd_verify(args, out=None) -> int:
         for k in range(args.count):
             family, param = _VERIFY_FAMILIES[k % len(_VERIFY_FAMILIES)]
             gen = random_feasible_instance if k % 2 else random_instance
-            p = gen(rng, family, param)
-            try:
-                mismatches = _compare(p, args.cap)
-            except CapExceeded as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            mismatches = _compare(gen(rng, family, param), args.cap)
             checked += 1
             for msg in mismatches:
                 failures += 1
@@ -290,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (_BadInput, CapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import tolerance
 from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
 from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
@@ -29,6 +28,7 @@ from .resolution import (
 )
 from .sets import SetForm
 from .simplify import Mode, ReducedProblem, ReductionLedger, simplify
+from .tolerance import EPS
 
 
 # -- assignment-function primitives ------------------------------------------
@@ -40,56 +40,35 @@ def _pick_groups(e) -> dict:
     return groups
 
 
-def candidate_solution(e, tables: ResolutionTables, eps=None) -> list:
+def candidate_solution(e, tables: ResolutionTables, eps=EPS) -> list:
     """Coordinatewise minimum point of the box carved out by a complete
     assignment: picked columns sit at their intersection minimum, the rest at
     their interval lower bound."""
-    eps = tolerance.resolve(eps)
-    x = [tables.lower_bound(j) for j in range(tables.n)]
-    for j, rows in _pick_groups(e).items():
-        inter = None
-        for i in rows:
-            cell = tables.s_prime[i][j]
-            inter = cell if inter is None else inter.intersect(cell, eps)
-        if inter.is_empty:
-            raise NotAdmissible(f"column {j}: picked cells have empty intersection")
-        x[j] = inter.minimum()
-    return x
+    return [s.minimum() for s in feasible_box(e, tables, eps)]
 
 
-def feasible_box(e, tables: ResolutionTables, eps=None) -> list:
+def feasible_box(e, tables: ResolutionTables, eps=EPS) -> list:
     """Per-column sets whose Cartesian product lies in the feasible region."""
-    eps = tolerance.resolve(eps)
-    box = [tables.col_interval[j] for j in range(tables.n)]
+    box = list(tables.col_interval)
     for j, rows in _pick_groups(e).items():
-        inter = None
-        for i in rows:
-            cell = tables.s_prime[i][j]
-            inter = cell if inter is None else inter.intersect(cell, eps)
-        if inter.is_empty:
+        box[j] = tables.intersect_cells(j, rows, eps)
+        if box[j].is_empty:
             raise NotAdmissible(f"column {j}: picked cells have empty intersection")
-        box[j] = inter
     return box
 
 
-def admissible_domain(prefix, i, tables: ResolutionTables, eps=None) -> list:
+def admissible_domain(prefix, i, tables: ResolutionTables, eps=EPS) -> list:
     """Columns row i may pick after the given prefix: its support, minus
     columns whose running intersection the row's cell would annihilate."""
-    eps = tolerance.resolve(eps)
+    groups = _pick_groups(prefix[:i])
     out = []
     for j in tables.row_support[i]:
-        inter = tables.s_prime[i][j]
-        for k in range(min(i, len(prefix))):
-            if prefix[k] == j:
-                inter = inter.intersect(tables.s_prime[k][j], eps)
-                if inter.is_empty:
-                    break
-        if not inter.is_empty:
+        if not tables.intersect_cells(j, [i] + groups.get(j, []), eps).is_empty:
             out.append(j)
     return out
 
 
-def modified_domain(prefix, i, tables: ResolutionTables, modified=True, eps=None) -> list:
+def modified_domain(prefix, i, tables: ResolutionTables, modified=True, eps=EPS) -> list:
     """Admissible columns for row i, restricted to the forced reuse column
     when one exists.  Raises DeadEnd when the row has no viable column."""
     domain = admissible_domain(prefix, i, tables, eps)
@@ -148,7 +127,7 @@ class BnbResult:
         return self.x is not None
 
 
-def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=None) -> BnbResult:
+def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=EPS) -> BnbResult:
     """Best-child dive with jump-to-cheapest backtracking and incumbent
     pruning over the reduced tables.
 
@@ -156,7 +135,6 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=N
     nodes, then creation order.  ``modified=False`` searches all admissible
     assignments (needed when two-point cells may still be present).
     """
-    eps = tolerance.resolve(eps)
     tables = reduced.tables
     costs = reduced.costs
     m, n = tables.m, tables.n
@@ -289,7 +267,7 @@ class Solution:
 
 
 def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
-          record=False, eps=None) -> Solution:
+          record=False, eps=EPS) -> Solution:
     """Resolve, check necessary conditions, reduce, search, lift, verify.
 
     With the optimality-preserving mode (default) the search runs over
@@ -297,7 +275,6 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
     all admissible assignments (the reduction then never discards feasible
     points).
     """
-    eps = tolerance.resolve(eps)
     tables = build_tables(p, eps)
     report = check_feasibility(tables)
     if not report.ok:
@@ -320,7 +297,7 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
                     stats=result.stats, events=result.events)
 
 
-def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps=None):
+def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps=EPS):
     """All compact boxes whose union is the feasible region.
 
     Runs the feasibility-preserving reduction, then enumerates every
@@ -329,7 +306,6 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps
     original row -> original column, the boxes list one set per original
     variable.  Raises CapExceeded when the support-size product exceeds cap.
     """
-    eps = tolerance.resolve(eps)
     tables = build_tables(p, eps)
     if not check_feasibility(tables).ok:
         return []

@@ -13,13 +13,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from . import tolerance
 from .errors import CapExceeded
 from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
     row_value, satisfies_by_tables,
 )
 from .tnorms import validate
+from .tolerance import EPS
 
 DEFAULT_CAP = 10 ** 6
 
@@ -31,13 +31,12 @@ class OracleReport:
     mismatches: list = field(default_factory=list)
 
 
-def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP, eps=None):
+def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP, eps=EPS):
     """Every pick vector over the row supports whose chosen-column cells
     intersect; checked in batch, never incrementally.
 
     An empty column interval empties every box, so nothing is admissible.
     """
-    eps = tolerance.resolve(eps)
     if any(s.is_empty for s in tables.col_interval):
         return []
     bound = admissible_upper_bound(tables)
@@ -76,9 +75,8 @@ def _candidate(tables, e, eps):
     return x
 
 
-def brute_force_optimum(tables: ResolutionTables, costs, cap: int = DEFAULT_CAP, eps=None) -> OracleReport:
+def brute_force_optimum(tables: ResolutionTables, costs, cap: int = DEFAULT_CAP, eps=EPS) -> OracleReport:
     """Minimum-cost candidate over every admissible pick vector."""
-    eps = tolerance.resolve(eps)
     admissible = enumerate_all_admissible(tables, cap, eps)
     best = None
     for e in admissible:
@@ -100,14 +98,13 @@ class GridCensus:
 
 
 def grid_feasibility_census(p: ProblemInstance, step: float = 0.05,
-                            cap: int = DEFAULT_CAP, boxes=None, eps=None) -> GridCensus:
+                            cap: int = DEFAULT_CAP, boxes=None, eps=EPS) -> GridCensus:
     """Classify every grid point of the unit box by direct evaluation.
 
     Cross-checks the table criterion on each point, and (when the enumerated
     box decomposition is supplied) box-union membership, recording every
     disagreement.  Box membership is tested with eps-inflated boundaries.
     """
-    eps = tolerance.resolve(eps)
     k = round(1.0 / step)
     total = (k + 1) ** p.n
     if total > cap:

@@ -14,21 +14,23 @@ original bounds, so they are frozen, never recomputed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import tolerance
+from .errors import InconsistentReduction
 from .sets import SetForm
 from .tnorms import DomainError, TNorm, evaluate, solve_u
+from .tolerance import EPS
 
 
 @dataclass(frozen=True)
 class ProblemInstance:
     """Input data: coefficient matrices, right-hand side, costs, t-norm.
 
-    All matrix/vector entries live in [0, 1]; costs are nonnegative (callers
-    with negative costs must substitute variables before building an
-    instance).
+    All matrix/vector entries live in [0, 1]; costs are finite and
+    nonnegative (callers with negative costs must substitute variables before
+    building an instance).
     """
 
     a_plus: list
@@ -53,6 +55,8 @@ class ProblemInstance:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"b[{i}] out of [0,1]")
         for j, v in enumerate(self.c):
+            if not math.isfinite(v):
+                raise ValueError(f"c[{j}] not finite")
             if v < 0:
                 raise ValueError(f"c[{j}] negative")
 
@@ -65,7 +69,7 @@ class ProblemInstance:
         return len(self.c)
 
 
-def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float, eps=None):
+def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float, eps=EPS):
     """Solution and relaxation sets of one bipolar term.
 
     Returns (solution_set, relaxation_set).  The five cases split on which of
@@ -73,7 +77,6 @@ def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float, eps=None):
     one-sided bounds exclude each other) makes the cell infeasible and both
     sets come back empty.
     """
-    eps = tolerance.resolve(eps)
     plus_ge = a_plus >= b - eps
     minus_ge = a_minus >= b - eps
     if not plus_ge and not minus_ge:
@@ -134,10 +137,20 @@ class ResolutionTables:
     def upper_bound(self, j: int) -> float:
         return self.col_interval[j].maximum()
 
+    def intersect_cells(self, j: int, rows, eps=EPS) -> SetForm:
+        """Intersection of column j's restricted cells over ``rows``, taken
+        in the given order; empty when ``rows`` is."""
+        inter = None
+        for i in rows:
+            cell = self.s_prime[i][j]
+            inter = cell if inter is None else inter.intersect(cell, eps)
+            if inter.is_empty:
+                break
+        return SetForm.empty() if inter is None else inter
 
-def build_tables(p: ProblemInstance, eps=None) -> ResolutionTables:
+
+def build_tables(p: ProblemInstance, eps=EPS) -> ResolutionTables:
     """Resolve an instance into its complete set tables."""
-    eps = tolerance.resolve(eps)
     m, n = p.m, p.n
     i_cell = [[None] * n for _ in range(m)]
     s_cell = [[None] * n for _ in range(m)]
@@ -219,7 +232,7 @@ def check_feasibility(tables: ResolutionTables) -> FeasibilityReport:
     return FeasibilityReport(FeasibilityStatus.NECESSARY_CONDITIONS_PASS)
 
 
-def row_value(p: ProblemInstance, i: int, x, eps=None) -> float:
+def row_value(p: ProblemInstance, i: int, x, eps=EPS) -> float:
     """Left-hand side of equation i at the point x."""
     t = p.tnorm
     return max(
@@ -228,10 +241,9 @@ def row_value(p: ProblemInstance, i: int, x, eps=None) -> float:
     )
 
 
-def satisfies_by_tables(tables: ResolutionTables, x, eps=None) -> bool:
+def satisfies_by_tables(tables: ResolutionTables, x, eps=EPS) -> bool:
     """Membership test from the tables: in every column interval, and each
     row witnessed by some restricted cell."""
-    eps = tolerance.resolve(eps)
     for j in range(tables.n):
         if not tables.col_interval[j].contains(x[j], eps):
             return False
@@ -241,13 +253,13 @@ def satisfies_by_tables(tables: ResolutionTables, x, eps=None) -> bool:
     return True
 
 
-def is_feasible_point(p: ProblemInstance, x, eps=None, tables: ResolutionTables | None = None) -> bool:
+def is_feasible_point(p: ProblemInstance, x, eps=EPS, tables: ResolutionTables | None = None) -> bool:
     """Check every row equality directly at x.
 
-    When freshly built tables are supplied, a debug assertion cross-checks
-    the direct evaluation against the table criterion.
+    When freshly built tables are supplied, the direct evaluation is
+    cross-checked against the table criterion; a disagreement raises
+    InconsistentReduction.
     """
-    eps = tolerance.resolve(eps)
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
     for j, v in enumerate(x):
@@ -255,9 +267,8 @@ def is_feasible_point(p: ProblemInstance, x, eps=None, tables: ResolutionTables 
             raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
     x = [min(1.0, max(0.0, v)) for v in x]
     ok = all(abs(row_value(p, i, x, eps) - p.b[i]) <= eps for i in range(p.m))
-    if tables is not None:
-        assert ok == satisfies_by_tables(tables, x, eps), \
-            f"direct and table feasibility criteria disagree at {x}"
+    if tables is not None and ok != satisfies_by_tables(tables, x, eps):
+        raise InconsistentReduction(f"direct and table feasibility criteria disagree at {x}")
     return ok
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import tolerance
+from .tolerance import EPS
 
 EMPTY = "empty"
 POINT = "point"
@@ -41,9 +41,8 @@ class SetForm:
         return SetForm(POINT, v, v)
 
     @staticmethod
-    def pair(v1: float, v2: float, eps=None) -> "SetForm":
+    def pair(v1: float, v2: float, eps=EPS) -> "SetForm":
         """Two-point set; collapses to a point when the values coincide."""
-        eps = tolerance.resolve(eps)
         if v1 > v2:
             v1, v2 = v2, v1
         if v2 - v1 <= eps:
@@ -51,12 +50,11 @@ class SetForm:
         return SetForm(PAIR, v1, v2)
 
     @staticmethod
-    def interval(lo: float, hi: float, eps=None) -> "SetForm":
+    def interval(lo: float, hi: float, eps=EPS) -> "SetForm":
         """Closed interval; collapses to a point when degenerate.
 
         A crossed interval (lo > hi beyond tolerance) is empty.
         """
-        eps = tolerance.resolve(eps)
         if lo > hi + eps:
             return _EMPTY
         if hi - lo <= eps:
@@ -91,8 +89,7 @@ class SetForm:
             raise ValueError("maximum of empty set")
         return self.hi
 
-    def contains(self, v: float, eps=None) -> bool:
-        eps = tolerance.resolve(eps)
+    def contains(self, v: float, eps=EPS) -> bool:
         if self.kind == EMPTY:
             return False
         if self.kind == INTERVAL:
@@ -111,8 +108,7 @@ class SetForm:
 
     # -- algebra -----------------------------------------------------------
 
-    def intersect(self, other: "SetForm", eps=None) -> "SetForm":
-        eps = tolerance.resolve(eps)
+    def intersect(self, other: "SetForm", eps=EPS) -> "SetForm":
         if self.kind == EMPTY or other.kind == EMPTY:
             return _EMPTY
         if self.kind == POINT:
@@ -132,8 +128,7 @@ class SetForm:
         hi = min(self.hi, other.hi)
         return SetForm.interval(lo, hi, eps)
 
-    def issubset(self, other: "SetForm", eps=None) -> bool:
-        eps = tolerance.resolve(eps)
+    def issubset(self, other: "SetForm", eps=EPS) -> bool:
         if self.kind == EMPTY:
             return True
         if other.kind == EMPTY:
@@ -145,21 +140,19 @@ class SetForm:
             return False
         return other.lo - eps <= self.lo and self.hi <= other.hi + eps
 
-    def same(self, other: "SetForm", eps=None) -> bool:
+    def same(self, other: "SetForm", eps=EPS) -> bool:
         """Set equality up to tolerance."""
-        eps = tolerance.resolve(eps)
         if self.kind != other.kind:
             return False
         if self.kind == EMPTY:
             return True
         return abs(self.lo - other.lo) <= eps and abs(self.hi - other.hi) <= eps
 
-    def snap(self, targets, eps=None) -> "SetForm":
+    def snap(self, targets, eps=EPS) -> "SetForm":
         """Replace stored values by any target they match within eps.
 
         Used to pin restricted-cell endpoints exactly onto the column bounds.
         """
-        eps = tolerance.resolve(eps)
         if self.kind == EMPTY:
             return self
 

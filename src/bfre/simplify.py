@@ -8,14 +8,16 @@ never be optimal (forced assignments, two-point rows, lower-bound and
 dominated columns, unsupported columns); the reduced problem then only
 promises to retain at least one global optimum.
 
-The reducer makes a single pass over the techniques in a fixed order.  Row
-removals (whose premises are redundancy facts that stay valid as the problem
-shrinks) are re-applied within their own slot until exhausted; the
-column-fixing optimality techniques act once, on the state where they first
-became applicable, with each planned fix re-validated just before it is
-applied.  Chaining those fixes further would be sound but produces a
-different, more aggressive reduction than the one this module documents and
-tests pin down.
+The reducer makes a single pass over the techniques in a fixed order, one
+slot per technique.  Singleton columns and forced assignments are re-applied
+within their own slot until exhausted.  The dominance techniques make a
+single ascending pass against a shrinking list of survivors: whether one row
+(or column) dominates another depends only on their own cells, which no
+restriction changes, so a removal can only retire dominators and never
+creates a new domination.  The other column-fixing optimality techniques act
+once, on the state where they first became applicable.  Chaining those fixes
+further would be sound but produces a different, more aggressive reduction
+than the one this module documents and tests pin down.
 
 The set tables are never recomputed: removed rows' bounds stay baked into
 the column intervals, which is exactly what makes the removals sound.
@@ -27,10 +29,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from . import tolerance
 from .errors import InconsistentReduction
 from .resolution import ResolutionTables, admissible_upper_bound, restrict
-from .sets import SetForm
+from .tolerance import EPS
 
 
 class Mode(Enum):
@@ -156,16 +157,14 @@ class ReducedProblem:
 # Each takes the current (restricted) tables and reports what it would do,
 # in original indices.  They never mutate anything.
 
-def rule_zero_rhs(tables: ResolutionTables, eps=None):
+def rule_zero_rhs(tables: ResolutionTables, eps=EPS):
     """Rows whose right-hand side is zero are redundant."""
-    eps = tolerance.resolve(eps)
     return [tables.row_ids[i] for i in range(tables.m) if tables.rhs[i] <= eps]
 
 
-def rule_singleton_column(tables: ResolutionTables, eps=None):
+def rule_singleton_column(tables: ResolutionTables, eps=EPS):
     """First column whose interval is a single value: fix it, drop the rows
     that value satisfies."""
-    eps = tolerance.resolve(eps)
     for j in range(tables.n):
         ij = tables.col_interval[j]
         if not ij.is_point:
@@ -183,39 +182,31 @@ def _dominates(tables, i, i0, eps) -> bool:
                for j in range(tables.n))
 
 
-def rule_dominated_row(tables: ResolutionTables, eps=None):
-    """Rows made redundant by another row, removed one at a time.
+def rule_dominated_row(tables: ResolutionTables, eps=EPS):
+    """Rows made redundant by another surviving row, in a single ascending
+    pass.
 
-    Mutually dominating (identical) rows keep the lower index.  The returned
-    list is the fixed point of repeated single removals in ascending order.
+    Mutually dominating (identical) rows keep the lower index.  A row kept
+    once stays kept as the survivors shrink, so the returned list is the
+    fixed point of repeated single removals in ascending order.
     """
-    eps = tolerance.resolve(eps)
     alive = list(range(tables.m))
     removed = []
-    changed = True
-    while changed:
-        changed = False
-        for i0 in alive:
-            for i in alive:
-                if i == i0:
-                    continue
-                if _dominates(tables, i, i0, eps):
-                    mutual = _dominates(tables, i0, i, eps)
-                    if mutual and i0 < i:
-                        continue
-                    removed.append(tables.row_ids[i0])
-                    alive.remove(i0)
-                    changed = True
-                    break
-            if changed:
-                break
+    for i0 in range(tables.m):
+        for i in alive:
+            if i == i0 or not _dominates(tables, i, i0, eps):
+                continue
+            if i0 < i and _dominates(tables, i0, i, eps):
+                continue
+            removed.append(tables.row_ids[i0])
+            alive.remove(i0)
+            break
     return removed
 
 
-def rule_forced_assignment(tables: ResolutionTables, eps=None):
+def rule_forced_assignment(tables: ResolutionTables, eps=EPS):
     """First row supported by a single column whose restricted cell is a
     single value: fix the column, drop every row that value satisfies."""
-    eps = tolerance.resolve(eps)
     for i in range(tables.m):
         if len(tables.row_support[i]) != 1:
             continue
@@ -230,57 +221,41 @@ def rule_forced_assignment(tables: ResolutionTables, eps=None):
     return None
 
 
-def rule_two_point_row(tables: ResolutionTables, eps=None):
+def rule_two_point_row(tables: ResolutionTables, eps=EPS):
     """Rows holding a two-point restricted cell never constrain candidate
     minima; all of them go at once."""
     return [tables.row_ids[i] for i in range(tables.m)
             if any(tables.s_prime[i][j].is_pair for j in tables.row_support[i])]
 
 
-def _support_intersection(tables, j, eps) -> SetForm:
-    inter = None
-    for i in tables.col_support[j]:
-        cell = tables.s_prime[i][j]
-        inter = cell if inter is None else inter.intersect(cell, eps)
-    return inter if inter is not None else SetForm.empty()
-
-
-def rule_lower_bound_column(tables: ResolutionTables, eps=None):
+def rule_lower_bound_column(tables: ResolutionTables, eps=EPS):
     """Columns whose lower bound satisfies every supporting row: fix at the
     lower bound and drop those rows.
 
-    Matches are collected against the entry state and re-validated one by one
-    as they are applied.
+    Matches are collected against the entry state; a row shared by several
+    matching columns is dropped once, under the first.
     """
-    eps = tolerance.resolve(eps)
-    matches = []
+    fixed, rows, cols = {}, [], []
+    gone = set()
     for j in range(tables.n):
         sup = tables.col_support[j]
         if not sup:
             continue
-        lj = tables.lower_bound(j)
-        if all(tables.s_prime[i][j].contains(lj, eps) for i in sup):
-            matches.append(j)
-    if not matches:
-        return None
-    fixed, rows, cols = {}, [], []
-    gone = set()
-    for j in matches:
-        sup = [i for i in tables.col_support[j] if i not in gone]
         lj = tables.lower_bound(j)
         if not all(tables.s_prime[i][j].contains(lj, eps) for i in sup):
             continue
         fixed[tables.col_ids[j]] = lj
         cols.append(tables.col_ids[j])
         for i in sup:
-            gone.add(i)
-            rows.append(tables.row_ids[i])
+            if i not in gone:
+                gone.add(i)
+                rows.append(tables.row_ids[i])
     if not cols:
         return None
     return Action(Rule.LOWER_BOUND_COLUMN, fixed, tuple(rows), tuple(cols))
 
 
-def rule_free_column(tables: ResolutionTables, eps=None):
+def rule_free_column(tables: ResolutionTables, eps=EPS):
     """Columns no surviving row can use: fix at the lower bound.
 
     Columns with an empty interval are left alone; they belong to the
@@ -297,7 +272,7 @@ def rule_free_column(tables: ResolutionTables, eps=None):
     return Action(Rule.FREE_COLUMN, fixed, (), tuple(cols))
 
 
-def rule_dominated_column(tables: ResolutionTables, costs, eps=None):
+def rule_dominated_column(tables: ResolutionTables, costs, eps=EPS):
     """Column-vs-column elimination (requires two-point rows already gone).
 
     Variant (a): if every row that can use column j1 can also use column j2,
@@ -310,50 +285,46 @@ def rule_dominated_column(tables: ResolutionTables, costs, eps=None):
     bound.
 
     No rows are removed, so applying one match never invalidates another;
-    the slot drains every match into a single step.
+    a single ascending pass over the surviving columns drains every match
+    into one step.
     """
-    eps = tolerance.resolve(eps)
-    cost_of = {tables.col_ids[j]: costs[j] for j in range(tables.n)}
+    support = [set(sup) for sup in tables.col_support]
+    inter = [tables.intersect_cells(j, tables.col_support[j], eps) for j in range(tables.n)]
 
-    def find(alive_cols):
-        support = {j: set(tables.col_support[j]) for j in alive_cols}
-        for j1 in alive_cols:
-            if not support[j1]:
-                continue
-            inter1 = _support_intersection(tables, j1, eps)
-            for j2 in alive_cols:
-                if j2 == j1 or not support[j1] <= support[j2]:
-                    continue
-                inter2 = _support_intersection(tables, j2, eps)
-                l2 = tables.lower_bound(j2)
-                if inter2.is_point and abs(inter2.minimum() - l2) <= eps:
-                    return ("a", j1, j2)
-                if not (inter1.is_point and inter2.is_point):
-                    continue
-                v = inter1.minimum()
-                l1, u1 = tables.lower_bound(j1), tables.upper_bound(j1)
-                u2 = tables.upper_bound(j2)
-                if not (abs(v - l1) <= eps or abs(v - u1) <= eps):
-                    continue
-                if abs(inter2.minimum() - u2) > eps:
-                    continue
-                c1 = cost_of[tables.col_ids[j1]]
-                c2 = cost_of[tables.col_ids[j2]]
-                if c2 * (u2 - l2) < c1 * (v - l1) - eps:
-                    return ("b", j1, j2)
+    def variant(j1, j2):
+        inter1, inter2 = inter[j1], inter[j2]
+        l2 = tables.lower_bound(j2)
+        if inter2.is_point and abs(inter2.minimum() - l2) <= eps:
+            return "a"
+        if not (inter1.is_point and inter2.is_point):
+            return None
+        v = inter1.minimum()
+        l1, u1 = tables.lower_bound(j1), tables.upper_bound(j1)
+        u2 = tables.upper_bound(j2)
+        if not (abs(v - l1) <= eps or abs(v - u1) <= eps):
+            return None
+        if abs(inter2.minimum() - u2) > eps:
+            return None
+        if costs[j2] * (u2 - l2) < costs[j1] * (v - l1) - eps:
+            return "b"
         return None
 
     alive = list(range(tables.n))
     fixed, cols, parts = {}, [], []
-    while True:
-        hit = find(alive)
-        if hit is None:
+    for j1 in range(tables.n):
+        if not support[j1]:
+            continue
+        for j2 in alive:
+            if j2 == j1 or not support[j1] <= support[j2]:
+                continue
+            kind = variant(j1, j2)
+            if kind is None:
+                continue
+            fixed[tables.col_ids[j1]] = tables.lower_bound(j1)
+            cols.append(tables.col_ids[j1])
+            parts.append(f"{kind}:x{tables.col_ids[j1] + 1}<-x{tables.col_ids[j2] + 1}")
+            alive.remove(j1)
             break
-        variant, j1, j2 = hit
-        fixed[tables.col_ids[j1]] = tables.lower_bound(j1)
-        cols.append(tables.col_ids[j1])
-        parts.append(f"{variant}:x{tables.col_ids[j1] + 1}<-x{tables.col_ids[j2] + 1}")
-        alive.remove(j1)
     if not cols:
         return None
     return Action(Rule.DOMINATED_COLUMN, fixed, (), tuple(cols), detail=";".join(parts))
@@ -361,21 +332,38 @@ def rule_dominated_column(tables: ResolutionTables, costs, eps=None):
 
 # -- driver -------------------------------------------------------------------
 
-_FEASIBILITY_RULES = (Rule.ZERO_RHS_ROW, Rule.SINGLETON_COLUMN, Rule.DOMINATED_ROW)
-_OPTIMALITY_RULES = _FEASIBILITY_RULES + (
-    Rule.FORCED_ASSIGNMENT, Rule.TWO_POINT_ROW, Rule.LOWER_BOUND_COLUMN,
-    Rule.FREE_COLUMN, Rule.DOMINATED_COLUMN,
+def _one(act):
+    return [] if act is None else [act]
+
+
+def _drop_rows(rule, rows):
+    return [Action(rule, {}, tuple(rows), ())] if rows else []
+
+
+# (rule, finder, repeat), in application order.  A finder maps (rule, tables,
+# costs aligned with the tables, eps) to the actions to apply, in order; a
+# repeating slot calls its finder again until it finds nothing.  The
+# feasibility mode runs the first three slots.
+_SLOTS = (
+    (Rule.ZERO_RHS_ROW, lambda r, t, c, eps: _drop_rows(r, rule_zero_rhs(t, eps)), False),
+    (Rule.SINGLETON_COLUMN, lambda r, t, c, eps: _one(rule_singleton_column(t, eps)), True),
+    (Rule.DOMINATED_ROW,
+     lambda r, t, c, eps: [Action(r, {}, (i,), ()) for i in rule_dominated_row(t, eps)], False),
+    (Rule.FORCED_ASSIGNMENT, lambda r, t, c, eps: _one(rule_forced_assignment(t, eps)), True),
+    (Rule.TWO_POINT_ROW, lambda r, t, c, eps: _drop_rows(r, rule_two_point_row(t, eps)), False),
+    (Rule.LOWER_BOUND_COLUMN, lambda r, t, c, eps: _one(rule_lower_bound_column(t, eps)), False),
+    (Rule.FREE_COLUMN, lambda r, t, c, eps: _one(rule_free_column(t, eps)), False),
+    (Rule.DOMINATED_COLUMN, lambda r, t, c, eps: _one(rule_dominated_column(t, c, eps)), False),
 )
 
 
-def simplify(tables: ResolutionTables, costs, mode: Mode, eps=None):
+def simplify(tables: ResolutionTables, costs, mode: Mode, eps=EPS):
     """Run the reduction pass; returns (ReducedProblem, ReductionLedger).
 
     ``costs`` must be aligned with ``tables.col_ids``.  The necessary
     feasibility conditions are assumed to have passed.
     """
-    eps = tolerance.resolve(eps)
-    rules = _FEASIBILITY_RULES if mode is Mode.FEASIBILITY_PRESERVING else _OPTIMALITY_RULES
+    slots = _SLOTS[:3] if mode is Mode.FEASIBILITY_PRESERVING else _SLOTS
     n_original = tables.n
     cur = tables
     cost_by_col = {j: costs[pos] for pos, j in enumerate(tables.col_ids)}
@@ -398,40 +386,12 @@ def simplify(tables: ResolutionTables, costs, mode: Mode, eps=None):
         fixed_all.update(action.fixed)
         ledger.steps.append(LedgerStep(action, before, admissible_upper_bound(cur)))
 
-    for rule in rules:
-        if rule is Rule.ZERO_RHS_ROW:
-            rows = rule_zero_rhs(cur, eps)
-            if rows:
-                apply(Action(rule, {}, tuple(rows), ()))
-        elif rule is Rule.SINGLETON_COLUMN:
-            while (act := rule_singleton_column(cur, eps)) is not None:
-                apply(act)
-        elif rule is Rule.DOMINATED_ROW:
-            while True:
-                rows = rule_dominated_row(cur, eps)
-                if not rows:
-                    break
-                apply(Action(rule, {}, (rows[0],), ()))
-        elif rule is Rule.FORCED_ASSIGNMENT:
-            while (act := rule_forced_assignment(cur, eps)) is not None:
-                apply(act)
-        elif rule is Rule.TWO_POINT_ROW:
-            rows = rule_two_point_row(cur, eps)
-            if rows:
-                apply(Action(rule, {}, tuple(rows), ()))
-        elif rule is Rule.LOWER_BOUND_COLUMN:
-            act = rule_lower_bound_column(cur, eps)
-            if act is not None:
-                apply(act)
-        elif rule is Rule.FREE_COLUMN:
-            act = rule_free_column(cur, eps)
-            if act is not None:
-                apply(act)
-        elif rule is Rule.DOMINATED_COLUMN:
-            costs_now = [cost_by_col[j] for j in cur.col_ids]
-            act = rule_dominated_column(cur, costs_now, eps)
-            if act is not None:
-                apply(act)
+    for rule, find, repeat in slots:
+        while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids], eps):
+            for action in actions:
+                apply(action)
+            if not repeat:
+                break
 
     reduced = ReducedProblem(
         tables=cur,

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import tolerance
+from .tolerance import EPS
 
 INF = math.inf
 
@@ -135,9 +135,8 @@ def _check_unit(name, v, eps):
 _SS_SNAP = 1e-12
 
 
-def evaluate(t: TNorm, x: float, y: float, eps=None) -> float:
+def evaluate(t: TNorm, x: float, y: float, eps=EPS) -> float:
     """Closed-form value of the t-norm at (x, y)."""
-    eps = tolerance.resolve(eps)
     x = _check_unit("x", x, eps)
     y = _check_unit("y", y, eps)
     # Boundary axioms, applied exactly so identity and zero laws hold to the
@@ -183,9 +182,8 @@ def evaluate(t: TNorm, x: float, y: float, eps=None) -> float:
     return min(1.0, max(0.0, v))
 
 
-def generator(t: TNorm, x: float, eps=None) -> float:
+def generator(t: TNorm, x: float, eps=EPS) -> float:
     """Additive generator value; +inf at 0 exactly for strict families."""
-    eps = tolerance.resolve(eps)
     x = _check_unit("x", x, eps)
     f, p = t.family, t.param
     if x == 0.0 and t.kind is Kind.STRICT:
@@ -270,9 +268,8 @@ def _inverse(t: TNorm, z: float) -> float:
     raise AssertionError(f)  # pragma: no cover
 
 
-def pseudo_inverse(t: TNorm, z: float, eps=None) -> float:
+def pseudo_inverse(t: TNorm, z: float, eps=EPS) -> float:
     """Generator pseudoinverse: the inverse up to generator(t, 0), then 0."""
-    eps = tolerance.resolve(eps)
     if z < -eps:
         raise DomainError(f"z={z!r} negative")
     z = max(0.0, z)
@@ -315,14 +312,13 @@ def _closed_form_u(t: TNorm, a: float, b: float) -> float:
     raise AssertionError(f)  # pragma: no cover
 
 
-def solve_u(t: TNorm, a: float, b: float, eps=None) -> float:
+def solve_u(t: TNorm, a: float, b: float, eps=EPS) -> float:
     """The solution value u of evaluate(a, x) == b for a >= b.
 
     Cases: a == b gives 1; b == 0 gives 0 for strict families and the
     endpoint of the zero set for nilpotent ones; otherwise the closed form
     (equivalently pseudo_inverse(generator(b) - generator(a))).
     """
-    eps = tolerance.resolve(eps)
     a = _check_unit("a", a, eps)
     b = _check_unit("b", b, eps)
     if a < b - eps:
@@ -334,7 +330,3 @@ def solve_u(t: TNorm, a: float, b: float, eps=None) -> float:
             return 0.0
         return pseudo_inverse(t, generator_at_zero(t) - generator(t, a), eps)
     return min(1.0, max(0.0, _closed_form_u(t, a, b)))
-
-
-#: Families closed under the hood, keyed by their serialized names.
-FAMILY_NAMES = tuple(f.value for f in Family)

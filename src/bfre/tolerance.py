@@ -3,7 +3,9 @@
 Every branch decision of the form a >= b, every set-identity test and every
 endpoint snap in this package goes through the single tolerance below.  It can
 be overridden globally with the BFRE_EPS environment variable (read once at
-import) or per call wherever a function accepts an ``eps`` argument.
+import).  ``EPS`` is the default of every ``eps`` parameter in the package,
+bound when each module is imported; pass ``eps`` explicitly to override it
+for one call.
 """
 
 import os

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bfre
 from bfre import example_path
 from bfre.cli import load_problem, main, problem_to_dict
 
@@ -44,6 +48,20 @@ class TestProblemFiles:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["solve", str(path)]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "resolve", "verify"])
+    def test_non_list_matrix_one_line_error(self, tmp_path, capsys, command):
+        path = write_problem(tmp_path, tiny_problem(a_plus=5))
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_non_finite_cost(self, tmp_path, capsys, cost):
+        # json writes these as the NaN / Infinity literals, which json.load accepts
+        path = write_problem(tmp_path, tiny_problem(c=[cost]))
+        assert main(["solve", path, "--no-timing"]) == 1
+        assert capsys.readouterr().err == "error: c[0] not finite\n"
 
 
 class TestSolveCommand:
@@ -159,3 +177,25 @@ class TestVerifyCommand:
 
     def test_requires_some_input(self, capsys):
         assert main(["verify", "--no-timing"]) == 1
+
+
+class TestOptimizedInterpreterParity:
+    """No result may depend on an assert statement, which python -O strips."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", example_path(), "--json", "--no-timing"],
+        ["verify", "--seed", "3", "--count", "40", "--no-timing"],
+    ])
+    def test_same_output_under_dash_o(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bfre.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+        def run(*flags):
+            done = subprocess.run([sys.executable, *flags, "-m", "bfre.cli", *argv],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            return done.returncode, done.stdout, done.stderr
+
+        plain = run()
+        assert plain[0] == 0, plain[2]
+        assert run("-O") == plain

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from bfre import (
     FeasibilityStatus, SetForm, bipolar_cell, build_tables,
     check_feasibility, is_feasible_point, validate,
 )
+from bfre.errors import InconsistentReduction
 from bfre.oracle import random_feasible_instance, random_instance
 from bfre.resolution import (
     admissible_upper_bound, restrict, row_value, satisfies_by_tables,
@@ -183,6 +185,15 @@ class TestIsFeasiblePoint:
         with pytest.raises(DomainError):
             is_feasible_point(example, [0.5])
 
+    def test_disagreeing_tables_raise(self):
+        # x1 = 0.5 solves 0.9 T x1 = 0.4, but the tables of 0.9 T x1 = 0.6
+        # only admit x1 = 0.7; the check must raise, also under python -O
+        p = make_instance([[0.9]], [[0.0]], [0.4])
+        other = build_tables(make_instance([[0.9]], [[0.0]], [0.6]))
+        assert is_feasible_point(p, [0.5])
+        with pytest.raises(InconsistentReduction, match="disagree"):
+            is_feasible_point(p, [0.5], tables=other)
+
 
 class TestInstanceValidation:
     def test_entry_out_of_range(self):
@@ -194,6 +205,11 @@ class TestInstanceValidation:
     def test_negative_cost(self):
         with pytest.raises(ValueError, match=r"c\[0\] negative"):
             make_instance([[0.5]], [[0.5]], [0.5], c=[-1.0])
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cost(self, cost):
+        with pytest.raises(ValueError, match=r"c\[1\] not finite"):
+            make_instance([[0.5, 0.5]], [[0.5, 0.5]], [0.5], c=[1.0, cost])
 
     def test_ragged_matrix(self):
         with pytest.raises(ValueError):

@@ -296,3 +296,112 @@ class TestModeGuarantees:
                 continue
             assert part.optimum is not None
             assert part.optimum[1] + fixed_cost == pytest.approx(full.optimum[1], abs=TOL)
+
+
+# -- single-pass dominance against the restart-loop fixed points ---------------
+#
+# The two functions below are the restart formulations the dominance rules
+# were first written in: find the first removal, apply it, rescan from the
+# start.  They are kept as the reference the single-pass rules must match.
+
+def _ref_dominated_row(tables, eps=TOL):
+    def dominates(i, i0):
+        return all(tables.s_prime[i][j].issubset(tables.s_prime[i0][j], eps)
+                   for j in range(tables.n))
+
+    alive = list(range(tables.m))
+    removed = []
+    changed = True
+    while changed:
+        changed = False
+        for i0 in alive:
+            for i in alive:
+                if i == i0:
+                    continue
+                if dominates(i, i0):
+                    if dominates(i0, i) and i0 < i:
+                        continue
+                    removed.append(tables.row_ids[i0])
+                    alive.remove(i0)
+                    changed = True
+                    break
+            if changed:
+                break
+    return removed
+
+
+def _ref_dominated_column(tables, costs, eps=TOL):
+    def support_intersection(j):
+        inter = None
+        for i in tables.col_support[j]:
+            cell = tables.s_prime[i][j]
+            inter = cell if inter is None else inter.intersect(cell, eps)
+        return inter if inter is not None else SetForm.empty()
+
+    def find(alive_cols):
+        support = {j: set(tables.col_support[j]) for j in alive_cols}
+        for j1 in alive_cols:
+            if not support[j1]:
+                continue
+            inter1 = support_intersection(j1)
+            for j2 in alive_cols:
+                if j2 == j1 or not support[j1] <= support[j2]:
+                    continue
+                inter2 = support_intersection(j2)
+                l2 = tables.lower_bound(j2)
+                if inter2.is_point and abs(inter2.minimum() - l2) <= eps:
+                    return ("a", j1, j2)
+                if not (inter1.is_point and inter2.is_point):
+                    continue
+                v = inter1.minimum()
+                l1, u1 = tables.lower_bound(j1), tables.upper_bound(j1)
+                u2 = tables.upper_bound(j2)
+                if not (abs(v - l1) <= eps or abs(v - u1) <= eps):
+                    continue
+                if abs(inter2.minimum() - u2) > eps:
+                    continue
+                if costs[j2] * (u2 - l2) < costs[j1] * (v - l1) - eps:
+                    return ("b", j1, j2)
+        return None
+
+    alive = list(range(tables.n))
+    fixed, cols, parts = {}, [], []
+    while (hit := find(alive)) is not None:
+        variant, j1, j2 = hit
+        fixed[tables.col_ids[j1]] = tables.lower_bound(j1)
+        cols.append(tables.col_ids[j1])
+        parts.append(f"{variant}:x{tables.col_ids[j1] + 1}<-x{tables.col_ids[j2] + 1}")
+        alive.remove(j1)
+    return (tuple(cols), fixed, ";".join(parts)) if cols else None
+
+
+_EQUIVALENCE_FAMILIES = [
+    ("product", None), ("lukasiewicz", None), ("yager", 2.0), ("hamacher", 1.0),
+    ("frank", 2.0), ("dombi", 2.0), ("sugeno_weber", 1.0), ("aczel_alsina", 2.0),
+]
+
+
+class TestSinglePassDominance:
+    def test_matches_restart_loop_reference(self):
+        rng = random.Random(4242)
+        multi_rows = multi_cols = 0
+        for k in range(240):
+            fam, param = _EQUIVALENCE_FAMILIES[k % len(_EQUIVALENCE_FAMILIES)]
+            gen = random_feasible_instance if rng.random() < 0.7 else random_instance
+            p = gen(rng, fam, param, m=rng.randint(1, 12), n=rng.randint(1, 12))
+            tables = build_tables(p)
+            # the column rule runs once two-point rows are gone
+            no_pairs = restrict(tables, [i for i in range(tables.m)
+                                         if not any(c.is_pair for c in tables.s_prime[i])],
+                                range(tables.n))
+            for t in (tables, no_pairs):
+                want = _ref_dominated_row(t)
+                assert rule_dominated_row(t) == want, (k, p)
+                multi_rows += len(want) > 1
+                want = _ref_dominated_column(t, p.c)
+                act = rule_dominated_column(t, p.c)
+                got = None if act is None else (act.cols, act.fixed, act.detail)
+                assert got == want, (k, p)
+                multi_cols += want is not None and len(want[0]) > 1
+        # the corpus must exercise removals that change the survivor list
+        assert multi_rows >= 50 and multi_cols >= 10, (multi_rows, multi_cols)
