@@ -10,6 +10,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -102,11 +103,7 @@ def _solution_json(sol: Solution) -> dict:
             out["witness"] = sol.witness + 1
     if sol.ledger is not None:
         out["presolve"] = sol.ledger.to_json()
-    out["search"] = {
-        "nodes_created": sol.stats.nodes_created,
-        "nodes_expanded": sol.stats.nodes_expanded,
-        "candidates_evaluated": sol.stats.candidates_evaluated,
-    }
+    out["search"] = dataclasses.asdict(sol.stats)
     if sol.events:
         out["trace"] = sol.trace_lines()
     return out

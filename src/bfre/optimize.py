@@ -9,17 +9,24 @@ row that can reuse an already-picked column must reuse the smallest such
 column, which prunes equal-cost duplicates without losing any optimum (valid
 only after two-point cells have been eliminated).
 
+Admissibility is incremental: each node holds the running intersection of
+every picked column, taken in pick order (ascending rows, the order
+``feasible_box`` and the oracle use), and a row's domain is the columns whose
+running intersection survives that row's cell.  Tolerance-snapped
+intersection is not associative, so every caller uses this one order.
+
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
 ends (complete, pruned, or dead), jump to the cheapest node anywhere in the
-live set.  Cost never decreases along a branch, so pruning against the
-incumbent is exact.
+live set, a heap keyed (z, -depth, uid).  Cost never decreases along a
+branch, so pruning against the incumbent is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from heapq import heapify, heappop, heappush
 
 from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
 from .resolution import (
@@ -57,25 +64,40 @@ def feasible_box(e, tables: ResolutionTables, eps=EPS) -> list:
     return box
 
 
+def _running_intersections(prefix, tables: ResolutionTables, eps=EPS) -> dict:
+    """Column -> intersection of its picked cells over ``prefix``, in pick order."""
+    return {j: tables.intersect_cells(j, rows, eps) for j, rows in _pick_groups(prefix).items()}
+
+
+def _admissible_steps(inter: dict, i, tables: ResolutionTables, modified, eps=EPS) -> list:
+    """[(j, inter[j] ∩ cell)] for the columns of row i's support whose running
+    intersection survives row i's cell (an unpicked column's is the cell).
+    In modified mode a surviving already-picked column is forced: only the
+    smallest one is returned."""
+    row = tables.s_prime[i]
+    steps = []
+    for j in tables.row_support[i]:
+        prev = inter.get(j)
+        s = row[j] if prev is None else prev.intersect(row[j], eps)
+        if not s.is_empty:
+            if modified and prev is not None:
+                return [(j, s)]      # row_support is ascending
+            steps.append((j, s))
+    return steps
+
+
 def admissible_domain(prefix, i, tables: ResolutionTables, eps=EPS) -> list:
     """Columns row i may pick after the given prefix: its support, minus
     columns whose running intersection the row's cell would annihilate."""
-    groups = _pick_groups(prefix[:i])
-    out = []
-    for j in tables.row_support[i]:
-        if not tables.intersect_cells(j, [i] + groups.get(j, []), eps).is_empty:
-            out.append(j)
-    return out
+    inter = _running_intersections(prefix[:i], tables, eps)
+    return [j for j, _ in _admissible_steps(inter, i, tables, False, eps)]
 
 
 def modified_domain(prefix, i, tables: ResolutionTables, modified=True, eps=EPS) -> list:
     """Admissible columns for row i, restricted to the forced reuse column
     when one exists.  Raises DeadEnd when the row has no viable column."""
-    domain = admissible_domain(prefix, i, tables, eps)
-    if modified:
-        reusable = [j for j in domain if j in set(prefix[:i])]
-        if reusable:
-            domain = [min(reusable)]
+    inter = _running_intersections(prefix[:i], tables, eps)
+    domain = [j for j, _ in _admissible_steps(inter, i, tables, modified, eps)]
     if not domain:
         raise DeadEnd(f"row {i} has no viable column after prefix {list(prefix)}")
     return domain
@@ -112,6 +134,10 @@ class SearchStats:
     nodes_created: int = 0
     nodes_expanded: int = 0
     candidates_evaluated: int = 0
+    prunes: int = 0
+    incumbent_updates: int = 0
+    jumps: int = 0               # pops from the live set
+    max_live: int = 0            # largest live-set size
 
 
 @dataclass
@@ -132,8 +158,10 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
     pruning over the reduced tables.
 
     Ties among children break by column; jumps break by cost, then deeper
-    nodes, then creation order.  ``modified=False`` searches all admissible
-    assignments (needed when two-point cells may still be present).
+    nodes, then creation order, which is the order of the live-set heap
+    (z, -depth, uid).  A row's domain comes from the node's running
+    intersections, taken in pick order.  ``modified=False`` searches all
+    admissible assignments (needed when two-point cells may still be present).
     """
     tables = reduced.tables
     costs = reduced.costs
@@ -148,22 +176,23 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
         if record:
             events.append(TraceEvent(node.uid, node.picks, tuple(node.x), node.z, action))
 
+    def prune(node):
+        stats.prunes += 1
+        emit(node, "prune")
+
     if m == 0:
         stats.candidates_evaluated = 1
         return BnbResult(base_x, (), base_z, stats, events)
 
     incumbent: _Node | None = None
-    live: list = []
+    live: list = []      # heap of (z, -depth, uid, node)
     counter = 0
 
     def better_than_incumbent(z):
         return incumbent is None or z < incumbent.z - eps
 
-    def make_child(parent: _Node, j: int):
+    def make_child(parent: _Node, j: int, inter):
         nonlocal counter
-        prev = parent.inter.get(j)
-        cell = tables.s_prime[parent.depth][j]
-        inter = cell if prev is None else prev.intersect(cell, eps)
         counter += 1
         stats.nodes_created += 1
         x = list(parent.x)
@@ -179,11 +208,12 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
     def sweep_prune():
         nonlocal live
         keep = []
-        for node in sorted(live, key=lambda nd: nd.uid):
-            if better_than_incumbent(node.z):
-                keep.append(node)
+        for entry in sorted(live, key=lambda en: en[2]):
+            if better_than_incumbent(entry[0]):
+                keep.append(entry)
             else:
-                emit(node, "prune")
+                prune(entry[3])
+        heapify(keep)
         live = keep
 
     root = _Node(0, (), {}, base_x, base_z, 0)
@@ -195,39 +225,38 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
         if node.uid != 0:
             stats.nodes_expanded += 1
             emit(node, "expand")
-        try:
-            domain = modified_domain(node.picks, node.depth, tables, modified, eps)
-        except DeadEnd:
-            domain = []
         open_children = []
-        for j in domain:
-            child = make_child(node, j)
+        for j, inter in _admissible_steps(node.inter, node.depth, tables, modified, eps):
+            child = make_child(node, j, inter)
             if child.depth == m:
                 stats.candidates_evaluated += 1
                 if better_than_incumbent(child.z):
                     incumbent = child
+                    stats.incumbent_updates += 1
                     emit(child, "incumbent")
                     sweep_prune()
                 else:
-                    emit(child, "prune")
+                    prune(child)
             elif better_than_incumbent(child.z):
                 open_children.append(child)
             else:
-                emit(child, "prune")
+                prune(child)
         # A later sibling may have raised the bar for earlier ones.
         viable = []
         for child in open_children:
             if better_than_incumbent(child.z):
                 viable.append(child)
             else:
-                emit(child, "prune")
+                prune(child)
         if viable:
             viable.sort(key=lambda nd: (nd.z, nd.picks[-1]))
             current = viable[0]
-            live.extend(viable[1:])
+            for child in viable[1:]:
+                heappush(live, (child.z, -child.depth, child.uid, child))
+            stats.max_live = max(stats.max_live, len(live))
         elif live:
-            live.sort(key=lambda nd: (nd.z, -nd.depth, nd.uid))
-            current = live.pop(0)
+            current = heappop(live)[3]
+            stats.jumps += 1
 
     if incumbent is None:
         return BnbResult(None, None, None, stats, events)
@@ -318,31 +347,25 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps
     out = []
     m = sub.m
 
-    def lift_box(box):
+    def lift_box(inter):
         full = [None] * p.n
         for j, v in reduced.fixed.items():
             full[j] = SetForm.point(v)
         for pos, j in enumerate(sub.col_ids):
-            full[j] = box[pos]
+            full[j] = inter.get(pos, sub.col_interval[pos])
         return full
 
-    def rec(prefix):
+    def rec(prefix, inter):
+        # inter: column -> running intersection over prefix; with the column
+        # intervals it is the prefix's feasible box
         if len(prefix) == m:
-            e = tuple(prefix)
-            assignment = {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(e)}
-            out.append((assignment, lift_box(feasible_box(e, sub, eps))))
+            assignment = {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(prefix)}
+            out.append((assignment, lift_box(inter)))
             return
-        try:
-            domain = modified_domain(prefix, len(prefix), sub, modified=False, eps=eps)
-        except DeadEnd:
-            return
-        for j in domain:
+        for j, s in _admissible_steps(inter, len(prefix), sub, False, eps):
             prefix.append(j)
-            rec(prefix)
+            rec(prefix, {**inter, j: s})
             prefix.pop()
 
-    if m == 0:
-        out.append(({}, lift_box([sub.col_interval[j] for j in range(sub.n)])))
-    else:
-        rec([])
+    rec([], {})
     return out

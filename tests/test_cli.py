@@ -98,6 +98,16 @@ class TestSolveCommand:
         assert doc["presolve"]["bound_sequence"] == [5184, 864, 288, 144, 72, 36, 8]
         assert doc["search"]["nodes_created"] == 6
 
+    def test_json_search_counters(self, capsys):
+        assert main(["solve", example_path(), "--json", "--trace", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["search"] == {"nodes_created": 6, "nodes_expanded": 3,
+                                 "candidates_evaluated": 1, "prunes": 2,
+                                 "incumbent_updates": 1, "jumps": 1, "max_live": 2}
+        actions = [line.rsplit("action=", 1)[1] for line in doc["trace"]]
+        assert doc["search"]["prunes"] == actions.count("prune")
+        assert doc["search"]["incumbent_updates"] == actions.count("incumbent")
+
     def test_trace_lines(self, capsys):
         assert main(["solve", example_path(), "--trace", "--no-timing"]) == 0
         out = capsys.readouterr().out

@@ -13,6 +13,10 @@ from bfre.oracle import (
     brute_force_optimum, enumerate_all_admissible, random_feasible_instance,
     random_instance,
 )
+from bfre import ReducedProblem, ResolutionTables, SetForm
+from bfre.optimize import TraceEvent
+from bfre.resolution import admissible_upper_bound
+from bfre.tolerance import EPS
 from conftest import make_instance
 
 TOL = 1e-9
@@ -351,3 +355,170 @@ class TestIncrementalVsBatchAdmissibility:
                 if ok:
                     incremental.add(e)
             assert batch == incremental
+
+
+def _snapped_chain_tables():
+    """3x1 tables whose cells intersect to empty in pick order (rows 0, 1,
+    then 2) but not when row 2's cell comes first: tolerance-snapped
+    intersection is not associative."""
+    cells = [SetForm.pair(0.500000000052308, 0.9), SetForm.pair(0.5000000014956291, 0.9),
+             SetForm.point(0.5000000007700169)]
+    grid = [[cell] for cell in cells]
+    return ResolutionTables(grid, grid, [SetForm.interval(0, 1)], grid,
+                            [[0], [0], [0]], [[0, 1, 2]], [0, 1, 2], [0], [0.5] * 3)
+
+
+class TestIntersectionOrder:
+    def test_pick_order_empty_intersection_is_not_admissible(self):
+        tb = _snapped_chain_tables()
+        assert enumerate_all_admissible(tb) == []
+        assert admissible_domain((0, 0), 2, tb) == []
+        for modified in (True, False):
+            res = branch_and_bound(ReducedProblem(tb, [1.0], {}, 1), modified=modified)
+            assert not res.found
+
+
+class TestSearchCounters:
+    def test_example_counters_match_trace(self, reduced_example):
+        res = branch_and_bound(reduced_example, record=True)
+        actions = [ev.action for ev in res.events]
+        assert res.stats.prunes == actions.count("prune") == 2
+        assert res.stats.incumbent_updates == actions.count("incumbent") == 1
+        assert res.stats.jumps == 1 and res.stats.max_live == 2
+
+    def test_counted_without_recording(self, reduced_example):
+        assert branch_and_bound(reduced_example).stats == \
+            branch_and_bound(reduced_example, record=True).stats
+
+
+def _reference_branch_and_bound(reduced, modified, eps=EPS):
+    """The search loop before the live set became a heap: re-sort on every
+    jump, pop the front, and rebuild each domain from the pick groups of
+    the prefix, intersected in pick order."""
+    tables, costs = reduced.tables, reduced.costs
+    m, n = tables.m, tables.n
+    base_x = [tables.lower_bound(j) for j in range(n)]
+    base_z = sum(c * v for c, v in zip(costs, base_x))
+    stats = {"nodes_created": 0, "nodes_expanded": 0, "candidates_evaluated": 0,
+             "prunes": 0, "incumbent_updates": 0, "jumps": 0, "max_live": 0}
+    events = []
+    if m == 0:
+        stats["candidates_evaluated"] = 1
+        return base_x, (), base_z, stats, events
+
+    def emit(node, action):
+        events.append(TraceEvent(node["uid"], node["picks"], tuple(node["x"]), node["z"], action))
+        if action == "prune":
+            stats["prunes"] += 1
+        elif action == "incumbent":
+            stats["incumbent_updates"] += 1
+
+    def domain(picks, i):
+        groups = {}
+        for row, col in enumerate(picks[:i]):
+            groups.setdefault(col, []).append(row)
+        out = [j for j in tables.row_support[i]
+               if not tables.intersect_cells(j, groups.get(j, []) + [i], eps).is_empty]
+        reusable = [j for j in out if j in groups]
+        return [min(reusable)] if modified and reusable else out
+
+    incumbent, live, counter = None, [], 0
+
+    def better(z):
+        return incumbent is None or z < incumbent["z"] - eps
+
+    def make_child(parent, j):
+        nonlocal counter
+        prev = parent["inter"].get(j)
+        cell = tables.s_prime[parent["depth"]][j]
+        inter = cell if prev is None else prev.intersect(cell, eps)
+        counter += 1
+        stats["nodes_created"] += 1
+        x = list(parent["x"])
+        z = parent["z"]
+        if inter.minimum() != x[j]:
+            z += costs[j] * (inter.minimum() - x[j])
+            x[j] = inter.minimum()
+        return {"uid": counter, "picks": parent["picks"] + (j,),
+                "inter": {**parent["inter"], j: inter}, "x": x, "z": z,
+                "depth": parent["depth"] + 1}
+
+    def sweep_prune():
+        nonlocal live
+        keep = []
+        for node in sorted(live, key=lambda nd: nd["uid"]):
+            if better(node["z"]):
+                keep.append(node)
+            else:
+                emit(node, "prune")
+        live = keep
+
+    current = {"uid": 0, "picks": (), "inter": {}, "x": base_x, "z": base_z, "depth": 0}
+    while current is not None:
+        node, current = current, None
+        if node["uid"] != 0:
+            stats["nodes_expanded"] += 1
+            emit(node, "expand")
+        open_children = []
+        for j in domain(node["picks"], node["depth"]):
+            child = make_child(node, j)
+            if child["depth"] == m:
+                stats["candidates_evaluated"] += 1
+                if better(child["z"]):
+                    incumbent = child
+                    emit(child, "incumbent")
+                    sweep_prune()
+                else:
+                    emit(child, "prune")
+            elif better(child["z"]):
+                open_children.append(child)
+            else:
+                emit(child, "prune")
+        viable = []
+        for child in open_children:
+            if better(child["z"]):
+                viable.append(child)
+            else:
+                emit(child, "prune")
+        if viable:
+            viable.sort(key=lambda nd: (nd["z"], nd["picks"][-1]))
+            current = viable[0]
+            live.extend(viable[1:])
+            stats["max_live"] = max(stats["max_live"], len(live))
+        elif live:
+            live.sort(key=lambda nd: (nd["z"], -nd["depth"], nd["uid"]))
+            current = live.pop(0)
+            stats["jumps"] += 1
+    if incumbent is None:
+        return None, None, None, stats, events
+    return incumbent["x"], incumbent["picks"], incumbent["z"], stats, events
+
+
+class TestReferenceEquivalence:
+    def test_heap_search_matches_sorted_reference(self):
+        fams = [("lukasiewicz", None), ("product", None), ("yager", 2.0),
+                ("hamacher", 1.0), ("frank", 0.5), ("dombi", 1.0)]
+        rng = random.Random(31337)
+        searched = nodes = 0
+        for k in range(240):
+            fam, param = fams[k % len(fams)]
+            m, n = rng.randint(2, 12), rng.randint(2, 12)
+            p = random_feasible_instance(rng, fam, param, m=m, n=n)
+            if k % 3 == 0:   # costs from {1, 2}: many equal-cost nodes
+                p.c[:] = [float(rng.randint(1, 2)) for _ in range(n)]
+            tb = build_tables(p)
+            mode = Mode.OPTIMALITY_PRESERVING if k % 4 < 2 else Mode.FEASIBILITY_PRESERVING
+            reduced, _ = simplify(tb, p.c, mode)
+            # the unreduced tables keep the search busy; equivalence needs no validity
+            for problem in (reduced, ReducedProblem(tb, p.c, {}, p.n)):
+                if admissible_upper_bound(problem.tables) > 10 ** 6:
+                    continue
+                for modified in (True, False):
+                    res = branch_and_bound(problem, modified=modified, record=True)
+                    x, picks, z, stats, events = _reference_branch_and_bound(problem, modified)
+                    assert (res.x, res.picks, res.objective) == (x, picks, z), (k, modified)
+                    assert vars(res.stats) == stats, (k, modified)
+                    assert res.events == events, (k, modified)
+                    searched += 1
+                    nodes += stats["nodes_created"]
+        assert searched >= 400 and nodes >= 10_000
