@@ -168,7 +168,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
     m, n = tables.m, tables.n
     lows = [tables.lower_bound(j) for j in range(n)]
     base_x = list(lows)
-    base_z = sum(c * v for c, v in zip(costs, base_x))
+    base_z = sum((c * v for c, v in zip(costs, base_x)), 0.0)
     stats = SearchStats()
     events: list = []
 
@@ -321,7 +321,7 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
     if not is_feasible_point(p, x, eps, tables=tables):
         raise InconsistentReduction(
             "reduction produced a candidate violating the original system")
-    objective = sum(c * v for c, v in zip(p.c, x))
+    objective = sum((c * v for c, v in zip(p.c, x)), 0.0)
     return Solution(Status.OPTIMAL, x=x, objective=objective, ledger=ledger,
                     stats=result.stats, events=result.events)
 

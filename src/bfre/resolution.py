@@ -20,7 +20,7 @@ from enum import Enum
 
 from .errors import InconsistentReduction
 from .sets import SetForm
-from .tnorms import DomainError, TNorm, evaluate, solve_u
+from .tnorms import DomainError, TNorm, _check_unit, _evaluate, solve_u
 from .tolerance import EPS
 
 
@@ -150,31 +150,48 @@ class ResolutionTables:
 
 
 def build_tables(p: ProblemInstance, eps=EPS) -> ResolutionTables:
-    """Resolve an instance into its complete set tables."""
+    """Resolve an instance into its complete set tables.
+
+    Only cells some coefficient can reach are resolved.  Every other cell
+    has an empty solution set and shares one [0, 1] relaxation set, which
+    the column fold skips: intersecting with [0, 1] changes no set.
+    """
     m, n = p.m, p.n
-    i_cell = [[None] * n for _ in range(m)]
-    s_cell = [[None] * n for _ in range(m)]
+    empty = SetForm.empty()
+    unit = SetForm.interval(0.0, 1.0, eps)
+    i_cell = [[unit] * n for _ in range(m)]
+    s_cell = [[empty] * n for _ in range(m)]
+    reached = [[] for _ in range(n)]      # per column: rows whose cell is resolved
     for i in range(m):
+        ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
         for j in range(n):
-            s, rel = bipolar_cell(p.tnorm, p.a_plus[i][j], p.a_minus[i][j], p.b[i], eps)
-            s_cell[i][j] = s
-            i_cell[i][j] = rel
+            if ap[j] >= b - eps or am[j] >= b - eps:
+                s_cell[i][j], i_cell[i][j] = bipolar_cell(p.tnorm, ap[j], am[j], b, eps)
+                reached[j].append(i)
     col_interval = []
     for j in range(n):
-        inter = SetForm.interval(0.0, 1.0, eps)
-        for i in range(m):
+        inter = unit
+        for i in reached[j]:
             inter = inter.intersect(i_cell[i][j], eps)
         col_interval.append(inter)
-    s_prime = [[None] * n for _ in range(m)]
+    s_prime = [[empty] * n for _ in range(m)]
+    row_support = [[] for _ in range(m)]
+    col_support = [[] for _ in range(n)]
     for j in range(n):
         ij = col_interval[j]
-        targets = () if ij.is_empty else (ij.minimum(), ij.maximum())
-        for i in range(m):
-            cell = s_cell[i][j].intersect(ij, eps)
+        if ij.is_empty:
+            continue
+        targets = (ij.minimum(), ij.maximum())
+        for i in reached[j]:
+            cell = s_cell[i][j]
+            if cell.is_empty:
+                continue
             # pin endpoints exactly onto the column bounds
-            s_prime[i][j] = cell.snap(targets, eps)
-    row_support = [[j for j in range(n) if not s_prime[i][j].is_empty] for i in range(m)]
-    col_support = [[i for i in range(m) if not s_prime[i][j].is_empty] for j in range(n)]
+            cell = cell.intersect(ij, eps).snap(targets, eps)
+            if not cell.is_empty:
+                s_prime[i][j] = cell
+                row_support[i].append(j)
+                col_support[j].append(i)
     return ResolutionTables(
         i_cell, s_cell, col_interval, s_prime,
         row_support, col_support,
@@ -183,18 +200,23 @@ def build_tables(p: ProblemInstance, eps=EPS) -> ResolutionTables:
 
 
 def restrict(tables: ResolutionTables, keep_rows, keep_cols) -> ResolutionTables:
-    """Drop rows/columns (given as positions) without recomputing any set."""
+    """Drop rows/columns (given as distinct positions) without recomputing
+    any set.
+
+    The supports are the parent's support lists remapped to the new
+    positions and kept ascending; no cell is examined again.
+    """
     keep_rows = list(keep_rows)
     keep_cols = list(keep_cols)
+    new_row = {i: r for r, i in enumerate(keep_rows)}
+    new_col = {j: c for c, j in enumerate(keep_cols)}
     sub = lambda grid: [[grid[i][j] for j in keep_cols] for i in keep_rows]
-    s_prime = sub(tables.s_prime)
-    m, n = len(keep_rows), len(keep_cols)
-    row_support = [[j for j in range(n) if not s_prime[i][j].is_empty] for i in range(m)]
-    col_support = [[i for i in range(m) if not s_prime[i][j].is_empty] for j in range(n)]
     return ResolutionTables(
         sub(tables.i_cell), sub(tables.s_cell),
         [tables.col_interval[j] for j in keep_cols],
-        s_prime, row_support, col_support,
+        sub(tables.s_prime),
+        [sorted(new_col[j] for j in tables.row_support[i] if j in new_col) for i in keep_rows],
+        [sorted(new_row[i] for i in tables.col_support[j] if i in new_row) for j in keep_cols],
         [tables.row_ids[i] for i in keep_rows],
         [tables.col_ids[j] for j in keep_cols],
         [tables.rhs[i] for i in keep_rows],
@@ -233,12 +255,19 @@ def check_feasibility(tables: ResolutionTables) -> FeasibilityReport:
 
 
 def row_value(p: ProblemInstance, i: int, x, eps=EPS) -> float:
-    """Left-hand side of equation i at the point x."""
+    """Left-hand side of equation i at the point x; 0 for a row without
+    columns.
+
+    Each coordinate is checked and clamped into [0, 1] once; the
+    coefficients are already in range.
+    """
     t = p.tnorm
-    return max(
-        max(evaluate(t, p.a_plus[i][j], x[j], eps), evaluate(t, p.a_minus[i][j], 1.0 - x[j], eps))
-        for j in range(p.n)
-    )
+    ap, am = p.a_plus[i], p.a_minus[i]
+    best = 0.0
+    for j in range(p.n):
+        v = _check_unit("y", x[j], eps)     # evaluate's error for its second argument
+        best = max(best, _evaluate(t, ap[j], v), _evaluate(t, am[j], 1.0 - v))
+    return best
 
 
 def satisfies_by_tables(tables: ResolutionTables, x, eps=EPS) -> bool:

@@ -20,7 +20,11 @@ further would be sound but produces a different, more aggressive reduction
 than the one this module documents and tests pin down.
 
 The set tables are never recomputed: removed rows' bounds stay baked into
-the column intervals, which is exactly what makes the removals sound.
+the column intervals, which is exactly what makes the removals sound.  Each
+finder call costs one restriction, however many actions it returns; the
+restricted supports are derived from the parent's, so no cell is scanned
+again.  Every action still gets its own ledger step, whose bounds come from
+the support sizes of the rows and columns that survive it.
 """
 
 from __future__ import annotations
@@ -176,10 +180,18 @@ def rule_singleton_column(tables: ResolutionTables, eps=EPS):
     return None
 
 
-def _dominates(tables, i, i0, eps) -> bool:
-    """Row i's restricted cells all sit inside row i0's."""
-    return all(tables.s_prime[i][j].issubset(tables.s_prime[i0][j], eps)
-               for j in range(tables.n))
+def _dominates(tables, support, i, i0, eps) -> bool:
+    """Row i's restricted cells all sit inside row i0's.
+
+    An empty cell sits inside any set and a non-empty one never inside an
+    empty one, so row i0 must support every column row i does (``support``
+    holds each row's support as a set), and only row i's support columns
+    need a subset test.
+    """
+    if not support[i] <= support[i0]:
+        return False
+    cells, cells0 = tables.s_prime[i], tables.s_prime[i0]
+    return all(cells[j].issubset(cells0[j], eps) for j in tables.row_support[i])
 
 
 def rule_dominated_row(tables: ResolutionTables, eps=EPS):
@@ -190,13 +202,14 @@ def rule_dominated_row(tables: ResolutionTables, eps=EPS):
     once stays kept as the survivors shrink, so the returned list is the
     fixed point of repeated single removals in ascending order.
     """
+    support = [set(sup) for sup in tables.row_support]
     alive = list(range(tables.m))
     removed = []
     for i0 in range(tables.m):
         for i in alive:
-            if i == i0 or not _dominates(tables, i, i0, eps):
+            if i == i0 or not _dominates(tables, support, i, i0, eps):
                 continue
-            if i0 < i and _dominates(tables, i0, i, eps):
+            if i0 < i and _dominates(tables, support, i0, i, eps):
                 continue
             removed.append(tables.row_ids[i0])
             alive.remove(i0)
@@ -370,26 +383,41 @@ def simplify(tables: ResolutionTables, costs, mode: Mode, eps=EPS):
     fixed_all = {}
     ledger = ReductionLedger(initial_bound=admissible_upper_bound(tables))
 
-    def apply(action: Action):
+    def apply(actions):
+        """One restriction for a finder's whole action list; each action
+        still gets its own ledger step, bounded by the rows and columns that
+        survive it."""
         nonlocal cur
-        for j, v in action.fixed.items():
-            pos = cur.col_ids.index(j)
-            if not cur.col_interval[pos].contains(v, eps):
-                raise InconsistentReduction(
-                    f"{action.rule.value} fixed x{j + 1}={v} outside {cur.col_interval[pos]}")
-        before = admissible_upper_bound(cur)
-        drop_rows = set(action.rows)
-        drop_cols = set(action.cols)
-        keep_rows = [i for i in range(cur.m) if cur.row_ids[i] not in drop_rows]
-        keep_cols = [j for j in range(cur.n) if cur.col_ids[j] not in drop_cols]
-        cur = restrict(cur, keep_rows, keep_cols)
-        fixed_all.update(action.fixed)
-        ledger.steps.append(LedgerStep(action, before, admissible_upper_bound(cur)))
+        col_pos = {j: pos for pos, j in enumerate(cur.col_ids)}
+        row_pos = {i: pos for pos, i in enumerate(cur.row_ids)}
+        for action in actions:
+            for j, v in action.fixed.items():
+                interval = cur.col_interval[col_pos[j]]
+                if not interval.contains(v, eps):
+                    raise InconsistentReduction(
+                        f"{action.rule.value} fixed x{j + 1}={v} outside {interval}")
+        sizes = [len(sup) for sup in cur.row_support]
+        alive = set(range(cur.m))
+        dropped = set()
+        bound = admissible_upper_bound(cur)
+        for action in actions:
+            alive.difference_update(row_pos[i] for i in action.rows)
+            for j in action.cols:
+                if col_pos[j] not in dropped:
+                    dropped.add(col_pos[j])
+                    for r in cur.col_support[col_pos[j]]:
+                        sizes[r] -= 1
+            after = 1
+            for r in alive:
+                after *= sizes[r]
+            ledger.steps.append(LedgerStep(action, bound, after))
+            bound = after
+            fixed_all.update(action.fixed)
+        cur = restrict(cur, sorted(alive), [j for j in range(cur.n) if j not in dropped])
 
     for rule, find, repeat in slots:
         while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids], eps):
-            for action in actions:
-                apply(action)
+            apply(actions)
             if not repeat:
                 break
 

@@ -137,8 +137,11 @@ _SS_SNAP = 1e-12
 
 def evaluate(t: TNorm, x: float, y: float, eps=EPS) -> float:
     """Closed-form value of the t-norm at (x, y)."""
-    x = _check_unit("x", x, eps)
-    y = _check_unit("y", y, eps)
+    return _evaluate(t, _check_unit("x", x, eps), _check_unit("y", y, eps))
+
+
+def _evaluate(t: TNorm, x: float, y: float) -> float:
+    """``evaluate`` for arguments already checked and clamped into [0, 1]."""
     # Boundary axioms, applied exactly so identity and zero laws hold to the
     # last ulp for every family.
     if x == 1.0:

@@ -90,6 +90,14 @@ class TestSolveCommand:
         assert main(["solve", path, "--no-timing"]) == 2
         assert "exhausted_search" in capsys.readouterr().out
 
+    def test_empty_instance_prints_float_objective(self, tmp_path, capsys):
+        data = {"tnorm": {"family": "product"}, "a_plus": [], "a_minus": [], "b": [], "c": []}
+        path = write_problem(tmp_path, data)
+        assert main(["solve", path, "--json", "--no-timing"]) == 0
+        out = capsys.readouterr().out
+        assert '"objective": 0.0,' in out
+        assert json.loads(out)["x"] == []
+
     def test_json_output(self, capsys):
         assert main(["solve", example_path(), "--json", "--no-timing"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -13,7 +13,7 @@ from bfre.oracle import (
     brute_force_optimum, enumerate_all_admissible, random_feasible_instance,
     random_instance,
 )
-from bfre import ReducedProblem, ResolutionTables, SetForm
+from bfre import ProblemInstance, ReducedProblem, ResolutionTables, SetForm, validate
 from bfre.optimize import TraceEvent
 from bfre.resolution import admissible_upper_bound
 from bfre.tolerance import EPS
@@ -207,6 +207,14 @@ class TestSolve:
         assert sol.x == pytest.approx([0.4, 0.64, 0, 0, 0.3, 0, 0, 0.2, 0.8, 0.6], abs=TOL)
         assert sol.ledger.bound_sequence() == [5184, 864, 288, 144, 72, 36, 8]
         assert is_feasible_point(example, sol.x)
+
+    def test_empty_instance_objective_is_float(self):
+        p = ProblemInstance([], [], [], [], validate("product"))
+        sol = solve(p)
+        assert sol.optimal and sol.x == []
+        assert sol.objective == 0.0 and isinstance(sol.objective, float)
+        reduced, _ = simplify(build_tables(p), p.c, Mode.OPTIMALITY_PRESERVING)
+        assert isinstance(branch_and_bound(reduced).objective, float)
 
     def test_empty_column_reported(self):
         p = make_instance([[1.0]], [[1.0]], [0.2])

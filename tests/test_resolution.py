@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bfre import (
-    FeasibilityStatus, SetForm, bipolar_cell, build_tables,
+    FeasibilityStatus, ProblemInstance, SetForm, bipolar_cell, build_tables,
     check_feasibility, is_feasible_point, validate,
 )
 from bfre.errors import InconsistentReduction
@@ -316,6 +316,136 @@ class TestRestrict:
     def test_supports_recomputed(self, example_tables):
         sub = restrict(example_tables, [0, 3, 4], [0, 1, 2])
         assert [[j + 1 for j in s] for s in sub.row_support] == [[1, 2], [2, 3], [1, 3]]
+
+
+class TestDerivedSupports:
+    """restrict derives the supports from its parent's; they must equal a
+    fresh scan of the restricted cells."""
+
+    @staticmethod
+    def assert_supports_scanned(tb):
+        assert tb.row_support == [[j for j in range(tb.n) if not tb.s_prime[i][j].is_empty]
+                                  for i in range(tb.m)]
+        assert tb.col_support == [[i for i in range(tb.m) if not tb.s_prime[i][j].is_empty]
+                                  for j in range(tb.n)]
+
+    @staticmethod
+    def keep(rng, k):
+        """Random distinct positions out of k, in random order half the time."""
+        out = sorted(rng.sample(range(k), rng.randint(0, k)))
+        if rng.random() < 0.5:
+            rng.shuffle(out)
+        return out
+
+    def test_random_keep_lists(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            p = random_feasible_instance(rng, "product", m=rng.randint(1, 8), n=rng.randint(1, 8))
+            tb = build_tables(p)
+            self.assert_supports_scanned(tb)
+            self.assert_supports_scanned(restrict(tb, self.keep(rng, tb.m), self.keep(rng, tb.n)))
+
+    def test_chains_of_three(self):
+        rng = random.Random(32)
+        for _ in range(100):
+            fam, param = rng.choice([("lukasiewicz", None), ("yager", 2.0), ("hamacher", 1.0)])
+            gen = random_feasible_instance if rng.random() < 0.5 else random_instance
+            tb = build_tables(gen(rng, fam, param, m=rng.randint(1, 10), n=rng.randint(1, 10)))
+            for _ in range(3):
+                tb = restrict(tb, self.keep(rng, tb.m), self.keep(rng, tb.n))
+                self.assert_supports_scanned(tb)
+
+    def test_non_ascending_keep_lists(self, example_tables):
+        sub = restrict(example_tables, [4, 0, 3], [2, 0, 1])
+        assert sub.row_ids == [4, 0, 3] and sub.col_ids == [2, 0, 1]
+        self.assert_supports_scanned(sub)
+        assert sub.row_support == [[0, 1], [1, 2], [0, 2]]
+
+
+def _ref_row_value(p, i, x, eps=TOL):
+    """Per-term evaluation, every argument checked by evaluate."""
+    from bfre.tnorms import evaluate
+    t = p.tnorm
+    return max(
+        max(evaluate(t, p.a_plus[i][j], x[j], eps), evaluate(t, p.a_minus[i][j], 1.0 - x[j], eps))
+        for j in range(p.n)
+    )
+
+
+_ALL_FAMILIES = [
+    ("product", None), ("einstein_product", None), ("lukasiewicz", None), ("frank", 2.0),
+    ("yager", 2.0), ("hamacher", 1.0), ("dombi", 2.0), ("schweizer_sklar", -1.0),
+    ("sugeno_weber", 1.0), ("aczel_alsina", 2.0),
+]
+
+
+class TestRowValue:
+    @pytest.mark.parametrize("family,param", _ALL_FAMILIES)
+    def test_bitwise_equal_to_per_term_evaluation(self, family, param):
+        rng = random.Random(f"row_value:{family}")
+        for _ in range(60):
+            p = random_instance(rng, family, param, m=rng.randint(1, 5), n=rng.randint(1, 6))
+            for _ in range(10):
+                x = [rng.choice((rng.random(), rng.randint(0, 20) / 20, 0.0, 1.0))
+                     for _ in range(p.n)]
+                for i in range(p.m):
+                    assert row_value(p, i, x).hex() == _ref_row_value(p, i, x).hex(), (p, i, x)
+
+    @pytest.mark.parametrize("family,param", _ALL_FAMILIES)
+    def test_clamps_within_eps_and_raises_beyond(self, family, param):
+        rng = random.Random(f"row_value_range:{family}")
+        for _ in range(40):
+            p = random_instance(rng, family, param, m=1, n=rng.randint(1, 4))
+            x = [rng.choice((-TOL / 2, 1 + TOL / 2, rng.random())) for _ in range(p.n)]
+            assert row_value(p, 0, x).hex() == _ref_row_value(p, 0, x).hex(), (p, x)
+            x[rng.randrange(p.n)] = rng.choice((-2 * TOL, 1 + 2 * TOL, -0.5, 1.5))
+            with pytest.raises(DomainError) as want:
+                _ref_row_value(p, 0, x)
+            with pytest.raises(DomainError) as got:
+                row_value(p, 0, x)
+            assert str(got.value) == str(want.value)
+
+    def test_row_without_columns_is_zero(self):
+        p = ProblemInstance([[]], [[]], [0.3], [], validate("product"))
+        value = row_value(p, 0, [])
+        assert value == 0.0 and isinstance(value, float)
+        assert not is_feasible_point(p, [])
+
+
+class TestBuildTablesReference:
+    """Only reachable cells are resolved; the tables must equal the ones
+    from resolving every cell and folding every relaxation set."""
+
+    @staticmethod
+    def full_grid(p):
+        m, n = p.m, p.n
+        cells = [[bipolar_cell(p.tnorm, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
+                  for j in range(n)] for i in range(m)]
+        col = []
+        for j in range(n):
+            inter = SetForm.interval(0.0, 1.0)
+            for i in range(m):
+                inter = inter.intersect(cells[i][j][1])
+            col.append(inter)
+        s_prime = [[None] * n for _ in range(m)]
+        for j in range(n):
+            targets = () if col[j].is_empty else (col[j].minimum(), col[j].maximum())
+            for i in range(m):
+                s_prime[i][j] = cells[i][j][0].intersect(col[j]).snap(targets)
+        return cells, col, s_prime
+
+    @pytest.mark.parametrize("family,param", _ALL_FAMILIES)
+    def test_matches_full_grid(self, family, param):
+        rng = random.Random(f"build_tables:{family}")
+        for _ in range(40):
+            gen = random_feasible_instance if rng.random() < 0.5 else random_instance
+            p = gen(rng, family, param, m=rng.randint(1, 8), n=rng.randint(1, 8))
+            tb = build_tables(p)
+            cells, col, s_prime = self.full_grid(p)
+            assert tb.s_cell == [[c[0] for c in row] for row in cells]
+            assert tb.i_cell == [[c[1] for c in row] for row in cells]
+            assert tb.col_interval == col and tb.s_prime == s_prime
+            TestDerivedSupports.assert_supports_scanned(tb)
 
 
 class TestExports:

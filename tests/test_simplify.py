@@ -405,3 +405,116 @@ class TestSinglePassDominance:
                 multi_cols += want is not None and len(want[0]) > 1
         # the corpus must exercise removals that change the survivor list
         assert multi_rows >= 50 and multi_cols >= 10, (multi_rows, multi_cols)
+
+
+# -- one restriction per finder call against the per-action driver -----------
+#
+# The reference below is the driver as first written: it restricts the tables
+# once per action, rescanning every kept cell for the supports, and tests row
+# dominance over all columns.  The driver must produce the same ledger and
+# reduced problem byte for byte.
+
+def _ref_restrict(tables, keep_rows, keep_cols):
+    keep_rows, keep_cols = list(keep_rows), list(keep_cols)
+    sub = lambda grid: [[grid[i][j] for j in keep_cols] for i in keep_rows]
+    s_prime = sub(tables.s_prime)
+    m, n = len(keep_rows), len(keep_cols)
+    return ResolutionTables(
+        sub(tables.i_cell), sub(tables.s_cell),
+        [tables.col_interval[j] for j in keep_cols], s_prime,
+        [[j for j in range(n) if not s_prime[i][j].is_empty] for i in range(m)],
+        [[i for i in range(m) if not s_prime[i][j].is_empty] for j in range(n)],
+        [tables.row_ids[i] for i in keep_rows],
+        [tables.col_ids[j] for j in keep_cols],
+        [tables.rhs[i] for i in keep_rows],
+    )
+
+
+def _ref_single_pass_dominated_row(tables, eps=TOL):
+    def dominates(i, i0):
+        return all(tables.s_prime[i][j].issubset(tables.s_prime[i0][j], eps)
+                   for j in range(tables.n))
+
+    alive = list(range(tables.m))
+    removed = []
+    for i0 in range(tables.m):
+        for i in alive:
+            if i == i0 or not dominates(i, i0):
+                continue
+            if i0 < i and dominates(i0, i):
+                continue
+            removed.append(tables.row_ids[i0])
+            alive.remove(i0)
+            break
+    return removed
+
+
+def _ref_simplify(tables, costs, mode, eps=TOL):
+    from bfre.resolution import admissible_upper_bound
+    from bfre.simplify import (
+        _SLOTS, Action, LedgerStep, ReducedProblem, ReductionLedger,
+    )
+
+    slots = [(rule, find, repeat) if rule is not Rule.DOMINATED_ROW else
+             (rule, lambda r, t, c, e: [Action(r, {}, (i,), ())
+                                        for i in _ref_single_pass_dominated_row(t, e)],
+              repeat)
+             for rule, find, repeat in _SLOTS]
+    if mode is Mode.FEASIBILITY_PRESERVING:
+        slots = slots[:3]
+    cur = tables
+    cost_by_col = {j: costs[pos] for pos, j in enumerate(tables.col_ids)}
+    fixed_all = {}
+    ledger = ReductionLedger(initial_bound=admissible_upper_bound(tables))
+    for rule, find, repeat in slots:
+        while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids], eps):
+            for action in actions:
+                for j, v in action.fixed.items():
+                    assert cur.col_interval[cur.col_ids.index(j)].contains(v, eps)
+                before = admissible_upper_bound(cur)
+                keep_rows = [i for i in range(cur.m) if cur.row_ids[i] not in action.rows]
+                keep_cols = [j for j in range(cur.n) if cur.col_ids[j] not in action.cols]
+                cur = _ref_restrict(cur, keep_rows, keep_cols)
+                fixed_all.update(action.fixed)
+                ledger.steps.append(LedgerStep(action, before, admissible_upper_bound(cur)))
+            if not repeat:
+                break
+    reduced = ReducedProblem(cur, [cost_by_col[j] for j in cur.col_ids], dict(fixed_all),
+                             tables.n)
+    return reduced, ledger
+
+
+_DRIVER_FAMILIES = [
+    ("product", None), ("lukasiewicz", None), ("yager", 2.0), ("hamacher", 1.0),
+    ("frank", 2.0), ("dombi", 2.0), ("sugeno_weber", 1.0), ("aczel_alsina", 2.0),
+    ("einstein_product", None), ("schweizer_sklar", -1.0),
+]
+
+
+class TestOneRestrictionPerFinderCall:
+    def test_matches_per_action_driver(self):
+        from bfre import check_feasibility
+        rng = random.Random(9090)
+        compared = many_dominated = 0
+        for k in range(320):
+            fam, param = _DRIVER_FAMILIES[k % len(_DRIVER_FAMILIES)]
+            gen = random_feasible_instance if rng.random() < 0.75 else random_instance
+            size = rng.randint(1, 20)
+            p = gen(rng, fam, param, m=size, n=rng.randint(max(1, size - 4), 20))
+            tables = build_tables(p)
+            if not check_feasibility(tables).ok:
+                continue
+            for mode in Mode:
+                want, want_ledger = _ref_simplify(tables, p.c, mode)
+                got, got_ledger = simplify(tables, p.c, mode)
+                assert got_ledger.dumps() == want_ledger.dumps(), (k, mode)
+                for key in ("row_ids", "col_ids", "row_support", "col_support"):
+                    assert getattr(got.tables, key) == getattr(want.tables, key), (k, key)
+                assert repr(got.fixed) == repr(want.fixed), (k, mode)
+                assert repr(got.costs) == repr(want.costs), (k, mode)
+                compared += 1
+                many_dominated += sum(s.action.rule is Rule.DOMINATED_ROW
+                                      for s in want_ledger.steps) >= 5
+        assert compared >= 200 * 2, compared
+        # most ledgers must hold several single-row DominatedRow steps
+        assert many_dominated >= 100, many_dominated
