@@ -20,13 +20,23 @@ after expanding a node, dive into its cheapest viable child; when a branch
 ends (complete, pruned, or dead), jump to the cheapest node anywhere in the
 live set, a heap keyed (z, -depth, uid).  Cost never decreases along a
 branch, so pruning against the incumbent is exact.
+
+Node state is lazy.  A child is priced from its parent's point and costs one
+small object (parent, column, running intersection, cost); a child priced
+out at birth costs none unless the search is recorded.  Its running
+intersections and point are built only when it is expanded, becomes the
+incumbent or is written to a trace event.  Its point is the parent's list
+itself when the pick leaves that coordinate unchanged, so a built point is
+never mutated, and its picks are read up the parent chain.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
+from operator import attrgetter, itemgetter
 
 from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
 from .resolution import (
@@ -105,14 +115,41 @@ def modified_domain(prefix, i, tables: ResolutionTables, modified=True, eps=EPS)
 
 # -- branch-and-bound ----------------------------------------------------------
 
-@dataclass
 class _Node:
-    uid: int
-    picks: tuple
-    inter: dict      # column -> running intersection over picking rows
-    x: list
-    z: float
-    depth: int
+    """A search node.  A child is born as (parent, column, running
+    intersection, cost); its ``inter`` dict and point ``x`` are built by
+    ``materialize`` only when the search expands it, makes it the incumbent
+    or writes it to a trace event.  A built ``x`` may be shared with the
+    parent's, so it is never mutated."""
+
+    __slots__ = ("uid", "parent", "j", "s", "z", "depth", "inter", "x")
+
+    def __init__(self, uid, parent, j, s, z, depth):
+        self.uid, self.parent, self.j, self.s, self.z, self.depth = uid, parent, j, s, z, depth
+        self.inter = self.x = None
+
+    def materialize(self) -> "_Node":
+        if self.inter is None:
+            parent, j, s = self.parent, self.j, self.s
+            self.inter = {**parent.inter, j: s}
+            x = parent.x
+            if s.lo != x[j]:
+                x = x.copy()
+                x[j] = s.lo
+            self.x = x
+        return self
+
+    def picks(self) -> tuple:
+        out = []
+        node = self
+        while node.parent is not None:
+            out.append(node.j)
+            node = node.parent
+        return tuple(reversed(out))
+
+    def event(self, action) -> "TraceEvent":
+        self.materialize()
+        return TraceEvent(self.uid, self.picks(), tuple(self.x), self.z, action)
 
 
 @dataclass(frozen=True)
@@ -162,105 +199,83 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
     (z, -depth, uid).  A row's domain comes from the node's running
     intersections, taken in pick order.  ``modified=False`` searches all
     admissible assignments (needed when two-point cells may still be present).
+
+    Node state is lazy (see the module docstring): a child is priced before
+    it is allocated, and without ``record`` one already priced out by the
+    incumbent is only counted.  Its running intersections and point are
+    built only when it is expanded, becomes the incumbent or is recorded.
+    Points are shared down the tree, so a built point is never mutated.
     """
     tables = reduced.tables
     costs = reduced.costs
     m, n = tables.m, tables.n
-    lows = [tables.lower_bound(j) for j in range(n)]
-    base_x = list(lows)
+    base_x = [tables.lower_bound(j) for j in range(n)]
     base_z = sum((c * v for c, v in zip(costs, base_x)), 0.0)
-    stats = SearchStats()
     events: list = []
-
-    def emit(node, action):
-        if record:
-            events.append(TraceEvent(node.uid, node.picks, tuple(node.x), node.z, action))
-
-    def prune(node):
-        stats.prunes += 1
-        emit(node, "prune")
-
     if m == 0:
-        stats.candidates_evaluated = 1
-        return BnbResult(base_x, (), base_z, stats, events)
+        return BnbResult(base_x, (), base_z, SearchStats(candidates_evaluated=1), events)
 
+    created = expanded = candidates = prunes = updates = jumps = max_live = 0
     incumbent: _Node | None = None
+    bar = math.inf       # incumbent.z - eps: a node must cost less to survive
     live: list = []      # heap of (z, -depth, uid, node)
-    counter = 0
+    node = _Node(0, None, None, None, base_z, 0)
+    node.inter, node.x = {}, base_x
 
-    def better_than_incumbent(z):
-        return incumbent is None or z < incumbent.z - eps
-
-    def make_child(parent: _Node, j: int, inter):
-        nonlocal counter
-        counter += 1
-        stats.nodes_created += 1
-        x = list(parent.x)
-        z = parent.z
-        new_min = inter.minimum()
-        if new_min != x[j]:
-            z += costs[j] * (new_min - x[j])
-            x[j] = new_min
-        new_inter = dict(parent.inter)
-        new_inter[j] = inter
-        return _Node(counter, parent.picks + (j,), new_inter, x, z, parent.depth + 1)
-
-    def sweep_prune():
-        nonlocal live
-        keep = []
-        for entry in sorted(live, key=lambda en: en[2]):
-            if better_than_incumbent(entry[0]):
-                keep.append(entry)
+    while node is not None:
+        node.materialize()
+        if node.uid:
+            expanded += 1
+            if record:
+                events.append(node.event("expand"))
+        x, z0, depth = node.x, node.z, node.depth + 1
+        steps = _admissible_steps(node.inter, node.depth, tables, modified, eps)
+        if depth == m:
+            candidates += len(steps)
+        # Siblings share a depth, so the bar only moves among leaves, and no
+        # open child can be priced out by a later sibling.
+        children = []
+        for uid, (j, s) in enumerate(steps, created + 1):
+            z = z0 if s.lo == x[j] else z0 + costs[j] * (s.lo - x[j])
+            if z >= bar:
+                prunes += 1
+                if record:
+                    events.append(_Node(uid, node, j, s, z, depth).event("prune"))
+            elif depth < m:
+                children.append(_Node(uid, node, j, s, z, depth))
             else:
-                prune(entry[3])
-        heapify(keep)
-        live = keep
-
-    root = _Node(0, (), {}, base_x, base_z, 0)
-    current: _Node | None = root
-
-    while current is not None:
-        node = current
-        current = None
-        if node.uid != 0:
-            stats.nodes_expanded += 1
-            emit(node, "expand")
-        open_children = []
-        for j, inter in _admissible_steps(node.inter, node.depth, tables, modified, eps):
-            child = make_child(node, j, inter)
-            if child.depth == m:
-                stats.candidates_evaluated += 1
-                if better_than_incumbent(child.z):
-                    incumbent = child
-                    stats.incumbent_updates += 1
-                    emit(child, "incumbent")
-                    sweep_prune()
-                else:
-                    prune(child)
-            elif better_than_incumbent(child.z):
-                open_children.append(child)
-            else:
-                prune(child)
-        # A later sibling may have raised the bar for earlier ones.
-        viable = []
-        for child in open_children:
-            if better_than_incumbent(child.z):
-                viable.append(child)
-            else:
-                prune(child)
-        if viable:
-            viable.sort(key=lambda nd: (nd.z, nd.picks[-1]))
-            current = viable[0]
-            for child in viable[1:]:
+                incumbent = _Node(uid, node, j, s, z, depth).materialize()
+                bar = z - eps
+                updates += 1
+                if record:
+                    events.append(incumbent.event("incumbent"))
+                keep = []
+                for entry in sorted(live, key=itemgetter(2)):
+                    if entry[0] < bar:
+                        keep.append(entry)
+                    else:
+                        prunes += 1
+                        if record:
+                            events.append(entry[3].event("prune"))
+                heapify(keep)
+                live = keep
+        created += len(steps)
+        if children:
+            children.sort(key=attrgetter("z", "j"))
+            node = children[0]
+            for child in children[1:]:
                 heappush(live, (child.z, -child.depth, child.uid, child))
-            stats.max_live = max(stats.max_live, len(live))
+            max_live = max(max_live, len(live))
         elif live:
-            current = heappop(live)[3]
-            stats.jumps += 1
+            node = heappop(live)[3]
+            jumps += 1
+        else:
+            node = None
 
+    stats = SearchStats(created, expanded, candidates, prunes, updates, jumps, max_live)
     if incumbent is None:
         return BnbResult(None, None, None, stats, events)
-    return BnbResult(incumbent.x, incumbent.picks, incumbent.z, stats, events)
+    return BnbResult(incumbent.x, incumbent.picks(), incumbent.z, stats, events)
 
 
 # -- full pipeline --------------------------------------------------------------

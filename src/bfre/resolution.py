@@ -261,12 +261,16 @@ def row_value(p: ProblemInstance, i: int, x, eps=EPS) -> float:
     Each coordinate is checked and clamped into [0, 1] once; the
     coefficients are already in range.
     """
+    # evaluate's error for its second argument
+    return _row_value(p, i, [_check_unit("y", x[j], eps) for j in range(p.n)])
+
+
+def _row_value(p: ProblemInstance, i: int, x) -> float:
+    """``row_value`` at a point already checked and clamped into [0, 1]."""
     t = p.tnorm
-    ap, am = p.a_plus[i], p.a_minus[i]
     best = 0.0
-    for j in range(p.n):
-        v = _check_unit("y", x[j], eps)     # evaluate's error for its second argument
-        best = max(best, _evaluate(t, ap[j], v), _evaluate(t, am[j], 1.0 - v))
+    for a_plus, a_minus, v in zip(p.a_plus[i], p.a_minus[i], x):
+        best = max(best, _evaluate(t, a_plus, v), _evaluate(t, a_minus, 1.0 - v))
     return best
 
 
@@ -283,11 +287,12 @@ def satisfies_by_tables(tables: ResolutionTables, x, eps=EPS) -> bool:
 
 
 def is_feasible_point(p: ProblemInstance, x, eps=EPS, tables: ResolutionTables | None = None) -> bool:
-    """Check every row equality directly at x.
+    """Check every row equality directly at x, evaluating all 2·m·n terms.
 
-    When freshly built tables are supplied, the direct evaluation is
-    cross-checked against the table criterion; a disagreement raises
-    InconsistentReduction.
+    Each coordinate is checked and clamped into [0, 1] once, before the
+    rows are evaluated.  When freshly built tables are supplied, the direct
+    evaluation is cross-checked against the table criterion; a disagreement
+    raises InconsistentReduction.
     """
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
@@ -295,7 +300,7 @@ def is_feasible_point(p: ProblemInstance, x, eps=EPS, tables: ResolutionTables |
         if v < -eps or v > 1.0 + eps:
             raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
     x = [min(1.0, max(0.0, v)) for v in x]
-    ok = all(abs(row_value(p, i, x, eps) - p.b[i]) <= eps for i in range(p.m))
+    ok = all(abs(_row_value(p, i, x) - p.b[i]) <= eps for i in range(p.m))
     if tables is not None and ok != satisfies_by_tables(tables, x, eps):
         raise InconsistentReduction(f"direct and table feasibility criteria disagree at {x}")
     return ok

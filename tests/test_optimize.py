@@ -16,6 +16,7 @@ from bfre.oracle import (
 from bfre import ProblemInstance, ReducedProblem, ResolutionTables, SetForm, validate
 from bfre.optimize import TraceEvent
 from bfre.resolution import admissible_upper_bound
+from bfre.tnorms import solve_u
 from bfre.tolerance import EPS
 from conftest import make_instance
 
@@ -530,3 +531,106 @@ class TestReferenceEquivalence:
                     searched += 1
                     nodes += stats["nodes_created"]
         assert searched >= 400 and nodes >= 10_000
+
+    def test_deep_planted_covers_match_sorted_reference(self):
+        nodes, updates, jumps, sweeps = [], [], [], []
+        for problem, planted_z in _planted_covers():
+            m = problem.tables.m
+            for modified in (True, False):
+                res = branch_and_bound(problem, modified=modified, record=True)
+                x, picks, z, stats, events = _reference_branch_and_bound(problem, modified)
+                assert (res.x, res.picks, res.objective) == (x, picks, z), modified
+                assert vars(res.stats) == stats, modified
+                assert res.events == events, modified
+                assert res.objective <= planted_z + TOL
+                nodes.append(stats["nodes_created"])
+                updates.append(stats["incumbent_updates"])
+                jumps.append(stats["jumps"])
+                sweeps.append(_sweep_prunes(res.events, m))
+        assert max(nodes) >= 1_000 and max(updates) >= 2
+        assert min(jumps) > 0 and min(sweeps) > 0
+
+
+def _planted_covers(count=12, seed=4242):
+    """Weighted set covers of 16-20 rows, searched on their unreduced tables.
+
+    Row i is usable only through its own 3 columns: elsewhere both of its
+    coefficients are 0, so the cell has no solution.  Every usable cell of
+    column j is the point {v_j} (a+ = solve_u(v_j, b_i)), so any pick is
+    admissible and a row's pick costs c_j·v_j unless column j is already
+    picked.  Each subset meets a planted cover, which bounds the optimum.
+    Yields (problem, planted cost)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(16, 20), rng.randint(14, 18)
+        t = validate(*rng.choice([("product", None), ("yager", 2.0)]))
+        planted = rng.sample(range(n), n // 3)
+        subsets = set()
+        while len(subsets) < m:
+            s = tuple(sorted(rng.sample(range(n), 3)))
+            if not set(planted).isdisjoint(s):
+                subsets.add(s)
+        subsets = rng.sample(sorted(subsets), m)
+        v = [rng.randint(14, 19) / 20 for _ in range(n)]
+        b = [rng.randint(6, 12) / 20 for _ in range(m)]
+        a_plus = [[0.0] * n for _ in range(m)]
+        for i, s in enumerate(subsets):
+            for j in s:
+                a_plus[i][j] = solve_u(t, v[j], b[i])
+        c = [rng.randint(50, 100) / 20 for _ in range(n)]
+        tb = build_tables(ProblemInstance(a_plus, [[0.0] * n for _ in range(m)], b, c, t))
+        assert [tuple(row) for row in tb.row_support] == subsets
+        assert all(tb.s_prime[i][j].is_point for i, s in enumerate(subsets) for j in s)
+        yield ReducedProblem(tb, c, {}, n), sum(c[j] * v[j] for j in planted)
+
+
+def _sweep_prunes(events, m):
+    """Prunes of live nodes after an incumbent update: the run of prune
+    events that follows an incumbent event, minus its sibling leaves."""
+    count, after_incumbent = 0, False
+    for ev in events:
+        if ev.action == "incumbent":
+            after_incumbent = True
+        elif ev.action == "prune" and after_incumbent:
+            count += len(ev.picks) < m
+        else:
+            after_incumbent = False
+    return count
+
+
+def _seeded_corpus():
+    """The seeded corpus of ``test_heap_search_matches_sorted_reference``:
+    reduced and unreduced tables of 240 random feasible instances."""
+    fams = [("lukasiewicz", None), ("product", None), ("yager", 2.0),
+            ("hamacher", 1.0), ("frank", 0.5), ("dombi", 1.0)]
+    rng = random.Random(31337)
+    for k in range(240):
+        fam, param = fams[k % len(fams)]
+        m, n = rng.randint(2, 12), rng.randint(2, 12)
+        p = random_feasible_instance(rng, fam, param, m=m, n=n)
+        if k % 3 == 0:
+            p.c[:] = [float(rng.randint(1, 2)) for _ in range(n)]
+        tb = build_tables(p)
+        mode = Mode.OPTIMALITY_PRESERVING if k % 4 < 2 else Mode.FEASIBILITY_PRESERVING
+        reduced, _ = simplify(tb, p.c, mode)
+        for problem in (reduced, ReducedProblem(tb, p.c, {}, p.n)):
+            if admissible_upper_bound(problem.tables) <= 10 ** 6:
+                yield problem
+
+
+class TestRecordParity:
+    """Without ``record`` the search skips allocating children priced out at
+    birth; it must still find the same answer with the same counters."""
+
+    def test_record_does_not_change_the_search(self):
+        problems = list(_seeded_corpus())
+        assert len(problems) >= 200
+        problems += [problem for problem, _ in _planted_covers()]
+        for k, problem in enumerate(problems):
+            for modified in (True, False):
+                quiet = branch_and_bound(problem, modified=modified)
+                loud = branch_and_bound(problem, modified=modified, record=True)
+                assert (quiet.x, quiet.picks, quiet.objective) == \
+                    (loud.x, loud.picks, loud.objective), (k, modified)
+                assert vars(quiet.stats) == vars(loud.stats), (k, modified)
+                assert quiet.events == []

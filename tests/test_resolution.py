@@ -5,7 +5,7 @@ import pytest
 
 from bfre import (
     FeasibilityStatus, ProblemInstance, SetForm, bipolar_cell, build_tables,
-    check_feasibility, is_feasible_point, validate,
+    check_feasibility, is_feasible_point, solve, validate,
 )
 from bfre.errors import InconsistentReduction
 from bfre.oracle import random_feasible_instance, random_instance
@@ -184,6 +184,26 @@ class TestIsFeasiblePoint:
     def test_rejects_wrong_length(self, example):
         with pytest.raises(DomainError):
             is_feasible_point(example, [0.5])
+
+    def test_coordinate_beyond_eps_names_it(self, example):
+        for v in (-2 * TOL, 1 + 2 * TOL):
+            x = [0.4, 0.64, 0, 0, 0.3, 0, 0, 0.2, 0.8, 0.6]
+            x[3] = v
+            with pytest.raises(DomainError) as err:
+                is_feasible_point(example, x)
+            assert str(err.value) == f"x[3]={v!r} outside [0, 1]"
+
+    def test_one_row_off_by_two_eps_is_rejected(self):
+        # product: 0.9·0.5 = 0.45 and 0.8·0.5 = 0.4 hold exactly at x = (0.5, 0.5)
+        def instance(b1):
+            return make_instance([[0.9, 0.0], [0.0, 0.8]], [[0.0, 0.0], [0.0, 0.0]],
+                                 [0.45, b1], family="product")
+        assert is_feasible_point(instance(0.4), [0.5, 0.5])
+        assert is_feasible_point(instance(0.4 + TOL / 2), [0.5, 0.5])
+        for b1 in (0.4 + 2 * TOL, 0.4 - 2 * TOL):
+            p = instance(b1)
+            assert not is_feasible_point(p, [0.5, 0.5])
+            assert not is_feasible_point(p, [0.5, 0.5], tables=build_tables(p))
 
     def test_disagreeing_tables_raise(self):
         # x1 = 0.5 solves 0.9 T x1 = 0.4, but the tables of 0.9 T x1 = 0.6
@@ -404,6 +424,21 @@ class TestRowValue:
             with pytest.raises(DomainError) as got:
                 row_value(p, 0, x)
             assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("family,param", _ALL_FAMILIES)
+    def test_feasible_point_verdict_is_the_clamped_points(self, family, param):
+        # is_feasible_point clamps once and evaluates the rows unchecked
+        rng = random.Random(f"feasible_point:{family}")
+        for _ in range(30):
+            p = random_feasible_instance(rng, family, param, m=rng.randint(1, 4),
+                                         n=rng.randint(1, 4))
+            tb = build_tables(p)
+            sol = solve(p)
+            base = sol.x if sol.optimal else [rng.random() for _ in range(p.n)]
+            x = [rng.choice((v, -TOL / 2, 1 + TOL / 2)) for v in base]
+            clamped = [min(1.0, max(0.0, v)) for v in x]
+            assert is_feasible_point(p, x, tables=tb) == \
+                is_feasible_point(p, clamped, tables=tb), (p, x)
 
     def test_row_without_columns_is_zero(self):
         p = ProblemInstance([[]], [[]], [0.3], [], validate("product"))
