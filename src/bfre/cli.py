@@ -27,6 +27,7 @@ from .resolution import (
 from .sets import _fmt
 from .simplify import Mode
 from .tnorms import validate
+from .tolerance import EPS
 
 _VERIFY_FAMILIES = (("lukasiewicz", None), ("product", None),
                     ("yager", 2.0), ("hamacher", 1.0))
@@ -55,14 +56,6 @@ def load_problem(source) -> ProblemInstance:
     )
 
 
-def problem_to_dict(p: ProblemInstance) -> dict:
-    tn = {"family": p.tnorm.family.value}
-    if p.tnorm.param is not None:
-        tn["param"] = p.tnorm.param
-    return {"tnorm": tn, "a_plus": [list(r) for r in p.a_plus],
-            "a_minus": [list(r) for r in p.a_minus], "b": list(p.b), "c": list(p.c)}
-
-
 class _BadInput(Exception):
     """A problem file that cannot be read or describes no valid instance."""
 
@@ -76,10 +69,10 @@ def _load(path) -> ProblemInstance:
         raise _BadInput(exc) from exc
 
 
-def _print_tables(tables, out):
+def _print_tables(p, tables, out):
     names = (("relaxation", "relaxation sets"), ("solution", "solution sets"),
              ("column_interval", "column intervals"), ("restricted", "restricted sets"))
-    data = tables_to_json(tables)
+    data = tables_to_json(p, tables)
     header = "      " + " ".join(f"{'x%d' % (j + 1):>10}" for j in tables.col_ids)
     for key, title in names:
         print(f"{title}:", file=out)
@@ -142,7 +135,7 @@ def cmd_solve(args, out=None) -> int:
             for line in sol.trace_lines():
                 print(line, file=out)
         if args.tables:
-            _print_tables(build_tables(p), out)
+            _print_tables(p, build_tables(p), out)
     if not args.no_timing:
         print(f"time: {dt:.3f}s", file=out)
     return 0 if sol.optimal else 2
@@ -158,7 +151,7 @@ def cmd_resolve(args, out=None) -> int:
     if args.boxes:
         boxes = enumerate_feasible_decomposition(p, cap=args.cap)
     if args.json:
-        doc = {"feasibility": report.status.value, "tables": tables_to_json(tables)}
+        doc = {"feasibility": report.status.value, "tables": tables_to_json(p, tables)}
         if report.witness is not None:
             doc["witness"] = report.witness + 1
         if boxes is not None:
@@ -173,7 +166,7 @@ def cmd_resolve(args, out=None) -> int:
               + (f" (index {report.witness + 1})" if report.witness is not None else ""),
               file=out)
         if args.tables:
-            _print_tables(tables, out)
+            _print_tables(p, tables, out)
         if boxes is not None:
             print(f"feasible boxes: {len(boxes)}", file=out)
             for a, box in boxes:
@@ -193,7 +186,7 @@ def _compare(p: ProblemInstance, cap: int) -> list:
         mismatches.append(
             f"status: solver={sol.status.value} oracle="
             + ("optimal" if rep.optimum else "infeasible"))
-    elif sol.optimal and abs(sol.objective - rep.optimum[1]) > 1e-9:
+    elif sol.optimal and abs(sol.objective - rep.optimum[1]) > EPS:
         mismatches.append(f"objective: solver={sol.objective!r} oracle={rep.optimum[1]!r}")
     return mismatches
 

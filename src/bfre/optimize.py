@@ -57,29 +57,29 @@ def _pick_groups(e) -> dict:
     return groups
 
 
-def candidate_solution(e, tables: ResolutionTables, eps=EPS) -> list:
+def candidate_solution(e, tables: ResolutionTables) -> list:
     """Coordinatewise minimum point of the box carved out by a complete
     assignment: picked columns sit at their intersection minimum, the rest at
     their interval lower bound."""
-    return [s.minimum() for s in feasible_box(e, tables, eps)]
+    return [s.minimum() for s in feasible_box(e, tables)]
 
 
-def feasible_box(e, tables: ResolutionTables, eps=EPS) -> list:
+def feasible_box(e, tables: ResolutionTables) -> list:
     """Per-column sets whose Cartesian product lies in the feasible region."""
     box = list(tables.col_interval)
     for j, rows in _pick_groups(e).items():
-        box[j] = tables.intersect_cells(j, rows, eps)
+        box[j] = tables.intersect_cells(j, rows)
         if box[j].is_empty:
             raise NotAdmissible(f"column {j}: picked cells have empty intersection")
     return box
 
 
-def _running_intersections(prefix, tables: ResolutionTables, eps=EPS) -> dict:
+def _running_intersections(prefix, tables: ResolutionTables) -> dict:
     """Column -> intersection of its picked cells over ``prefix``, in pick order."""
-    return {j: tables.intersect_cells(j, rows, eps) for j, rows in _pick_groups(prefix).items()}
+    return {j: tables.intersect_cells(j, rows) for j, rows in _pick_groups(prefix).items()}
 
 
-def _admissible_steps(inter: dict, i, tables: ResolutionTables, modified, eps=EPS) -> list:
+def _admissible_steps(inter: dict, i, tables: ResolutionTables, modified) -> list:
     """[(j, inter[j] ∩ cell)] for the columns of row i's support whose running
     intersection survives row i's cell (an unpicked column's is the cell).
     In modified mode a surviving already-picked column is forced: only the
@@ -88,7 +88,7 @@ def _admissible_steps(inter: dict, i, tables: ResolutionTables, modified, eps=EP
     steps = []
     for j in tables.row_support[i]:
         prev = inter.get(j)
-        s = row[j] if prev is None else prev.intersect(row[j], eps)
+        s = row[j] if prev is None else prev.intersect(row[j])
         if not s.is_empty:
             if modified and prev is not None:
                 return [(j, s)]      # row_support is ascending
@@ -96,18 +96,18 @@ def _admissible_steps(inter: dict, i, tables: ResolutionTables, modified, eps=EP
     return steps
 
 
-def admissible_domain(prefix, i, tables: ResolutionTables, eps=EPS) -> list:
+def admissible_domain(prefix, i, tables: ResolutionTables) -> list:
     """Columns row i may pick after the given prefix: its support, minus
     columns whose running intersection the row's cell would annihilate."""
-    inter = _running_intersections(prefix[:i], tables, eps)
-    return [j for j, _ in _admissible_steps(inter, i, tables, False, eps)]
+    inter = _running_intersections(prefix[:i], tables)
+    return [j for j, _ in _admissible_steps(inter, i, tables, False)]
 
 
-def modified_domain(prefix, i, tables: ResolutionTables, modified=True, eps=EPS) -> list:
+def modified_domain(prefix, i, tables: ResolutionTables, modified=True) -> list:
     """Admissible columns for row i, restricted to the forced reuse column
     when one exists.  Raises DeadEnd when the row has no viable column."""
-    inter = _running_intersections(prefix[:i], tables, eps)
-    domain = [j for j, _ in _admissible_steps(inter, i, tables, modified, eps)]
+    inter = _running_intersections(prefix[:i], tables)
+    domain = [j for j, _ in _admissible_steps(inter, i, tables, modified)]
     if not domain:
         raise DeadEnd(f"row {i} has no viable column after prefix {list(prefix)}")
     return domain
@@ -190,7 +190,7 @@ class BnbResult:
         return self.x is not None
 
 
-def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=EPS) -> BnbResult:
+def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> BnbResult:
     """Best-child dive with jump-to-cheapest backtracking and incumbent
     pruning over the reduced tables.
 
@@ -217,7 +217,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
 
     created = expanded = candidates = prunes = updates = jumps = max_live = 0
     incumbent: _Node | None = None
-    bar = math.inf       # incumbent.z - eps: a node must cost less to survive
+    bar = math.inf       # incumbent.z - EPS: a node must cost less to survive
     live: list = []      # heap of (z, -depth, uid, node)
     node = _Node(0, None, None, None, base_z, 0)
     node.inter, node.x = {}, base_x
@@ -229,7 +229,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
             if record:
                 events.append(node.event("expand"))
         x, z0, depth = node.x, node.z, node.depth + 1
-        steps = _admissible_steps(node.inter, node.depth, tables, modified, eps)
+        steps = _admissible_steps(node.inter, node.depth, tables, modified)
         if depth == m:
             candidates += len(steps)
         # Siblings share a depth, so the bar only moves among leaves, and no
@@ -245,7 +245,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False, eps=E
                 children.append(_Node(uid, node, j, s, z, depth))
             else:
                 incumbent = _Node(uid, node, j, s, z, depth).materialize()
-                bar = z - eps
+                bar = z - EPS
                 updates += 1
                 if record:
                     events.append(incumbent.event("incumbent"))
@@ -311,7 +311,7 @@ class Solution:
 
 
 def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
-          record=False, eps=EPS) -> Solution:
+          record=False) -> Solution:
     """Resolve, check necessary conditions, reduce, search, lift, verify.
 
     With the optimality-preserving mode (default) the search runs over
@@ -319,21 +319,21 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
     all admissible assignments (the reduction then never discards feasible
     points).
     """
-    tables = build_tables(p, eps)
+    tables = build_tables(p)
     report = check_feasibility(tables)
     if not report.ok:
         reason = (InfeasibleReason.EMPTY_COLUMN
                   if report.status is FeasibilityStatus.EMPTY_COLUMN
                   else InfeasibleReason.UNSATISFIABLE_ROW)
         return Solution(Status.INFEASIBLE, reason=reason, witness=report.witness)
-    reduced, ledger = simplify(tables, p.c, mode, eps)
+    reduced, ledger = simplify(tables, p.c, mode)
     result = branch_and_bound(reduced, modified=(mode is Mode.OPTIMALITY_PRESERVING),
-                              record=record, eps=eps)
+                              record=record)
     if not result.found:
         return Solution(Status.INFEASIBLE, reason=InfeasibleReason.EXHAUSTED_SEARCH,
                         ledger=ledger, stats=result.stats, events=result.events)
     x = reduced.lift(result.x)
-    if not is_feasible_point(p, x, eps, tables=tables):
+    if not is_feasible_point(p, x, tables=tables):
         raise InconsistentReduction(
             "reduction produced a candidate violating the original system")
     objective = sum((c * v for c, v in zip(p.c, x)), 0.0)
@@ -341,7 +341,7 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
                     stats=result.stats, events=result.events)
 
 
-def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps=EPS):
+def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
     """All compact boxes whose union is the feasible region.
 
     Runs the feasibility-preserving reduction, then enumerates every
@@ -350,10 +350,10 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps
     original row -> original column, the boxes list one set per original
     variable.  Raises CapExceeded when the support-size product exceeds cap.
     """
-    tables = build_tables(p, eps)
+    tables = build_tables(p)
     if not check_feasibility(tables).ok:
         return []
-    reduced, _ = simplify(tables, p.c, Mode.FEASIBILITY_PRESERVING, eps)
+    reduced, _ = simplify(tables, p.c, Mode.FEASIBILITY_PRESERVING)
     sub = reduced.tables
     bound = admissible_upper_bound(sub)
     if bound > cap:
@@ -377,7 +377,7 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6, eps
             assignment = {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(prefix)}
             out.append((assignment, lift_box(inter)))
             return
-        for j, s in _admissible_steps(inter, len(prefix), sub, False, eps):
+        for j, s in _admissible_steps(inter, len(prefix), sub, False):
             prefix.append(j)
             rec(prefix, {**inter, j: s})
             prefix.pop()

@@ -31,7 +31,7 @@ class OracleReport:
     mismatches: list = field(default_factory=list)
 
 
-def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP, eps=EPS):
+def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP):
     """Every pick vector over the row supports whose chosen-column cells
     intersect; checked in batch, never incrementally.
 
@@ -44,25 +44,25 @@ def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP, e
         raise CapExceeded(bound, cap)
     out = []
     for e in itertools.product(*tables.row_support):
-        if _batch_admissible(tables, e, eps):
+        if _batch_admissible(tables, e):
             out.append(e)
     return out
 
 
-def _batch_admissible(tables, e, eps) -> bool:
+def _batch_admissible(tables, e) -> bool:
     groups = {}
     for i, j in enumerate(e):
         groups.setdefault(j, []).append(i)
     for j, rows in groups.items():
         inter = tables.s_prime[rows[0]][j]
         for i in rows[1:]:
-            inter = inter.intersect(tables.s_prime[i][j], eps)
+            inter = inter.intersect(tables.s_prime[i][j])
             if inter.is_empty:
                 return False
     return True
 
 
-def _candidate(tables, e, eps):
+def _candidate(tables, e):
     x = [tables.lower_bound(j) for j in range(tables.n)]
     groups = {}
     for i, j in enumerate(e):
@@ -70,17 +70,17 @@ def _candidate(tables, e, eps):
     for j, rows in groups.items():
         inter = tables.s_prime[rows[0]][j]
         for i in rows[1:]:
-            inter = inter.intersect(tables.s_prime[i][j], eps)
+            inter = inter.intersect(tables.s_prime[i][j])
         x[j] = inter.minimum()
     return x
 
 
-def brute_force_optimum(tables: ResolutionTables, costs, cap: int = DEFAULT_CAP, eps=EPS) -> OracleReport:
+def brute_force_optimum(tables: ResolutionTables, costs, cap: int = DEFAULT_CAP) -> OracleReport:
     """Minimum-cost candidate over every admissible pick vector."""
-    admissible = enumerate_all_admissible(tables, cap, eps)
+    admissible = enumerate_all_admissible(tables, cap)
     best = None
     for e in admissible:
-        x = _candidate(tables, e, eps)
+        x = _candidate(tables, e)
         z = sum(c * v for c, v in zip(costs, x))
         if best is None or z < best[1]:
             best = (x, z)
@@ -98,18 +98,18 @@ class GridCensus:
 
 
 def grid_feasibility_census(p: ProblemInstance, step: float = 0.05,
-                            cap: int = DEFAULT_CAP, boxes=None, eps=EPS) -> GridCensus:
+                            cap: int = DEFAULT_CAP, boxes=None) -> GridCensus:
     """Classify every grid point of the unit box by direct evaluation.
 
     Cross-checks the table criterion on each point, and (when the enumerated
     box decomposition is supplied) box-union membership, recording every
-    disagreement.  Box membership is tested with eps-inflated boundaries.
+    disagreement.  Box membership is tested with EPS-inflated boundaries.
     """
     k = round(1.0 / step)
     total = (k + 1) ** p.n
     if total > cap:
         raise CapExceeded(total, cap)
-    tables = build_tables(p, eps)
+    tables = build_tables(p)
     values = [i / k for i in range(k + 1)]
 
     eq_ok, tab_ok = set(), set()
@@ -117,8 +117,8 @@ def grid_feasibility_census(p: ProblemInstance, step: float = 0.05,
     mismatches = []
     for idx in itertools.product(range(k + 1), repeat=p.n):
         x = [values[i] for i in idx]
-        direct = all(abs(row_value(p, i, x, eps) - p.b[i]) <= eps for i in range(p.m))
-        by_tables = satisfies_by_tables(tables, x, eps)
+        direct = all(abs(row_value(p, i, x) - p.b[i]) <= EPS for i in range(p.m))
+        by_tables = satisfies_by_tables(tables, x)
         if direct:
             eq_ok.add(idx)
         if by_tables:
@@ -127,7 +127,7 @@ def grid_feasibility_census(p: ProblemInstance, step: float = 0.05,
             mismatches.append(("tables", idx, direct, by_tables))
         if boxes is not None:
             inside = any(
-                all(box[j].contains(x[j], eps) for j in range(p.n))
+                all(box[j].contains(x[j]) for j in range(p.n))
                 for _, box in boxes
             )
             if inside:

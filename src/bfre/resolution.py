@@ -7,6 +7,10 @@ keeping the term <= b_i).  Intersecting relaxation sets down each column
 yields the box constraint every feasible point obeys; restricting each cell
 solution set to that box gives the sets the search actually uses.
 
+The tables hold only what reduction and search read: the column intervals
+and the restricted cells.  The raw relaxation and solution grids exist only
+for export, where ``cell_grids`` resolves them again from the instance.
+
 A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
 original bounds, so they are frozen, never recomputed.
@@ -69,7 +73,7 @@ class ProblemInstance:
         return len(self.c)
 
 
-def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float, eps=EPS):
+def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float):
     """Solution and relaxation sets of one bipolar term.
 
     Returns (solution_set, relaxation_set).  The five cases split on which of
@@ -77,44 +81,44 @@ def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float, eps=EPS):
     one-sided bounds exclude each other) makes the cell infeasible and both
     sets come back empty.
     """
-    plus_ge = a_plus >= b - eps
-    minus_ge = a_minus >= b - eps
+    plus_ge = a_plus >= b - EPS
+    minus_ge = a_minus >= b - EPS
     if not plus_ge and not minus_ge:
-        return SetForm.empty(), SetForm.interval(0.0, 1.0, eps)
-    if b > eps:
+        return SetForm.empty(), SetForm.interval(0.0, 1.0)
+    if b > EPS:
         if plus_ge and not minus_ge:
-            u = solve_u(t, a_plus, b, eps)
-            return SetForm.point(u), SetForm.interval(0.0, u, eps)
+            u = solve_u(t, a_plus, b)
+            return SetForm.point(u), SetForm.interval(0.0, u)
         if minus_ge and not plus_ge:
-            u = solve_u(t, a_minus, b, eps)
-            return SetForm.point(1.0 - u), SetForm.interval(1.0 - u, 1.0, eps)
-        lo = 1.0 - solve_u(t, a_minus, b, eps)
-        hi = solve_u(t, a_plus, b, eps)
-        if lo > hi + eps:
+            u = solve_u(t, a_minus, b)
+            return SetForm.point(1.0 - u), SetForm.interval(1.0 - u, 1.0)
+        lo = 1.0 - solve_u(t, a_minus, b)
+        hi = solve_u(t, a_plus, b)
+        if lo > hi + EPS:
             return SetForm.empty(), SetForm.empty()
-        if hi - lo <= eps:
+        if hi - lo <= EPS:
             return SetForm.point(lo), SetForm.point(lo)
-        return SetForm.pair(lo, hi, eps), SetForm.interval(lo, hi, eps)
+        return SetForm.pair(lo, hi), SetForm.interval(lo, hi)
     # b == 0: both sides always reach b, and solving == relaxing.
-    lo = 1.0 - solve_u(t, a_minus, 0.0, eps)
-    hi = solve_u(t, a_plus, 0.0, eps)
-    if lo > hi + eps:
+    lo = 1.0 - solve_u(t, a_minus, 0.0)
+    hi = solve_u(t, a_plus, 0.0)
+    if lo > hi + EPS:
         return SetForm.empty(), SetForm.empty()
-    cell = SetForm.interval(lo, hi, eps)
+    cell = SetForm.interval(lo, hi)
     return cell, cell
 
 
 @dataclass(frozen=True)
 class ResolutionTables:
-    """All per-cell and per-column sets of one instance (or a restriction).
+    """The sets reduction and search read, for one instance (or a
+    restriction): column intervals and restricted cells, with their supports.
 
-    ``row_ids``/``col_ids`` map positions back to the original instance.  In
-    a restricted view ``col_interval`` keeps the values computed from the
-    full instance.
+    The raw relaxation and solution grids are not kept; ``cell_grids``
+    resolves them for export.  ``row_ids``/``col_ids`` map positions back to
+    the original instance.  In a restricted view ``col_interval`` keeps the
+    values computed from the full instance.
     """
 
-    i_cell: list          # relaxation set per (row, col)
-    s_cell: list          # solution set per (row, col)
     col_interval: list    # per column, intersection of relaxation sets
     s_prime: list         # solution set restricted to the column interval
     row_support: list     # per row: columns with non-empty restricted set
@@ -137,43 +141,38 @@ class ResolutionTables:
     def upper_bound(self, j: int) -> float:
         return self.col_interval[j].maximum()
 
-    def intersect_cells(self, j: int, rows, eps=EPS) -> SetForm:
+    def intersect_cells(self, j: int, rows) -> SetForm:
         """Intersection of column j's restricted cells over ``rows``, taken
         in the given order; empty when ``rows`` is."""
         inter = None
         for i in rows:
             cell = self.s_prime[i][j]
-            inter = cell if inter is None else inter.intersect(cell, eps)
+            inter = cell if inter is None else inter.intersect(cell)
             if inter.is_empty:
                 break
         return SetForm.empty() if inter is None else inter
 
 
-def build_tables(p: ProblemInstance, eps=EPS) -> ResolutionTables:
-    """Resolve an instance into its complete set tables.
+def build_tables(p: ProblemInstance) -> ResolutionTables:
+    """Resolve an instance into its column intervals and restricted cells.
 
-    Only cells some coefficient can reach are resolved.  Every other cell
-    has an empty solution set and shares one [0, 1] relaxation set, which
-    the column fold skips: intersecting with [0, 1] changes no set.
+    Only cells some coefficient can reach are resolved; each one's
+    relaxation set is folded into its column interval at once, in ascending
+    row order.  Every other cell has an empty solution set and a [0, 1]
+    relaxation set, which changes no interval.
     """
     m, n = p.m, p.n
     empty = SetForm.empty()
-    unit = SetForm.interval(0.0, 1.0, eps)
-    i_cell = [[unit] * n for _ in range(m)]
-    s_cell = [[empty] * n for _ in range(m)]
-    reached = [[] for _ in range(n)]      # per column: rows whose cell is resolved
+    col_interval = [SetForm.interval(0.0, 1.0)] * n
+    solved = [[] for _ in range(n)]       # per column: (row, non-empty solution set)
     for i in range(m):
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
         for j in range(n):
-            if ap[j] >= b - eps or am[j] >= b - eps:
-                s_cell[i][j], i_cell[i][j] = bipolar_cell(p.tnorm, ap[j], am[j], b, eps)
-                reached[j].append(i)
-    col_interval = []
-    for j in range(n):
-        inter = unit
-        for i in reached[j]:
-            inter = inter.intersect(i_cell[i][j], eps)
-        col_interval.append(inter)
+            if ap[j] >= b - EPS or am[j] >= b - EPS:
+                cell, relax = bipolar_cell(p.tnorm, ap[j], am[j], b)
+                col_interval[j] = col_interval[j].intersect(relax)
+                if not cell.is_empty:
+                    solved[j].append((i, cell))
     s_prime = [[empty] * n for _ in range(m)]
     row_support = [[] for _ in range(m)]
     col_support = [[] for _ in range(n)]
@@ -182,19 +181,15 @@ def build_tables(p: ProblemInstance, eps=EPS) -> ResolutionTables:
         if ij.is_empty:
             continue
         targets = (ij.minimum(), ij.maximum())
-        for i in reached[j]:
-            cell = s_cell[i][j]
-            if cell.is_empty:
-                continue
+        for i, cell in solved[j]:
             # pin endpoints exactly onto the column bounds
-            cell = cell.intersect(ij, eps).snap(targets, eps)
+            cell = cell.intersect(ij).snap(targets)
             if not cell.is_empty:
                 s_prime[i][j] = cell
                 row_support[i].append(j)
                 col_support[j].append(i)
     return ResolutionTables(
-        i_cell, s_cell, col_interval, s_prime,
-        row_support, col_support,
+        col_interval, s_prime, row_support, col_support,
         list(range(m)), list(range(n)), list(p.b),
     )
 
@@ -210,11 +205,9 @@ def restrict(tables: ResolutionTables, keep_rows, keep_cols) -> ResolutionTables
     keep_cols = list(keep_cols)
     new_row = {i: r for r, i in enumerate(keep_rows)}
     new_col = {j: c for c, j in enumerate(keep_cols)}
-    sub = lambda grid: [[grid[i][j] for j in keep_cols] for i in keep_rows]
     return ResolutionTables(
-        sub(tables.i_cell), sub(tables.s_cell),
         [tables.col_interval[j] for j in keep_cols],
-        sub(tables.s_prime),
+        [[tables.s_prime[i][j] for j in keep_cols] for i in keep_rows],
         [sorted(new_col[j] for j in tables.row_support[i] if j in new_col) for i in keep_rows],
         [sorted(new_row[i] for i in tables.col_support[j] if i in new_row) for j in keep_cols],
         [tables.row_ids[i] for i in keep_rows],
@@ -254,7 +247,7 @@ def check_feasibility(tables: ResolutionTables) -> FeasibilityReport:
     return FeasibilityReport(FeasibilityStatus.NECESSARY_CONDITIONS_PASS)
 
 
-def row_value(p: ProblemInstance, i: int, x, eps=EPS) -> float:
+def row_value(p: ProblemInstance, i: int, x) -> float:
     """Left-hand side of equation i at the point x; 0 for a row without
     columns.
 
@@ -262,7 +255,7 @@ def row_value(p: ProblemInstance, i: int, x, eps=EPS) -> float:
     coefficients are already in range.
     """
     # evaluate's error for its second argument
-    return _row_value(p, i, [_check_unit("y", x[j], eps) for j in range(p.n)])
+    return _row_value(p, i, [_check_unit("y", x[j]) for j in range(p.n)])
 
 
 def _row_value(p: ProblemInstance, i: int, x) -> float:
@@ -274,19 +267,19 @@ def _row_value(p: ProblemInstance, i: int, x) -> float:
     return best
 
 
-def satisfies_by_tables(tables: ResolutionTables, x, eps=EPS) -> bool:
+def satisfies_by_tables(tables: ResolutionTables, x) -> bool:
     """Membership test from the tables: in every column interval, and each
     row witnessed by some restricted cell."""
     for j in range(tables.n):
-        if not tables.col_interval[j].contains(x[j], eps):
+        if not tables.col_interval[j].contains(x[j]):
             return False
     for i in range(tables.m):
-        if not any(tables.s_prime[i][j].contains(x[j], eps) for j in tables.row_support[i]):
+        if not any(tables.s_prime[i][j].contains(x[j]) for j in tables.row_support[i]):
             return False
     return True
 
 
-def is_feasible_point(p: ProblemInstance, x, eps=EPS, tables: ResolutionTables | None = None) -> bool:
+def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = None) -> bool:
     """Check every row equality directly at x, evaluating all 2·m·n terms.
 
     Each coordinate is checked and clamped into [0, 1] once, before the
@@ -297,11 +290,11 @@ def is_feasible_point(p: ProblemInstance, x, eps=EPS, tables: ResolutionTables |
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
     for j, v in enumerate(x):
-        if v < -eps or v > 1.0 + eps:
+        if v < -EPS or v > 1.0 + EPS:
             raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
     x = [min(1.0, max(0.0, v)) for v in x]
-    ok = all(abs(_row_value(p, i, x) - p.b[i]) <= eps for i in range(p.m))
-    if tables is not None and ok != satisfies_by_tables(tables, x, eps):
+    ok = all(abs(_row_value(p, i, x) - p.b[i]) <= EPS for i in range(p.m))
+    if tables is not None and ok != satisfies_by_tables(tables, x):
         raise InconsistentReduction(f"direct and table feasibility criteria disagree at {x}")
     return ok
 
@@ -316,29 +309,25 @@ def admissible_upper_bound(tables: ResolutionTables) -> int:
 
 # -- export helpers ---------------------------------------------------------
 
-def grid_strings(grid) -> list:
-    """Render a grid of SetForms as display strings."""
-    return [[str(cell) for cell in row] for row in grid]
+def cell_grids(p: ProblemInstance, tables: ResolutionTables) -> tuple:
+    """(solution, relaxation) grids of ``tables``' rows and columns,
+    resolved again from the instance; an unreachable cell comes back as
+    (∅, [0, 1])."""
+    cells = [[bipolar_cell(p.tnorm, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
+              for j in tables.col_ids] for i in tables.row_ids]
+    return ([[s for s, _ in row] for row in cells],
+            [[r for _, r in row] for row in cells])
 
 
-def tables_to_json(tables: ResolutionTables) -> dict:
+def tables_to_json(p: ProblemInstance, tables: ResolutionTables) -> dict:
+    """All four tables of ``p`` as display strings."""
+    solution, relaxation = cell_grids(p, tables)
+    text = lambda grid: [[str(cell) for cell in row] for row in grid]
     return {
         "rows": tables.row_ids,
         "cols": tables.col_ids,
-        "relaxation": grid_strings(tables.i_cell),
-        "solution": grid_strings(tables.s_cell),
+        "relaxation": text(relaxation),
+        "solution": text(solution),
         "column_interval": [str(s) for s in tables.col_interval],
-        "restricted": grid_strings(tables.s_prime),
+        "restricted": text(tables.s_prime),
     }
-
-
-def tables_to_csv(tables: ResolutionTables, which: str) -> str:
-    """CSV rendering of one table; ``which`` is a key of tables_to_json."""
-    data = tables_to_json(tables)[which]
-    header = "row," + ",".join(f"x{j + 1}" for j in tables.col_ids)
-    if which == "column_interval":
-        return header + "\n-," + ",".join(f'"{s}"' for s in data) + "\n"
-    lines = [header]
-    for rid, row in zip(tables.row_ids, data):
-        lines.append(f"{rid + 1}," + ",".join(f'"{s}"' for s in row))
-    return "\n".join(lines) + "\n"

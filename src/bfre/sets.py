@@ -6,7 +6,7 @@ these shapes stay within the family, which is what makes the whole resolution
 machinery finite.
 
 All membership and identity tests are tolerance-snapped: values closer than
-eps are treated as equal, so endpoint coincidences survive float noise.
+``EPS`` are treated as equal, so endpoint coincidences survive float noise.
 """
 
 from __future__ import annotations
@@ -41,23 +41,23 @@ class SetForm:
         return SetForm(POINT, v, v)
 
     @staticmethod
-    def pair(v1: float, v2: float, eps=EPS) -> "SetForm":
+    def pair(v1: float, v2: float) -> "SetForm":
         """Two-point set; collapses to a point when the values coincide."""
         if v1 > v2:
             v1, v2 = v2, v1
-        if v2 - v1 <= eps:
+        if v2 - v1 <= EPS:
             return SetForm(POINT, v1, v1)
         return SetForm(PAIR, v1, v2)
 
     @staticmethod
-    def interval(lo: float, hi: float, eps=EPS) -> "SetForm":
+    def interval(lo: float, hi: float) -> "SetForm":
         """Closed interval; collapses to a point when degenerate.
 
         A crossed interval (lo > hi beyond tolerance) is empty.
         """
-        if lo > hi + eps:
+        if lo > hi + EPS:
             return _EMPTY
-        if hi - lo <= eps:
+        if hi - lo <= EPS:
             return SetForm(POINT, lo, lo)
         return SetForm(INTERVAL, lo, hi)
 
@@ -89,14 +89,14 @@ class SetForm:
             raise ValueError("maximum of empty set")
         return self.hi
 
-    def contains(self, v: float, eps=EPS) -> bool:
+    def contains(self, v: float) -> bool:
         if self.kind == EMPTY:
             return False
         if self.kind == INTERVAL:
-            return self.lo - eps <= v <= self.hi + eps
+            return self.lo - EPS <= v <= self.hi + EPS
         if self.kind == POINT:
-            return abs(v - self.lo) <= eps
-        return abs(v - self.lo) <= eps or abs(v - self.hi) <= eps
+            return abs(v - self.lo) <= EPS
+        return abs(v - self.lo) <= EPS or abs(v - self.hi) <= EPS
 
     def values(self) -> tuple[float, ...]:
         """Finite member list; only meaningful for point/pair forms."""
@@ -108,48 +108,40 @@ class SetForm:
 
     # -- algebra -----------------------------------------------------------
 
-    def intersect(self, other: "SetForm", eps=EPS) -> "SetForm":
+    def intersect(self, other: "SetForm") -> "SetForm":
         if self.kind == EMPTY or other.kind == EMPTY:
             return _EMPTY
         if self.kind == POINT:
-            return self if other.contains(self.lo, eps) else _EMPTY
+            return self if other.contains(self.lo) else _EMPTY
         if other.kind == POINT:
-            return other if self.contains(other.lo, eps) else _EMPTY
+            return other if self.contains(other.lo) else _EMPTY
         if self.kind == PAIR:
-            kept = [v for v in (self.lo, self.hi) if other.contains(v, eps)]
+            kept = [v for v in (self.lo, self.hi) if other.contains(v)]
             if not kept:
                 return _EMPTY
             if len(kept) == 1:
                 return SetForm(POINT, kept[0], kept[0])
             return SetForm(PAIR, kept[0], kept[1])
         if other.kind == PAIR:
-            return other.intersect(self, eps)
+            return other.intersect(self)
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
-        return SetForm.interval(lo, hi, eps)
+        return SetForm.interval(lo, hi)
 
-    def issubset(self, other: "SetForm", eps=EPS) -> bool:
+    def issubset(self, other: "SetForm") -> bool:
         if self.kind == EMPTY:
             return True
         if other.kind == EMPTY:
             return False
         if self.kind in (POINT, PAIR):
-            return all(other.contains(v, eps) for v in self.values())
+            return all(other.contains(v) for v in self.values())
         # proper interval fits only inside an interval
         if other.kind != INTERVAL:
             return False
-        return other.lo - eps <= self.lo and self.hi <= other.hi + eps
+        return other.lo - EPS <= self.lo and self.hi <= other.hi + EPS
 
-    def same(self, other: "SetForm", eps=EPS) -> bool:
-        """Set equality up to tolerance."""
-        if self.kind != other.kind:
-            return False
-        if self.kind == EMPTY:
-            return True
-        return abs(self.lo - other.lo) <= eps and abs(self.hi - other.hi) <= eps
-
-    def snap(self, targets, eps=EPS) -> "SetForm":
-        """Replace stored values by any target they match within eps.
+    def snap(self, targets) -> "SetForm":
+        """Replace stored values by any target they match within EPS.
 
         Used to pin restricted-cell endpoints exactly onto the column bounds.
         """
@@ -158,15 +150,15 @@ class SetForm:
 
         def pin(v):
             for tgt in targets:
-                if abs(v - tgt) <= eps:
+                if abs(v - tgt) <= EPS:
                     return tgt
             return v
 
         lo, hi = pin(self.lo), pin(self.hi)
         if self.kind == INTERVAL:
-            return SetForm.interval(lo, hi, eps)
+            return SetForm.interval(lo, hi)
         if self.kind == PAIR:
-            return SetForm.pair(lo, hi, eps)
+            return SetForm.pair(lo, hi)
         return SetForm(POINT, lo, lo)
 
     # -- formatting ---------------------------------------------------------
@@ -179,30 +171,6 @@ class SetForm:
         if self.kind == PAIR:
             return "{%s,%s}" % (_fmt(self.lo), _fmt(self.hi))
         return "[%s,%s]" % (_fmt(self.lo), _fmt(self.hi))
-
-    def to_json(self):
-        if self.kind == EMPTY:
-            return {"kind": EMPTY}
-        if self.kind == INTERVAL:
-            return {"kind": INTERVAL, "lo": self.lo, "hi": self.hi}
-        return {"kind": self.kind, "values": list(self.values())}
-
-    @staticmethod
-    def parse(text: str) -> "SetForm":
-        """Inverse of str(); accepts the same four spellings."""
-        text = text.strip()
-        if text in ("∅", "{}", "empty"):
-            return _EMPTY
-        if text.startswith("[") and text.endswith("]"):
-            lo, hi = (float(v) for v in text[1:-1].split(","))
-            return SetForm.interval(lo, hi)
-        if text.startswith("{") and text.endswith("}"):
-            vals = [float(v) for v in text[1:-1].split(",")]
-            if len(vals) == 1:
-                return SetForm.point(vals[0])
-            if len(vals) == 2:
-                return SetForm.pair(vals[0], vals[1])
-        raise ValueError(f"unparseable set form: {text!r}")
 
 
 def _fmt(v: float) -> str:

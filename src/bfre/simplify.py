@@ -29,7 +29,6 @@ the support sizes of the rows and columns that survive it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -133,9 +132,6 @@ class ReductionLedger:
             ],
         }
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 @dataclass(frozen=True)
 class ReducedProblem:
@@ -161,12 +157,12 @@ class ReducedProblem:
 # Each takes the current (restricted) tables and reports what it would do,
 # in original indices.  They never mutate anything.
 
-def rule_zero_rhs(tables: ResolutionTables, eps=EPS):
+def rule_zero_rhs(tables: ResolutionTables):
     """Rows whose right-hand side is zero are redundant."""
-    return [tables.row_ids[i] for i in range(tables.m) if tables.rhs[i] <= eps]
+    return [tables.row_ids[i] for i in range(tables.m) if tables.rhs[i] <= EPS]
 
 
-def rule_singleton_column(tables: ResolutionTables, eps=EPS):
+def rule_singleton_column(tables: ResolutionTables):
     """First column whose interval is a single value: fix it, drop the rows
     that value satisfies."""
     for j in range(tables.n):
@@ -175,12 +171,12 @@ def rule_singleton_column(tables: ResolutionTables, eps=EPS):
             continue
         k = ij.minimum()
         rows = tuple(tables.row_ids[i] for i in range(tables.m)
-                     if tables.s_prime[i][j].contains(k, eps))
+                     if tables.s_prime[i][j].contains(k))
         return Action(Rule.SINGLETON_COLUMN, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
     return None
 
 
-def _dominates(tables, support, i, i0, eps) -> bool:
+def _dominates(tables, support, i, i0) -> bool:
     """Row i's restricted cells all sit inside row i0's.
 
     An empty cell sits inside any set and a non-empty one never inside an
@@ -191,10 +187,10 @@ def _dominates(tables, support, i, i0, eps) -> bool:
     if not support[i] <= support[i0]:
         return False
     cells, cells0 = tables.s_prime[i], tables.s_prime[i0]
-    return all(cells[j].issubset(cells0[j], eps) for j in tables.row_support[i])
+    return all(cells[j].issubset(cells0[j]) for j in tables.row_support[i])
 
 
-def rule_dominated_row(tables: ResolutionTables, eps=EPS):
+def rule_dominated_row(tables: ResolutionTables):
     """Rows made redundant by another surviving row, in a single ascending
     pass.
 
@@ -207,9 +203,9 @@ def rule_dominated_row(tables: ResolutionTables, eps=EPS):
     removed = []
     for i0 in range(tables.m):
         for i in alive:
-            if i == i0 or not _dominates(tables, support, i, i0, eps):
+            if i == i0 or not _dominates(tables, support, i, i0):
                 continue
-            if i0 < i and _dominates(tables, support, i0, i, eps):
+            if i0 < i and _dominates(tables, support, i0, i):
                 continue
             removed.append(tables.row_ids[i0])
             alive.remove(i0)
@@ -217,7 +213,7 @@ def rule_dominated_row(tables: ResolutionTables, eps=EPS):
     return removed
 
 
-def rule_forced_assignment(tables: ResolutionTables, eps=EPS):
+def rule_forced_assignment(tables: ResolutionTables):
     """First row supported by a single column whose restricted cell is a
     single value: fix the column, drop every row that value satisfies."""
     for i in range(tables.m):
@@ -229,19 +225,19 @@ def rule_forced_assignment(tables: ResolutionTables, eps=EPS):
             continue
         k = cell.minimum()
         rows = tuple(tables.row_ids[r] for r in range(tables.m)
-                     if tables.s_prime[r][j].contains(k, eps))
+                     if tables.s_prime[r][j].contains(k))
         return Action(Rule.FORCED_ASSIGNMENT, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
     return None
 
 
-def rule_two_point_row(tables: ResolutionTables, eps=EPS):
+def rule_two_point_row(tables: ResolutionTables):
     """Rows holding a two-point restricted cell never constrain candidate
     minima; all of them go at once."""
     return [tables.row_ids[i] for i in range(tables.m)
             if any(tables.s_prime[i][j].is_pair for j in tables.row_support[i])]
 
 
-def rule_lower_bound_column(tables: ResolutionTables, eps=EPS):
+def rule_lower_bound_column(tables: ResolutionTables):
     """Columns whose lower bound satisfies every supporting row: fix at the
     lower bound and drop those rows.
 
@@ -255,7 +251,7 @@ def rule_lower_bound_column(tables: ResolutionTables, eps=EPS):
         if not sup:
             continue
         lj = tables.lower_bound(j)
-        if not all(tables.s_prime[i][j].contains(lj, eps) for i in sup):
+        if not all(tables.s_prime[i][j].contains(lj) for i in sup):
             continue
         fixed[tables.col_ids[j]] = lj
         cols.append(tables.col_ids[j])
@@ -268,7 +264,7 @@ def rule_lower_bound_column(tables: ResolutionTables, eps=EPS):
     return Action(Rule.LOWER_BOUND_COLUMN, fixed, tuple(rows), tuple(cols))
 
 
-def rule_free_column(tables: ResolutionTables, eps=EPS):
+def rule_free_column(tables: ResolutionTables):
     """Columns no surviving row can use: fix at the lower bound.
 
     Columns with an empty interval are left alone; they belong to the
@@ -285,7 +281,7 @@ def rule_free_column(tables: ResolutionTables, eps=EPS):
     return Action(Rule.FREE_COLUMN, fixed, (), tuple(cols))
 
 
-def rule_dominated_column(tables: ResolutionTables, costs, eps=EPS):
+def rule_dominated_column(tables: ResolutionTables, costs):
     """Column-vs-column elimination (requires two-point rows already gone).
 
     Variant (a): if every row that can use column j1 can also use column j2,
@@ -302,23 +298,23 @@ def rule_dominated_column(tables: ResolutionTables, costs, eps=EPS):
     into one step.
     """
     support = [set(sup) for sup in tables.col_support]
-    inter = [tables.intersect_cells(j, tables.col_support[j], eps) for j in range(tables.n)]
+    inter = [tables.intersect_cells(j, tables.col_support[j]) for j in range(tables.n)]
 
     def variant(j1, j2):
         inter1, inter2 = inter[j1], inter[j2]
         l2 = tables.lower_bound(j2)
-        if inter2.is_point and abs(inter2.minimum() - l2) <= eps:
+        if inter2.is_point and abs(inter2.minimum() - l2) <= EPS:
             return "a"
         if not (inter1.is_point and inter2.is_point):
             return None
         v = inter1.minimum()
         l1, u1 = tables.lower_bound(j1), tables.upper_bound(j1)
         u2 = tables.upper_bound(j2)
-        if not (abs(v - l1) <= eps or abs(v - u1) <= eps):
+        if not (abs(v - l1) <= EPS or abs(v - u1) <= EPS):
             return None
-        if abs(inter2.minimum() - u2) > eps:
+        if abs(inter2.minimum() - u2) > EPS:
             return None
-        if costs[j2] * (u2 - l2) < costs[j1] * (v - l1) - eps:
+        if costs[j2] * (u2 - l2) < costs[j1] * (v - l1) - EPS:
             return "b"
         return None
 
@@ -354,23 +350,23 @@ def _drop_rows(rule, rows):
 
 
 # (rule, finder, repeat), in application order.  A finder maps (rule, tables,
-# costs aligned with the tables, eps) to the actions to apply, in order; a
+# costs aligned with the tables) to the actions to apply, in order; a
 # repeating slot calls its finder again until it finds nothing.  The
 # feasibility mode runs the first three slots.
 _SLOTS = (
-    (Rule.ZERO_RHS_ROW, lambda r, t, c, eps: _drop_rows(r, rule_zero_rhs(t, eps)), False),
-    (Rule.SINGLETON_COLUMN, lambda r, t, c, eps: _one(rule_singleton_column(t, eps)), True),
+    (Rule.ZERO_RHS_ROW, lambda r, t, c: _drop_rows(r, rule_zero_rhs(t)), False),
+    (Rule.SINGLETON_COLUMN, lambda r, t, c: _one(rule_singleton_column(t)), True),
     (Rule.DOMINATED_ROW,
-     lambda r, t, c, eps: [Action(r, {}, (i,), ()) for i in rule_dominated_row(t, eps)], False),
-    (Rule.FORCED_ASSIGNMENT, lambda r, t, c, eps: _one(rule_forced_assignment(t, eps)), True),
-    (Rule.TWO_POINT_ROW, lambda r, t, c, eps: _drop_rows(r, rule_two_point_row(t, eps)), False),
-    (Rule.LOWER_BOUND_COLUMN, lambda r, t, c, eps: _one(rule_lower_bound_column(t, eps)), False),
-    (Rule.FREE_COLUMN, lambda r, t, c, eps: _one(rule_free_column(t, eps)), False),
-    (Rule.DOMINATED_COLUMN, lambda r, t, c, eps: _one(rule_dominated_column(t, c, eps)), False),
+     lambda r, t, c: [Action(r, {}, (i,), ()) for i in rule_dominated_row(t)], False),
+    (Rule.FORCED_ASSIGNMENT, lambda r, t, c: _one(rule_forced_assignment(t)), True),
+    (Rule.TWO_POINT_ROW, lambda r, t, c: _drop_rows(r, rule_two_point_row(t)), False),
+    (Rule.LOWER_BOUND_COLUMN, lambda r, t, c: _one(rule_lower_bound_column(t)), False),
+    (Rule.FREE_COLUMN, lambda r, t, c: _one(rule_free_column(t)), False),
+    (Rule.DOMINATED_COLUMN, lambda r, t, c: _one(rule_dominated_column(t, c)), False),
 )
 
 
-def simplify(tables: ResolutionTables, costs, mode: Mode, eps=EPS):
+def simplify(tables: ResolutionTables, costs, mode: Mode):
     """Run the reduction pass; returns (ReducedProblem, ReductionLedger).
 
     ``costs`` must be aligned with ``tables.col_ids``.  The necessary
@@ -393,7 +389,7 @@ def simplify(tables: ResolutionTables, costs, mode: Mode, eps=EPS):
         for action in actions:
             for j, v in action.fixed.items():
                 interval = cur.col_interval[col_pos[j]]
-                if not interval.contains(v, eps):
+                if not interval.contains(v):
                     raise InconsistentReduction(
                         f"{action.rule.value} fixed x{j + 1}={v} outside {interval}")
         sizes = [len(sup) for sup in cur.row_support]
@@ -416,7 +412,7 @@ def simplify(tables: ResolutionTables, costs, mode: Mode, eps=EPS):
         cur = restrict(cur, sorted(alive), [j for j in range(cur.n) if j not in dropped])
 
     for rule, find, repeat in slots:
-        while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids], eps):
+        while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids]):
             apply(actions)
             if not repeat:
                 break

@@ -122,8 +122,8 @@ def _derive_kind(family, param):
     return Kind.STRICT
 
 
-def _check_unit(name, v, eps):
-    if v < -eps or v > 1 + eps:
+def _check_unit(name, v):
+    if v < -EPS or v > 1 + EPS:
         raise DomainError(f"{name}={v!r} outside [0, 1]")
     return min(1.0, max(0.0, v))
 
@@ -135,9 +135,9 @@ def _check_unit(name, v, eps):
 _SS_SNAP = 1e-12
 
 
-def evaluate(t: TNorm, x: float, y: float, eps=EPS) -> float:
+def evaluate(t: TNorm, x: float, y: float) -> float:
     """Closed-form value of the t-norm at (x, y)."""
-    return _evaluate(t, _check_unit("x", x, eps), _check_unit("y", y, eps))
+    return _evaluate(t, _check_unit("x", x), _check_unit("y", y))
 
 
 def _evaluate(t: TNorm, x: float, y: float) -> float:
@@ -185,9 +185,9 @@ def _evaluate(t: TNorm, x: float, y: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def generator(t: TNorm, x: float, eps=EPS) -> float:
+def generator(t: TNorm, x: float) -> float:
     """Additive generator value; +inf at 0 exactly for strict families."""
-    x = _check_unit("x", x, eps)
+    x = _check_unit("x", x)
     f, p = t.family, t.param
     if x == 0.0 and t.kind is Kind.STRICT:
         return INF
@@ -217,22 +217,6 @@ def generator(t: TNorm, x: float, eps=EPS) -> float:
         return 1.0 - math.log1p(p * x) / math.log1p(p)
     if f is Family.ACZEL_ALSINA:
         return (-math.log(x)) ** p
-    raise AssertionError(f)  # pragma: no cover
-
-
-def generator_at_zero(t: TNorm) -> float:
-    """generator(t, 0): +inf for strict families, finite for nilpotent ones."""
-    if t.kind is Kind.STRICT:
-        return INF
-    f, p = t.family, t.param
-    if f is Family.LUKASIEWICZ:
-        return 1.0
-    if f is Family.YAGER:
-        return 1.0
-    if f is Family.SUGENO_WEBER:
-        return 1.0
-    if f is Family.SCHWEIZER_SKLAR:
-        return 1.0 / p
     raise AssertionError(f)  # pragma: no cover
 
 
@@ -271,12 +255,12 @@ def _inverse(t: TNorm, z: float) -> float:
     raise AssertionError(f)  # pragma: no cover
 
 
-def pseudo_inverse(t: TNorm, z: float, eps=EPS) -> float:
+def pseudo_inverse(t: TNorm, z: float) -> float:
     """Generator pseudoinverse: the inverse up to generator(t, 0), then 0."""
-    if z < -eps:
+    if z < -EPS:
         raise DomainError(f"z={z!r} negative")
     z = max(0.0, z)
-    if z > generator_at_zero(t):
+    if z > generator(t, 0.0):
         return 0.0
     return min(1.0, max(0.0, _inverse(t, z)))
 
@@ -315,21 +299,21 @@ def _closed_form_u(t: TNorm, a: float, b: float) -> float:
     raise AssertionError(f)  # pragma: no cover
 
 
-def solve_u(t: TNorm, a: float, b: float, eps=EPS) -> float:
+def solve_u(t: TNorm, a: float, b: float) -> float:
     """The solution value u of evaluate(a, x) == b for a >= b.
 
     Cases: a == b gives 1; b == 0 gives 0 for strict families and the
     endpoint of the zero set for nilpotent ones; otherwise the closed form
     (equivalently pseudo_inverse(generator(b) - generator(a))).
     """
-    a = _check_unit("a", a, eps)
-    b = _check_unit("b", b, eps)
-    if a < b - eps:
+    a = _check_unit("a", a)
+    b = _check_unit("b", b)
+    if a < b - EPS:
         raise PreconditionViolated(f"a={a!r} < b={b!r}")
-    if abs(a - b) <= eps:
+    if abs(a - b) <= EPS:
         return 1.0
-    if b <= eps:
+    if b <= EPS:
         if t.kind is Kind.STRICT:
             return 0.0
-        return pseudo_inverse(t, generator_at_zero(t) - generator(t, a), eps)
+        return pseudo_inverse(t, generator(t, 0.0) - generator(t, a))
     return min(1.0, max(0.0, _closed_form_u(t, a, b)))

@@ -20,9 +20,10 @@ from bfre.oracle import (
     brute_force_optimum, grid_feasibility_census, random_feasible_instance,
     random_instance,
 )
-from bfre.resolution import row_value, satisfies_by_tables
+from bfre.resolution import cell_grids, row_value, satisfies_by_tables
 from bfre.tnorms import evaluate, generator, pseudo_inverse, solve_u
 
+from setforms import same
 from test_resolution import COLUMN_INTERVALS, RELAXATION, RESTRICTED, SOLUTION, parse_row
 
 TOL = 1e-9
@@ -82,18 +83,19 @@ def test_01_end_to_end_optimum(example):
         assert elapsed < SINGLE_SOLVE_BUDGET
 
 
-def test_02_table_reproduction(example_tables):
+def test_02_table_reproduction(example, example_tables):
     with _report(2, "resolution tables"):
-        for grid, expected_rows in ((example_tables.i_cell, RELAXATION),
-                                    (example_tables.s_cell, SOLUTION),
+        solution, relaxation = cell_grids(example, example_tables)
+        for grid, expected_rows in ((relaxation, RELAXATION),
+                                    (solution, SOLUTION),
                                     (example_tables.s_prime, RESTRICTED)):
             for i, text in enumerate(expected_rows):
                 for j, want in enumerate(parse_row(text)):
-                    assert grid[i][j].same(want, TOL), (i + 1, j + 1)
+                    assert same(grid[i][j], want), (i + 1, j + 1)
         for j, want in enumerate(parse_row(COLUMN_INTERVALS)):
-            assert example_tables.col_interval[j].same(want, TOL), j + 1
+            assert same(example_tables.col_interval[j], want), j + 1
         # anchor cells
-        assert str(example_tables.s_cell[7][8]) == "{0,0.8}"
+        assert str(solution[7][8]) == "{0,0.8}"
         assert str(example_tables.col_interval[8]) == "[0.2,0.8]"
         assert str(example_tables.col_interval[9]) == "{0.6}"
 

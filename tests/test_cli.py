@@ -7,9 +7,17 @@ import pytest
 
 import bfre
 from bfre import example_path
-from bfre.cli import load_problem, main, problem_to_dict
+from bfre.cli import load_problem, main
 
 TOL = 1e-9
+
+
+def problem_to_dict(p):
+    tn = {"family": p.tnorm.family.value}
+    if p.tnorm.param is not None:
+        tn["param"] = p.tnorm.param
+    return {"tnorm": tn, "a_plus": [list(r) for r in p.a_plus],
+            "a_minus": [list(r) for r in p.a_minus], "b": list(p.b), "c": list(p.c)}
 
 
 def write_problem(tmp_path, data, name="problem.json"):
@@ -151,6 +159,19 @@ class TestResolveCommand:
         cells = line.split()[1:]
         assert cells == ["[0.4,1]", "[0.4,0.64]", "[0,0.6]", "[0,1]", "[0.3,0.6]",
                          "[0,1]", "[0,0.55]", "[0.2,1]", "[0.2,0.8]", "{0.6}"]
+
+    def test_tables_print_all_four_pinned_tables(self, capsys):
+        from test_resolution import COLUMN_INTERVALS, RELAXATION, RESTRICTED, SOLUTION
+        assert main(["resolve", example_path(), "--tables", "--no-timing"]) == 0
+        tables, rows = {}, None
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            if line.endswith(":"):
+                rows = tables.setdefault(line[:-1], [])
+            elif line and not line.split()[0].startswith("x"):
+                rows.append(" ".join(line.split()[1:]).replace("∅", "-"))
+        assert tables == {"relaxation sets": RELAXATION, "solution sets": SOLUTION,
+                          "column intervals": [COLUMN_INTERVALS],
+                          "restricted sets": RESTRICTED}
 
     def test_boxes_include_known_product(self, capsys):
         assert main(["resolve", example_path(), "--boxes", "--no-timing"]) == 0

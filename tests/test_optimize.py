@@ -19,6 +19,7 @@ from bfre.resolution import admissible_upper_bound
 from bfre.tnorms import solve_u
 from bfre.tolerance import EPS
 from conftest import make_instance
+from setforms import same
 
 TOL = 1e-9
 
@@ -67,7 +68,7 @@ class TestFeasibleBox:
         p = make_instance([[0.9, 0.0]], [[0.0, 0.0]], [0.5])
         tb = build_tables(p)
         box = feasible_box((0,), tb)
-        assert str(box[0]) == "{0.6}" and box[1].same(tb.col_interval[1])
+        assert str(box[0]) == "{0.6}" and same(box[1], tb.col_interval[1])
 
     def test_sampled_points_are_feasible(self, example, example_tables):
         box = feasible_box(E2, example_tables)
@@ -373,7 +374,7 @@ def _snapped_chain_tables():
     cells = [SetForm.pair(0.500000000052308, 0.9), SetForm.pair(0.5000000014956291, 0.9),
              SetForm.point(0.5000000007700169)]
     grid = [[cell] for cell in cells]
-    return ResolutionTables(grid, grid, [SetForm.interval(0, 1)], grid,
+    return ResolutionTables([SetForm.interval(0, 1)], grid,
                             [[0], [0], [0]], [[0, 1, 2]], [0, 1, 2], [0], [0.5] * 3)
 
 
@@ -427,7 +428,7 @@ def _reference_branch_and_bound(reduced, modified, eps=EPS):
         for row, col in enumerate(picks[:i]):
             groups.setdefault(col, []).append(row)
         out = [j for j in tables.row_support[i]
-               if not tables.intersect_cells(j, groups.get(j, []) + [i], eps).is_empty]
+               if not tables.intersect_cells(j, groups.get(j, []) + [i]).is_empty]
         reusable = [j for j in out if j in groups]
         return [min(reusable)] if modified and reusable else out
 
@@ -440,7 +441,7 @@ def _reference_branch_and_bound(reduced, modified, eps=EPS):
         nonlocal counter
         prev = parent["inter"].get(j)
         cell = tables.s_prime[parent["depth"]][j]
-        inter = cell if prev is None else prev.intersect(cell, eps)
+        inter = cell if prev is None else prev.intersect(cell)
         counter += 1
         stats["nodes_created"] += 1
         x = list(parent["x"])

@@ -10,12 +10,13 @@ from bfre import (
 from bfre.errors import InconsistentReduction
 from bfre.oracle import random_feasible_instance, random_instance
 from bfre.resolution import (
-    admissible_upper_bound, restrict, row_value, satisfies_by_tables,
-    tables_to_csv, tables_to_json,
+    admissible_upper_bound, cell_grids, restrict, row_value, satisfies_by_tables,
+    tables_to_json,
 )
 from bfre.tnorms import DomainError, solve_u
 
 from conftest import make_instance
+from setforms import parse, same
 
 TOL = 1e-9
 
@@ -61,34 +62,34 @@ RESTRICTED = [
 
 
 def parse_row(text):
-    return [SetForm.empty() if tok == "-" else SetForm.parse(tok) for tok in text.split()]
+    return [SetForm.empty() if tok == "-" else parse(tok) for tok in text.split()]
 
 
 class TestBipolarCell:
     def test_both_sides_active(self):
         t = validate("yager", 2)
         s, i = bipolar_cell(t, 1.0, 0.8, 0.8)
-        assert s.same(SetForm.pair(0.0, 0.8)) and i.same(SetForm.interval(0.0, 0.8))
+        assert same(s, SetForm.pair(0.0, 0.8)) and same(i, SetForm.interval(0.0, 0.8))
 
     def test_negative_side_only(self):
         t = validate("yager", 2)
         s, i = bipolar_cell(t, 0.25, 0.70, 0.50)
-        assert s.same(SetForm.point(0.4)) and i.same(SetForm.interval(0.4, 1.0))
+        assert same(s, SetForm.point(0.4)) and same(i, SetForm.interval(0.4, 1.0))
 
     def test_positive_side_only(self):
         t = validate("yager", 2)
         s, i = bipolar_cell(t, 0.70, 0.00, 0.50)
-        assert s.same(SetForm.point(0.6)) and i.same(SetForm.interval(0.0, 0.6))
+        assert same(s, SetForm.point(0.6)) and same(i, SetForm.interval(0.0, 0.6))
 
     def test_all_zero(self):
         for fam, param in (("product", None), ("yager", 2), ("lukasiewicz", None)):
             s, i = bipolar_cell(validate(fam, param), 0.0, 0.0, 0.0)
             full = SetForm.interval(0.0, 1.0)
-            assert s.same(full) and i.same(full)
+            assert same(s, full) and same(i, full)
 
     def test_unreachable_rhs(self):
         s, i = bipolar_cell(validate("lukasiewicz"), 0.1, 0.1, 0.9)
-        assert s.is_empty and i.same(SetForm.interval(0.0, 1.0))
+        assert s.is_empty and same(i, SetForm.interval(0.0, 1.0))
 
     def test_crossed_bounds_empty_cell(self):
         # both one-sided constraints cannot hold at once
@@ -105,32 +106,34 @@ class TestBipolarCell:
 
     def test_zero_rhs_interval(self):
         s, i = bipolar_cell(validate("lukasiewicz"), 0.3, 0.3, 0.0)
-        assert s.same(SetForm.interval(0.3, 0.7)) and i.same(s)
+        assert same(s, SetForm.interval(0.3, 0.7)) and same(i, s)
 
     def test_collapsed_pair_is_point(self):
         s, i = bipolar_cell(validate("lukasiewicz"), 0.9, 0.9, 0.4)
-        assert s.same(SetForm.point(0.5)) and i.same(SetForm.point(0.5))
+        assert same(s, SetForm.point(0.5)) and same(i, SetForm.point(0.5))
 
 
 class TestExampleTables:
-    def test_relaxation_cells(self, example_tables):
+    def test_relaxation_cells(self, example, example_tables):
+        _, relaxation = cell_grids(example, example_tables)
         for i, text in enumerate(RELAXATION):
             for j, want in enumerate(parse_row(text)):
-                assert example_tables.i_cell[i][j].same(want, TOL), (i + 1, j + 1)
+                assert same(relaxation[i][j], want), (i + 1, j + 1)
 
-    def test_solution_cells(self, example_tables):
+    def test_solution_cells(self, example, example_tables):
+        solution, _ = cell_grids(example, example_tables)
         for i, text in enumerate(SOLUTION):
             for j, want in enumerate(parse_row(text)):
-                assert example_tables.s_cell[i][j].same(want, TOL), (i + 1, j + 1)
+                assert same(solution[i][j], want), (i + 1, j + 1)
 
     def test_column_intervals(self, example_tables):
         for j, want in enumerate(parse_row(COLUMN_INTERVALS)):
-            assert example_tables.col_interval[j].same(want, TOL), j + 1
+            assert same(example_tables.col_interval[j], want), j + 1
 
     def test_restricted_cells(self, example_tables):
         for i, text in enumerate(RESTRICTED):
             for j, want in enumerate(parse_row(text)):
-                assert example_tables.s_prime[i][j].same(want, TOL), (i + 1, j + 1)
+                assert same(example_tables.s_prime[i][j], want), (i + 1, j + 1)
 
     def test_row_supports(self, example_tables):
         supports = [[j + 1 for j in s] for s in example_tables.row_support]
@@ -159,8 +162,8 @@ class TestCheckFeasibility:
         # Both rows satisfiable in isolation, no common point in the column.
         p = make_instance([[0.2], [0.8]], [[0.7], [0.2]], [0.5, 0.5])
         tb = build_tables(p)
-        assert tb.s_prime[0][0].same(SetForm.point(0.2))
-        assert tb.s_prime[1][0].same(SetForm.point(0.7))
+        assert same(tb.s_prime[0][0], SetForm.point(0.2))
+        assert same(tb.s_prime[1][0], SetForm.point(0.7))
         assert check_feasibility(tb).ok
 
 
@@ -261,7 +264,7 @@ class TestCellDecomposition:
             plus = side_sets(t, ap, b, negated=False)
             minus = side_sets(t, am, b, negated=True)
             i_expected = plus[1].intersect(minus[1])
-            assert i.same(i_expected, TOL), (fam, param, ap, am, b)
+            assert same(i, i_expected), (fam, param, ap, am, b)
             for v in [k / 40 for k in range(41)]:
                 in_s = s.contains(v)
                 expected = i_expected.contains(v) and (plus[0].contains(v) or minus[0].contains(v))
@@ -318,11 +321,12 @@ class TestRestrictedShape:
         for _ in range(150):
             p = random_case(rng)
             tb = build_tables(p)
+            solution, relaxation = cell_grids(p, tb)
             for i in range(p.m):
                 for j in range(p.n):
-                    assert tb.s_prime[i][j].issubset(tb.s_cell[i][j])
-                    assert tb.s_cell[i][j].issubset(tb.i_cell[i][j])
-                    assert tb.col_interval[j].issubset(tb.i_cell[i][j])
+                    assert tb.s_prime[i][j].issubset(solution[i][j])
+                    assert solution[i][j].issubset(relaxation[i][j])
+                    assert tb.col_interval[j].issubset(relaxation[i][j])
 
 
 class TestRestrict:
@@ -330,7 +334,7 @@ class TestRestrict:
         sub = restrict(example_tables, [0, 3, 4], [0, 1, 2])
         assert sub.row_ids == [0, 3, 4] and sub.col_ids == [0, 1, 2]
         for j in range(3):
-            assert sub.col_interval[j].same(example_tables.col_interval[j])
+            assert same(sub.col_interval[j], example_tables.col_interval[j])
         assert sub.rhs == [example_tables.rhs[0], example_tables.rhs[3], example_tables.rhs[4]]
 
     def test_supports_recomputed(self, example_tables):
@@ -382,12 +386,12 @@ class TestDerivedSupports:
         assert sub.row_support == [[0, 1], [1, 2], [0, 2]]
 
 
-def _ref_row_value(p, i, x, eps=TOL):
+def _ref_row_value(p, i, x):
     """Per-term evaluation, every argument checked by evaluate."""
     from bfre.tnorms import evaluate
     t = p.tnorm
     return max(
-        max(evaluate(t, p.a_plus[i][j], x[j], eps), evaluate(t, p.a_minus[i][j], 1.0 - x[j], eps))
+        max(evaluate(t, p.a_plus[i][j], x[j]), evaluate(t, p.a_minus[i][j], 1.0 - x[j]))
         for j in range(p.n)
     )
 
@@ -477,21 +481,24 @@ class TestBuildTablesReference:
             p = gen(rng, family, param, m=rng.randint(1, 8), n=rng.randint(1, 8))
             tb = build_tables(p)
             cells, col, s_prime = self.full_grid(p)
-            assert tb.s_cell == [[c[0] for c in row] for row in cells]
-            assert tb.i_cell == [[c[1] for c in row] for row in cells]
+            doc = tables_to_json(p, tb)
+            assert doc["solution"] == [[str(c[0]) for c in row] for row in cells]
+            assert doc["relaxation"] == [[str(c[1]) for c in row] for row in cells]
             assert tb.col_interval == col and tb.s_prime == s_prime
             TestDerivedSupports.assert_supports_scanned(tb)
 
 
 class TestExports:
-    def test_json_shape(self, example_tables):
-        doc = tables_to_json(example_tables)
+    def test_json_shape(self, example, example_tables):
+        doc = tables_to_json(example, example_tables)
         assert doc["column_interval"][9] == "{0.6}"
         assert doc["restricted"][7][8] == "{0.8}"
 
-    def test_csv(self, example_tables):
-        text = tables_to_csv(example_tables, "column_interval")
-        assert '"{0.6}"' in text.splitlines()[1]
-        grid = tables_to_csv(example_tables, "restricted")
-        assert grid.splitlines()[0].startswith("row,x1,")
-        assert len(grid.splitlines()) == 11
+    def test_restricted_view_exports_its_own_cells(self, example, example_tables):
+        # grids follow row_ids/col_ids, in the restriction's order
+        full = tables_to_json(example, example_tables)
+        rows, cols = [7, 0, 4], [8, 2]
+        doc = tables_to_json(example, restrict(example_tables, rows, cols))
+        for key in ("relaxation", "solution", "restricted"):
+            assert doc[key] == [[full[key][i][j] for j in cols] for i in rows], key
+        assert doc["solution"][0] == ["{0,0.8}", "∅"]

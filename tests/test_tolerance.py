@@ -7,8 +7,6 @@ from bfre import tolerance
 
 def test_default():
     assert tolerance.DEFAULT_EPS == 1e-9
-    assert tolerance.resolve(None) == tolerance.EPS
-    assert tolerance.resolve(0.5) == 0.5
 
 
 def test_env_override_read_at_import():
