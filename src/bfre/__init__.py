@@ -16,7 +16,8 @@ from .optimize import (
 )
 from .oracle import (
     OracleReport, brute_force_optimum, enumerate_all_admissible,
-    grid_feasibility_census, random_feasible_instance, random_instance,
+    grid_feasibility_census, planted_feasible_instance, random_feasible_instance,
+    random_instance,
 )
 from .resolution import (
     FeasibilityReport, FeasibilityStatus, ProblemInstance, ResolutionTables,

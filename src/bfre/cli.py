@@ -5,6 +5,10 @@ Problem files are JSON objects with keys ``tnorm`` ({"family", "param"}),
 0 success (optimum found / no mismatches), 2 infeasible, 1 bad input or cap
 exceeded.  The BFRE_EPS environment variable overrides the comparison
 tolerance.
+
+``verify`` compares the solver with the brute-force oracle; on planted
+instances it also requires an optimum no costlier than the planted point,
+a check that does not go through the resolution tables.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import time
 from .errors import CapExceeded
 from .optimize import Solution, enumerate_feasible_decomposition, solve
 from .oracle import (
-    DEFAULT_CAP, brute_force_optimum, random_feasible_instance, random_instance,
+    DEFAULT_CAP, brute_force_optimum, planted_feasible_instance, random_instance,
 )
 from .resolution import (
     ProblemInstance, build_tables, check_feasibility, tables_to_json,
@@ -177,49 +181,78 @@ def cmd_resolve(args, out=None) -> int:
     return 0 if report.ok else 2
 
 
-def _compare(p: ProblemInstance, cap: int) -> list:
-    """Solver vs brute force on one instance; returns mismatch strings."""
+def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
+    """Solver vs brute force on one instance, and vs the planted point's cost
+    when one is given.
+
+    Returns (mismatch strings, |solver - oracle| objective gap or None).
+    """
     sol = solve(p)
     rep = brute_force_optimum(build_tables(p), p.c, cap=cap)
     mismatches = []
+    gap = None
     if sol.optimal != (rep.optimum is not None):
         mismatches.append(
             f"status: solver={sol.status.value} oracle="
             + ("optimal" if rep.optimum else "infeasible"))
-    elif sol.optimal and abs(sol.objective - rep.optimum[1]) > EPS:
-        mismatches.append(f"objective: solver={sol.objective!r} oracle={rep.optimum[1]!r}")
-    return mismatches
+    elif sol.optimal:
+        gap = abs(sol.objective - rep.optimum[1])
+        if gap > EPS:
+            mismatches.append(f"objective: solver={sol.objective!r} oracle={rep.optimum[1]!r}")
+    if planted is not None:
+        cost = sum((c * v for c, v in zip(p.c, planted)), 0.0)
+        if not sol.optimal:
+            mismatches.append(f"planted: solver={sol.status.value}, planted point costs {cost!r}")
+        elif sol.objective > cost + EPS:
+            mismatches.append(f"planted: solver={sol.objective!r} > planted cost {cost!r}")
+    return mismatches, gap
 
 
 def cmd_verify(args, out=None) -> int:
     out = out or sys.stdout
     t0 = time.perf_counter()
-    failures = 0
-    checked = 0
-    if args.path is not None:
-        mismatches = _compare(_load(args.path), args.cap)
+    mismatches = []
+    checked = planted_checked = 0
+    worst_gap = 0.0
+
+    def check(p, label, planted=None):
+        nonlocal checked, planted_checked, worst_gap
+        found, gap = _compare(p, args.cap, planted)
         checked += 1
-        for msg in mismatches:
-            failures += 1
-            print(f"mismatch: {msg}", file=out)
+        planted_checked += planted is not None
+        if gap is not None:
+            worst_gap = max(worst_gap, gap)
+        for msg in found:
+            mismatches.append(f"mismatch{label}: {msg}")
+            if not args.json:
+                print(mismatches[-1], file=out)
+
+    if args.path is not None:
+        check(_load(args.path), "")
     if args.seed is not None:
         rng = random.Random(args.seed)
         for k in range(args.count):
             family, param = _VERIFY_FAMILIES[k % len(_VERIFY_FAMILIES)]
-            gen = random_feasible_instance if k % 2 else random_instance
-            mismatches = _compare(gen(rng, family, param), args.cap)
-            checked += 1
-            for msg in mismatches:
-                failures += 1
-                print(f"mismatch [{family} #{k}]: {msg}", file=out)
+            label = f" [{family} #{k}]"
+            if k % 2:
+                p, planted = planted_feasible_instance(rng, family, param)
+                check(p, label, planted)
+            else:
+                check(random_instance(rng, family, param), label)
     if checked == 0:
         print("error: give a problem file, --seed, or both", file=sys.stderr)
         return 1
-    print(f"verified {checked} instance(s): "
-          + ("all agree" if failures == 0 else f"{failures} mismatch(es)"), file=out)
+    if args.json:
+        print(json.dumps({"checked": checked, "planted_checked": planted_checked,
+                          "mismatches": mismatches, "worst_objective_gap": worst_gap},
+                         indent=2), file=out)
+    else:
+        print(f"verified {checked} instance(s): "
+              + ("all agree" if not mismatches else f"{len(mismatches)} mismatch(es)"),
+              file=out)
     if not args.no_timing:
         print(f"time: {time.perf_counter() - t0:.3f}s", file=out)
-    return 0 if failures == 0 else 1
+    return 0 if not mismatches else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

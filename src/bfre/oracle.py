@@ -157,10 +157,14 @@ def random_instance(rng: random.Random, family, param=None, m=None, n=None,
     return ProblemInstance(a_plus, a_minus, b, c, validate(family, param))
 
 
-def random_feasible_instance(rng: random.Random, family, param=None, m=None, n=None,
-                             max_rows: int = 5, max_cols: int = 5) -> ProblemInstance:
+def planted_feasible_instance(rng: random.Random, family, param=None, m=None, n=None,
+                              max_rows: int = 5, max_cols: int = 5):
     """Like random_instance, but the right-hand side is back-computed from a
-    random grid point, which is therefore feasible by construction."""
+    random grid point, which is therefore feasible by construction.
+
+    Returns (instance, planted point); c·x_planted bounds the optimum from
+    above without reference to the resolution tables.
+    """
     m = m if m is not None else rng.randint(1, max_rows)
     n = n if n is not None else rng.randint(1, max_cols)
     snap = lambda: rng.randint(0, 20) / 20
@@ -170,4 +174,10 @@ def random_feasible_instance(rng: random.Random, family, param=None, m=None, n=N
     x = [snap() for _ in range(n)]
     probe = ProblemInstance(a_plus, a_minus, [0.0] * m, c, validate(family, param))
     b = [row_value(probe, i, x) for i in range(m)]
-    return ProblemInstance(a_plus, a_minus, b, c, probe.tnorm)
+    return ProblemInstance(a_plus, a_minus, b, c, probe.tnorm), x
+
+
+def random_feasible_instance(rng: random.Random, family, param=None, m=None, n=None,
+                             max_rows: int = 5, max_cols: int = 5) -> ProblemInstance:
+    """``planted_feasible_instance`` without the planted point (same draws)."""
+    return planted_feasible_instance(rng, family, param, m, n, max_rows, max_cols)[0]

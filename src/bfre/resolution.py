@@ -14,6 +14,13 @@ for export, where ``cell_grids`` resolves them again from the instance.
 A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
 original bounds, so they are frozen, never recomputed.
+
+``is_feasible_point`` checks a point against the original equations without
+evaluating every term.  Since T(a, y) <= min(a, y), a term whose cap
+min(a, y) lies below b - EPS can change no verdict, a term with cap above
+b + EPS is always evaluated (it may overshoot), and one with its cap within
+b ± EPS is evaluated only until some term of the row has reached b - EPS.
+``row_value`` stays the full evaluation of a row.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .errors import InconsistentReduction
 from .sets import SetForm
@@ -280,11 +288,12 @@ def satisfies_by_tables(tables: ResolutionTables, x) -> bool:
 
 
 def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = None) -> bool:
-    """Check every row equality directly at x, evaluating all 2·m·n terms.
+    """Check every row equality directly at x: |row_value - b_i| <= EPS,
+    decided from the terms that can change the verdict.
 
     Each coordinate is checked and clamped into [0, 1] once, before the
-    rows are evaluated.  When freshly built tables are supplied, the direct
-    evaluation is cross-checked against the table criterion; a disagreement
+    rows are examined.  When freshly built tables are supplied, the direct
+    check is cross-checked against the table criterion; a disagreement
     raises InconsistentReduction.
     """
     if len(x) != p.n:
@@ -293,10 +302,38 @@ def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = N
         if v < -EPS or v > 1.0 + EPS:
             raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
     x = [min(1.0, max(0.0, v)) for v in x]
-    ok = all(abs(_row_value(p, i, x) - p.b[i]) <= EPS for i in range(p.m))
+    x_neg = [1.0 - v for v in x]
+    t = p.tnorm
+    ok = all(_row_holds(t, p.a_plus[i], p.a_minus[i], p.b[i], x, x_neg)
+             for i in range(p.m))
     if tables is not None and ok != satisfies_by_tables(tables, x):
         raise InconsistentReduction(f"direct and table feasibility criteria disagree at {x}")
     return ok
+
+
+def _row_holds(t: TNorm, a_plus, a_minus, b: float, x, x_neg) -> bool:
+    """Whether |max(0, terms) - b| <= EPS, the verdict of ``row_value``.
+
+    The axiom T(a, y) <= min(a, y), which the kernel keeps exactly, caps
+    every term by cap = min(a, y), and the rounded difference v - b is
+    monotone in v.  So a term with cap - b < -EPS can neither reach the
+    row nor overshoot it and is skipped; a term with cap - b > EPS is
+    always evaluated, since it may overshoot; a term in between matters
+    only until some term has reached b - EPS.  With no reaching term the
+    row holds only if b <= EPS (the empty max is 0).
+    """
+    eps, neg_eps = EPS, -EPS
+    reached = b <= eps
+    for a, y in chain(zip(a_plus, x), zip(a_minus, x_neg)):
+        d = (a if a < y else y) - b
+        if d < neg_eps or (reached and d <= eps):
+            continue
+        d = _evaluate(t, a, y) - b
+        if d > eps:
+            return False
+        if d >= neg_eps:
+            reached = True
+    return reached
 
 
 def admissible_upper_bound(tables: ResolutionTables) -> int:

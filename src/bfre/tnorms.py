@@ -141,7 +141,13 @@ def evaluate(t: TNorm, x: float, y: float) -> float:
 
 
 def _evaluate(t: TNorm, x: float, y: float) -> float:
-    """``evaluate`` for arguments already checked and clamped into [0, 1]."""
+    """``evaluate`` for arguments already checked and clamped into [0, 1].
+
+    The result is clamped into [0, min(x, y)], so the axiom T(x, y) <=
+    min(x, y) holds exactly in floats; near min, the closed forms of
+    yager, aczel_alsina, dombi and schweizer_sklar at large |p| can round a
+    few ulp above it.
+    """
     # Boundary axioms, applied exactly so identity and zero laws hold to the
     # last ulp for every family.
     if x == 1.0:
@@ -182,7 +188,7 @@ def _evaluate(t: TNorm, x: float, y: float) -> float:
         v = math.exp(-(((-math.log(x)) ** p + (-math.log(y)) ** p) ** (1.0 / p)))
     else:  # pragma: no cover
         raise AssertionError(f)
-    return min(1.0, max(0.0, v))
+    return min(x, y, max(0.0, v))
 
 
 def generator(t: TNorm, x: float) -> float:

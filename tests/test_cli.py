@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -216,6 +217,70 @@ class TestVerifyCommand:
 
     def test_requires_some_input(self, capsys):
         assert main(["verify", "--no-timing"]) == 1
+        assert main(["verify", "--json", "--no-timing"]) == 1
+
+    def test_text_output_lines(self, capsys):
+        assert main(["verify", "--seed", "1", "--count", "20", "--no-timing"]) == 0
+        assert capsys.readouterr().out == "verified 20 instance(s): all agree\n"
+
+    def test_json_document(self, capsys):
+        assert main(["verify", "--seed", "1", "--count", "20", "--json", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"checked": 20, "planted_checked": 10, "mismatches": [],
+                       "worst_objective_gap": doc["worst_objective_gap"]}
+        assert 0.0 <= doc["worst_objective_gap"] <= TOL
+
+    def test_json_document_for_a_file(self, capsys):
+        assert main(["verify", example_path(), "--json", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["checked"], doc["planted_checked"], doc["mismatches"]) == (1, 0, [])
+
+    @staticmethod
+    def _worse_everywhere(monkeypatch):
+        """Solver and oracle agree on an objective 100 above the optimum
+        (any c·x is at most 25 here), so only the planted point's cost can
+        expose it."""
+        real_solve, real_oracle = bfre.cli.solve, bfre.cli.brute_force_optimum
+
+        def solve(p):
+            sol = real_solve(p)
+            return dataclasses.replace(sol, objective=sol.objective + 100.0) if sol.optimal else sol
+
+        def oracle(tables, costs, cap):
+            rep = real_oracle(tables, costs, cap=cap)
+            if rep.optimum is not None:
+                rep.optimum = (rep.optimum[0], rep.optimum[1] + 100.0)
+            return rep
+
+        monkeypatch.setattr(bfre.cli, "solve", solve)
+        monkeypatch.setattr(bfre.cli, "brute_force_optimum", oracle)
+
+    def test_worse_answer_fails_the_planted_check(self, capsys, monkeypatch):
+        self._worse_everywhere(monkeypatch)
+        assert main(["verify", "--seed", "1", "--count", "4", "--no-timing"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verified 4 instance(s): 2 mismatch(es)"
+        assert [line.split(": planted: ")[0] for line in lines[:-1]] == \
+            ["mismatch [product #1]", "mismatch [hamacher #3]"]
+        assert all("> planted cost" in line for line in lines[:-1])
+
+    def test_worse_answer_in_json(self, capsys, monkeypatch):
+        self._worse_everywhere(monkeypatch)
+        assert main(["verify", "--seed", "1", "--count", "4", "--json", "--no-timing"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["checked"], doc["planted_checked"]) == (4, 2)
+        assert [m.split(": planted: ")[0] for m in doc["mismatches"]] == \
+            ["mismatch [product #1]", "mismatch [hamacher #3]"]
+
+
+    def test_infeasible_answer_on_a_planted_instance(self, capsys, monkeypatch):
+        from bfre.optimize import InfeasibleReason, Solution, Status
+        monkeypatch.setattr(bfre.cli, "solve", lambda p: Solution(
+            Status.INFEASIBLE, reason=InfeasibleReason.EXHAUSTED_SEARCH))
+        assert main(["verify", "--seed", "1", "--count", "2", "--json", "--no-timing"]) == 1
+        found = json.loads(capsys.readouterr().out)["mismatches"]
+        assert any(m.startswith("mismatch [product #1]: planted: solver=infeasible, "
+                                "planted point costs ") for m in found), found
 
 
 class TestOptimizedInterpreterParity:
@@ -224,6 +289,7 @@ class TestOptimizedInterpreterParity:
     @pytest.mark.parametrize("argv", [
         ["solve", example_path(), "--json", "--no-timing"],
         ["verify", "--seed", "3", "--count", "40", "--no-timing"],
+        ["verify", "--seed", "3", "--count", "40", "--json", "--no-timing"],
     ])
     def test_same_output_under_dash_o(self, argv):
         src = os.path.dirname(os.path.dirname(os.path.abspath(bfre.__file__)))

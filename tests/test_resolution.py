@@ -8,12 +8,13 @@ from bfre import (
     check_feasibility, is_feasible_point, solve, validate,
 )
 from bfre.errors import InconsistentReduction
-from bfre.oracle import random_feasible_instance, random_instance
+from bfre.oracle import planted_feasible_instance, random_feasible_instance, random_instance
 from bfre.resolution import (
     admissible_upper_bound, cell_grids, restrict, row_value, satisfies_by_tables,
     tables_to_json,
 )
 from bfre.tnorms import DomainError, solve_u
+from bfre.tolerance import EPS
 
 from conftest import make_instance
 from setforms import parse, same
@@ -449,6 +450,108 @@ class TestRowValue:
         value = row_value(p, 0, [])
         assert value == 0.0 and isinstance(value, float)
         assert not is_feasible_point(p, [])
+
+
+def _full_verdict(p, x):
+    """Every row by full evaluation: the verdict the skip rule must match."""
+    return all(abs(row_value(p, i, x) - p.b[i]) <= EPS for i in range(p.m))
+
+
+# customary parameters of all ten families, plus the settings where the
+# unclamped kernel rounds above min(a, y)
+_SKIP_RULE_SETTINGS = _ALL_FAMILIES + [
+    ("schweizer_sklar", 2.0), ("yager", 30.0), ("aczel_alsina", 20.0), ("dombi", 20.0),
+    ("schweizer_sklar", -15.0),
+]
+
+
+class TestSkipRuleEquivalence:
+    """is_feasible_point skips terms whose cap min(a, y) cannot change a
+    row's verdict; it must agree with full evaluation everywhere."""
+
+    @staticmethod
+    def _points(rng, p, bases):
+        shifts = (EPS / 2, -EPS / 2, 2 * EPS, -2 * EPS, 1e-3, -1e-3)
+        for x in bases:
+            yield x
+            for j in range(p.n):
+                for s in shifts:
+                    y = list(x)
+                    y[j] += s
+                    if -EPS <= y[j] <= 1.0 + EPS:
+                        yield y
+        for _ in range(4):
+            yield [rng.random() for _ in range(p.n)]
+
+    @pytest.mark.parametrize("family,param", _SKIP_RULE_SETTINGS)
+    def test_matches_full_evaluation(self, family, param):
+        rng = random.Random(f"skip_rule:{family}:{param}")
+        seen = {True: 0, False: 0}
+        for k in range(40):
+            size = dict(m=rng.randint(1, 6), n=rng.randint(1, 6))
+            if k % 4 == 3:
+                p, bases = random_instance(rng, family, param, **size), []
+            else:
+                p, planted = planted_feasible_instance(rng, family, param, **size)
+                bases = [planted]
+            try:
+                sol = solve(p)
+            except InconsistentReduction:
+                sol = None
+            if sol is not None and sol.optimal:
+                bases.append(sol.x)
+            for x in self._points(rng, p, bases):
+                verdict = is_feasible_point(p, x)
+                assert verdict == _full_verdict(p, x), (p, x)
+                seen[verdict] += 1
+        assert seen[True] >= 40 and seen[False] >= 40, seen
+
+    @pytest.mark.parametrize("x,feasible", [([0.0, 1.0], True), ([EPS / 2, 1.0], True),
+                                            ([0.2, 1.0], False), ([0.0, 0.9], False)])
+    def test_zero_rhs_row(self, x, feasible):
+        # b = 0 is met by the empty max; only a term above EPS breaks it
+        p = make_instance([[0.3, 0.0]], [[0.0, 0.5]], [0.0], family="product")
+        assert is_feasible_point(p, x) == _full_verdict(p, x) == feasible
+
+    @pytest.mark.parametrize("b,feasible", [(0.0, True), (EPS, True), (2 * EPS, False)])
+    def test_row_without_columns(self, b, feasible):
+        # no term at all: the row's value is the empty max, 0
+        p = ProblemInstance([[]], [[]], [b], [], validate("product"))
+        assert is_feasible_point(p, []) == _full_verdict(p, []) == feasible
+
+    @pytest.mark.parametrize("b", [0.4, 0.4 + EPS / 2, 0.4 - EPS / 2])
+    def test_only_a_term_within_eps_reaches(self, b):
+        # T(0.4, 1) = 0.4 has its cap inside [b - EPS, b + EPS]; the other
+        # caps lie below b - EPS
+        p = make_instance([[0.2, 0.4]], [[0.1, 0.0]], [b], family="product")
+        assert is_feasible_point(p, [0.5, 1.0]) and _full_verdict(p, [0.5, 1.0])
+
+    @pytest.mark.parametrize("a_plus,a_minus,x", [
+        ([0.4, 0.9], [0.0, 0.0], [1.0, 0.6]),     # plus term overshoots
+        ([0.4, 0.0], [0.0, 0.9], [1.0, 0.4]),     # minus term overshoots
+    ])
+    def test_overshoot_after_the_reaching_term(self, a_plus, a_minus, x):
+        # 0.9·0.6 = 0.54 > 0.4, after the first term has reached b
+        p = make_instance([a_plus], [a_minus], [0.4], family="product")
+        assert not is_feasible_point(p, x) and not _full_verdict(p, x)
+
+    def test_cap_exactly_at_lower_edge_reaches(self):
+        # cap - b == -EPS exactly: the term reaches b - EPS and must count
+        p = make_instance([[EPS]], [[0.0]], [2 * EPS], family="product")
+        assert EPS - 2 * EPS == -EPS
+        assert is_feasible_point(p, [1.0]) and _full_verdict(p, [1.0])
+
+    def test_rounding_above_min_cannot_reach(self):
+        # yager(30) rounds T(0.05, 0.7) above 0.05 unless the kernel clamps;
+        # b is the smallest float with 0.05 - b < -EPS, so only an
+        # unclamped value would reach b - EPS
+        b = 0.05 + EPS
+        while 0.05 - b < -EPS:
+            b = math.nextafter(b, 0.0)
+        while 0.05 - b >= -EPS:
+            b = math.nextafter(b, 1.0)
+        p = make_instance([[0.05]], [[0.0]], [b], family="yager", param=30.0)
+        assert not is_feasible_point(p, [0.7]) and not _full_verdict(p, [0.7])
 
 
 class TestBuildTablesReference:

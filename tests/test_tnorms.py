@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from bfre.tnorms import (
-    DomainError, Family, InvalidParameter, Kind, PreconditionViolated,
-    evaluate, generator, pseudo_inverse, solve_u, validate,
+    _SS_SNAP, DomainError, Family, InvalidParameter, Kind, PreconditionViolated,
+    _evaluate, evaluate, generator, pseudo_inverse, solve_u, validate,
 )
 
 TOL = 1e-9
@@ -241,3 +242,86 @@ def test_solve_u_matches_generator_route(t):
                 continue
             via_generator = pseudo_inverse(t, generator(t, b) - generator(t, a))
             assert abs(solve_u(t, a, b) - via_generator) <= 1e-9
+
+
+# Settings where the closed forms, unclamped, round a few ulp above min(x, y).
+EXTREME_CASES = [("yager", 30.0), ("aczel_alsina", 20.0), ("dombi", 20.0),
+                 ("schweizer_sklar", -15.0)]
+# The customary parameters the benchmark runs (one per family, both signs of
+# Schweizer-Sklar).
+BENCHMARK_CASES = [
+    ("product", None), ("einstein_product", None), ("lukasiewicz", None),
+    ("frank", 2.0), ("yager", 2.0), ("hamacher", 1.0), ("dombi", 2.0),
+    ("schweizer_sklar", -1.0), ("schweizer_sklar", 2.0), ("sugeno_weber", 1.0),
+    ("aczel_alsina", 2.0),
+]
+
+
+def _unit_pairs(tag):
+    """The 0.05 grid squared plus 4,000 seeded uniform pairs."""
+    grid = [i / 20 for i in range(21)]
+    rng = random.Random(f"unit_pairs:{tag}")
+    return ([(x, y) for x in grid for y in grid]
+            + [(rng.random(), rng.random()) for _ in range(4000)])
+
+
+def _unclamped_closed_form(t, x, y):
+    """The kernel's formulas clamped into [0, 1] only, as before the
+    min(x, y) clamp."""
+    if x == 1.0:
+        return y
+    if y == 1.0:
+        return x
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    f, p = t.family, t.param
+    if f is Family.PRODUCT:
+        v = x * y
+    elif f is Family.EINSTEIN_PRODUCT:
+        v = x * y / (2.0 - (x + y - x * y))
+    elif f is Family.LUKASIEWICZ:
+        v = max(0.0, x + y - 1.0)
+    elif f is Family.FRANK:
+        v = math.log1p(math.expm1(x * math.log(p)) * math.expm1(y * math.log(p)) / (p - 1.0)) / math.log(p)
+    elif f is Family.YAGER:
+        v = max(0.0, 1.0 - ((1.0 - x) ** p + (1.0 - y) ** p) ** (1.0 / p))
+    elif f is Family.HAMACHER:
+        num = x * y
+        v = 0.0 if num == 0.0 else num / (p + (1.0 - p) * (x + y - num))
+    elif f is Family.DOMBI:
+        s = ((1.0 - x) / x) ** p + ((1.0 - y) / y) ** p
+        v = 1.0 / (1.0 + s ** (1.0 / p))
+    elif f is Family.SCHWEIZER_SKLAR:
+        if p < 0:
+            v = (x ** p + y ** p - 1.0) ** (1.0 / p)
+        else:
+            base = math.fsum((x ** p, y ** p, -1.0))
+            if abs(base) <= _SS_SNAP:
+                base = 0.0
+            v = 0.0 if base <= 0.0 else base ** (1.0 / p)
+    elif f is Family.SUGENO_WEBER:
+        v = max(0.0, (x + y - 1.0 + p * x * y) / (1.0 + p))
+    else:
+        v = math.exp(-(((-math.log(x)) ** p + (-math.log(y)) ** p) ** (1.0 / p)))
+    return min(1.0, max(0.0, v))
+
+
+class TestKernelBelowMin:
+    """T(x, y) <= min(x, y) holds exactly in floats; the verifier's skip
+    rule relies on it."""
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+    def test_never_above_min(self, t):
+        for x, y in _unit_pairs(str(t)):
+            assert _evaluate(t, x, y) <= min(x, y), (x, y)
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in EXTREME_CASES], ids=str)
+    def test_extreme_settings_need_the_clamp(self, t):
+        # the unclamped formulas do break the axiom here, so the clamp binds
+        pairs = _unit_pairs(str(t))
+        assert any(_unclamped_closed_form(t, x, y) > min(x, y) for x, y in pairs)
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in BENCHMARK_CASES], ids=str)
+    def test_benchmark_settings_bit_identical_to_unclamped(self, t):
+        for x, y in _unit_pairs(str(t)):
+            assert evaluate(t, x, y).hex() == _unclamped_closed_form(t, x, y).hex(), (x, y)
