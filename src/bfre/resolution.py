@@ -32,7 +32,7 @@ from itertools import chain
 
 from .errors import InconsistentReduction
 from .sets import SetForm
-from .tnorms import DomainError, TNorm, _check_unit, _evaluate, solve_u
+from .tnorms import DomainError, TNorm, _check_unit, _evaluate, _solver
 from .tolerance import EPS
 
 
@@ -87,29 +87,38 @@ def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float):
     Returns (solution_set, relaxation_set).  The five cases split on which of
     a+, a- reach b and on whether b is zero; a crossed interval (the two
     one-sided bounds exclude each other) makes the cell infeasible and both
-    sets come back empty.
+    sets come back empty.  The three arguments are checked and clamped into
+    [0, 1] once, with ``solve_u``'s error texts, before the cell is
+    resolved on the unchecked kernel of ``t``.
     """
+    return _resolve_cell(_solver(t), _check_unit("a", a_plus),
+                         _check_unit("a", a_minus), _check_unit("b", b))
+
+
+def _resolve_cell(u, a_plus: float, a_minus: float, b: float):
+    """``bipolar_cell`` for arguments in [0, 1], on the bound kernel ``u``
+    of ``tnorms._solver``."""
     plus_ge = a_plus >= b - EPS
     minus_ge = a_minus >= b - EPS
     if not plus_ge and not minus_ge:
         return SetForm.empty(), SetForm.interval(0.0, 1.0)
     if b > EPS:
         if plus_ge and not minus_ge:
-            u = solve_u(t, a_plus, b)
-            return SetForm.point(u), SetForm.interval(0.0, u)
+            v = u(a_plus, b)
+            return SetForm.point(v), SetForm.interval(0.0, v)
         if minus_ge and not plus_ge:
-            u = solve_u(t, a_minus, b)
-            return SetForm.point(1.0 - u), SetForm.interval(1.0 - u, 1.0)
-        lo = 1.0 - solve_u(t, a_minus, b)
-        hi = solve_u(t, a_plus, b)
+            v = u(a_minus, b)
+            return SetForm.point(1.0 - v), SetForm.interval(1.0 - v, 1.0)
+        lo = 1.0 - u(a_minus, b)
+        hi = u(a_plus, b)
         if lo > hi + EPS:
             return SetForm.empty(), SetForm.empty()
         if hi - lo <= EPS:
             return SetForm.point(lo), SetForm.point(lo)
         return SetForm.pair(lo, hi), SetForm.interval(lo, hi)
     # b == 0: both sides always reach b, and solving == relaxing.
-    lo = 1.0 - solve_u(t, a_minus, 0.0)
-    hi = solve_u(t, a_plus, 0.0)
+    lo = 1.0 - u(a_minus, 0.0)
+    hi = u(a_plus, 0.0)
     if lo > hi + EPS:
         return SetForm.empty(), SetForm.empty()
     cell = SetForm.interval(lo, hi)
@@ -167,9 +176,12 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
     Only cells some coefficient can reach are resolved; each one's
     relaxation set is folded into its column interval at once, in ascending
     row order.  Every other cell has an empty solution set and a [0, 1]
-    relaxation set, which changes no interval.
+    relaxation set, which changes no interval.  The t-norm's kernel is bound
+    once and the cells are resolved unchecked: ``ProblemInstance`` has
+    already held every entry to [0, 1].
     """
     m, n = p.m, p.n
+    u = _solver(p.tnorm)
     empty = SetForm.empty()
     col_interval = [SetForm.interval(0.0, 1.0)] * n
     solved = [[] for _ in range(n)]       # per column: (row, non-empty solution set)
@@ -177,7 +189,7 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
         for j in range(n):
             if ap[j] >= b - EPS or am[j] >= b - EPS:
-                cell, relax = bipolar_cell(p.tnorm, ap[j], am[j], b)
+                cell, relax = _resolve_cell(u, ap[j], am[j], b)
                 col_interval[j] = col_interval[j].intersect(relax)
                 if not cell.is_empty:
                     solved[j].append((i, cell))
@@ -350,7 +362,8 @@ def cell_grids(p: ProblemInstance, tables: ResolutionTables) -> tuple:
     """(solution, relaxation) grids of ``tables``' rows and columns,
     resolved again from the instance; an unreachable cell comes back as
     (∅, [0, 1])."""
-    cells = [[bipolar_cell(p.tnorm, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
+    u = _solver(p.tnorm)
+    cells = [[_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
               for j in tables.col_ids] for i in tables.row_ids]
     return ([[s for s, _ in row] for row in cells],
             [[r for _, r in row] for row in cells])

@@ -124,8 +124,14 @@ class SetForm:
             return SetForm(PAIR, kept[0], kept[1])
         if other.kind == PAIR:
             return other.intersect(self)
+        # max and min return one of their argument objects, so an operand
+        # whose bounds both survive is the intersection itself
         lo = max(self.lo, other.lo)
         hi = min(self.hi, other.hi)
+        if lo is self.lo and hi is self.hi:
+            return self
+        if lo is other.lo and hi is other.hi:
+            return other
         return SetForm.interval(lo, hi)
 
     def issubset(self, other: "SetForm") -> bool:
@@ -144,6 +150,7 @@ class SetForm:
         """Replace stored values by any target they match within EPS.
 
         Used to pin restricted-cell endpoints exactly onto the column bounds.
+        A form with no endpoint pinned comes back as itself.
         """
         if self.kind == EMPTY:
             return self
@@ -155,6 +162,8 @@ class SetForm:
             return v
 
         lo, hi = pin(self.lo), pin(self.hi)
+        if lo is self.lo and hi is self.hi:
+            return self
         if self.kind == INTERVAL:
             return SetForm.interval(lo, hi)
         if self.kind == PAIR:

@@ -11,6 +11,11 @@ Ten parametric families are supported, each exposed through four views:
   with evaluate(a, x) == b when b > 0, and the right endpoint of the solution
   interval of evaluate(a, x) == 0 when b == 0.
 
+``solve_u`` reads one table of per-family closed forms for u.  The public
+function checks its arguments and then calls an unchecked kernel that
+``_solver`` binds to one t-norm; resolution binds that kernel once per
+instance and calls it on entries the instance has already validated.
+
 A family is *strict* when its generator diverges at 0 and *nilpotent* when it
 stays finite; the distinction decides the b == 0 branch of ``solve_u``.
 """
@@ -271,38 +276,95 @@ def pseudo_inverse(t: TNorm, z: float) -> float:
     return min(1.0, max(0.0, _inverse(t, z)))
 
 
-def _closed_form_u(t: TNorm, a: float, b: float) -> float:
-    """Closed-form u for a > b > 0 (finite in that region for every family)."""
-    f, p = t.family, t.param
-    if f is Family.PRODUCT:
-        return b / a
-    if f is Family.EINSTEIN_PRODUCT:
-        return (2.0 - a) * b / (a + b - a * b)
-    if f is Family.LUKASIEWICZ:
-        return 1.0 + b - a
-    if f is Family.FRANK:
-        ls = math.log(p)
-        return math.log1p(math.expm1(b * ls) * (p - 1.0) / math.expm1(a * ls)) / ls
-    if f is Family.YAGER:
-        d = max(0.0, (1.0 - b) ** p - (1.0 - a) ** p)
-        return 1.0 - d ** (1.0 / p)
-    if f is Family.SUGENO_WEBER:
-        return ((1.0 + p) * b + 1.0 - a) / (1.0 + p * a)
-    if f is Family.DOMBI:
-        d = max(0.0, ((1.0 - b) / b) ** p - ((1.0 - a) / a) ** p)
-        return 1.0 / (1.0 + d ** (1.0 / p))
-    if f is Family.ACZEL_ALSINA:
-        d = max(0.0, (-math.log(b)) ** p - (-math.log(a)) ** p)
-        return math.exp(-(d ** (1.0 / p)))
-    if f is Family.SCHWEIZER_SKLAR:
-        base = math.fsum((1.0, b ** p, -(a ** p)))
-        if p > 0:
-            base = max(0.0, base)
-        return base ** (1.0 / p)
-    if f is Family.HAMACHER:
-        # Denominator >= a^2 > 0 whenever a >= b, alpha >= 0.
-        return (p + (1.0 - p) * a) * b / (a - (1.0 - p) * (1.0 - a) * b)
-    raise AssertionError(f)  # pragma: no cover
+# Closed-form u for a > b > 0, one per family, each called as form(param, a, b);
+# every one is finite in that region.
+
+def _u_product(p, a, b):
+    return b / a
+
+
+def _u_einstein_product(p, a, b):
+    return (2.0 - a) * b / (a + b - a * b)
+
+
+def _u_lukasiewicz(p, a, b):
+    return 1.0 + b - a
+
+
+def _u_frank(p, a, b):
+    ls = math.log(p)
+    return math.log1p(math.expm1(b * ls) * (p - 1.0) / math.expm1(a * ls)) / ls
+
+
+def _u_yager(p, a, b):
+    d = max(0.0, (1.0 - b) ** p - (1.0 - a) ** p)
+    return 1.0 - d ** (1.0 / p)
+
+
+def _u_sugeno_weber(p, a, b):
+    return ((1.0 + p) * b + 1.0 - a) / (1.0 + p * a)
+
+
+def _u_dombi(p, a, b):
+    d = max(0.0, ((1.0 - b) / b) ** p - ((1.0 - a) / a) ** p)
+    return 1.0 / (1.0 + d ** (1.0 / p))
+
+
+def _u_aczel_alsina(p, a, b):
+    d = max(0.0, (-math.log(b)) ** p - (-math.log(a)) ** p)
+    return math.exp(-(d ** (1.0 / p)))
+
+
+def _u_schweizer_sklar(p, a, b):
+    base = math.fsum((1.0, b ** p, -(a ** p)))
+    if p > 0:
+        base = max(0.0, base)
+    return base ** (1.0 / p)
+
+
+def _u_hamacher(p, a, b):
+    # Denominator >= a^2 > 0 whenever a >= b, alpha >= 0.
+    return (p + (1.0 - p) * a) * b / (a - (1.0 - p) * (1.0 - a) * b)
+
+
+_CLOSED_FORM_U = {
+    Family.PRODUCT: _u_product,
+    Family.EINSTEIN_PRODUCT: _u_einstein_product,
+    Family.LUKASIEWICZ: _u_lukasiewicz,
+    Family.FRANK: _u_frank,
+    Family.YAGER: _u_yager,
+    Family.HAMACHER: _u_hamacher,
+    Family.DOMBI: _u_dombi,
+    Family.SCHWEIZER_SKLAR: _u_schweizer_sklar,
+    Family.SUGENO_WEBER: _u_sugeno_weber,
+    Family.ACZEL_ALSINA: _u_aczel_alsina,
+}
+
+
+def _solver(t: TNorm):
+    """The unchecked kernel of ``solve_u`` for ``t``: a function u(a, b) for
+    a, b already in [0, 1] with a >= b - EPS.
+
+    Family, parameter and kind are resolved once, here, so callers that
+    solve many cells of one instance bind the kernel once and pay only for
+    the arithmetic of each call.
+    """
+    form, p = _CLOSED_FORM_U[t.family], t.param
+    strict = t.kind is Kind.STRICT
+
+    def u(a, b):
+        if abs(a - b) <= EPS:
+            return 1.0
+        if b <= EPS:
+            if strict:
+                return 0.0
+            return pseudo_inverse(t, generator(t, 0.0) - generator(t, a))
+        v = form(p, a, b)
+        # min(1.0, max(0.0, v)) to the bit (-0.0 and NaN give 0.0), without
+        # the cost of two builtin calls
+        return (v if v < 1.0 else 1.0) if v > 0.0 else 0.0
+
+    return u
 
 
 def solve_u(t: TNorm, a: float, b: float) -> float:
@@ -310,16 +372,12 @@ def solve_u(t: TNorm, a: float, b: float) -> float:
 
     Cases: a == b gives 1; b == 0 gives 0 for strict families and the
     endpoint of the zero set for nilpotent ones; otherwise the closed form
-    (equivalently pseudo_inverse(generator(b) - generator(a))).
+    (equivalently pseudo_inverse(generator(b) - generator(a))).  Both
+    arguments are checked and clamped into [0, 1], then the unchecked
+    kernel of ``t`` solves.
     """
     a = _check_unit("a", a)
     b = _check_unit("b", b)
     if a < b - EPS:
         raise PreconditionViolated(f"a={a!r} < b={b!r}")
-    if abs(a - b) <= EPS:
-        return 1.0
-    if b <= EPS:
-        if t.kind is Kind.STRICT:
-            return 0.0
-        return pseudo_inverse(t, generator(t, 0.0) - generator(t, a))
-    return min(1.0, max(0.0, _closed_form_u(t, a, b)))
+    return _solver(t)(a, b)

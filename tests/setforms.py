@@ -1,5 +1,6 @@
 """SetForm helpers shared by the tests: the display spelling parsed back
-into a set, and set equality up to the package tolerance."""
+into a set, set equality up to the package tolerance, bit-level identity,
+and intersect/snap as the constructors compute them."""
 
 from bfre.sets import SetForm
 from bfre.tolerance import EPS
@@ -29,3 +30,44 @@ def same(a: SetForm, b: SetForm) -> bool:
     if a.is_empty:
         return True
     return abs(a.lo - b.lo) <= EPS and abs(a.hi - b.hi) <= EPS
+
+
+def bits(s: SetForm) -> tuple:
+    """(kind, lo, hi) with the bounds as float.hex: equality to the bit."""
+    return s.kind, s.lo.hex(), s.hi.hex()
+
+
+def constructed_intersect(x: SetForm, y: SetForm) -> SetForm:
+    """``x.intersect(y)`` with an interval result always rebuilt by
+    ``SetForm.interval``, never returned as an operand."""
+    if x.is_empty or y.is_empty:
+        return SetForm.empty()
+    if x.is_point:
+        return x if y.contains(x.lo) else SetForm.empty()
+    if y.is_point:
+        return y if x.contains(y.lo) else SetForm.empty()
+    if x.is_pair:
+        kept = [v for v in (x.lo, x.hi) if y.contains(v)]
+        if not kept:
+            return SetForm.empty()
+        return SetForm.point(kept[0]) if len(kept) == 1 else SetForm.pair(kept[0], kept[1])
+    if y.is_pair:
+        return constructed_intersect(y, x)
+    return SetForm.interval(max(x.lo, y.lo), min(x.hi, y.hi))
+
+
+def constructed_snap(s: SetForm, targets) -> SetForm:
+    """``s.snap(targets)`` with the result always rebuilt by the
+    constructor of its kind."""
+    if s.is_empty:
+        return s
+
+    def pin(v):
+        return next((t for t in targets if abs(v - t) <= EPS), v)
+
+    lo, hi = pin(s.lo), pin(s.hi)
+    if s.is_interval:
+        return SetForm.interval(lo, hi)
+    if s.is_pair:
+        return SetForm.pair(lo, hi)
+    return SetForm.point(lo)

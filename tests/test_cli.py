@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import bfre
-from bfre import example_path
+from bfre import example_path, validate
 from bfre.cli import load_problem, main
 
 TOL = 1e-9
@@ -281,6 +281,42 @@ class TestVerifyCommand:
         found = json.loads(capsys.readouterr().out)["mismatches"]
         assert any(m.startswith("mismatch [product #1]: planted: solver=infeasible, "
                                 "planted point costs ") for m in found), found
+
+
+class TestJsonStdout:
+    """With --json, stdout is one JSON document and the timing line goes to
+    stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", example_path(), "--json"],
+        ["resolve", example_path(), "--json"],
+        ["verify", "--seed", "1", "--count", "20", "--json"],
+    ])
+    def test_stdout_parses_with_timing(self, capsys, argv):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert isinstance(json.loads(captured.out), dict)
+        assert "time:" not in captured.out
+        assert captured.err.startswith("time: ") and captured.err.count("\n") == 1
+
+    def test_text_mode_keeps_timing_on_stdout(self, capsys):
+        assert main(["verify", "--seed", "1", "--count", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith("time: ") and captured.err == ""
+
+
+class TestVerifyFamilies:
+    def test_every_family_cycled_after_the_first_four(self):
+        from bfre.cli import _VERIFY_FAMILIES
+        from bfre.tnorms import Family
+        assert _VERIFY_FAMILIES[:4] == (("lukasiewicz", None), ("product", None),
+                                        ("yager", 2.0), ("hamacher", 1.0))
+        assert {validate(f, p).family for f, p in _VERIFY_FAMILIES} == set(Family)
+
+    def test_batch_over_all_families_agrees(self, capsys):
+        assert main(["verify", "--seed", "7", "--count", "110", "--json", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["checked"], doc["planted_checked"], doc["mismatches"]) == (110, 55, [])
 
 
 class TestOptimizedInterpreterParity:

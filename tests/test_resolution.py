@@ -17,7 +17,8 @@ from bfre.tnorms import DomainError, solve_u
 from bfre.tolerance import EPS
 
 from conftest import make_instance
-from setforms import parse, same
+from setforms import bits, constructed_intersect, constructed_snap, parse, same
+from test_tnorms import _chain_solve_u
 
 TOL = 1e-9
 
@@ -112,6 +113,19 @@ class TestBipolarCell:
     def test_collapsed_pair_is_point(self):
         s, i = bipolar_cell(validate("lukasiewicz"), 0.9, 0.9, 0.4)
         assert same(s, SetForm.point(0.5)) and same(i, SetForm.point(0.5))
+
+    def test_arguments_checked_once_up_front(self):
+        # every argument is checked, even on a side that cannot reach b,
+        # with solve_u's texts; within EPS of [0, 1] it is clamped
+        t = validate("yager", 2)
+        for args, text in (((1.5, 0.2, 0.5), "a=1.5 outside [0, 1]"),
+                           ((0.2, -0.5, 0.5), "a=-0.5 outside [0, 1]"),
+                           ((0.2, 0.1, 1.5), "b=1.5 outside [0, 1]")):
+            with pytest.raises(DomainError) as err:
+                bipolar_cell(t, *args)
+            assert str(err.value) == text
+        edge = bipolar_cell(t, 1.0 + EPS / 2, -EPS / 2, 0.5)
+        assert [bits(c) for c in edge] == [bits(c) for c in bipolar_cell(t, 1.0, 0.0, 0.5)]
 
 
 class TestExampleTables:
@@ -589,6 +603,107 @@ class TestBuildTablesReference:
             assert doc["relaxation"] == [[str(c[1]) for c in row] for row in cells]
             assert tb.col_interval == col and tb.s_prime == s_prime
             TestDerivedSupports.assert_supports_scanned(tb)
+
+
+def _chain_bipolar_cell(t, a_plus, a_minus, b):
+    """``bipolar_cell`` as it resolved every cell through the checked
+    ``solve_u`` of the former if/elif chain."""
+    plus_ge = a_plus >= b - EPS
+    minus_ge = a_minus >= b - EPS
+    if not plus_ge and not minus_ge:
+        return SetForm.empty(), SetForm.interval(0.0, 1.0)
+    if b > EPS:
+        if plus_ge and not minus_ge:
+            u = _chain_solve_u(t, a_plus, b)
+            return SetForm.point(u), SetForm.interval(0.0, u)
+        if minus_ge and not plus_ge:
+            u = _chain_solve_u(t, a_minus, b)
+            return SetForm.point(1.0 - u), SetForm.interval(1.0 - u, 1.0)
+        lo = 1.0 - _chain_solve_u(t, a_minus, b)
+        hi = _chain_solve_u(t, a_plus, b)
+        if lo > hi + EPS:
+            return SetForm.empty(), SetForm.empty()
+        if hi - lo <= EPS:
+            return SetForm.point(lo), SetForm.point(lo)
+        return SetForm.pair(lo, hi), SetForm.interval(lo, hi)
+    lo = 1.0 - _chain_solve_u(t, a_minus, 0.0)
+    hi = _chain_solve_u(t, a_plus, 0.0)
+    if lo > hi + EPS:
+        return SetForm.empty(), SetForm.empty()
+    cell = SetForm.interval(lo, hi)
+    return cell, cell
+
+
+def _chain_tables(p):
+    """(column intervals, restricted cells) by the loop ``build_tables``
+    ran on checked cells: the same reach test and ascending-row fold, every
+    set rebuilt by its constructor."""
+    m, n = p.m, p.n
+    col = [SetForm.interval(0.0, 1.0)] * n
+    solved = [[] for _ in range(n)]
+    for i in range(m):
+        for j in range(n):
+            ap, am, b = p.a_plus[i][j], p.a_minus[i][j], p.b[i]
+            if ap >= b - EPS or am >= b - EPS:
+                cell, relax = _chain_bipolar_cell(p.tnorm, ap, am, b)
+                col[j] = constructed_intersect(col[j], relax)
+                if not cell.is_empty:
+                    solved[j].append((i, cell))
+    s_prime = [[SetForm.empty()] * n for _ in range(m)]
+    for j in range(n):
+        if col[j].is_empty:
+            continue
+        targets = (col[j].minimum(), col[j].maximum())
+        for i, cell in solved[j]:
+            s_prime[i][j] = constructed_snap(constructed_intersect(cell, col[j]), targets)
+    return col, s_prime
+
+
+def _float_instance(rng, family, param, m, n):
+    """Entries off any grid, a+ mostly large, and about a third of the rows
+    at b = 0."""
+    return ProblemInstance(
+        [[rng.random() ** 0.5 for _ in range(n)] for _ in range(m)],
+        [[rng.random() ** 3 for _ in range(n)] for _ in range(m)],
+        [0.0 if rng.random() < 0.3 else rng.random() * 0.9 for _ in range(m)],
+        [rng.random() * 5 for _ in range(n)], validate(family, param))
+
+
+class TestBuildTablesBitExact:
+    """The bound kernel, the unchecked cells and the operand-returning set
+    algebra give the tables of checked cells on the former chain, to the
+    bit."""
+
+    @pytest.mark.parametrize("family,param", _SKIP_RULE_SETTINGS)
+    def test_matches_checked_chain_loop(self, family, param):
+        rng = random.Random(f"bit_exact:{family}:{param}")
+        for k in range(60):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            if k % 3 == 0:
+                p = random_instance(rng, family, param, m=m, n=n)
+            elif k % 3 == 1:
+                p = random_feasible_instance(rng, family, param, m=m, n=n)
+            else:
+                p = _float_instance(rng, family, param, m, n)
+            tb = build_tables(p)
+            col, s_prime = _chain_tables(p)
+            assert [bits(c) for c in tb.col_interval] == [bits(c) for c in col], p
+            assert [[bits(c) for c in row] for row in tb.s_prime] == \
+                [[bits(c) for c in row] for row in s_prime], p
+            TestDerivedSupports.assert_supports_scanned(tb)
+
+    def test_zero_rhs_rows_and_narrow_cells(self):
+        # a b = 0 row whose cells are intervals, one of them the whole column
+        # interval, beside b > 0 rows, and a column whose interval is empty
+        p = make_instance([[0.1, 0.0, 0.3], [0.2, 0.9, 0.6], [0.4, 0.8, 0.6]],
+                          [[0.1, 0.0, 0.2], [0.1, 0.3, 0.1], [0.9, 0.1, 0.6]],
+                          [0.0, 0.5, 0.6], family="yager", param=2.0)
+        tb = build_tables(p)
+        col, s_prime = _chain_tables(p)
+        assert [bits(c) for c in tb.col_interval] == [bits(c) for c in col]
+        assert [[bits(c) for c in row] for row in tb.s_prime] == \
+            [[bits(c) for c in row] for row in s_prime]
+        assert any(c.is_interval for row in tb.s_prime for c in row)
 
 
 class TestExports:

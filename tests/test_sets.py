@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 
 from bfre.sets import SetForm
+from bfre.tolerance import EPS
 
-from setforms import parse, same
+from setforms import bits, constructed_intersect, constructed_snap, parse, same
 
 
 class TestConstruction:
@@ -120,3 +124,116 @@ class TestFormatting:
 
     def test_no_negative_zero(self):
         assert str(SetForm.point(-0.0)) == "{0}"
+
+
+def _fresh(v: float) -> float:
+    """v as a float object of its own (same value and sign)."""
+    return v * 1.0
+
+
+def _edge_above(v: float) -> float:
+    """The largest float w with w - v <= EPS: the last value the tolerance
+    still treats as equal to v."""
+    w = v + EPS
+    while w - v > EPS:
+        w = math.nextafter(w, -math.inf)
+    while math.nextafter(w, math.inf) - v <= EPS:
+        w = math.nextafter(w, math.inf)
+    return w
+
+
+def _beyond(v: float) -> float:
+    return math.nextafter(_edge_above(v), math.inf)
+
+
+def _seeded_forms(tag: str) -> list:
+    """Forms of every kind: random bounds, grid bounds, bounds exactly EPS
+    apart, ±0.0, nested and crossing intervals, equal values held in
+    distinct objects."""
+    rng = random.Random(f"setforms:{tag}")
+    forms = [SetForm.empty(), SetForm.interval(0.0, 1.0), SetForm.interval(-0.0, 0.5),
+             SetForm.interval(0.0, 0.7), SetForm.point(-0.0), SetForm.point(0.0),
+             SetForm.pair(-0.0, 1.0), SetForm.interval(0.2, _edge_above(0.2)),
+             SetForm.interval(0.2, _beyond(0.2)), SetForm.pair(0.6, _beyond(0.6)),
+             SetForm.interval(0.2, 0.5), SetForm.interval(_fresh(0.2), _fresh(0.5)),
+             SetForm.interval(0.1, 0.9), SetForm.interval(0.4, 0.9),
+             SetForm.interval(_edge_above(0.5), 0.9), SetForm.interval(_beyond(0.5), 0.9),
+             SetForm.interval(0.3, 0.5), SetForm.pair(0.2, 0.5), SetForm.point(0.5)]
+    for _ in range(60):
+        lo, hi = sorted(rng.choice((rng.random(), rng.randint(0, 20) / 20)) for _ in range(2))
+        if rng.random() < 0.2:
+            hi = _edge_above(lo) if rng.random() < 0.5 else _beyond(lo)
+        kind = rng.randrange(3)
+        forms.append(SetForm.point(lo) if kind == 0 else
+                     SetForm.pair(lo, hi) if kind == 1 else SetForm.interval(lo, hi))
+    return forms
+
+
+class TestOperandIdentity:
+    """intersect and snap return an operand exactly when its bounds survive,
+    and every result equals the constructors' to the bit."""
+
+    def test_intersect_bit_identical(self):
+        forms = _seeded_forms("intersect")
+        for x in forms:
+            for y in forms:
+                assert bits(x.intersect(y)) == bits(constructed_intersect(x, y)), (x, y)
+
+    def test_interval_operand_returned_exactly_when_its_bounds_survive(self):
+        forms = [f for f in _seeded_forms("identity") if f.is_interval]
+        for x in forms:
+            assert x.intersect(x) is x
+            for y in forms:
+                if y is x:
+                    continue
+                r = x.intersect(y)
+                lo, hi = max(x.lo, y.lo), min(x.hi, y.hi)
+                keeps_x = lo is x.lo and hi is x.hi
+                keeps_y = lo is y.lo and hi is y.hi
+                assert (r is x) == keeps_x, (x, y)
+                assert (r is y) == (keeps_y and not keeps_x), (x, y)
+
+    def test_nested_crossing_and_equal_intervals(self):
+        inner, outer = SetForm.interval(0.2, 0.5), SetForm.interval(0.1, 0.9)
+        assert inner.intersect(outer) is inner and outer.intersect(inner) is inner
+        cross = SetForm.interval(0.4, 0.9)
+        r = inner.intersect(cross)
+        assert r is not inner and r is not cross and bits(r) == bits(SetForm.interval(0.4, 0.5))
+        twin = SetForm.interval(_fresh(0.2), _fresh(0.5))
+        assert inner.intersect(twin) is inner and twin.intersect(inner) is twin
+        # one bound from each side: rebuilt, and -0.0 survives only as stored
+        neg, pos = SetForm.interval(-0.0, 0.5), SetForm.interval(0.0, 0.7)
+        assert neg.intersect(pos) is neg and bits(neg.intersect(pos))[1] == (-0.0).hex()
+        r = pos.intersect(neg)
+        assert r is not pos and r is not neg and bits(r) == ("interval", (0.0).hex(), (0.5).hex())
+        # crossing by up to EPS still meets in a point; one ulp more is empty
+        edge = SetForm.interval(_edge_above(0.5), 0.9)
+        assert bits(inner.intersect(edge)) == bits(SetForm.point(edge.lo))
+        assert inner.intersect(SetForm.interval(_beyond(0.5), 0.9)).is_empty
+
+    def test_snap_bit_identical_and_identity(self):
+        rng = random.Random("snap")
+        for s in _seeded_forms("snap"):
+            if s.is_empty:
+                assert s.snap((0.0, 1.0)) is s
+                continue
+            near = s.lo + EPS * rng.uniform(-1.0, 1.0)
+            for targets in ((0.0, 1.0), (-0.0,), (near, 0.99), (_fresh(s.lo), _fresh(s.hi)),
+                            (_edge_above(s.hi), _beyond(s.lo)), (rng.random(), rng.random())):
+                r = s.snap(targets)
+                assert bits(r) == bits(constructed_snap(s, targets)), (s, targets)
+                # an endpoint survives when no target is within EPS, or the
+                # first one that is, is that very float object
+                moved = [next((t for t in targets if abs(v - t) <= EPS), v) is not v
+                         for v in (s.lo, s.hi)]
+                assert (r is s) == (not any(moved)), (s, targets)
+
+    def test_snap_onto_distinct_targets(self):
+        s = SetForm.interval(0.2, 0.5)
+        assert s.snap((0.3, 0.9)) is s
+        r = s.snap((_fresh(0.2), 0.9))
+        assert r is not s and bits(r) == bits(s)
+        r = SetForm.pair(-0.0, 0.5).snap((0.0,))
+        assert bits(r) == ("pair", (0.0).hex(), (0.5).hex())
+        assert SetForm.point(0.5).snap((_edge_above(0.5),)).lo == _edge_above(0.5)
+        assert SetForm.point(0.5).snap((_beyond(0.5),)).lo == 0.5

@@ -5,8 +5,9 @@ import pytest
 
 from bfre.tnorms import (
     _SS_SNAP, DomainError, Family, InvalidParameter, Kind, PreconditionViolated,
-    _evaluate, evaluate, generator, pseudo_inverse, solve_u, validate,
+    _check_unit, _evaluate, evaluate, generator, pseudo_inverse, solve_u, validate,
 )
+from bfre.tolerance import EPS
 
 TOL = 1e-9
 GRID = [i / 10 for i in range(11)]
@@ -325,3 +326,98 @@ class TestKernelBelowMin:
     def test_benchmark_settings_bit_identical_to_unclamped(self, t):
         for x, y in _unit_pairs(str(t)):
             assert evaluate(t, x, y).hex() == _unclamped_closed_form(t, x, y).hex(), (x, y)
+
+
+def _chain_closed_form_u(t, a, b):
+    """The closed forms for a > b > 0 as the former if/elif chain over the
+    family wrote them."""
+    f, p = t.family, t.param
+    if f is Family.PRODUCT:
+        return b / a
+    if f is Family.EINSTEIN_PRODUCT:
+        return (2.0 - a) * b / (a + b - a * b)
+    if f is Family.LUKASIEWICZ:
+        return 1.0 + b - a
+    if f is Family.FRANK:
+        ls = math.log(p)
+        return math.log1p(math.expm1(b * ls) * (p - 1.0) / math.expm1(a * ls)) / ls
+    if f is Family.YAGER:
+        d = max(0.0, (1.0 - b) ** p - (1.0 - a) ** p)
+        return 1.0 - d ** (1.0 / p)
+    if f is Family.SUGENO_WEBER:
+        return ((1.0 + p) * b + 1.0 - a) / (1.0 + p * a)
+    if f is Family.DOMBI:
+        d = max(0.0, ((1.0 - b) / b) ** p - ((1.0 - a) / a) ** p)
+        return 1.0 / (1.0 + d ** (1.0 / p))
+    if f is Family.ACZEL_ALSINA:
+        d = max(0.0, (-math.log(b)) ** p - (-math.log(a)) ** p)
+        return math.exp(-(d ** (1.0 / p)))
+    if f is Family.SCHWEIZER_SKLAR:
+        base = math.fsum((1.0, b ** p, -(a ** p)))
+        if p > 0:
+            base = max(0.0, base)
+        return base ** (1.0 / p)
+    if f is Family.HAMACHER:
+        return (p + (1.0 - p) * a) * b / (a - (1.0 - p) * (1.0 - a) * b)
+    raise AssertionError(f)
+
+
+def _chain_solve_u(t, a, b):
+    """``solve_u`` as it was on the former chain: the same checks, branches
+    and clamps."""
+    a = _check_unit("a", a)
+    b = _check_unit("b", b)
+    if a < b - EPS:
+        raise PreconditionViolated(f"a={a!r} < b={b!r}")
+    if abs(a - b) <= EPS:
+        return 1.0
+    if b <= EPS:
+        if t.kind is Kind.STRICT:
+            return 0.0
+        return pseudo_inverse(t, generator(t, 0.0) - generator(t, a))
+    return min(1.0, max(0.0, _chain_closed_form_u(t, a, b)))
+
+
+def _outcome(fn, *args):
+    """A float result as hex, or the exception's type and text."""
+    try:
+        return fn(*args).hex()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestKernelMatchesChain:
+    """The per-family table and the bound kernel give the former chain's
+    u to the bit, and the same errors."""
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+    def test_bit_identical(self, t):
+        pairs = [(max(x, y), min(x, y)) for x, y in _unit_pairs(f"chain:{t}")]
+        grid = [i / 20 for i in range(21)]
+        rng = random.Random(f"chain_edges:{t}")
+        pairs += [(x, x) for x in grid] + [(x, 0.0) for x in grid]
+        pairs += [(v, v) for v in (rng.random() for _ in range(200))]
+        pairs += [(rng.random(), 0.0) for _ in range(200)]
+        # b within EPS of 0, a within EPS of b, and both sides of the EPS
+        # bands around 0 and 1
+        pairs += [(rng.random(), EPS * rng.random()) for _ in range(100)]
+        pairs += [(rng.random(), EPS) for _ in range(50)]
+        pairs += [(v + EPS * rng.uniform(-1.0, 1.0), v) for v in (rng.random() for _ in range(100))]
+        pairs += [(1.0 + EPS / 2, 0.5), (0.5, -EPS / 2), (1.0 + EPS / 2, 1.0 + EPS / 2),
+                  (-0.0, -0.0), (0.3, -0.0), (1.0, 1.0 - EPS), (EPS, 0.0)]
+        for a, b in pairs:
+            assert solve_u(t, a, b).hex() == _chain_solve_u(t, a, b).hex(), (a, b)
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+    def test_same_errors(self, t):
+        bad = [(1.5, 0.5), (-0.1, 0.0), (0.5, 1.2), (0.5, -0.5), (1.0 + 2 * EPS, 0.5),
+               (0.3, 0.5), (0.5, 0.5 + 2 * EPS), (0.0, 0.5), (2.0, 3.0), (math.nan, 0.5)]
+        for a, b in bad:
+            got = _outcome(solve_u, t, a, b)
+            assert got == _outcome(_chain_solve_u, t, a, b), (a, b)
+        with pytest.raises(DomainError, match=r"^a=1\.5 outside \[0, 1\]$"):
+            solve_u(t, 1.5, 0.5)
+        with pytest.raises(DomainError, match=r"^b=-0\.5 outside \[0, 1\]$"):
+            solve_u(t, 0.5, -0.5)
+        with pytest.raises(PreconditionViolated, match=r"^a=0\.3 < b=0\.5$"):
+            solve_u(t, 0.3, 0.5)
