@@ -1,8 +1,9 @@
 """Brute-force reference implementations for small instances.
 
 Everything here is deliberately dumb: enumerate the full Cartesian product
-of row supports and filter by the batch intersection test, rebuild candidate
-points from scratch, sweep grids coordinate by coordinate.  None of the
+of row supports, intersect each pick vector's cells in one batch that also
+builds its candidate point from scratch, sweep grids coordinate by
+coordinate.  None of the
 incremental search machinery is reused, so agreement between this module and
 the solver is meaningful evidence.
 """
@@ -37,19 +38,31 @@ def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP):
 
     An empty column interval empties every box, so nothing is admissible.
     """
+    return [e for e, _ in _admissible(tables, cap)]
+
+
+def _admissible(tables, cap):
+    """(pick vector, candidate point) for every admissible pick vector, in
+    ``itertools.product`` order; CapExceeded when the vectors to try exceed
+    ``cap``."""
     if any(s.is_empty for s in tables.col_interval):
-        return []
+        return
     bound = admissible_upper_bound(tables)
     if bound > cap:
         raise CapExceeded(bound, cap)
-    out = []
     for e in itertools.product(*tables.row_support):
-        if _batch_admissible(tables, e):
-            out.append(e)
-    return out
+        x = _batch_candidate(tables, e)
+        if x is not None:
+            yield e, x
 
 
-def _batch_admissible(tables, e) -> bool:
+def _batch_candidate(tables, e):
+    """The candidate point of pick vector ``e``, or None when the chosen
+    cells of some column do not intersect.
+
+    A picked column takes the least value of its chosen cells'
+    intersection, every other column its lower bound.
+    """
     groups = {}
     for i, j in enumerate(e):
         groups.setdefault(j, []).append(i)
@@ -58,33 +71,20 @@ def _batch_admissible(tables, e) -> bool:
         for i in rows[1:]:
             inter = inter.intersect(tables.s_prime[i][j])
             if inter.is_empty:
-                return False
-    return True
-
-
-def _candidate(tables, e):
-    x = [tables.lower_bound(j) for j in range(tables.n)]
-    groups = {}
-    for i, j in enumerate(e):
-        groups.setdefault(j, []).append(i)
-    for j, rows in groups.items():
-        inter = tables.s_prime[rows[0]][j]
-        for i in rows[1:]:
-            inter = inter.intersect(tables.s_prime[i][j])
-        x[j] = inter.minimum()
-    return x
+                return None
+        groups[j] = inter.minimum()
+    return [groups[j] if j in groups else tables.lower_bound(j) for j in range(tables.n)]
 
 
 def brute_force_optimum(tables: ResolutionTables, costs, cap: int = DEFAULT_CAP) -> OracleReport:
     """Minimum-cost candidate over every admissible pick vector."""
-    admissible = enumerate_all_admissible(tables, cap)
-    best = None
-    for e in admissible:
-        x = _candidate(tables, e)
+    count, best = 0, None
+    for _, x in _admissible(tables, cap):
+        count += 1
         z = sum(c * v for c, v in zip(costs, x))
         if best is None or z < best[1]:
             best = (x, z)
-    return OracleReport(optimum=best, admissible_count=len(admissible))
+    return OracleReport(optimum=best, admissible_count=count)
 
 
 @dataclass

@@ -32,7 +32,7 @@ from itertools import chain
 
 from .errors import InconsistentReduction
 from .sets import SetForm
-from .tnorms import DomainError, TNorm, _check_unit, _evaluate, _solver
+from .tnorms import DomainError, TNorm, _check_unit, _evaluator, _solver
 from .tolerance import EPS
 
 
@@ -272,18 +272,15 @@ def row_value(p: ProblemInstance, i: int, x) -> float:
     columns.
 
     Each coordinate is checked and clamped into [0, 1] once; the
-    coefficients are already in range.
+    coefficients are already in range.  The t-norm's kernel is bound once
+    and evaluates every term unchecked.
     """
     # evaluate's error for its second argument
-    return _row_value(p, i, [_check_unit("y", x[j]) for j in range(p.n)])
-
-
-def _row_value(p: ProblemInstance, i: int, x) -> float:
-    """``row_value`` at a point already checked and clamped into [0, 1]."""
-    t = p.tnorm
+    x = [_check_unit("y", x[j]) for j in range(p.n)]
+    T = _evaluator(p.tnorm)
     best = 0.0
     for a_plus, a_minus, v in zip(p.a_plus[i], p.a_minus[i], x):
-        best = max(best, _evaluate(t, a_plus, v), _evaluate(t, a_minus, 1.0 - v))
+        best = max(best, T(a_plus, v), T(a_minus, 1.0 - v))
     return best
 
 
@@ -303,10 +300,10 @@ def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = N
     """Check every row equality directly at x: |row_value - b_i| <= EPS,
     decided from the terms that can change the verdict.
 
-    Each coordinate is checked and clamped into [0, 1] once, before the
-    rows are examined.  When freshly built tables are supplied, the direct
-    check is cross-checked against the table criterion; a disagreement
-    raises InconsistentReduction.
+    Each coordinate is checked and clamped into [0, 1] once, and the
+    t-norm's kernel bound once, before the rows are examined.  When freshly
+    built tables are supplied, the direct check is cross-checked against
+    the table criterion; a disagreement raises InconsistentReduction.
     """
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
@@ -315,16 +312,17 @@ def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = N
             raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
     x = [min(1.0, max(0.0, v)) for v in x]
     x_neg = [1.0 - v for v in x]
-    t = p.tnorm
-    ok = all(_row_holds(t, p.a_plus[i], p.a_minus[i], p.b[i], x, x_neg)
+    T = _evaluator(p.tnorm)
+    ok = all(_row_holds(T, p.a_plus[i], p.a_minus[i], p.b[i], x, x_neg)
              for i in range(p.m))
     if tables is not None and ok != satisfies_by_tables(tables, x):
         raise InconsistentReduction(f"direct and table feasibility criteria disagree at {x}")
     return ok
 
 
-def _row_holds(t: TNorm, a_plus, a_minus, b: float, x, x_neg) -> bool:
-    """Whether |max(0, terms) - b| <= EPS, the verdict of ``row_value``.
+def _row_holds(T, a_plus, a_minus, b: float, x, x_neg) -> bool:
+    """Whether |max(0, terms) - b| <= EPS, the verdict of ``row_value``, on
+    the bound kernel ``T`` of ``tnorms._evaluator``.
 
     The axiom T(a, y) <= min(a, y), which the kernel keeps exactly, caps
     every term by cap = min(a, y), and the rounded difference v - b is
@@ -340,7 +338,7 @@ def _row_holds(t: TNorm, a_plus, a_minus, b: float, x, x_neg) -> bool:
         d = (a if a < y else y) - b
         if d < neg_eps or (reached and d <= eps):
             continue
-        d = _evaluate(t, a, y) - b
+        d = T(a, y) - b
         if d > eps:
             return False
         if d >= neg_eps:

@@ -72,6 +72,17 @@ class TestProblemFiles:
         assert main(["solve", path, "--no-timing"]) == 1
         assert capsys.readouterr().err == "error: c[0] not finite\n"
 
+    @pytest.mark.parametrize("tnorm,message", [
+        ({"family": "yager", "param": float("inf")},
+         "yager: parameter inf not allowed (finite p > 0)"),
+        ({"family": "schweizer_sklar", "param": float("nan")},
+         "schweizer_sklar: parameter nan not allowed (finite p != 0)"),
+    ])
+    def test_non_finite_parameter(self, tmp_path, capsys, tnorm, message):
+        path = write_problem(tmp_path, tiny_problem(tnorm=tnorm))
+        assert main(["solve", path, "--no-timing"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestSolveCommand:
     def test_example_exit_zero(self, capsys):

@@ -65,6 +65,72 @@ class TestBruteForce:
                 assert sol.objective == pytest.approx(rep.optimum[1], abs=TOL)
 
 
+# The customary parameter of each family, both signs of Schweizer-Sklar.
+FAMILIES = [("product", None), ("einstein_product", None), ("lukasiewicz", None),
+            ("frank", 2.0), ("yager", 2.0), ("hamacher", 1.0), ("dombi", 2.0),
+            ("schweizer_sklar", -1.0), ("schweizer_sklar", 2.0), ("sugeno_weber", 1.0),
+            ("aczel_alsina", 2.0)]
+
+
+def _two_pass_oracle(tables, costs):
+    """(admissible vectors, optimum) as two passes over each pick vector: a
+    batch admissibility check, then the candidate point rebuilt from
+    scratch."""
+    def groups(e):
+        out = {}
+        for i, j in enumerate(e):
+            out.setdefault(j, []).append(i)
+        return out
+
+    def admissible(e):
+        for j, rows in groups(e).items():
+            inter = tables.s_prime[rows[0]][j]
+            for i in rows[1:]:
+                inter = inter.intersect(tables.s_prime[i][j])
+                if inter.is_empty:
+                    return False
+        return True
+
+    def candidate(e):
+        x = [tables.lower_bound(j) for j in range(tables.n)]
+        for j, rows in groups(e).items():
+            inter = tables.s_prime[rows[0]][j]
+            for i in rows[1:]:
+                inter = inter.intersect(tables.s_prime[i][j])
+            x[j] = inter.minimum()
+        return x
+
+    if any(s.is_empty for s in tables.col_interval):
+        return [], None
+    vectors = [e for e in itertools.product(*tables.row_support) if admissible(e)]
+    best = None
+    for e in vectors:
+        x = candidate(e)
+        z = sum(c * v for c, v in zip(costs, x))
+        if best is None or z < best[1]:
+            best = (x, z)
+    return vectors, best
+
+
+class TestOnePassMatchesTwoPass:
+    def test_all_families(self):
+        rng = random.Random(4242)
+        rejected = 0
+        for k in range(330):
+            fam, param = FAMILIES[k % len(FAMILIES)]
+            gen = random_feasible_instance if k % 2 else random_instance
+            p = gen(rng, fam, param, max_rows=4, max_cols=4)
+            tb = build_tables(p)
+            vectors, best = _two_pass_oracle(tb, p.c)
+            rep = brute_force_optimum(tb, p.c)
+            assert enumerate_all_admissible(tb) == vectors
+            assert rep.admissible_count == len(vectors)
+            assert rep.optimum == best
+            if best is not None:
+                rejected += admissible_upper_bound(tb) - len(vectors)
+        assert rejected > 0   # some vectors fail the batch check
+
+
 class TestGridCensus:
     def test_collapsed_pair_single_point(self):
         p = make_instance([[0.9]], [[0.9]], [0.4])

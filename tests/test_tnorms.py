@@ -4,8 +4,8 @@ import random
 import pytest
 
 from bfre.tnorms import (
-    _SS_SNAP, DomainError, Family, InvalidParameter, Kind, PreconditionViolated,
-    _check_unit, _evaluate, evaluate, generator, pseudo_inverse, solve_u, validate,
+    _FAMILIES, _SS_SNAP, DomainError, Family, InvalidParameter, Kind, PreconditionViolated,
+    _check_unit, _evaluator, evaluate, generator, pseudo_inverse, solve_u, validate,
 )
 from bfre.tolerance import EPS
 
@@ -76,6 +76,16 @@ class TestValidate:
     ])
     def test_fixed_kinds(self, family, kind):
         assert validate(family).kind is kind
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("family", ["frank", "yager", "hamacher", "dombi", "schweizer_sklar",
+                                        "sugeno_weber", "aczel_alsina"])
+    def test_non_finite_rejected(self, family, value):
+        with pytest.raises(InvalidParameter, match=r"^" + family + r": parameter -?(inf|nan) not allowed \(finite "):
+            validate(family, value)
+
+    def test_one_record_per_family(self):
+        assert set(_FAMILIES) == set(Family)
 
 
 class TestEvaluate:
@@ -266,6 +276,40 @@ def _unit_pairs(tag):
             + [(rng.random(), rng.random()) for _ in range(4000)])
 
 
+def _chain_t(t, x, y):
+    """The closed forms of T for 0 < x, y < 1 as the former if/elif chain
+    over the family wrote them, before any clamp."""
+    f, p = t.family, t.param
+    if f is Family.PRODUCT:
+        return x * y
+    if f is Family.EINSTEIN_PRODUCT:
+        return x * y / (2.0 - (x + y - x * y))
+    if f is Family.LUKASIEWICZ:
+        return max(0.0, x + y - 1.0)
+    if f is Family.FRANK:
+        return math.log1p(math.expm1(x * math.log(p)) * math.expm1(y * math.log(p)) / (p - 1.0)) / math.log(p)
+    if f is Family.YAGER:
+        return max(0.0, 1.0 - ((1.0 - x) ** p + (1.0 - y) ** p) ** (1.0 / p))
+    if f is Family.HAMACHER:
+        num = x * y
+        return 0.0 if num == 0.0 else num / (p + (1.0 - p) * (x + y - num))
+    if f is Family.DOMBI:
+        s = ((1.0 - x) / x) ** p + ((1.0 - y) / y) ** p
+        return 1.0 / (1.0 + s ** (1.0 / p))
+    if f is Family.SCHWEIZER_SKLAR:
+        if p < 0:
+            return (x ** p + y ** p - 1.0) ** (1.0 / p)
+        base = math.fsum((x ** p, y ** p, -1.0))
+        if abs(base) <= _SS_SNAP:
+            base = 0.0
+        return 0.0 if base <= 0.0 else base ** (1.0 / p)
+    if f is Family.SUGENO_WEBER:
+        return max(0.0, (x + y - 1.0 + p * x * y) / (1.0 + p))
+    if f is Family.ACZEL_ALSINA:
+        return math.exp(-(((-math.log(x)) ** p + (-math.log(y)) ** p) ** (1.0 / p)))
+    raise AssertionError(f)
+
+
 def _unclamped_closed_form(t, x, y):
     """The kernel's formulas clamped into [0, 1] only, as before the
     min(x, y) clamp."""
@@ -275,36 +319,7 @@ def _unclamped_closed_form(t, x, y):
         return x
     if x == 0.0 or y == 0.0:
         return 0.0
-    f, p = t.family, t.param
-    if f is Family.PRODUCT:
-        v = x * y
-    elif f is Family.EINSTEIN_PRODUCT:
-        v = x * y / (2.0 - (x + y - x * y))
-    elif f is Family.LUKASIEWICZ:
-        v = max(0.0, x + y - 1.0)
-    elif f is Family.FRANK:
-        v = math.log1p(math.expm1(x * math.log(p)) * math.expm1(y * math.log(p)) / (p - 1.0)) / math.log(p)
-    elif f is Family.YAGER:
-        v = max(0.0, 1.0 - ((1.0 - x) ** p + (1.0 - y) ** p) ** (1.0 / p))
-    elif f is Family.HAMACHER:
-        num = x * y
-        v = 0.0 if num == 0.0 else num / (p + (1.0 - p) * (x + y - num))
-    elif f is Family.DOMBI:
-        s = ((1.0 - x) / x) ** p + ((1.0 - y) / y) ** p
-        v = 1.0 / (1.0 + s ** (1.0 / p))
-    elif f is Family.SCHWEIZER_SKLAR:
-        if p < 0:
-            v = (x ** p + y ** p - 1.0) ** (1.0 / p)
-        else:
-            base = math.fsum((x ** p, y ** p, -1.0))
-            if abs(base) <= _SS_SNAP:
-                base = 0.0
-            v = 0.0 if base <= 0.0 else base ** (1.0 / p)
-    elif f is Family.SUGENO_WEBER:
-        v = max(0.0, (x + y - 1.0 + p * x * y) / (1.0 + p))
-    else:
-        v = math.exp(-(((-math.log(x)) ** p + (-math.log(y)) ** p) ** (1.0 / p)))
-    return min(1.0, max(0.0, v))
+    return min(1.0, max(0.0, _chain_t(t, x, y)))
 
 
 class TestKernelBelowMin:
@@ -314,7 +329,7 @@ class TestKernelBelowMin:
     @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
     def test_never_above_min(self, t):
         for x, y in _unit_pairs(str(t)):
-            assert _evaluate(t, x, y) <= min(x, y), (x, y)
+            assert _evaluator(t)(x, y) <= min(x, y), (x, y)
 
     @pytest.mark.parametrize("t", [validate(f, p) for f, p in EXTREME_CASES], ids=str)
     def test_extreme_settings_need_the_clamp(self, t):
@@ -378,11 +393,104 @@ def _chain_solve_u(t, a, b):
     return min(1.0, max(0.0, _chain_closed_form_u(t, a, b)))
 
 
+def _chain_generator(t, x):
+    """``generator`` as the former if/elif chain over the family wrote it."""
+    x = _check_unit("x", x)
+    f, p = t.family, t.param
+    if x == 0.0 and t.kind is Kind.STRICT:
+        return math.inf
+    if f is Family.PRODUCT:
+        return -math.log(x)
+    if f is Family.EINSTEIN_PRODUCT:
+        return math.log((2.0 - x) / x)
+    if f is Family.LUKASIEWICZ:
+        return 1.0 - x
+    if f is Family.FRANK:
+        return math.log((p - 1.0) / math.expm1(x * math.log(p)))
+    if f is Family.YAGER:
+        return (1.0 - x) ** p
+    if f is Family.HAMACHER:
+        if p == 0.0:
+            return (1.0 - x) / x
+        return math.log((p + (1.0 - p) * x) / x)
+    if f is Family.DOMBI:
+        return ((1.0 - x) / x) ** p
+    if f is Family.SCHWEIZER_SKLAR:
+        return (1.0 - x ** p) / p
+    if f is Family.SUGENO_WEBER:
+        if p == 0.0:
+            return 1.0 - x
+        return 1.0 - math.log1p(p * x) / math.log1p(p)
+    if f is Family.ACZEL_ALSINA:
+        return (-math.log(x)) ** p
+    raise AssertionError(f)
+
+
+def _chain_inverse(t, z):
+    """The true generator inverse as the former if/elif chain over the
+    family wrote it, with its z == inf guards."""
+    f, p = t.family, t.param
+    if f is Family.PRODUCT:
+        return math.exp(-z)
+    if f is Family.EINSTEIN_PRODUCT:
+        return 0.0 if z == math.inf else 2.0 / (1.0 + math.exp(z))
+    if f is Family.LUKASIEWICZ:
+        return 1.0 - z
+    if f is Family.FRANK:
+        return math.log1p((p - 1.0) * math.exp(-z)) / math.log(p)
+    if f is Family.YAGER:
+        return 1.0 - z ** (1.0 / p)
+    if f is Family.HAMACHER:
+        if p == 0.0:
+            return 0.0 if z == math.inf else 1.0 / (1.0 + z)
+        return 0.0 if z == math.inf else p / (p - 1.0 + math.exp(z))
+    if f is Family.DOMBI:
+        return 0.0 if z == math.inf else 1.0 / (1.0 + z ** (1.0 / p))
+    if f is Family.SCHWEIZER_SKLAR:
+        base = 1.0 - p * z
+        if abs(base) <= _SS_SNAP:
+            base = 0.0
+        if p > 0:
+            base = max(0.0, base)
+        return base ** (1.0 / p)
+    if f is Family.SUGENO_WEBER:
+        if p == 0.0:
+            return 1.0 - z
+        return math.expm1((1.0 - z) * math.log1p(p)) / p
+    if f is Family.ACZEL_ALSINA:
+        return math.exp(-(z ** (1.0 / p)))
+    raise AssertionError(f)
+
+
+def _chain_pseudo_inverse(t, z):
+    """``pseudo_inverse`` on the former chains: the same cut-off and clamp."""
+    if z < -EPS:
+        raise DomainError(f"z={z!r} negative")
+    z = max(0.0, z)
+    if z > _chain_generator(t, 0.0):
+        return 0.0
+    return min(1.0, max(0.0, _chain_inverse(t, z)))
+
+
+def _chain_evaluate(t, x, y):
+    """``evaluate`` on the former chain: the same checks, boundary axioms
+    and min(x, y) clamp."""
+    x = _check_unit("x", x)
+    y = _check_unit("y", y)
+    if x == 1.0:
+        return y
+    if y == 1.0:
+        return x
+    if x == 0.0 or y == 0.0:
+        return 0.0
+    return min(x, y, max(0.0, _chain_t(t, x, y)))
+
+
 def _outcome(fn, *args):
     """A float result as hex, or the exception's type and text."""
     try:
         return fn(*args).hex()
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -421,3 +529,40 @@ class TestKernelMatchesChain:
             solve_u(t, 0.5, -0.5)
         with pytest.raises(PreconditionViolated, match=r"^a=0\.3 < b=0\.5$"):
             solve_u(t, 0.3, 0.5)
+
+
+class TestRecordsMatchChains:
+    """The per-family records give the former chains' T, generator and
+    pseudoinverse to the bit, and the same errors."""
+
+    EDGES = [0.0, 1.0, EPS / 2, -EPS / 2, 1.0 + EPS / 2, 1.0 - EPS / 2, -0.0, 1e-300, 5e-324]
+    BAD = [1.5, -0.1, 1.0 + 2 * EPS, -2 * EPS, math.nan]
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+    def test_evaluate(self, t):
+        pairs = _unit_pairs(f"records:{t}")
+        pairs += [(x, y) for x in self.EDGES + self.BAD for y in self.EDGES + [0.3, 0.7]]
+        pairs += [(0.3, v) for v in self.BAD]
+        for x, y in pairs:
+            assert _outcome(evaluate, t, x, y) == _outcome(_chain_evaluate, t, x, y), (x, y)
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+    def test_generator(self, t):
+        rng = random.Random(f"records_g:{t}")
+        xs = [i / 20 for i in range(21)] + self.EDGES + self.BAD
+        xs += [rng.random() for _ in range(2000)]
+        for x in xs:
+            assert _outcome(generator, t, x) == _outcome(_chain_generator, t, x), x
+
+    @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+    def test_pseudo_inverse(self, t):
+        rng = random.Random(f"records_z:{t}")
+        zs = [0.0, -0.0, math.inf, 1e300, 1.0, 50.0, 800.0, -EPS / 2, -2 * EPS, -1.0, math.nan]
+        zs += [rng.expovariate(0.5) for _ in range(2000)]
+        zs += [_chain_generator(t, x) for x in [i / 20 for i in range(21)]]
+        for z in zs:
+            assert _outcome(pseudo_inverse, t, z) == _outcome(_chain_pseudo_inverse, t, z), z
+        with pytest.raises(DomainError, match=r"^z=-1\.0 negative$"):
+            pseudo_inverse(t, -1.0)
+        with pytest.raises(DomainError, match=r"^x=1\.5 outside \[0, 1\]$"):
+            generator(t, 1.5)
