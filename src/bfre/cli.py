@@ -9,7 +9,9 @@ tolerance.
 ``verify`` compares the solver with the brute-force oracle; on planted
 instances it also requires an optimum no costlier than the planted point,
 a check that does not go through the resolution tables.  Its random batch
-cycles through every built-in family.
+cycles through every built-in family.  With ``--json`` it also reports the
+worst objective gap and the worst row residual |row_value - b_i| of the
+optimal answers it checked.
 
 With ``--json`` standard output is one JSON document; the timing line, when
 not suppressed, goes to standard error.
@@ -30,7 +32,7 @@ from .oracle import (
     DEFAULT_CAP, brute_force_optimum, planted_feasible_instance, random_instance,
 )
 from .resolution import (
-    ProblemInstance, build_tables, check_feasibility, tables_to_json,
+    ProblemInstance, build_tables, check_feasibility, row_value, tables_to_json,
 )
 from .sets import _fmt
 from .simplify import Mode
@@ -199,12 +201,17 @@ def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
     """Solver vs brute force on one instance, and vs the planted point's cost
     when one is given.
 
-    Returns (mismatch strings, |solver - oracle| objective gap or None).
+    Returns (mismatch strings, |solver - oracle| objective gap or None, the
+    solver's largest row residual |row_value - b_i| or None); the two
+    numbers are None unless the answer is OPTIMAL.
     """
     sol = solve(p)
     rep = brute_force_optimum(build_tables(p), p.c, cap=cap)
     mismatches = []
-    gap = None
+    gap = residual = None
+    if sol.optimal:
+        residual = max((abs(row_value(p, i, sol.x) - b) for i, b in enumerate(p.b)),
+                       default=0.0)
     if sol.optimal != (rep.optimum is not None):
         mismatches.append(
             f"status: solver={sol.status.value} oracle="
@@ -219,7 +226,7 @@ def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
             mismatches.append(f"planted: solver={sol.status.value}, planted point costs {cost!r}")
         elif sol.objective > cost + EPS:
             mismatches.append(f"planted: solver={sol.objective!r} > planted cost {cost!r}")
-    return mismatches, gap
+    return mismatches, gap, residual
 
 
 def cmd_verify(args, out=None) -> int:
@@ -227,15 +234,17 @@ def cmd_verify(args, out=None) -> int:
     t0 = time.perf_counter()
     mismatches = []
     checked = planted_checked = 0
-    worst_gap = 0.0
+    worst_gap = worst_residual = 0.0
 
     def check(p, label, planted=None):
-        nonlocal checked, planted_checked, worst_gap
-        found, gap = _compare(p, args.cap, planted)
+        nonlocal checked, planted_checked, worst_gap, worst_residual
+        found, gap, residual = _compare(p, args.cap, planted)
         checked += 1
         planted_checked += planted is not None
         if gap is not None:
             worst_gap = max(worst_gap, gap)
+        if residual is not None:
+            worst_residual = max(worst_residual, residual)
         for msg in found:
             mismatches.append(f"mismatch{label}: {msg}")
             if not args.json:
@@ -258,7 +267,8 @@ def cmd_verify(args, out=None) -> int:
         return 1
     if args.json:
         print(json.dumps({"checked": checked, "planted_checked": planted_checked,
-                          "mismatches": mismatches, "worst_objective_gap": worst_gap},
+                          "mismatches": mismatches, "worst_objective_gap": worst_gap,
+                          "worst_row_residual": worst_residual},
                          indent=2), file=out)
     else:
         print(f"verified {checked} instance(s): "

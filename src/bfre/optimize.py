@@ -13,7 +13,9 @@ Admissibility is incremental: each node holds the running intersection of
 every picked column, taken in pick order (ascending rows, the order
 ``feasible_box`` and the oracle use), and a row's domain is the columns whose
 running intersection survives that row's cell.  Tolerance-snapped
-intersection is not associative, so every caller uses this one order.
+intersection is not associative, so every caller uses this one order, and
+one step routine, ``_admissible_steps``, over a row's (column, cell) list.
+A search binds those lists once.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -25,9 +27,13 @@ Node state is lazy.  A child is priced from its parent's point and costs one
 small object (parent, column, running intersection, cost); a child priced
 out at birth costs none unless the search is recorded.  Its running
 intersections and point are built only when it is expanded, becomes the
-incumbent or is written to a trace event.  Its point is the parent's list
-itself when the pick leaves that coordinate unchanged, so a built point is
-never mutated, and its picks are read up the parent chain.
+incumbent or is written to a trace event.  A child whose pick returns the
+parent's running intersection itself (most forced reuses) shares the
+parent's intersection dict and point list; any other child shares the
+parent's point list when the pick leaves that coordinate unchanged.  So a
+built dict or point is never mutated, and a node's picks are read up the
+parent chain.  A lone viable child is dived into without ordering or
+live-set traffic.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
     check_feasibility, FeasibilityStatus, is_feasible_point,
 )
-from .sets import SetForm
+from .sets import EMPTY, SetForm
 from .simplify import Mode, ReducedProblem, ReductionLedger, simplify
 from .tolerance import EPS
 
@@ -79,19 +85,25 @@ def _running_intersections(prefix, tables: ResolutionTables) -> dict:
     return {j: tables.intersect_cells(j, rows) for j, rows in _pick_groups(prefix).items()}
 
 
-def _admissible_steps(inter: dict, i, tables: ResolutionTables, modified) -> list:
-    """[(j, inter[j] ∩ cell)] for the columns of row i's support whose running
-    intersection survives row i's cell (an unpicked column's is the cell).
-    In modified mode a surviving already-picked column is forced: only the
-    smallest one is returned."""
-    row = tables.s_prime[i]
+def _step_row(tables: ResolutionTables, i) -> list:
+    """Row i's [(j, cell)] over its support, ascending: what
+    ``_admissible_steps`` walks.  A search binds every row's list once."""
+    cells = tables.s_prime[i]
+    return [(j, cells[j]) for j in tables.row_support[i]]
+
+
+def _admissible_steps(inter: dict, row, modified) -> list:
+    """[(j, inter[j] ∩ cell)] for the (j, cell) pairs of a step row whose
+    running intersection survives the cell (an unpicked column's is the
+    cell).  In modified mode a surviving already-picked column is forced:
+    only the smallest one is returned."""
     steps = []
-    for j in tables.row_support[i]:
+    for j, cell in row:
         prev = inter.get(j)
-        s = row[j] if prev is None else prev.intersect(row[j])
-        if not s.is_empty:
+        s = cell if prev is None else prev.intersect(cell)
+        if s.kind != EMPTY:
             if modified and prev is not None:
-                return [(j, s)]      # row_support is ascending
+                return [(j, s)]      # the row is ascending
             steps.append((j, s))
     return steps
 
@@ -100,14 +112,14 @@ def admissible_domain(prefix, i, tables: ResolutionTables) -> list:
     """Columns row i may pick after the given prefix: its support, minus
     columns whose running intersection the row's cell would annihilate."""
     inter = _running_intersections(prefix[:i], tables)
-    return [j for j, _ in _admissible_steps(inter, i, tables, False)]
+    return [j for j, _ in _admissible_steps(inter, _step_row(tables, i), False)]
 
 
 def modified_domain(prefix, i, tables: ResolutionTables, modified=True) -> list:
     """Admissible columns for row i, restricted to the forced reuse column
     when one exists.  Raises DeadEnd when the row has no viable column."""
     inter = _running_intersections(prefix[:i], tables)
-    domain = [j for j, _ in _admissible_steps(inter, i, tables, modified)]
+    domain = [j for j, _ in _admissible_steps(inter, _step_row(tables, i), modified)]
     if not domain:
         raise DeadEnd(f"row {i} has no viable column after prefix {list(prefix)}")
     return domain
@@ -119,8 +131,11 @@ class _Node:
     """A search node.  A child is born as (parent, column, running
     intersection, cost); its ``inter`` dict and point ``x`` are built by
     ``materialize`` only when the search expands it, makes it the incumbent
-    or writes it to a trace event.  A built ``x`` may be shared with the
-    parent's, so it is never mutated."""
+    or writes it to a trace event.  A child whose pick leaves the parent's
+    running intersection in place (``parent.inter[j] is s``, as in a forced
+    reuse) takes the parent's ``inter`` and ``x`` objects themselves; any
+    other child takes the parent's ``x`` whenever the pick leaves that
+    coordinate unchanged.  So a built ``inter`` or ``x`` is never mutated."""
 
     __slots__ = ("uid", "parent", "j", "s", "z", "depth", "inter", "x")
 
@@ -131,12 +146,13 @@ class _Node:
     def materialize(self) -> "_Node":
         if self.inter is None:
             parent, j, s = self.parent, self.j, self.s
-            self.inter = {**parent.inter, j: s}
-            x = parent.x
-            if s.lo != x[j]:
-                x = x.copy()
-                x[j] = s.lo
-            self.x = x
+            inter, x = parent.inter, parent.x
+            if inter.get(j) is not s:
+                inter = {**inter, j: s}
+                if s.lo != x[j]:
+                    x = x.copy()
+                    x[j] = s.lo
+            self.inter, self.x = inter, x
         return self
 
     def picks(self) -> tuple:
@@ -200,15 +216,18 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     intersections, taken in pick order.  ``modified=False`` searches all
     admissible assignments (needed when two-point cells may still be present).
 
-    Node state is lazy (see the module docstring): a child is priced before
-    it is allocated, and without ``record`` one already priced out by the
-    incumbent is only counted.  Its running intersections and point are
-    built only when it is expanded, becomes the incumbent or is recorded.
-    Points are shared down the tree, so a built point is never mutated.
+    Every row's step list is bound once per search.  Node state is lazy
+    (see the module docstring): a child is priced before it is allocated,
+    and without ``record`` one already priced out by the incumbent is only
+    counted.  Its running intersections and point are built only when it is
+    expanded, becomes the incumbent or is recorded.  Both are shared down
+    the tree (see ``_Node``), so neither is ever mutated once built.  A lone
+    viable child is dived into directly: no ordering, no live-set traffic.
     """
     tables = reduced.tables
     costs = reduced.costs
     m, n = tables.m, tables.n
+    rows = [_step_row(tables, i) for i in range(m)]
     base_x = [tables.lower_bound(j) for j in range(n)]
     base_z = sum((c * v for c, v in zip(costs, base_x)), 0.0)
     events: list = []
@@ -229,7 +248,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
             if record:
                 events.append(node.event("expand"))
         x, z0, depth = node.x, node.z, node.depth + 1
-        steps = _admissible_steps(node.inter, node.depth, tables, modified)
+        steps = _admissible_steps(node.inter, rows[node.depth], modified)
         if depth == m:
             candidates += len(steps)
         # Siblings share a depth, so the bar only moves among leaves, and no
@@ -260,11 +279,13 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                 heapify(keep)
                 live = keep
         created += len(steps)
-        if children:
-            children.sort(key=attrgetter("z", "j"))
+        if len(children) == 1:
             node = children[0]
-            for child in children[1:]:
-                heappush(live, (child.z, -child.depth, child.uid, child))
+        elif children:
+            node = min(children, key=attrgetter("z", "j"))
+            for child in children:
+                if child is not node:
+                    heappush(live, (child.z, -depth, child.uid, child))
             max_live = max(max_live, len(live))
         elif live:
             node = heappop(live)[3]
@@ -361,6 +382,7 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
 
     out = []
     m = sub.m
+    rows = [_step_row(sub, i) for i in range(m)]
 
     def lift_box(inter):
         full = [None] * p.n
@@ -377,9 +399,9 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
             assignment = {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(prefix)}
             out.append((assignment, lift_box(inter)))
             return
-        for j, s in _admissible_steps(inter, len(prefix), sub, False):
+        for j, s in _admissible_steps(inter, rows[len(prefix)], False):
             prefix.append(j)
-            rec(prefix, {**inter, j: s})
+            rec(prefix, inter if inter.get(j) is s else {**inter, j: s})
             prefix.pop()
 
     rec([], {})

@@ -276,21 +276,30 @@ def evaluate(t: TNorm, x: float, y: float) -> float:
 
 
 def generator(t: TNorm, x: float) -> float:
-    """Additive generator value; +inf at 0 exactly for strict families."""
+    """Additive generator value; +inf at 0 exactly for strict families, and
+    past the float range near 0."""
     x = _check_unit("x", x)
     if x == 0.0 and t.kind is Kind.STRICT:
         return INF
-    return _FAMILIES[t.family].g(t.param, x)
+    try:
+        return _FAMILIES[t.family].g(t.param, x)
+    except OverflowError:     # the generator decreases, so only x near 0 overflows
+        return INF
 
 
 def pseudo_inverse(t: TNorm, z: float) -> float:
-    """Generator pseudoinverse: the inverse up to generator(t, 0), then 0."""
+    """Generator pseudoinverse: the inverse up to generator(t, 0), then 0;
+    also 0 where the inverse's closed form leaves the float range."""
     if z < -EPS:
         raise DomainError(f"z={z!r} negative")
     z = max(0.0, z)
     if z > generator(t, 0.0):
         return 0.0
-    return min(1.0, max(0.0, _FAMILIES[t.family].g_inv(t.param, z)))
+    try:
+        v = _FAMILIES[t.family].g_inv(t.param, z)
+    except OverflowError:     # the inverse decreases, so only large z overflows
+        return 0.0
+    return min(1.0, max(0.0, v))
 
 
 def _solver(t: TNorm):

@@ -9,6 +9,7 @@ import pytest
 import bfre
 from bfre import example_path, validate
 from bfre.cli import load_problem, main
+from bfre.resolution import row_value
 
 TOL = 1e-9
 
@@ -238,8 +239,31 @@ class TestVerifyCommand:
         assert main(["verify", "--seed", "1", "--count", "20", "--json", "--no-timing"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"checked": 20, "planted_checked": 10, "mismatches": [],
-                       "worst_objective_gap": doc["worst_objective_gap"]}
+                       "worst_objective_gap": doc["worst_objective_gap"],
+                       "worst_row_residual": doc["worst_row_residual"]}
         assert 0.0 <= doc["worst_objective_gap"] <= TOL
+        assert 0.0 <= doc["worst_row_residual"] <= TOL
+
+    def test_json_worst_row_residual(self, capsys, monkeypatch):
+        p = load_problem(example_path())
+        x = bfre.solve(p).x
+        residual = max(abs(row_value(p, i, x) - b) for i, b in enumerate(p.b))
+        assert main(["verify", example_path(), "--json", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out)["worst_row_residual"] == residual
+        # an answer moved off the equations shows in the residual and
+        # nowhere else
+        real_solve = bfre.cli.solve
+
+        def solve(p):
+            sol = real_solve(p)
+            return dataclasses.replace(sol, x=[min(1.0, v + 0.25) for v in sol.x])
+
+        monkeypatch.setattr(bfre.cli, "solve", solve)
+        assert main(["verify", example_path(), "--json", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mismatches"] == [] and doc["worst_row_residual"] > 0.1
+        assert main(["verify", example_path(), "--no-timing"]) == 0
+        assert capsys.readouterr().out == "verified 1 instance(s): all agree\n"
 
     def test_json_document_for_a_file(self, capsys):
         assert main(["verify", example_path(), "--json", "--no-timing"]) == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from bfre import (
     enumerate_feasible_decomposition, feasible_box, is_feasible_point,
     modified_domain, simplify, solve,
 )
-from bfre.optimize import admissible_domain
+from bfre import optimize
+from bfre.optimize import _running_intersections, admissible_domain
 from bfre.oracle import (
     brute_force_optimum, enumerate_all_admissible, random_feasible_instance,
     random_instance,
@@ -16,6 +18,7 @@ from bfre.oracle import (
 from bfre import ProblemInstance, ReducedProblem, ResolutionTables, SetForm, validate
 from bfre.optimize import TraceEvent
 from bfre.resolution import admissible_upper_bound
+from bfre.simplify import Rule
 from bfre.tnorms import solve_u
 from bfre.tolerance import EPS
 from conftest import make_instance
@@ -551,9 +554,31 @@ class TestReferenceEquivalence:
         assert max(nodes) >= 1_000 and max(updates) >= 2
         assert min(jumps) > 0 and min(sweeps) > 0
 
+    def test_simplified_benchmark_size_covers_match_sorted_reference(self):
+        """Covers of 24-28 rows, the size the benchmark searches, after the
+        optimality-preserving presolve has dropped free and dominated
+        columns.  The seed keeps the sorted reference's unmodified search,
+        whose live set grows large, to about a second."""
+        rules, nodes = set(), 0
+        for problem, planted_z in _planted_covers(count=6, seed=22, rows=(24, 28), cols=(16, 18)):
+            reduced, ledger = simplify(problem.tables, problem.costs, Mode.OPTIMALITY_PRESERVING)
+            rules.update(step.action.rule for step in ledger.steps)
+            for modified in (True, False):
+                res = branch_and_bound(reduced, modified=modified, record=True)
+                x, picks, z, stats, events = _reference_branch_and_bound(reduced, modified)
+                assert (res.x, res.picks, res.objective) == (x, picks, z), modified
+                assert vars(res.stats) == stats, modified
+                assert res.events == events, modified
+                lifted = reduced.lift(res.x)
+                assert sum(c * v for c, v in zip(problem.costs, lifted)) <= planted_z + TOL
+                nodes += stats["nodes_created"]
+        assert {Rule.FREE_COLUMN, Rule.DOMINATED_COLUMN} <= rules
+        assert nodes >= 20_000
 
-def _planted_covers(count=12, seed=4242):
-    """Weighted set covers of 16-20 rows, searched on their unreduced tables.
+
+def _planted_covers(count=12, seed=4242, rows=(16, 20), cols=(14, 18)):
+    """Weighted set covers of 16-20 rows (by default), searched on their
+    unreduced tables.
 
     Row i is usable only through its own 3 columns: elsewhere both of its
     coefficients are 0, so the cell has no solution.  Every usable cell of
@@ -563,7 +588,7 @@ def _planted_covers(count=12, seed=4242):
     Yields (problem, planted cost)."""
     rng = random.Random(seed)
     for _ in range(count):
-        m, n = rng.randint(16, 20), rng.randint(14, 18)
+        m, n = rng.randint(*rows), rng.randint(*cols)
         t = validate(*rng.choice([("product", None), ("yager", 2.0)]))
         planted = rng.sample(range(n), n // 3)
         subsets = set()
@@ -617,6 +642,64 @@ def _seeded_corpus():
         for problem in (reduced, ReducedProblem(tb, p.c, {}, p.n)):
             if admissible_upper_bound(problem.tables) <= 10 ** 6:
                 yield problem
+
+
+class TestSharedNodeState:
+    """A child whose pick leaves its column's running intersection as it was
+    (a forced reuse) shares its parent's ``inter`` dict and point list, so no
+    built dict or point may be mutated: checked after each search over the
+    planted covers and the seeded oracle corpus."""
+
+    @staticmethod
+    def _problems():
+        yield from (problem for problem, _ in _planted_covers())
+        yield from itertools.islice(_seeded_corpus(), 120)
+
+    def test_unchanged_reuse_shares_parent_objects(self, monkeypatch):
+        built = []
+        materialize = optimize._Node.materialize
+
+        def spy(node):
+            if node.inter is None:
+                built.append(node)
+            return materialize(node)
+
+        monkeypatch.setattr(optimize._Node, "materialize", spy)
+        shared = copied = 0
+        for problem in self._problems():
+            tables = problem.tables
+            base_x = [tables.lower_bound(j) for j in range(tables.n)]
+            for modified in (True, False):
+                built.clear()
+                branch_and_bound(problem, modified=modified)
+                for node in built:
+                    parent = node.parent
+                    if parent.inter.get(node.j) == node.s:
+                        assert node.inter is parent.inter and node.x is parent.x
+                        shared += 1
+                    else:
+                        assert node.inter is not parent.inter
+                        copied += 1
+                    # every built state still matches its picks
+                    inter = _running_intersections(node.picks(), tables)
+                    assert node.inter == inter
+                    assert node.x == [inter[j].lo if j in inter else v
+                                      for j, v in enumerate(base_x)]
+        assert shared >= 10_000 and copied >= 10_000
+
+    def test_answer_and_tables_unchanged_after_search(self):
+        for k, problem in enumerate(self._problems()):
+            tables = problem.tables
+            col_interval = list(tables.col_interval)
+            s_prime = [list(row) for row in tables.s_prime]
+            lower = [tables.lower_bound(j) for j in range(tables.n)]
+            for modified in (True, False):
+                res = branch_and_bound(problem, modified=modified)
+                if res.found:
+                    assert res.x == candidate_solution(res.picks, tables), (k, modified)
+                assert tables.col_interval == col_interval, (k, modified)
+                assert tables.s_prime == s_prime, (k, modified)
+                assert [tables.lower_bound(j) for j in range(tables.n)] == lower, (k, modified)
 
 
 class TestRecordParity:
