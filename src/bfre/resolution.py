@@ -219,21 +219,42 @@ def restrict(tables: ResolutionTables, keep_rows, keep_cols) -> ResolutionTables
     any set.
 
     The supports are the parent's support lists remapped to the new
-    positions and kept ascending; no cell is examined again.
+    positions; a remapped list is sorted only when its keep list is not
+    ascending, since an ascending one keeps it ascending.  No cell is
+    examined again.  When every column is kept in place, the parent's cell
+    rows, row supports, column intervals and column ids are reused as they
+    are: tables are never mutated, so sharing them is safe.
     """
     keep_rows = list(keep_rows)
     keep_cols = list(keep_cols)
-    new_row = {i: r for r, i in enumerate(keep_rows)}
-    new_col = {j: c for c, j in enumerate(keep_cols)}
+    col_support = _remap(tables.col_support, keep_cols, keep_rows)
+    row_ids = [tables.row_ids[i] for i in keep_rows]
+    rhs = [tables.rhs[i] for i in keep_rows]
+    if keep_cols == list(range(tables.n)):
+        return ResolutionTables(
+            tables.col_interval, [tables.s_prime[i] for i in keep_rows],
+            [tables.row_support[i] for i in keep_rows], col_support,
+            row_ids, tables.col_ids, rhs,
+        )
     return ResolutionTables(
         [tables.col_interval[j] for j in keep_cols],
         [[tables.s_prime[i][j] for j in keep_cols] for i in keep_rows],
-        [sorted(new_col[j] for j in tables.row_support[i] if j in new_col) for i in keep_rows],
-        [sorted(new_row[i] for i in tables.col_support[j] if i in new_row) for j in keep_cols],
-        [tables.row_ids[i] for i in keep_rows],
-        [tables.col_ids[j] for j in keep_cols],
-        [tables.rhs[i] for i in keep_rows],
+        _remap(tables.row_support, keep_rows, keep_cols), col_support,
+        row_ids, [tables.col_ids[j] for j in keep_cols], rhs,
     )
+
+
+def _remap(supports, pick, keep) -> list:
+    """``supports[k]`` for each k in ``pick``, renumbered to positions in
+    ``keep`` with every entry ``keep`` drops left out.  Renumbering keeps an
+    ascending list ascending when ``keep`` is ascending; otherwise each list
+    is sorted."""
+    new = {p: q for q, p in enumerate(keep)}
+    out = [[new[p] for p in supports[k] if p in new] for k in pick]
+    if any(a > b for a, b in zip(keep, keep[1:])):
+        for sup in out:
+            sup.sort()
+    return out
 
 
 class FeasibilityStatus(Enum):

@@ -38,7 +38,7 @@ class SetForm:
 
     @staticmethod
     def point(v: float) -> "SetForm":
-        return SetForm(POINT, v, v)
+        return _form(POINT, v, v)
 
     @staticmethod
     def pair(v1: float, v2: float) -> "SetForm":
@@ -46,8 +46,8 @@ class SetForm:
         if v1 > v2:
             v1, v2 = v2, v1
         if v2 - v1 <= EPS:
-            return SetForm(POINT, v1, v1)
-        return SetForm(PAIR, v1, v2)
+            return _form(POINT, v1, v1)
+        return _form(PAIR, v1, v2)
 
     @staticmethod
     def interval(lo: float, hi: float) -> "SetForm":
@@ -58,8 +58,8 @@ class SetForm:
         if lo > hi + EPS:
             return _EMPTY
         if hi - lo <= EPS:
-            return SetForm(POINT, lo, lo)
-        return SetForm(INTERVAL, lo, hi)
+            return _form(POINT, lo, lo)
+        return _form(INTERVAL, lo, hi)
 
     # -- queries -----------------------------------------------------------
 
@@ -120,8 +120,8 @@ class SetForm:
             if not kept:
                 return _EMPTY
             if len(kept) == 1:
-                return SetForm(POINT, kept[0], kept[0])
-            return SetForm(PAIR, kept[0], kept[1])
+                return _form(POINT, kept[0], kept[0])
+            return _form(PAIR, kept[0], kept[1])
         if other.kind == PAIR:
             return other.intersect(self)
         # max and min return one of their argument objects, so an operand
@@ -168,7 +168,7 @@ class SetForm:
             return SetForm.interval(lo, hi)
         if self.kind == PAIR:
             return SetForm.pair(lo, hi)
-        return SetForm(POINT, lo, lo)
+        return _form(POINT, lo, lo)
 
     # -- formatting ---------------------------------------------------------
 
@@ -188,3 +188,20 @@ def _fmt(v: float) -> str:
 
 
 _EMPTY = SetForm(EMPTY)
+
+_new = object.__new__
+# the slot member descriptors: setting through them skips the frozen
+# dataclass's __setattr__, which raises for everyone else
+_set_kind = SetForm.kind.__set__
+_set_lo = SetForm.lo.__set__
+_set_hi = SetForm.hi.__set__
+
+
+def _form(kind: str, lo: float, hi: float) -> SetForm:
+    """``SetForm(kind, lo, hi)`` without the dataclass ``__init__``, whose
+    three frozen-field assignments each go through ``object.__setattr__``."""
+    s = _new(SetForm)
+    _set_kind(s, kind)
+    _set_lo(s, lo)
+    _set_hi(s, hi)
+    return s

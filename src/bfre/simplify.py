@@ -9,22 +9,25 @@ dominated columns, unsupported columns); the reduced problem then only
 promises to retain at least one global optimum.
 
 The reducer makes a single pass over the techniques in a fixed order, one
-slot per technique.  Singleton columns and forced assignments are re-applied
-within their own slot until exhausted.  The dominance techniques make a
-single ascending pass against a shrinking list of survivors: whether one row
-(or column) dominates another depends only on their own cells, which no
-restriction changes, so a removal can only retire dominators and never
-creates a new domination.  The other column-fixing optimality techniques act
-once, on the state where they first became applicable.  Chaining those fixes
-further would be sound but produces a different, more aggressive reduction
-than the one this module documents and tests pin down.
+slot per technique.  Singleton columns and forced assignments are chained
+within their own slot until exhausted: one finder call returns every action
+in turn, each found on the rows and columns the earlier ones leave.  The
+dominance techniques make a single ascending pass against a shrinking list
+of survivors: whether one row (or column) dominates another depends only on
+their own cells, which no restriction changes, so a removal can only retire
+dominators and never creates a new domination.  The other column-fixing
+optimality techniques act once, on the state where they first became
+applicable.  Chaining those fixes further would be sound but produces a
+different, more aggressive reduction than the one this module documents and
+tests pin down.
 
 The set tables are never recomputed: removed rows' bounds stay baked into
 the column intervals, which is exactly what makes the removals sound.  Each
-finder call costs one restriction, however many actions it returns; the
-restricted supports are derived from the parent's, so no cell is scanned
-again.  Every action still gets its own ledger step, whose bounds come from
-the support sizes of the rows and columns that survive it.
+slot makes one finder call and at most one restriction, however many
+actions the call returns; the restricted supports are derived from the
+parent's, so no cell is scanned again.  Every action still gets its own
+ledger step, whose bounds come from the support sizes of the rows and
+columns that survive it.
 """
 
 from __future__ import annotations
@@ -165,15 +168,33 @@ def rule_zero_rhs(tables: ResolutionTables):
 def rule_singleton_column(tables: ResolutionTables):
     """First column whose interval is a single value: fix it, drop the rows
     that value satisfies."""
+    return next(iter(_singleton_chain(tables)), None)
+
+
+def _singleton_chain(tables: ResolutionTables) -> list:
+    """Every singleton-column action in turn, each found on the rows the
+    earlier ones leave.
+
+    Column intervals never change, so the actions take the point columns
+    in ascending order; only the rows each one drops depend on the earlier
+    actions.  The list is what finding the first action, applying it and
+    finding again on the restricted tables would return, until nothing is
+    found.
+    """
+    alive = [True] * tables.m
+    out = []
     for j in range(tables.n):
         ij = tables.col_interval[j]
         if not ij.is_point:
             continue
         k = ij.minimum()
-        rows = tuple(tables.row_ids[i] for i in range(tables.m)
-                     if tables.s_prime[i][j].contains(k))
-        return Action(Rule.SINGLETON_COLUMN, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
-    return None
+        rows = [i for i in tables.col_support[j]
+                if alive[i] and tables.s_prime[i][j].contains(k)]
+        for i in rows:
+            alive[i] = False
+        out.append(Action(Rule.SINGLETON_COLUMN, {tables.col_ids[j]: k},
+                          tuple(tables.row_ids[i] for i in rows), (tables.col_ids[j],)))
+    return out
 
 
 def _dominates(tables, support, i, i0) -> bool:
@@ -216,18 +237,45 @@ def rule_dominated_row(tables: ResolutionTables):
 def rule_forced_assignment(tables: ResolutionTables):
     """First row supported by a single column whose restricted cell is a
     single value: fix the column, drop every row that value satisfies."""
-    for i in range(tables.m):
-        if len(tables.row_support[i]) != 1:
+    return next(iter(_forced_chain(tables)), None)
+
+
+def _forced_chain(tables: ResolutionTables) -> list:
+    """Every forced assignment in turn, each found on the rows and columns
+    the earlier ones leave.
+
+    Each row's live support size is tracked as columns go, and the
+    ascending row scan restarts after every action, since a dropped column
+    can leave an earlier row with a single column.  The list is what
+    finding the first action, applying it and finding again on the
+    restricted tables would return, until nothing is found.
+    """
+    s_prime, row_support, col_support = tables.s_prime, tables.row_support, tables.col_support
+    sizes = [len(sup) for sup in row_support]
+    alive = [True] * tables.m
+    gone = [False] * tables.n
+    out = []
+    i = 0
+    while i < tables.m:
+        if not alive[i] or sizes[i] != 1:
+            i += 1
             continue
-        j = tables.row_support[i][0]
-        cell = tables.s_prime[i][j]
+        j = next(j for j in row_support[i] if not gone[j])
+        cell = s_prime[i][j]
         if not cell.is_point:
+            i += 1
             continue
         k = cell.minimum()
-        rows = tuple(tables.row_ids[r] for r in range(tables.m)
-                     if tables.s_prime[r][j].contains(k))
-        return Action(Rule.FORCED_ASSIGNMENT, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
-    return None
+        rows = [r for r in col_support[j] if alive[r] and s_prime[r][j].contains(k)]
+        for r in rows:
+            alive[r] = False
+        gone[j] = True
+        for r in col_support[j]:
+            sizes[r] -= 1
+        out.append(Action(Rule.FORCED_ASSIGNMENT, {tables.col_ids[j]: k},
+                          tuple(tables.row_ids[r] for r in rows), (tables.col_ids[j],)))
+        i = 0
+    return out
 
 
 def rule_two_point_row(tables: ResolutionTables):
@@ -349,20 +397,20 @@ def _drop_rows(rule, rows):
     return [Action(rule, {}, tuple(rows), ())] if rows else []
 
 
-# (rule, finder, repeat), in application order.  A finder maps (rule, tables,
-# costs aligned with the tables) to the actions to apply, in order; a
-# repeating slot calls its finder again until it finds nothing.  The
-# feasibility mode runs the first three slots.
+# (rule, finder), in application order.  A finder maps (rule, tables, costs
+# aligned with the tables) to the actions to apply, in order, each found on
+# the state the earlier ones leave; the slot applies them with one
+# restriction.  The feasibility mode runs the first three slots.
 _SLOTS = (
-    (Rule.ZERO_RHS_ROW, lambda r, t, c: _drop_rows(r, rule_zero_rhs(t)), False),
-    (Rule.SINGLETON_COLUMN, lambda r, t, c: _one(rule_singleton_column(t)), True),
+    (Rule.ZERO_RHS_ROW, lambda r, t, c: _drop_rows(r, rule_zero_rhs(t))),
+    (Rule.SINGLETON_COLUMN, lambda r, t, c: _singleton_chain(t)),
     (Rule.DOMINATED_ROW,
-     lambda r, t, c: [Action(r, {}, (i,), ()) for i in rule_dominated_row(t)], False),
-    (Rule.FORCED_ASSIGNMENT, lambda r, t, c: _one(rule_forced_assignment(t)), True),
-    (Rule.TWO_POINT_ROW, lambda r, t, c: _drop_rows(r, rule_two_point_row(t)), False),
-    (Rule.LOWER_BOUND_COLUMN, lambda r, t, c: _one(rule_lower_bound_column(t)), False),
-    (Rule.FREE_COLUMN, lambda r, t, c: _one(rule_free_column(t)), False),
-    (Rule.DOMINATED_COLUMN, lambda r, t, c: _one(rule_dominated_column(t, c)), False),
+     lambda r, t, c: [Action(r, {}, (i,), ()) for i in rule_dominated_row(t)]),
+    (Rule.FORCED_ASSIGNMENT, lambda r, t, c: _forced_chain(t)),
+    (Rule.TWO_POINT_ROW, lambda r, t, c: _drop_rows(r, rule_two_point_row(t))),
+    (Rule.LOWER_BOUND_COLUMN, lambda r, t, c: _one(rule_lower_bound_column(t))),
+    (Rule.FREE_COLUMN, lambda r, t, c: _one(rule_free_column(t))),
+    (Rule.DOMINATED_COLUMN, lambda r, t, c: _one(rule_dominated_column(t, c))),
 )
 
 
@@ -411,11 +459,9 @@ def simplify(tables: ResolutionTables, costs, mode: Mode):
             fixed_all.update(action.fixed)
         cur = restrict(cur, sorted(alive), [j for j in range(cur.n) if j not in dropped])
 
-    for rule, find, repeat in slots:
-        while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids]):
+    for rule, find in slots:
+        if actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids]):
             apply(actions)
-            if not repeat:
-                break
 
     reduced = ReducedProblem(
         tables=cur,

@@ -357,6 +357,71 @@ class TestRestrict:
         assert [[j + 1 for j in s] for s in sub.row_support] == [[1, 2], [2, 3], [1, 3]]
 
 
+def table_bits(tb):
+    """A copy of every field of a table, cells and intervals as float.hex."""
+    return (list(tb.row_ids), list(tb.col_ids), [list(sup) for sup in tb.row_support],
+            [list(sup) for sup in tb.col_support], [v.hex() for v in tb.rhs],
+            [bits(s) for s in tb.col_interval], [[bits(s) for s in row] for row in tb.s_prime])
+
+
+class TestRestrictSharing:
+    """A restriction that keeps every column shares its parent's row lists;
+    nothing downstream may therefore write to a table."""
+
+    def test_row_only_restriction_shares_row_lists(self, example_tables):
+        tb = example_tables
+        sub = restrict(tb, [0, 3, 4, 7], range(tb.n))
+        assert sub.col_interval is tb.col_interval and sub.col_ids is tb.col_ids
+        for r, i in enumerate([0, 3, 4, 7]):
+            assert sub.s_prime[r] is tb.s_prime[i]
+            assert sub.row_support[r] is tb.row_support[i]
+        TestDerivedSupports.assert_supports_scanned(sub)
+
+    def test_column_restriction_copies_row_lists(self, example_tables):
+        tb = example_tables
+        sub = restrict(tb, [0, 3, 4, 7], [j for j in range(tb.n) if j != 4])
+        assert sub.col_interval is not tb.col_interval and sub.col_ids is not tb.col_ids
+        for r, i in enumerate([0, 3, 4, 7]):
+            assert sub.s_prime[r] is not tb.s_prime[i]
+            assert sub.row_support[r] is not tb.row_support[i]
+        # a column permutation drops nothing but moves every position
+        sub = restrict(tb, range(tb.m), [1, 0] + list(range(2, tb.n)))
+        assert all(sub.s_prime[i] is not tb.s_prime[i] for i in range(tb.m))
+        TestDerivedSupports.assert_supports_scanned(sub)
+
+    @pytest.mark.parametrize("mode", ["optimality", "feasibility"])
+    def test_solve_leaves_the_full_tables_unchanged(self, monkeypatch, mode):
+        import bfre.optimize as optimize
+        from bfre import Mode
+
+        built, checked = [], []
+
+        def tracked_build(p):
+            tb = build_tables(p)
+            built.append((tb, table_bits(tb)))
+            return tb
+
+        def tracked_check(p, x, tables=None):
+            tb, before = built[-1]
+            assert tables is tb and table_bits(tables) == before
+            checked.append(tables)
+            return is_feasible_point(p, x, tables=tables)
+
+        monkeypatch.setattr(optimize, "build_tables", tracked_build)
+        monkeypatch.setattr(optimize, "is_feasible_point", tracked_check)
+        mode = Mode.OPTIMALITY_PRESERVING if mode == "optimality" else Mode.FEASIBILITY_PRESERVING
+        rng = random.Random(f"sharing:{mode.value}")
+        families = [("yager", 2.0), ("product", None), ("lukasiewicz", None), ("hamacher", 1.0)]
+        for k in range(40):
+            family, param = families[k % 4]
+            size = 32 if mode is Mode.OPTIMALITY_PRESERVING and k < 8 else rng.randint(1, 6)
+            p, _ = planted_feasible_instance(rng, family, param, m=size, n=size)
+            assert solve(p, mode).optimal
+            tb, before = built[-1]
+            assert table_bits(tb) == before
+        assert len(checked) == 40
+
+
 class TestDerivedSupports:
     """restrict derives the supports from its parent's; they must equal a
     fresh scan of the restricted cells."""

@@ -5,17 +5,20 @@ import random
 import pytest
 
 from bfre import Mode, build_tables, simplify
-from bfre.oracle import brute_force_optimum, random_feasible_instance, random_instance
-from bfre.resolution import restrict, satisfies_by_tables
+from bfre.oracle import (
+    brute_force_optimum, planted_feasible_instance, random_feasible_instance, random_instance,
+)
+from bfre.resolution import admissible_upper_bound, restrict, satisfies_by_tables
 from bfre.sets import SetForm
 from bfre.simplify import (
-    Rule, rule_dominated_column, rule_dominated_row, rule_forced_assignment,
-    rule_free_column, rule_lower_bound_column, rule_singleton_column,
-    rule_two_point_row, rule_zero_rhs,
+    Action, LedgerStep, ReducedProblem, ReductionLedger, Rule, rule_dominated_column,
+    rule_dominated_row, rule_forced_assignment, rule_free_column, rule_lower_bound_column,
+    rule_singleton_column, rule_two_point_row, rule_zero_rhs,
 )
-from bfre.resolution import ResolutionTables
+from bfre.resolution import ProblemInstance, ResolutionTables
 
 from conftest import make_instance
+from test_resolution import table_bits
 
 TOL = 1e-9
 
@@ -408,10 +411,13 @@ class TestSinglePassDominance:
 
 # -- one restriction per finder call against the per-action driver -----------
 #
-# The reference below is the driver as first written: it restricts the tables
-# once per action, rescanning every kept cell for the supports, and tests row
-# dominance over all columns.  The driver must produce the same ledger and
-# reduced problem byte for byte.
+# The reference below is the driver as first written, with its own slot table:
+# single-action finders for singleton columns and forced assignments, called
+# again until they find nothing, one restriction per action that rescans
+# every kept cell for the supports, and row dominance tested over all
+# columns.  The driver, which chains those finders' actions and restricts
+# once per slot, must produce the same ledger and reduced problem byte for
+# byte.
 
 def _ref_restrict(tables, keep_rows, keep_cols):
     keep_rows, keep_cols = list(keep_rows), list(keep_cols)
@@ -447,25 +453,68 @@ def _ref_single_pass_dominated_row(tables):
     return removed
 
 
-def _ref_simplify(tables, costs, mode):
-    from bfre.resolution import admissible_upper_bound
-    from bfre.simplify import (
-        _SLOTS, Action, LedgerStep, ReducedProblem, ReductionLedger,
-    )
+def _ref_singleton_column(tables):
+    """The single-action singleton-column finder as first written."""
+    for j in range(tables.n):
+        ij = tables.col_interval[j]
+        if not ij.is_point:
+            continue
+        k = ij.minimum()
+        rows = tuple(tables.row_ids[i] for i in range(tables.m)
+                     if tables.s_prime[i][j].contains(k))
+        return Action(Rule.SINGLETON_COLUMN, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
+    return None
 
-    slots = [(rule, find, repeat) if rule is not Rule.DOMINATED_ROW else
-             (rule, lambda r, t, c: [Action(r, {}, (i,), ())
-                                     for i in _ref_single_pass_dominated_row(t)],
-              repeat)
-             for rule, find, repeat in _SLOTS]
-    if mode is Mode.FEASIBILITY_PRESERVING:
-        slots = slots[:3]
+
+def _ref_forced_assignment(tables):
+    """The single-action forced-assignment finder as first written."""
+    for i in range(tables.m):
+        if len(tables.row_support[i]) != 1:
+            continue
+        j = tables.row_support[i][0]
+        cell = tables.s_prime[i][j]
+        if not cell.is_point:
+            continue
+        k = cell.minimum()
+        rows = tuple(tables.row_ids[r] for r in range(tables.m)
+                     if tables.s_prime[r][j].contains(k))
+        return Action(Rule.FORCED_ASSIGNMENT, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
+    return None
+
+
+def _ref_one(act):
+    return [] if act is None else [act]
+
+
+def _ref_drop_rows(rule, rows):
+    return [Action(rule, {}, tuple(rows), ())] if rows else []
+
+
+# (rule, finder, repeat), in application order: a repeating slot calls its
+# single-action finder again, on the tables its last action left, until it
+# finds nothing.
+_REF_SLOTS = (
+    (Rule.ZERO_RHS_ROW, lambda t, c: _ref_drop_rows(Rule.ZERO_RHS_ROW, rule_zero_rhs(t)), False),
+    (Rule.SINGLETON_COLUMN, lambda t, c: _ref_one(_ref_singleton_column(t)), True),
+    (Rule.DOMINATED_ROW, lambda t, c: [Action(Rule.DOMINATED_ROW, {}, (i,), ())
+                                       for i in _ref_single_pass_dominated_row(t)], False),
+    (Rule.FORCED_ASSIGNMENT, lambda t, c: _ref_one(_ref_forced_assignment(t)), True),
+    (Rule.TWO_POINT_ROW,
+     lambda t, c: _ref_drop_rows(Rule.TWO_POINT_ROW, rule_two_point_row(t)), False),
+    (Rule.LOWER_BOUND_COLUMN, lambda t, c: _ref_one(rule_lower_bound_column(t)), False),
+    (Rule.FREE_COLUMN, lambda t, c: _ref_one(rule_free_column(t)), False),
+    (Rule.DOMINATED_COLUMN, lambda t, c: _ref_one(rule_dominated_column(t, c)), False),
+)
+
+
+def _ref_simplify(tables, costs, mode):
+    slots = _REF_SLOTS[:3] if mode is Mode.FEASIBILITY_PRESERVING else _REF_SLOTS
     cur = tables
     cost_by_col = {j: costs[pos] for pos, j in enumerate(tables.col_ids)}
     fixed_all = {}
     ledger = ReductionLedger(initial_bound=admissible_upper_bound(tables))
     for rule, find, repeat in slots:
-        while actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids]):
+        while actions := find(cur, [cost_by_col[j] for j in cur.col_ids]):
             for action in actions:
                 for j, v in action.fixed.items():
                     assert cur.col_interval[cur.col_ids.index(j)].contains(v)
@@ -480,6 +529,22 @@ def _ref_simplify(tables, costs, mode):
     reduced = ReducedProblem(cur, [cost_by_col[j] for j in cur.col_ids], dict(fixed_all),
                              tables.n)
     return reduced, ledger
+
+
+def assert_same_reduction(tables, costs, mode, key):
+    """The driver against the per-action reference: ledger JSON, reduced
+    tables, fixed values and costs, byte for byte.  Returns the reference
+    ledger."""
+    want, want_ledger = _ref_simplify(tables, costs, mode)
+    got, got_ledger = simplify(tables, costs, mode)
+    assert json.dumps(got_ledger.to_json(), indent=2) == \
+        json.dumps(want_ledger.to_json(), indent=2), (key, mode)
+    assert table_bits(got.tables) == table_bits(want.tables), (key, mode)
+    assert repr(got.fixed) == repr(want.fixed), (key, mode)
+    assert {j: v.hex() for j, v in got.fixed.items()} == \
+        {j: v.hex() for j, v in want.fixed.items()}, (key, mode)
+    assert repr(got.costs) == repr(want.costs), (key, mode)
+    return want_ledger
 
 
 _DRIVER_FAMILIES = [
@@ -503,17 +568,67 @@ class TestOneRestrictionPerFinderCall:
             if not check_feasibility(tables).ok:
                 continue
             for mode in Mode:
-                want, want_ledger = _ref_simplify(tables, p.c, mode)
-                got, got_ledger = simplify(tables, p.c, mode)
-                assert json.dumps(got_ledger.to_json(), indent=2) == \
-                    json.dumps(want_ledger.to_json(), indent=2), (k, mode)
-                for key in ("row_ids", "col_ids", "row_support", "col_support"):
-                    assert getattr(got.tables, key) == getattr(want.tables, key), (k, key)
-                assert repr(got.fixed) == repr(want.fixed), (k, mode)
-                assert repr(got.costs) == repr(want.costs), (k, mode)
+                want_ledger = assert_same_reduction(tables, p.c, mode, k)
                 compared += 1
                 many_dominated += sum(s.action.rule is Rule.DOMINATED_ROW
                                       for s in want_ledger.steps) >= 5
         assert compared >= 200 * 2, compared
         # most ledgers must hold several single-row DominatedRow steps
         assert many_dominated >= 100, many_dominated
+
+    def test_singleton_column_chains(self):
+        """Instances with several columns pinned to a point, so that one
+        finder call returns a chain of singleton columns."""
+        rng = random.Random(9191)
+        chains = 0
+        for k in range(120):
+            fam, param = _DRIVER_FAMILIES[k % len(_DRIVER_FAMILIES)]
+            p = _pinned_instance(rng, fam, param, m=rng.randint(1, 12), n=rng.randint(2, 12))
+            tables = build_tables(p)
+            ledgers = {mode: assert_same_reduction(tables, p.c, mode, k) for mode in Mode}
+            chains += _longest_run(ledgers[Mode.FEASIBILITY_PRESERVING],
+                                   Rule.SINGLETON_COLUMN) >= 2
+        assert chains >= 100, chains
+
+    @pytest.mark.parametrize("family,param", [("yager", 2.0), ("product", None),
+                                              ("lukasiewicz", None), ("hamacher", 1.0)])
+    def test_forced_assignment_chains_at_32x32(self, family, param):
+        """Planted 32x32 instances on the 0.05 grid, where one finder call
+        returns a chain of at least three forced assignments."""
+        from bfre import check_feasibility
+        rng = random.Random(f"forced-chains:{family}")
+        for k in range(3):
+            p, _ = planted_feasible_instance(rng, family, param, m=32, n=32)
+            tables = build_tables(p)
+            assert check_feasibility(tables).ok
+            ledgers = {mode: assert_same_reduction(tables, p.c, mode, (family, k))
+                       for mode in Mode}
+            forced = [s for s in ledgers[Mode.OPTIMALITY_PRESERVING].steps
+                      if s.action.rule is Rule.FORCED_ASSIGNMENT]
+            assert len(forced) >= 3, (family, k, len(forced))
+
+
+def _pinned_instance(rng, family, param, m, n):
+    """A planted feasible instance plus, for a random half of its columns j,
+    two rows whose only non-zero entries a+_j = 1 and a-_j = 1 meet the
+    planted x_j from both sides: T(1, y) = y pins column j's interval to
+    the point x_j."""
+    p, x = planted_feasible_instance(rng, family, param, m=m, n=n)
+    a_plus, a_minus, b = [list(r) for r in p.a_plus], [list(r) for r in p.a_minus], list(p.b)
+    for j in sorted(rng.sample(range(n), (n + 1) // 2)):
+        if not 0.0 < x[j] < 1.0:
+            continue
+        for sign in (a_plus, a_minus):
+            a_plus.append([0.0] * n)
+            a_minus.append([0.0] * n)
+            sign[-1][j] = 1.0
+        b += [x[j], 1.0 - x[j]]
+    return ProblemInstance(a_plus, a_minus, b, p.c, p.tnorm)
+
+
+def _longest_run(ledger, rule) -> int:
+    best = run = 0
+    for s in ledger.steps:
+        run = run + 1 if s.action.rule is rule else 0
+        best = max(best, run)
+    return best
