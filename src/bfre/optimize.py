@@ -115,11 +115,11 @@ def admissible_domain(prefix, i, tables: ResolutionTables) -> list:
     return [j for j, _ in _admissible_steps(inter, _step_row(tables, i), False)]
 
 
-def modified_domain(prefix, i, tables: ResolutionTables, modified=True) -> list:
+def modified_domain(prefix, i, tables: ResolutionTables) -> list:
     """Admissible columns for row i, restricted to the forced reuse column
     when one exists.  Raises DeadEnd when the row has no viable column."""
     inter = _running_intersections(prefix[:i], tables)
-    domain = [j for j, _ in _admissible_steps(inter, _step_row(tables, i), modified)]
+    domain = [j for j, _ in _admissible_steps(inter, _step_row(tables, i), True)]
     if not domain:
         raise DeadEnd(f"row {i} has no viable column after prefix {list(prefix)}")
     return domain

@@ -29,7 +29,6 @@ DEFAULT_CAP = 10 ** 6
 class OracleReport:
     optimum: tuple | None      # (x, objective) or None
     admissible_count: int
-    mismatches: list = field(default_factory=list)
 
 
 def enumerate_all_admissible(tables: ResolutionTables, cap: int = DEFAULT_CAP):

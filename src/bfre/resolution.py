@@ -56,6 +56,8 @@ class ProblemInstance:
         n = len(self.c)
         if len(self.a_plus) != m or len(self.a_minus) != m:
             raise ValueError(f"matrix row count != len(b)={m}")
+        if m and not n:
+            raise ValueError(f"{m} equation(s) over no variables")
         for name, mat in (("a_plus", self.a_plus), ("a_minus", self.a_minus)):
             for i, row in enumerate(mat):
                 if len(row) != n:
@@ -116,12 +118,9 @@ def _resolve_cell(u, a_plus: float, a_minus: float, b: float):
         if hi - lo <= EPS:
             return SetForm.point(lo), SetForm.point(lo)
         return SetForm.pair(lo, hi), SetForm.interval(lo, hi)
-    # b == 0: both sides always reach b, and solving == relaxing.
-    lo = 1.0 - u(a_minus, 0.0)
-    hi = u(a_plus, 0.0)
-    if lo > hi + EPS:
-        return SetForm.empty(), SetForm.empty()
-    cell = SetForm.interval(lo, hi)
+    # b == 0: both sides always reach b, and solving == relaxing; a crossed
+    # pair gives the empty interval.
+    cell = SetForm.interval(1.0 - u(a_minus, 0.0), u(a_plus, 0.0))
     return cell, cell
 
 
@@ -289,8 +288,7 @@ def check_feasibility(tables: ResolutionTables) -> FeasibilityReport:
 
 
 def row_value(p: ProblemInstance, i: int, x) -> float:
-    """Left-hand side of equation i at the point x; 0 for a row without
-    columns.
+    """Left-hand side of equation i at the point x.
 
     Each coordinate is checked and clamped into [0, 1] once; the
     coefficients are already in range.  The t-norm's kernel is bound once

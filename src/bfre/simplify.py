@@ -9,25 +9,26 @@ dominated columns, unsupported columns); the reduced problem then only
 promises to retain at least one global optimum.
 
 The reducer makes a single pass over the techniques in a fixed order, one
-slot per technique.  Singleton columns and forced assignments are chained
-within their own slot until exhausted: one finder call returns every action
-in turn, each found on the rows and columns the earlier ones leave.  The
-dominance techniques make a single ascending pass against a shrinking list
-of survivors: whether one row (or column) dominates another depends only on
-their own cells, which no restriction changes, so a removal can only retire
-dominators and never creates a new domination.  The other column-fixing
-optimality techniques act once, on the state where they first became
-applicable.  Chaining those fixes further would be sound but produces a
-different, more aggressive reduction than the one this module documents and
-tests pin down.
+slot per technique.  Every technique is a rule with one contract: given the
+current tables, it returns the list of actions its slot applies, in order,
+each found on the rows and columns the earlier ones leave, and an empty list
+when nothing applies.  Singleton columns and forced assignments chain until
+exhausted.  The dominance techniques make a single ascending pass against a
+shrinking list of survivors: whether one row (or column) dominates another
+depends only on their own cells, which no restriction changes, so a removal
+can only retire dominators and never creates a new domination.  The other
+column-fixing optimality techniques act once, on the state where they first
+became applicable.  Chaining those fixes further would be sound but produces
+a different, more aggressive reduction than the one this module documents
+and tests pin down.
 
 The set tables are never recomputed: removed rows' bounds stay baked into
 the column intervals, which is exactly what makes the removals sound.  Each
-slot makes one finder call and at most one restriction, however many
-actions the call returns; the restricted supports are derived from the
-parent's, so no cell is scanned again.  Every action still gets its own
-ledger step, whose bounds come from the support sizes of the rows and
-columns that survive it.
+slot makes one rule call and at most one restriction, however many actions
+the rule returns; the restricted supports are derived from the parent's, so
+no cell is scanned again.  Every action still gets its own ledger step,
+whose bounds come from the support sizes of the rows and columns that
+survive it.
 """
 
 from __future__ import annotations
@@ -157,44 +158,39 @@ class ReducedProblem:
 
 # -- individual techniques ---------------------------------------------------
 #
-# Each takes the current (restricted) tables and reports what it would do,
-# in original indices.  They never mutate anything.
+# Each takes the current (restricted) tables, and the costs aligned with
+# them, and returns the actions its slot applies, in order and in original
+# indices: each action is found on the rows and columns the earlier ones
+# leave, and the list is empty when nothing applies.  Only the dominated
+# column rule reads the costs.  None of them mutates the tables.
 
-def rule_zero_rhs(tables: ResolutionTables):
-    """Rows whose right-hand side is zero are redundant."""
-    return [tables.row_ids[i] for i in range(tables.m) if tables.rhs[i] <= EPS]
+def rule_zero_rhs(tables: ResolutionTables, costs=None) -> list:
+    """Rows whose right-hand side is zero are redundant; one action drops
+    them all."""
+    rows = tuple(tables.row_ids[i] for i in range(tables.m) if tables.rhs[i] <= EPS)
+    return [Action(Rule.ZERO_RHS_ROW, {}, rows, ())] if rows else []
 
 
-def rule_singleton_column(tables: ResolutionTables):
-    """First column whose interval is a single value: fix it, drop the rows
-    that value satisfies."""
-    return next(iter(_singleton_chain(tables)), None)
+def _fix(rule, tables, alive, j, k) -> Action:
+    """Fix column j at k and drop the alive rows whose cell holds k."""
+    rows = [i for i in tables.col_support[j] if alive[i] and tables.s_prime[i][j].contains(k)]
+    for i in rows:
+        alive[i] = False
+    return Action(rule, {tables.col_ids[j]: k}, tuple(tables.row_ids[i] for i in rows),
+                  (tables.col_ids[j],))
 
 
-def _singleton_chain(tables: ResolutionTables) -> list:
-    """Every singleton-column action in turn, each found on the rows the
-    earlier ones leave.
+def rule_singleton_column(tables: ResolutionTables, costs=None) -> list:
+    """Columns whose interval is a single value: fix each, drop the rows
+    that value satisfies.
 
     Column intervals never change, so the actions take the point columns
     in ascending order; only the rows each one drops depend on the earlier
-    actions.  The list is what finding the first action, applying it and
-    finding again on the restricted tables would return, until nothing is
-    found.
+    actions.
     """
     alive = [True] * tables.m
-    out = []
-    for j in range(tables.n):
-        ij = tables.col_interval[j]
-        if not ij.is_point:
-            continue
-        k = ij.minimum()
-        rows = [i for i in tables.col_support[j]
-                if alive[i] and tables.s_prime[i][j].contains(k)]
-        for i in rows:
-            alive[i] = False
-        out.append(Action(Rule.SINGLETON_COLUMN, {tables.col_ids[j]: k},
-                          tuple(tables.row_ids[i] for i in rows), (tables.col_ids[j],)))
-    return out
+    return [_fix(Rule.SINGLETON_COLUMN, tables, alive, j, ij.minimum())
+            for j, ij in enumerate(tables.col_interval) if ij.is_point]
 
 
 def _dominates(tables, support, i, i0) -> bool:
@@ -211,44 +207,36 @@ def _dominates(tables, support, i, i0) -> bool:
     return all(cells[j].issubset(cells0[j]) for j in tables.row_support[i])
 
 
-def rule_dominated_row(tables: ResolutionTables):
+def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
     """Rows made redundant by another surviving row, in a single ascending
-    pass.
+    pass; one single-row action per removed row.
 
     Mutually dominating (identical) rows keep the lower index.  A row kept
-    once stays kept as the survivors shrink, so the returned list is the
-    fixed point of repeated single removals in ascending order.
+    once stays kept as the survivors shrink, so the removals are the fixed
+    point of repeated single removals in ascending order.
     """
     support = [set(sup) for sup in tables.row_support]
     alive = list(range(tables.m))
-    removed = []
+    out = []
     for i0 in range(tables.m):
         for i in alive:
             if i == i0 or not _dominates(tables, support, i, i0):
                 continue
             if i0 < i and _dominates(tables, support, i0, i):
                 continue
-            removed.append(tables.row_ids[i0])
+            out.append(Action(Rule.DOMINATED_ROW, {}, (tables.row_ids[i0],), ()))
             alive.remove(i0)
             break
-    return removed
+    return out
 
 
-def rule_forced_assignment(tables: ResolutionTables):
-    """First row supported by a single column whose restricted cell is a
-    single value: fix the column, drop every row that value satisfies."""
-    return next(iter(_forced_chain(tables)), None)
-
-
-def _forced_chain(tables: ResolutionTables) -> list:
-    """Every forced assignment in turn, each found on the rows and columns
-    the earlier ones leave.
+def rule_forced_assignment(tables: ResolutionTables, costs=None) -> list:
+    """Rows supported by a single column whose restricted cell is a single
+    value: fix the column, drop every row that value satisfies.
 
     Each row's live support size is tracked as columns go, and the
     ascending row scan restarts after every action, since a dropped column
-    can leave an earlier row with a single column.  The list is what
-    finding the first action, applying it and finding again on the
-    restricted tables would return, until nothing is found.
+    can leave an earlier row with a single column.
     """
     s_prime, row_support, col_support = tables.s_prime, tables.row_support, tables.col_support
     sizes = [len(sup) for sup in row_support]
@@ -265,27 +253,23 @@ def _forced_chain(tables: ResolutionTables) -> list:
         if not cell.is_point:
             i += 1
             continue
-        k = cell.minimum()
-        rows = [r for r in col_support[j] if alive[r] and s_prime[r][j].contains(k)]
-        for r in rows:
-            alive[r] = False
+        out.append(_fix(Rule.FORCED_ASSIGNMENT, tables, alive, j, cell.minimum()))
         gone[j] = True
         for r in col_support[j]:
             sizes[r] -= 1
-        out.append(Action(Rule.FORCED_ASSIGNMENT, {tables.col_ids[j]: k},
-                          tuple(tables.row_ids[r] for r in rows), (tables.col_ids[j],)))
         i = 0
     return out
 
 
-def rule_two_point_row(tables: ResolutionTables):
+def rule_two_point_row(tables: ResolutionTables, costs=None) -> list:
     """Rows holding a two-point restricted cell never constrain candidate
-    minima; all of them go at once."""
-    return [tables.row_ids[i] for i in range(tables.m)
-            if any(tables.s_prime[i][j].is_pair for j in tables.row_support[i])]
+    minima; one action drops them all."""
+    rows = tuple(tables.row_ids[i] for i in range(tables.m)
+                 if any(tables.s_prime[i][j].is_pair for j in tables.row_support[i]))
+    return [Action(Rule.TWO_POINT_ROW, {}, rows, ())] if rows else []
 
 
-def rule_lower_bound_column(tables: ResolutionTables):
+def rule_lower_bound_column(tables: ResolutionTables, costs=None) -> list:
     """Columns whose lower bound satisfies every supporting row: fix at the
     lower bound and drop those rows.
 
@@ -307,12 +291,10 @@ def rule_lower_bound_column(tables: ResolutionTables):
             if i not in gone:
                 gone.add(i)
                 rows.append(tables.row_ids[i])
-    if not cols:
-        return None
-    return Action(Rule.LOWER_BOUND_COLUMN, fixed, tuple(rows), tuple(cols))
+    return [Action(Rule.LOWER_BOUND_COLUMN, fixed, tuple(rows), tuple(cols))] if cols else []
 
 
-def rule_free_column(tables: ResolutionTables):
+def rule_free_column(tables: ResolutionTables, costs=None) -> list:
     """Columns no surviving row can use: fix at the lower bound.
 
     Columns with an empty interval are left alone; they belong to the
@@ -324,12 +306,10 @@ def rule_free_column(tables: ResolutionTables):
         if not tables.col_support[j] and not tables.col_interval[j].is_empty:
             fixed[tables.col_ids[j]] = tables.lower_bound(j)
             cols.append(tables.col_ids[j])
-    if not cols:
-        return None
-    return Action(Rule.FREE_COLUMN, fixed, (), tuple(cols))
+    return [Action(Rule.FREE_COLUMN, fixed, (), tuple(cols))] if cols else []
 
 
-def rule_dominated_column(tables: ResolutionTables, costs):
+def rule_dominated_column(tables: ResolutionTables, costs) -> list:
     """Column-vs-column elimination (requires two-point rows already gone).
 
     Variant (a): if every row that can use column j1 can also use column j2,
@@ -383,34 +363,18 @@ def rule_dominated_column(tables: ResolutionTables, costs):
             alive.remove(j1)
             break
     if not cols:
-        return None
-    return Action(Rule.DOMINATED_COLUMN, fixed, (), tuple(cols), detail=";".join(parts))
+        return []
+    return [Action(Rule.DOMINATED_COLUMN, fixed, (), tuple(cols), detail=";".join(parts))]
 
 
 # -- driver -------------------------------------------------------------------
 
-def _one(act):
-    return [] if act is None else [act]
-
-
-def _drop_rows(rule, rows):
-    return [Action(rule, {}, tuple(rows), ())] if rows else []
-
-
-# (rule, finder), in application order.  A finder maps (rule, tables, costs
-# aligned with the tables) to the actions to apply, in order, each found on
-# the state the earlier ones leave; the slot applies them with one
-# restriction.  The feasibility mode runs the first three slots.
+# The rules in application order, one slot each (the order of ``Rule``); the
+# feasibility mode runs the first three.  A slot applies its rule's whole
+# action list with one restriction.
 _SLOTS = (
-    (Rule.ZERO_RHS_ROW, lambda r, t, c: _drop_rows(r, rule_zero_rhs(t))),
-    (Rule.SINGLETON_COLUMN, lambda r, t, c: _singleton_chain(t)),
-    (Rule.DOMINATED_ROW,
-     lambda r, t, c: [Action(r, {}, (i,), ()) for i in rule_dominated_row(t)]),
-    (Rule.FORCED_ASSIGNMENT, lambda r, t, c: _forced_chain(t)),
-    (Rule.TWO_POINT_ROW, lambda r, t, c: _drop_rows(r, rule_two_point_row(t))),
-    (Rule.LOWER_BOUND_COLUMN, lambda r, t, c: _one(rule_lower_bound_column(t))),
-    (Rule.FREE_COLUMN, lambda r, t, c: _one(rule_free_column(t))),
-    (Rule.DOMINATED_COLUMN, lambda r, t, c: _one(rule_dominated_column(t, c))),
+    rule_zero_rhs, rule_singleton_column, rule_dominated_row, rule_forced_assignment,
+    rule_two_point_row, rule_lower_bound_column, rule_free_column, rule_dominated_column,
 )
 
 
@@ -424,27 +388,25 @@ def simplify(tables: ResolutionTables, costs, mode: Mode):
     n_original = tables.n
     cur = tables
     cost_by_col = {j: costs[pos] for pos, j in enumerate(tables.col_ids)}
-    fixed_all = {}
     ledger = ReductionLedger(initial_bound=admissible_upper_bound(tables))
 
     def apply(actions):
-        """One restriction for a finder's whole action list; each action
+        """One restriction for a rule's whole action list; each action
         still gets its own ledger step, bounded by the rows and columns that
         survive it."""
         nonlocal cur
         col_pos = {j: pos for pos, j in enumerate(cur.col_ids)}
         row_pos = {i: pos for pos, i in enumerate(cur.row_ids)}
+        sizes = [len(sup) for sup in cur.row_support]
+        alive = set(range(cur.m))
+        dropped = set()
+        bound = admissible_upper_bound(cur)
         for action in actions:
             for j, v in action.fixed.items():
                 interval = cur.col_interval[col_pos[j]]
                 if not interval.contains(v):
                     raise InconsistentReduction(
                         f"{action.rule.value} fixed x{j + 1}={v} outside {interval}")
-        sizes = [len(sup) for sup in cur.row_support]
-        alive = set(range(cur.m))
-        dropped = set()
-        bound = admissible_upper_bound(cur)
-        for action in actions:
             alive.difference_update(row_pos[i] for i in action.rows)
             for j in action.cols:
                 if col_pos[j] not in dropped:
@@ -456,17 +418,16 @@ def simplify(tables: ResolutionTables, costs, mode: Mode):
                 after *= sizes[r]
             ledger.steps.append(LedgerStep(action, bound, after))
             bound = after
-            fixed_all.update(action.fixed)
         cur = restrict(cur, sorted(alive), [j for j in range(cur.n) if j not in dropped])
 
-    for rule, find in slots:
-        if actions := find(rule, cur, [cost_by_col[j] for j in cur.col_ids]):
+    for rule in slots:
+        if actions := rule(cur, [cost_by_col[j] for j in cur.col_ids]):
             apply(actions)
 
     reduced = ReducedProblem(
         tables=cur,
         costs=[cost_by_col[j] for j in cur.col_ids],
-        fixed=dict(fixed_all),
+        fixed=ledger.fixed_assignments(),
         n_original=n_original,
     )
     return reduced, ledger

@@ -66,6 +66,12 @@ class TestProblemFiles:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "resolve", "verify"])
+    def test_equation_over_no_variables(self, tmp_path, capsys, command):
+        path = write_problem(tmp_path, tiny_problem(a_plus=[[]], a_minus=[[]], b=[0.0], c=[]))
+        assert main([command, path, "--no-timing"]) == 1
+        assert capsys.readouterr().err == "error: 1 equation(s) over no variables\n"
+
     @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
     def test_non_finite_cost(self, tmp_path, capsys, cost):
         # json writes these as the NaN / Infinity literals, which json.load accepts

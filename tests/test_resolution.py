@@ -257,6 +257,11 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             make_instance([[0.5]], [[0.5]], [0.5, 0.5])
 
+    @pytest.mark.parametrize("b", [[0.0], [0.5, 1.0]])
+    def test_equations_over_no_variables(self, b):
+        with pytest.raises(ValueError, match="over no variables"):
+            ProblemInstance([[]] * len(b), [[]] * len(b), b, [], validate("product"))
+
 
 def random_case(rng):
     fam, param = rng.choice([("lukasiewicz", None), ("product", None),
@@ -524,11 +529,11 @@ class TestRowValue:
             assert is_feasible_point(p, x, tables=tb) == \
                 is_feasible_point(p, clamped, tables=tb), (p, x)
 
-    def test_row_without_columns_is_zero(self):
-        p = ProblemInstance([[]], [[]], [0.3], [], validate("product"))
-        value = row_value(p, 0, [])
+    def test_row_of_zero_coefficients_is_zero(self):
+        p = ProblemInstance([[0.0]], [[0.0]], [0.3], [1.0], validate("product"))
+        value = row_value(p, 0, [0.5])
         assert value == 0.0 and isinstance(value, float)
-        assert not is_feasible_point(p, [])
+        assert not is_feasible_point(p, [0.5])
 
 
 def _full_verdict(p, x):
@@ -593,10 +598,10 @@ class TestSkipRuleEquivalence:
         assert is_feasible_point(p, x) == _full_verdict(p, x) == feasible
 
     @pytest.mark.parametrize("b,feasible", [(0.0, True), (EPS, True), (2 * EPS, False)])
-    def test_row_without_columns(self, b, feasible):
-        # no term at all: the row's value is the empty max, 0
-        p = ProblemInstance([[]], [[]], [b], [], validate("product"))
-        assert is_feasible_point(p, []) == _full_verdict(p, []) == feasible
+    def test_row_of_zero_coefficients(self, b, feasible):
+        # every term is skipped: the row's value is the empty max, 0
+        p = make_instance([[0.0]], [[0.0]], [b], family="product")
+        assert is_feasible_point(p, [0.5]) == _full_verdict(p, [0.5]) == feasible
 
     @pytest.mark.parametrize("b", [0.4, 0.4 + EPS / 2, 0.4 - EPS / 2])
     def test_only_a_term_within_eps_reaches(self, b):

@@ -23,6 +23,13 @@ from test_resolution import table_bits
 TOL = 1e-9
 
 
+def dropped(actions):
+    """Original ids of the rows a list of single-row actions drops, in
+    order."""
+    assert all(len(a.rows) == 1 for a in actions)
+    return [a.rows[0] for a in actions]
+
+
 def state(example_tables, rows, cols):
     """Restriction of the example tables by original 1-based ids."""
     keep_r = [i for i in range(10) if i + 1 in rows]
@@ -36,23 +43,25 @@ class TestZeroRhs:
 
     def test_single_zero(self):
         p = make_instance([[0.5], [0.5]], [[0.5], [0.5]], [0.0, 0.5])
-        assert rule_zero_rhs(build_tables(p)) == [0]
+        act, = rule_zero_rhs(build_tables(p))
+        assert act.rows == (0,)
 
     def test_all_zero(self):
         p = make_instance([[0.5], [0.5]], [[0.5], [0.5]], [0.0, 0.0])
-        assert rule_zero_rhs(build_tables(p)) == [0, 1]
+        act, = rule_zero_rhs(build_tables(p))
+        assert act.rows == (0, 1)
 
 
 class TestSingletonColumn:
     def test_example_fixes_last_column(self, example_tables):
-        act = rule_singleton_column(example_tables)
+        act = rule_singleton_column(example_tables)[0]
         assert act.rule is Rule.SINGLETON_COLUMN
         assert act.fixed == {9: pytest.approx(0.6, abs=TOL)}
         assert act.cols == (9,) and act.rows == (6, 8)
 
     def test_no_singleton_no_action(self, example_tables):
         sub = state(example_tables, rows=range(1, 11), cols=range(1, 10))
-        assert rule_singleton_column(sub) is None
+        assert rule_singleton_column(sub) == []
 
     def test_unsupported_singleton_removes_only_column(self):
         # synthetic: the column interval is a point no cell can witness
@@ -62,20 +71,20 @@ class TestSingletonColumn:
             row_support=[[1]], col_support=[[], [0]],
             row_ids=[0], col_ids=[0, 1], rhs=[0.5],
         )
-        act = rule_singleton_column(tables)
+        act, = rule_singleton_column(tables)
         assert act.fixed == {0: 0.0} and act.cols == (0,) and act.rows == ()
 
 
 class TestDominatedRow:
     def test_example_first_removal_is_row_three(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 3, 4, 5, 6, 8, 10], cols=range(1, 10))
-        removed = rule_dominated_row(sub)
+        removed = dropped(rule_dominated_row(sub))
         assert removed[0] == 2
         assert removed == [2, 5]  # row 6 is covered by row 8 as well
 
     def test_identical_rows_keep_lower_index(self):
         p = make_instance([[0.9, 0.2], [0.9, 0.2]], [[0.1, 0.1], [0.1, 0.1]], [0.5, 0.5])
-        assert rule_dominated_row(build_tables(p)) == [1]
+        assert dropped(rule_dominated_row(build_tables(p))) == [1]
 
     def test_disjoint_supports_untouched(self):
         p = make_instance([[0.9, 0.0], [0.0, 0.9]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
@@ -85,24 +94,25 @@ class TestDominatedRow:
 class TestForcedAssignment:
     def test_example_row_eight(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 4, 5, 6, 8], cols=range(1, 10))
-        act = rule_forced_assignment(sub)
+        act = rule_forced_assignment(sub)[0]
         assert act.fixed == {8: pytest.approx(0.8, abs=TOL)}
         assert act.cols == (8,) and act.rows == (5, 7)
 
     def test_two_point_cell_not_forced(self):
         p = make_instance([[0.9]], [[0.9]], [0.5])  # restricted cell is a pair
         assert build_tables(p).s_prime[0][0].is_pair
-        assert rule_forced_assignment(build_tables(p)) is None
+        assert rule_forced_assignment(build_tables(p)) == []
 
     def test_wide_support_not_forced(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        assert rule_forced_assignment(sub) is None
+        assert rule_forced_assignment(sub) == []
 
 
 class TestTwoPointRow:
     def test_example_row_ten(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 4, 5, 10], cols=range(1, 9))
-        assert rule_two_point_row(sub) == [9]
+        act, = rule_two_point_row(sub)
+        assert act.rows == (9,)
 
     def test_none_without_pairs(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
@@ -110,56 +120,57 @@ class TestTwoPointRow:
 
     def test_row_with_two_pairs_listed_once(self):
         p = make_instance([[0.9, 0.9]], [[0.9, 0.9]], [0.5])
-        assert rule_two_point_row(build_tables(p)) == [0]
+        act, = rule_two_point_row(build_tables(p))
+        assert act.rows == (0,)
 
 
 class TestLowerBoundColumn:
     def test_example_column_eight(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 4, 5], cols=range(1, 9))
-        act = rule_lower_bound_column(sub)
+        act, = rule_lower_bound_column(sub)
         assert act.fixed == {7: pytest.approx(0.2, abs=TOL)}
         assert act.cols == (7,) and act.rows == (1,)
 
     def test_unsupported_column_left_for_free_rule(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=[6, 7])
-        assert rule_lower_bound_column(sub) is None
+        assert rule_lower_bound_column(sub) == []
 
     def test_upper_bound_cells_not_matched(self, example_tables):
         # all supports meet only at upper bounds here
         sub = state(example_tables, rows=[1, 4, 5], cols=[3, 4])
-        assert rule_lower_bound_column(sub) is None
+        assert rule_lower_bound_column(sub) == []
 
 
 class TestFreeColumn:
     def test_example_columns_six_seven(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 8))
-        act = rule_free_column(sub)
+        act, = rule_free_column(sub)
         assert act.fixed == {5: 0.0, 6: 0.0}
         assert act.cols == (5, 6) and act.rows == ()
 
     def test_all_supported_no_action(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        assert rule_free_column(sub) is None
+        assert rule_free_column(sub) == []
 
 
 class TestDominatedColumn:
     def test_example_pair_of_fixes(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        act = rule_dominated_column(sub, [1.0, 0.35, 0.93, 3.28, 5.03])
+        act, = rule_dominated_column(sub, [1.0, 0.35, 0.93, 3.28, 5.03])
         assert act.fixed == {3: 0.0, 4: pytest.approx(0.3, abs=TOL)}
         assert set(act.cols) == {3, 4} and act.rows == ()
         assert "a:x5<-x1" in act.detail and "b:x4<-x3" in act.detail
 
     def test_no_nested_supports_no_action(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=[1, 2, 3])
-        assert rule_dominated_column(sub, [1.0, 0.35, 0.93]) is None
+        assert rule_dominated_column(sub, [1.0, 0.35, 0.93]) == []
 
     def test_cost_inequality_gates_variant_b(self, example_tables):
         # costs balanced so neither direction passes the strict inequality
         sub = state(example_tables, rows=[1, 4, 5], cols=[3, 4])
-        assert rule_dominated_column(sub, [1.0, 0.6]) is None
+        assert rule_dominated_column(sub, [1.0, 0.6]) == []
         # cheap column 4 flips the elimination onto column 3
-        act = rule_dominated_column(sub, [0.93, 0.01])
+        act, = rule_dominated_column(sub, [0.93, 0.01])
         assert act.cols == (2,) and act.fixed == {2: 0.0}
 
 
@@ -398,11 +409,11 @@ class TestSinglePassDominance:
                                 range(tables.n))
             for t in (tables, no_pairs):
                 want = _ref_dominated_row(t)
-                assert rule_dominated_row(t) == want, (k, p)
+                assert dropped(rule_dominated_row(t)) == want, (k, p)
                 multi_rows += len(want) > 1
                 want = _ref_dominated_column(t, p.c)
-                act = rule_dominated_column(t, p.c)
-                got = None if act is None else (act.cols, act.fixed, act.detail)
+                acts = rule_dominated_column(t, p.c)
+                got = (acts[0].cols, acts[0].fixed, acts[0].detail) if acts else None
                 assert got == want, (k, p)
                 multi_cols += want is not None and len(want[0]) > 1
         # the corpus must exercise removals that change the survivor list
@@ -486,24 +497,19 @@ def _ref_one(act):
     return [] if act is None else [act]
 
 
-def _ref_drop_rows(rule, rows):
-    return [Action(rule, {}, tuple(rows), ())] if rows else []
-
-
 # (rule, finder, repeat), in application order: a repeating slot calls its
 # single-action finder again, on the tables its last action left, until it
 # finds nothing.
 _REF_SLOTS = (
-    (Rule.ZERO_RHS_ROW, lambda t, c: _ref_drop_rows(Rule.ZERO_RHS_ROW, rule_zero_rhs(t)), False),
+    (Rule.ZERO_RHS_ROW, rule_zero_rhs, False),
     (Rule.SINGLETON_COLUMN, lambda t, c: _ref_one(_ref_singleton_column(t)), True),
     (Rule.DOMINATED_ROW, lambda t, c: [Action(Rule.DOMINATED_ROW, {}, (i,), ())
                                        for i in _ref_single_pass_dominated_row(t)], False),
     (Rule.FORCED_ASSIGNMENT, lambda t, c: _ref_one(_ref_forced_assignment(t)), True),
-    (Rule.TWO_POINT_ROW,
-     lambda t, c: _ref_drop_rows(Rule.TWO_POINT_ROW, rule_two_point_row(t)), False),
-    (Rule.LOWER_BOUND_COLUMN, lambda t, c: _ref_one(rule_lower_bound_column(t)), False),
-    (Rule.FREE_COLUMN, lambda t, c: _ref_one(rule_free_column(t)), False),
-    (Rule.DOMINATED_COLUMN, lambda t, c: _ref_one(rule_dominated_column(t, c)), False),
+    (Rule.TWO_POINT_ROW, rule_two_point_row, False),
+    (Rule.LOWER_BOUND_COLUMN, rule_lower_bound_column, False),
+    (Rule.FREE_COLUMN, rule_free_column, False),
+    (Rule.DOMINATED_COLUMN, rule_dominated_column, False),
 )
 
 

@@ -2,7 +2,9 @@ import os
 import subprocess
 import sys
 
-from bfre import tolerance
+import pytest
+
+from bfre import example_path, tolerance
 
 
 def test_default():
@@ -27,3 +29,24 @@ def test_env_override_changes_comparisons():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert float(out.stdout) == 1.0
+
+
+@pytest.mark.parametrize("value", ["1e-12", "1e-9", "1e-6", "1e-3"])
+def test_accepted_range_includes_both_ends(value):
+    code = "import bfre.tolerance as t; print(t.EPS)"
+    env = dict(os.environ, BFRE_EPS=value)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert float(out.stdout) == float(value)
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "0", "abc", "",
+                                   "1e-16", "9e-13", "1.1e-3", "1e-2", "0.1", "0.5"])
+def test_out_of_range_value_refused_at_import(value):
+    env = dict(os.environ, BFRE_EPS=value)
+    done = subprocess.run([sys.executable, "-m", "bfre.cli", "solve", example_path()],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode != 0
+    assert done.stdout == ""
+    last = done.stderr.strip().splitlines()[-1]
+    assert last.startswith("ValueError: ") and "BFRE_EPS" in last, done.stderr
