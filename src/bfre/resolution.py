@@ -7,9 +7,12 @@ keeping the term <= b_i).  Intersecting relaxation sets down each column
 yields the box constraint every feasible point obeys; restricting each cell
 solution set to that box gives the sets the search actually uses.
 
-The tables hold only what reduction and search read: the column intervals
-and the restricted cells.  The raw relaxation and solution grids exist only
-for export, where ``cell_grids`` resolves them again from the instance.
+Cells are resolved, folded and restricted on plain floats, by the bound
+rules of ``sets``, which give to the bit what the set algebra gives.  A
+``SetForm`` is built only for what the tables keep: one per column interval
+and one per non-empty restricted cell.  The raw relaxation and solution
+grids exist only for export, where ``cell_grids`` resolves them again from
+the instance and wraps each cell's floats into sets.
 
 A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
@@ -31,7 +34,10 @@ from enum import Enum
 from itertools import chain
 
 from .errors import InconsistentReduction
-from .sets import SetForm
+from .sets import (
+    EMPTY, PAIR, POINT, SetForm, fold_intervals, from_bounds, interval_bounds,
+    restrict_bounds,
+)
 from .tnorms import DomainError, TNorm, _check_unit, _evaluator, _solver
 from .tolerance import EPS
 
@@ -93,35 +99,47 @@ def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float):
     [0, 1] once, with ``solve_u``'s error texts, before the cell is
     resolved on the unchecked kernel of ``t``.
     """
-    return _resolve_cell(_solver(t), _check_unit("a", a_plus),
-                         _check_unit("a", a_minus), _check_unit("b", b))
+    return _cell_sets(_resolve_cell(_solver(t), _check_unit("a", a_plus),
+                                    _check_unit("a", a_minus), _check_unit("b", b)))
 
 
-def _resolve_cell(u, a_plus: float, a_minus: float, b: float):
-    """``bipolar_cell`` for arguments in [0, 1], on the bound kernel ``u``
-    of ``tnorms._solver``."""
+def _cell_sets(resolved) -> tuple:
+    """(solution set, relaxation set) of a ``_resolve_cell`` result."""
+    rlo, rhi, kind, lo, hi = resolved
+    return from_bounds(kind, lo, hi), SetForm.interval(rlo, rhi)
+
+
+def _resolve_cell(u, a_plus: float, a_minus: float, b: float) -> tuple:
+    """``bipolar_cell`` on floats, for arguments in [0, 1] and the bound
+    kernel ``u`` of ``tnorms._solver``: ``(rlo, rhi, kind, lo, hi)``.
+
+    The relaxation set is ``SetForm.interval(rlo, rhi)`` in every case,
+    which is empty when the bounds cross and a point when they meet within
+    EPS; the solution set is the ``sets`` triple ``(kind, lo, hi)``.
+    """
     plus_ge = a_plus >= b - EPS
     minus_ge = a_minus >= b - EPS
     if not plus_ge and not minus_ge:
-        return SetForm.empty(), SetForm.interval(0.0, 1.0)
+        return 0.0, 1.0, EMPTY, math.nan, math.nan
     if b > EPS:
-        if plus_ge and not minus_ge:
+        if not minus_ge:
             v = u(a_plus, b)
-            return SetForm.point(v), SetForm.interval(0.0, v)
-        if minus_ge and not plus_ge:
-            v = u(a_minus, b)
-            return SetForm.point(1.0 - v), SetForm.interval(1.0 - v, 1.0)
+            return 0.0, v, POINT, v, v
+        if not plus_ge:
+            v = 1.0 - u(a_minus, b)
+            return v, 1.0, POINT, v, v
         lo = 1.0 - u(a_minus, b)
         hi = u(a_plus, b)
         if lo > hi + EPS:
-            return SetForm.empty(), SetForm.empty()
+            return lo, hi, EMPTY, math.nan, math.nan
         if hi - lo <= EPS:
-            return SetForm.point(lo), SetForm.point(lo)
-        return SetForm.pair(lo, hi), SetForm.interval(lo, hi)
+            return lo, hi, POINT, lo, lo
+        return lo, hi, PAIR, lo, hi
     # b == 0: both sides always reach b, and solving == relaxing; a crossed
     # pair gives the empty interval.
-    cell = SetForm.interval(1.0 - u(a_minus, 0.0), u(a_plus, 0.0))
-    return cell, cell
+    lo = 1.0 - u(a_minus, 0.0)
+    hi = u(a_plus, 0.0)
+    return (lo, hi) + interval_bounds(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -172,39 +190,43 @@ class ResolutionTables:
 def build_tables(p: ProblemInstance) -> ResolutionTables:
     """Resolve an instance into its column intervals and restricted cells.
 
-    Only cells some coefficient can reach are resolved; each one's
-    relaxation set is folded into its column interval at once, in ascending
-    row order.  Every other cell has an empty solution set and a [0, 1]
-    relaxation set, which changes no interval.  The t-norm's kernel is bound
-    once and the cells are resolved unchecked: ``ProblemInstance`` has
-    already held every entry to [0, 1].
+    Only cells some coefficient can reach are resolved, on floats; each
+    column folds its cells' relaxation bounds in ascending row order.  Every
+    other cell has an empty solution set and a [0, 1] relaxation set, which
+    changes no interval.  Each non-empty solution set is then restricted to
+    its column interval, endpoints pinned onto the column bounds, still on
+    floats.  A ``SetForm`` is built only for each column interval and each
+    non-empty restricted cell.  The t-norm's kernel is bound once and the
+    cells are resolved unchecked: ``ProblemInstance`` has already held every
+    entry to [0, 1].
     """
     m, n = p.m, p.n
     u = _solver(p.tnorm)
-    empty = SetForm.empty()
-    col_interval = [SetForm.interval(0.0, 1.0)] * n
-    solved = [[] for _ in range(n)]       # per column: (row, non-empty solution set)
+    relax = [[] for _ in range(n)]        # per column: (rlo, rhi) of the reached cells
+    solved = [[] for _ in range(n)]       # per column: (row, kind, lo, hi), non-empty
     for i in range(m):
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
+        reach = b - EPS
         for j in range(n):
-            if ap[j] >= b - EPS or am[j] >= b - EPS:
-                cell, relax = _resolve_cell(u, ap[j], am[j], b)
-                col_interval[j] = col_interval[j].intersect(relax)
-                if not cell.is_empty:
-                    solved[j].append((i, cell))
+            if ap[j] >= reach or am[j] >= reach:
+                rlo, rhi, kind, lo, hi = _resolve_cell(u, ap[j], am[j], b)
+                relax[j].append((rlo, rhi))
+                if kind is not EMPTY:
+                    solved[j].append((i, kind, lo, hi))
+    empty = SetForm.empty()
+    col_interval = []
     s_prime = [[empty] * n for _ in range(m)]
     row_support = [[] for _ in range(m)]
     col_support = [[] for _ in range(n)]
     for j in range(n):
-        ij = col_interval[j]
-        if ij.is_empty:
+        ckind, clo, chi = fold_intervals(relax[j])
+        col_interval.append(from_bounds(ckind, clo, chi))
+        if ckind is EMPTY:
             continue
-        targets = (ij.minimum(), ij.maximum())
-        for i, cell in solved[j]:
-            # pin endpoints exactly onto the column bounds
-            cell = cell.intersect(ij).snap(targets)
-            if not cell.is_empty:
-                s_prime[i][j] = cell
+        for i, kind, lo, hi in solved[j]:
+            kind, lo, hi = restrict_bounds(kind, lo, hi, ckind, clo, chi)
+            if kind is not EMPTY:
+                s_prime[i][j] = from_bounds(kind, lo, hi)
                 row_support[i].append(j)
                 col_support[j].append(i)
     return ResolutionTables(
@@ -380,7 +402,7 @@ def cell_grids(p: ProblemInstance, tables: ResolutionTables) -> tuple:
     resolved again from the instance; an unreachable cell comes back as
     (∅, [0, 1])."""
     u = _solver(p.tnorm)
-    cells = [[_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
+    cells = [[_cell_sets(_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i]))
               for j in tables.col_ids] for i in tables.row_ids]
     return ([[s for s, _ in row] for row in cells],
             [[r for _, r in row] for row in cells])

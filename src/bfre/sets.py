@@ -7,6 +7,15 @@ machinery finite.
 
 All membership and identity tests are tolerance-snapped: values closer than
 ``EPS`` are treated as equal, so endpoint coincidences survive float noise.
+
+The same rules also act on plain bounds, a ``(kind, lo, hi)`` triple per set,
+for code that would otherwise build a form only to intersect it away:
+``interval_bounds``, ``fold_intervals`` and ``restrict_bounds`` give, to the
+bit, what ``SetForm.interval``, a left-to-right ``intersect`` and
+``intersect`` plus ``snap`` give, and ``from_bounds`` makes the form of a
+triple.  The tolerance rules are not associative, so a fold must keep its
+order: (0, 1) ∩ [.5, .5 + .5ε] ∩ [.5 + .8ε, 1] is the point .5, while a plain
+max/min over all bounds gives .5 + .8ε.
 """
 
 from __future__ import annotations
@@ -205,3 +214,111 @@ def _form(kind: str, lo: float, hi: float) -> SetForm:
     _set_lo(s, lo)
     _set_hi(s, hi)
     return s
+
+
+_EMPTY_BOUNDS = (EMPTY, math.nan, math.nan)
+
+
+def from_bounds(kind: str, lo: float, hi: float) -> SetForm:
+    """The form of a ``(kind, lo, hi)`` triple of the functions below."""
+    return _EMPTY if kind is EMPTY else _form(kind, lo, hi)
+
+
+def interval_bounds(lo: float, hi: float) -> tuple:
+    """``SetForm.interval(lo, hi)`` as a triple."""
+    if lo > hi + EPS:
+        return _EMPTY_BOUNDS
+    if hi - lo <= EPS:
+        return POINT, lo, lo
+    return INTERVAL, lo, hi
+
+
+def fold_intervals(bounds) -> tuple:
+    """``SetForm.interval(0, 1)`` intersected with ``SetForm.interval(lo,
+    hi)`` for each ``(lo, hi)`` of ``bounds`` in turn, as a triple.
+
+    Each step follows ``intersect`` with the running set as ``self``: a
+    tie keeps the running bound, and a point keeps its value while the
+    next interval holds it within EPS.
+    """
+    eps = EPS
+    kind, lo, hi = INTERVAL, 0.0, 1.0
+    for rlo, rhi in bounds:
+        if rlo > rhi + eps:
+            return _EMPTY_BOUNDS
+        if rhi - rlo <= eps:                # the operand is the point rlo
+            if kind is POINT:
+                if not abs(lo - rlo) <= eps:
+                    return _EMPTY_BOUNDS
+            elif lo - eps <= rlo <= hi + eps:
+                kind, lo, hi = POINT, rlo, rlo
+            else:
+                return _EMPTY_BOUNDS
+        elif kind is POINT:
+            if not rlo - eps <= lo <= rhi + eps:
+                return _EMPTY_BOUNDS
+        else:
+            if rlo > lo:
+                lo = rlo
+            if rhi < hi:
+                hi = rhi
+            if lo > hi + eps:
+                return _EMPTY_BOUNDS
+            if hi - lo <= eps:
+                kind, hi = POINT, lo
+    return kind, lo, hi
+
+
+def restrict_bounds(kind: str, lo: float, hi: float,
+                    ckind: str, clo: float, chi: float) -> tuple:
+    """``s.intersect(c).snap((clo, chi))`` as a triple, for a non-empty
+    ``s = (kind, lo, hi)`` and a non-empty point or interval
+    ``c = (ckind, clo, chi)``."""
+    eps = EPS
+    # intersect, with s as self
+    if kind is POINT:
+        if not (abs(lo - clo) <= eps if ckind is POINT else clo - eps <= lo <= chi + eps):
+            return _EMPTY_BOUNDS
+    elif ckind is POINT:
+        if kind is PAIR:
+            held = abs(clo - lo) <= eps or abs(clo - hi) <= eps
+        else:
+            held = lo - eps <= clo <= hi + eps
+        if not held:
+            return _EMPTY_BOUNDS
+        return POINT, clo, clo              # snapping c's own value keeps it
+    elif kind is PAIR:
+        keep_lo = clo - eps <= lo <= chi + eps
+        if not clo - eps <= hi <= chi + eps:
+            if not keep_lo:
+                return _EMPTY_BOUNDS
+            kind, hi = POINT, lo
+        elif not keep_lo:
+            kind, lo = POINT, hi
+    else:
+        if clo > lo:
+            lo = clo
+        if chi < hi:
+            hi = chi
+        if lo > hi + eps:
+            return _EMPTY_BOUNDS
+        if hi - lo <= eps:
+            kind, hi = POINT, lo
+    # snap onto (clo, chi), the first target within EPS winning
+    if abs(lo - clo) <= eps:
+        lo = clo
+    elif abs(lo - chi) <= eps:
+        lo = chi
+    if kind is POINT:
+        return POINT, lo, lo
+    if abs(hi - clo) <= eps:
+        hi = clo
+    elif abs(hi - chi) <= eps:
+        hi = chi
+    if kind is INTERVAL:
+        return interval_bounds(lo, hi)
+    if lo > hi:
+        lo, hi = hi, lo
+    if hi - lo <= eps:
+        return POINT, lo, lo
+    return PAIR, lo, hi

@@ -393,32 +393,57 @@ def simplify(tables: ResolutionTables, costs, mode: Mode):
     def apply(actions):
         """One restriction for a rule's whole action list; each action
         still gets its own ledger step, bounded by the rows and columns that
-        survive it."""
+        survive it.
+
+        The bound is kept as a running product of the alive rows' non-zero
+        support sizes and a count of alive rows whose support is empty, so
+        an action updates only the rows it drops or a dropped column
+        reaches.  The integers are exact: a size divided out is a factor of
+        the product.
+        """
         nonlocal cur
         col_pos = {j: pos for pos, j in enumerate(cur.col_ids)}
         row_pos = {i: pos for pos, i in enumerate(cur.row_ids)}
         sizes = [len(sup) for sup in cur.row_support]
-        alive = set(range(cur.m))
+        alive = [True] * cur.m
         dropped = set()
-        bound = admissible_upper_bound(cur)
+        product, zeros = 1, 0
+        for size in sizes:
+            if size:
+                product *= size
+            else:
+                zeros += 1
+        bound = 0 if zeros else product
         for action in actions:
             for j, v in action.fixed.items():
                 interval = cur.col_interval[col_pos[j]]
                 if not interval.contains(v):
                     raise InconsistentReduction(
                         f"{action.rule.value} fixed x{j + 1}={v} outside {interval}")
-            alive.difference_update(row_pos[i] for i in action.rows)
+            for i in action.rows:
+                r = row_pos[i]
+                if alive[r]:
+                    alive[r] = False
+                    if sizes[r]:
+                        product //= sizes[r]
+                    else:
+                        zeros -= 1
             for j in action.cols:
                 if col_pos[j] not in dropped:
                     dropped.add(col_pos[j])
                     for r in cur.col_support[col_pos[j]]:
-                        sizes[r] -= 1
-            after = 1
-            for r in alive:
-                after *= sizes[r]
+                        size = sizes[r]
+                        sizes[r] = size - 1
+                        if alive[r]:
+                            if size > 1:
+                                product = product // size * (size - 1)
+                            else:
+                                zeros += 1
+            after = 0 if zeros else product
             ledger.steps.append(LedgerStep(action, bound, after))
             bound = after
-        cur = restrict(cur, sorted(alive), [j for j in range(cur.n) if j not in dropped])
+        cur = restrict(cur, [r for r in range(cur.m) if alive[r]],
+                       [j for j in range(cur.n) if j not in dropped])
 
     for rule in slots:
         if actions := rule(cur, [cost_by_col[j] for j in cur.col_ids]):

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from bfre import ProblemInstance, build_tables, example_path, validate
@@ -9,7 +7,7 @@ from bfre.cli import load_problem
 @pytest.fixture(scope="session")
 def example():
     """The bundled 10x10 Yager(p=2) instance."""
-    return load_problem(json.load(open(example_path())))
+    return load_problem(example_path())
 
 
 @pytest.fixture(scope="session")

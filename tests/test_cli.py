@@ -42,7 +42,7 @@ def tiny_problem(**overrides):
 
 class TestProblemFiles:
     def test_round_trip(self):
-        p = load_problem(json.load(open(example_path())))
+        p = load_problem(example_path())
         again = load_problem(problem_to_dict(p))
         assert problem_to_dict(again) == problem_to_dict(p)
 

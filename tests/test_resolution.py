@@ -775,6 +775,87 @@ class TestBuildTablesBitExact:
             [[bits(c) for c in row] for row in s_prime]
         assert any(c.is_interval for row in tb.s_prime for c in row)
 
+    @staticmethod
+    def assert_matches_chain(p):
+        """``build_tables(p)`` equals ``_chain_tables(p)`` to the bit; returns
+        the tables and the reference column intervals."""
+        tb = build_tables(p)
+        col, s_prime = _chain_tables(p)
+        assert [bits(c) for c in tb.col_interval] == [bits(c) for c in col], p
+        assert [[bits(c) for c in row] for row in tb.s_prime] == \
+            [[bits(c) for c in row] for row in s_prime], p
+        return tb, col
+
+    def test_bounds_tied_within_eps(self):
+        # Lukasiewicz at b = 0.25: column 0 folds [.5 + .3e, 1] then the
+        # point [.5, .5 + .5e], column 2 the point then [.5 + .8e, 1]; both
+        # end at the point .5, where a plain max/min fold would not.
+        # Column 1's pair cell ends .8e above the column and is snapped onto it.
+        e = EPS
+        p = make_instance([[0.0, 0.5, 0.75 - 0.5 * e], [0.75 - 0.5 * e, 0.5 - 0.8 * e, 0.0]],
+                          [[0.75 + 0.3 * e, 0.0, 0.75], [0.75, 0.5, 0.75 + 0.8 * e]],
+                          [0.25, 0.25])
+        tb, _ = self.assert_matches_chain(p)
+        assert bits(tb.col_interval[0]) == bits(tb.col_interval[2]) == bits(SetForm.point(0.5))
+        assert tb.s_prime[1][1].is_pair and tb.s_prime[1][1].hi == tb.col_interval[1].hi == 0.75
+
+    def test_full_size_and_extreme_settings(self):
+        # the corpus must reach every branch of the float-level resolution
+        census = set()
+        for p in _wide_corpus():
+            tb, col = self.assert_matches_chain(p)
+            TestDerivedSupports.assert_supports_scanned(tb)
+            census |= _shape_census(p, col)
+        assert census == {"pair cell", "b = 0 interval cell", "crossed cell",
+                          "point column", "empty column"}
+
+
+_PRESOLVE_FAMILIES = [("yager", 2.0), ("product", None), ("lukasiewicz", None),
+                      ("hamacher", 1.0)]
+_EXTREME_SETTINGS = [("yager", 30.0), ("dombi", 20.0), ("schweizer_sklar", 9.0),
+                     ("schweizer_sklar", -15.0), ("frank", 1e-3), ("sugeno_weber", 0.0)]
+
+
+def _wide_corpus():
+    """32x32 grid-planted instances of the four families of a presolve-heavy
+    solve, then small grid, planted and off-grid instances at extreme
+    parameters."""
+    for family, param in _PRESOLVE_FAMILIES:
+        rng = random.Random(f"bit_exact_32:{family}")
+        for _ in range(3):
+            yield planted_feasible_instance(rng, family, param, m=32, n=32)[0]
+    for family, param in _EXTREME_SETTINGS:
+        rng = random.Random(f"bit_exact_extreme:{family}:{param}")
+        for k in range(60):
+            m, n = rng.randint(1, 8), rng.randint(1, 8)
+            if k % 3 == 0:
+                yield random_instance(rng, family, param, m=m, n=n)
+            elif k % 3 == 1:
+                yield random_feasible_instance(rng, family, param, m=m, n=n)
+            else:
+                yield _float_instance(rng, family, param, m, n)
+
+
+def _shape_census(p, col) -> set:
+    """The branches the reference resolution of ``p`` takes, by name."""
+    shapes = set()
+    for i in range(p.m):
+        for j in range(p.n):
+            ap, am, b = p.a_plus[i][j], p.a_minus[i][j], p.b[i]
+            if ap >= b - EPS or am >= b - EPS:
+                cell, relax = _chain_bipolar_cell(p.tnorm, ap, am, b)
+                if cell.is_pair:
+                    shapes.add("pair cell")
+                if cell.is_interval:
+                    shapes.add("b = 0 interval cell")
+                if relax.is_empty:
+                    shapes.add("crossed cell")
+    if any(c.is_point for c in col):
+        shapes.add("point column")
+    if any(c.is_empty for c in col):
+        shapes.add("empty column")
+    return shapes
+
 
 class TestExports:
     def test_json_shape(self, example, example_tables):
