@@ -23,12 +23,17 @@ ends (complete, pruned, or dead), jump to the cheapest node anywhere in the
 live set, a heap keyed (z, -depth, uid).  Cost never decreases along a
 branch, so pruning against the incumbent is exact.
 
-Node state is lazy.  A child is priced from its parent's point and costs one
-small object (parent, column, running intersection, cost); a child priced
-out at birth costs none unless the search is recorded.  Its running
-intersections and point are built only when it is expanded, becomes the
-incumbent or is written to a trace event.  A child whose pick returns the
-parent's running intersection itself (most forced reuses) shares the
+Node state is lazy.  A row whose one admissible step reuses a column and
+returns its running intersection itself (most forced reuses) is a
+pass-through row: its child would share the node's state and cost, so the
+node moves down the row in place, with a new uid and depth and one more
+column of picks.  Any other child is priced from its parent's point as a
+plain (cost, column, uid, running intersection) tuple, and the live set
+holds these tuples with their parent, so a node object is built only for
+the child dived into, a popped entry, the incumbent and a trace event.  A
+node's running intersections and point are built only when it is
+expanded, becomes the incumbent or is written to a trace event.  A child
+whose pick returns the parent's running intersection itself shares the
 parent's intersection dict and point list; any other child shares the
 parent's point list when the pick leaves that coordinate unchanged.  So a
 built dict or point is never mutated, and a node's picks are read up the
@@ -42,7 +47,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from heapq import heapify, heappop, heappush
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
 from .resolution import (
@@ -132,15 +137,19 @@ class _Node:
     intersection, cost); its ``inter`` dict and point ``x`` are built by
     ``materialize`` only when the search expands it, makes it the incumbent
     or writes it to a trace event.  A child whose pick leaves the parent's
-    running intersection in place (``parent.inter[j] is s``, as in a forced
-    reuse) takes the parent's ``inter`` and ``x`` objects themselves; any
-    other child takes the parent's ``x`` whenever the pick leaves that
-    coordinate unchanged.  So a built ``inter`` or ``x`` is never mutated."""
+    running intersection in place (``parent.inter[j] is s``) takes the
+    parent's ``inter`` and ``x`` objects themselves; any other child takes
+    the parent's ``x`` whenever the pick leaves that coordinate unchanged.
+    So a built ``inter`` or ``x`` is never mutated.
 
-    __slots__ = ("uid", "parent", "j", "s", "z", "depth", "inter", "x")
+    ``run`` holds the columns of the pass-through rows the node has moved
+    down in place since its own pick ``j``; ``picks`` reads both."""
+
+    __slots__ = ("uid", "parent", "j", "s", "z", "depth", "run", "inter", "x")
 
     def __init__(self, uid, parent, j, s, z, depth):
         self.uid, self.parent, self.j, self.s, self.z, self.depth = uid, parent, j, s, z, depth
+        self.run = ()
         self.inter = self.x = None
 
     def materialize(self) -> "_Node":
@@ -156,16 +165,22 @@ class _Node:
         return self
 
     def picks(self) -> tuple:
-        out = []
+        parts = []
         node = self
         while node.parent is not None:
-            out.append(node.j)
+            parts.append((node.j,) + node.run)
             node = node.parent
-        return tuple(reversed(out))
+        return tuple(j for part in reversed(parts) for j in part)
 
     def event(self, action) -> "TraceEvent":
         self.materialize()
         return TraceEvent(self.uid, self.picks(), tuple(self.x), self.z, action)
+
+
+def _entry_node(entry) -> _Node:
+    """The node of a live-set entry (z, -depth, uid, parent, j, s)."""
+    z, neg_depth, uid, parent, j, s = entry
+    return _Node(uid, parent, j, s, z, -neg_depth)
 
 
 @dataclass(frozen=True)
@@ -217,12 +232,13 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     admissible assignments (needed when two-point cells may still be present).
 
     Every row's step list is bound once per search.  Node state is lazy
-    (see the module docstring): a child is priced before it is allocated,
-    and without ``record`` one already priced out by the incumbent is only
-    counted.  Its running intersections and point are built only when it is
-    expanded, becomes the incumbent or is recorded.  Both are shared down
-    the tree (see ``_Node``), so neither is ever mutated once built.  A lone
-    viable child is dived into directly: no ordering, no live-set traffic.
+    (see the module docstring).  A pass-through row moves the current node
+    down in place: one node created and, on the next turn, one expanded,
+    with its own uid and trace events, but nothing built, priced or pushed.
+    Other children are priced as (z, j, uid, s) tuples, the live set holds
+    (z, -depth, uid, parent, j, s), and without ``record`` a child already
+    priced out by the incumbent is only counted.  A lone viable child is
+    dived into directly: no ordering, no live-set traffic.
     """
     tables = reduced.tables
     costs = reduced.costs
@@ -237,18 +253,28 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     created = expanded = candidates = prunes = updates = jumps = max_live = 0
     incumbent: _Node | None = None
     bar = math.inf       # incumbent.z - EPS: a node must cost less to survive
-    live: list = []      # heap of (z, -depth, uid, node)
+    live: list = []      # heap of (z, -depth, uid, parent, j, s)
     node = _Node(0, None, None, None, base_z, 0)
     node.inter, node.x = {}, base_x
 
     while node is not None:
-        node.materialize()
+        if node.inter is None:
+            node.materialize()
         if node.uid:
             expanded += 1
             if record:
                 events.append(node.event("expand"))
-        x, z0, depth = node.x, node.z, node.depth + 1
-        steps = _admissible_steps(node.inter, rows[node.depth], modified)
+        inter, x, z0, depth = node.inter, node.x, node.z, node.depth + 1
+        steps = _admissible_steps(inter, rows[node.depth], modified)
+        if len(steps) == 1 and depth < m:
+            j, s = steps[0]
+            if inter.get(j) is s:
+                # a pass-through row: the one child is this node one row
+                # down, at its cost, so the node moves there in place
+                created += 1
+                node.uid, node.depth = created, depth
+                node.run += (j,)
+                continue
         if depth == m:
             candidates += len(steps)
         # Siblings share a depth, so the bar only moves among leaves, and no
@@ -261,7 +287,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                 if record:
                     events.append(_Node(uid, node, j, s, z, depth).event("prune"))
             elif depth < m:
-                children.append(_Node(uid, node, j, s, z, depth))
+                children.append((z, j, uid, s))
             else:
                 incumbent = _Node(uid, node, j, s, z, depth).materialize()
                 bar = z - EPS
@@ -275,20 +301,23 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                     else:
                         prunes += 1
                         if record:
-                            events.append(entry[3].event("prune"))
+                            events.append(_entry_node(entry).event("prune"))
                 heapify(keep)
                 live = keep
         created += len(steps)
         if len(children) == 1:
-            node = children[0]
+            z, j, uid, s = children[0]
+            node = _Node(uid, node, j, s, z, depth)
         elif children:
-            node = min(children, key=attrgetter("z", "j"))
-            for child in children:
-                if child is not node:
-                    heappush(live, (child.z, -depth, child.uid, child))
+            best = min(children)     # (z, j) is unique among siblings
+            for z, j, uid, s in children:
+                if uid != best[2]:
+                    heappush(live, (z, -depth, uid, node, j, s))
+            z, j, uid, s = best
+            node = _Node(uid, node, j, s, z, depth)
             max_live = max(max_live, len(live))
         elif live:
-            node = heappop(live)[3]
+            node = _entry_node(heappop(live))
             jumps += 1
         else:
             node = None

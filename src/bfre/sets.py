@@ -118,20 +118,26 @@ class SetForm:
     # -- algebra -----------------------------------------------------------
 
     def intersect(self, other: "SetForm") -> "SetForm":
-        if self.kind == EMPTY or other.kind == EMPTY:
-            return _EMPTY
-        if self.kind == POINT:
+        # A point operand is tested first, and point ∩ point, the commonest
+        # case in the search, is one compare.  A point that survives is
+        # returned itself; ``contains`` of an empty form is False.
+        kind, okind = self.kind, other.kind
+        if kind == POINT:
+            if okind == POINT:
+                return self if abs(self.lo - other.lo) <= EPS else _EMPTY
             return self if other.contains(self.lo) else _EMPTY
-        if other.kind == POINT:
+        if okind == POINT:
             return other if self.contains(other.lo) else _EMPTY
-        if self.kind == PAIR:
+        if kind == EMPTY or okind == EMPTY:
+            return _EMPTY
+        if kind == PAIR:
             kept = [v for v in (self.lo, self.hi) if other.contains(v)]
             if not kept:
                 return _EMPTY
             if len(kept) == 1:
                 return _form(POINT, kept[0], kept[0])
             return _form(PAIR, kept[0], kept[1])
-        if other.kind == PAIR:
+        if okind == PAIR:
             return other.intersect(self)
         # max and min return one of their argument objects, so an operand
         # whose bounds both survive is the intersection itself

@@ -149,6 +149,18 @@ def _schweizer_sklar_u(p, a, b):
     return base ** (1.0 / p)
 
 
+# A domain is bounded, with a margin, wherever a closed form leaves the
+# float range, so that every accepted parameter evaluates and solves every
+# cell of the 0.01 grid, and every b just above EPS, without raising or
+# reading inf:
+# * frank: s - 1 rounds to -1 below 2**-53, and past 1e154 the product of
+#   the two expm1 terms of T overflows, so T reads min(x, y);
+# * hamacher: p - 1 + exp(0) and p + (1 - p) cancel to 0 below 2**-53 and
+#   above 2**53;
+# * yager, dombi and aczel_alsina: a sum near 2 raised to 1/p overflows
+#   below p = 1/1024;
+# * dombi, aczel_alsina and negative schweizer_sklar: ((1 - b) / b)**p,
+#   (-log b)**p and b**p overflow for b near EPS at large |p|.
 _FAMILIES = {
     Family.PRODUCT: _Record(
         None, "no parameter", lambda p: Kind.STRICT,
@@ -169,7 +181,7 @@ _FAMILIES = {
         g_inv=lambda p, z: 1.0 - z,
         u=lambda p, a, b: 1.0 + b - a),
     Family.FRANK: _Record(
-        lambda s: s > 0 and s != 1, "s > 0, s != 1", lambda p: Kind.STRICT,
+        lambda s: 1e-12 <= s <= 1e12 and s != 1, "1e-12 <= s <= 1e12, s != 1", lambda p: Kind.STRICT,
         t=lambda p, x, y: math.log1p(math.expm1(x * math.log(p)) * math.expm1(y * math.log(p))
                                      / (p - 1.0)) / math.log(p),
         # Natural-log variant of the base-s generator; positive for every
@@ -178,20 +190,20 @@ _FAMILIES = {
         g_inv=lambda p, z: math.log1p((p - 1.0) * math.exp(-z)) / math.log(p),
         u=_frank_u),
     Family.YAGER: _Record(
-        lambda p: p > 0, "p > 0", lambda p: Kind.NILPOTENT,
+        lambda p: p >= 1e-2, "p >= 0.01", lambda p: Kind.NILPOTENT,
         t=lambda p, x, y: 1.0 - ((1.0 - x) ** p + (1.0 - y) ** p) ** (1.0 / p),
         g=lambda p, x: (1.0 - x) ** p,
         g_inv=lambda p, z: 1.0 - z ** (1.0 / p),
         u=lambda p, a, b: 1.0 - max(0.0, (1.0 - b) ** p - (1.0 - a) ** p) ** (1.0 / p)),
     Family.HAMACHER: _Record(
-        lambda a: a >= 0, "alpha >= 0", lambda p: Kind.STRICT,
+        lambda a: a == 0 or 1e-12 <= a <= 1e12, "alpha = 0 or 1e-12 <= alpha <= 1e12", lambda p: Kind.STRICT,
         t=_hamacher_t,
         g=lambda p, x: (1.0 - x) / x if p == 0.0 else math.log((p + (1.0 - p) * x) / x),
         g_inv=lambda p, z: 1.0 / (1.0 + z) if p == 0.0 else p / (p - 1.0 + math.exp(z)),
         # Denominator >= a^2 > 0 whenever a >= b, alpha >= 0.
         u=lambda p, a, b: (p + (1.0 - p) * a) * b / (a - (1.0 - p) * (1.0 - a) * b)),
     Family.DOMBI: _Record(
-        lambda l: l > 0, "lambda > 0", lambda p: Kind.STRICT,
+        lambda l: 1e-2 <= l <= 25, "0.01 <= lambda <= 25", lambda p: Kind.STRICT,
         t=lambda p, x, y: 1.0 / (1.0 + (((1.0 - x) / x) ** p + ((1.0 - y) / y) ** p) ** (1.0 / p)),
         g=lambda p, x: ((1.0 - x) / x) ** p,
         g_inv=lambda p, z: 1.0 / (1.0 + z ** (1.0 / p)),
@@ -199,7 +211,7 @@ _FAMILIES = {
                                  ** (1.0 / p))),
     # The only family whose kind depends on its parameter.
     Family.SCHWEIZER_SKLAR: _Record(
-        lambda p: p != 0, "p != 0", lambda p: Kind.NILPOTENT if p > 0 else Kind.STRICT,
+        lambda p: p >= -25 and p != 0, "p >= -25, p != 0", lambda p: Kind.NILPOTENT if p > 0 else Kind.STRICT,
         t=_schweizer_sklar_t,
         g=lambda p, x: (1.0 - x ** p) / p,
         g_inv=_schweizer_sklar_g_inv,
@@ -211,7 +223,7 @@ _FAMILIES = {
         g_inv=lambda p, z: 1.0 - z if p == 0.0 else math.expm1((1.0 - z) * math.log1p(p)) / p,
         u=lambda p, a, b: ((1.0 + p) * b + 1.0 - a) / (1.0 + p * a)),
     Family.ACZEL_ALSINA: _Record(
-        lambda l: l > 0, "lambda > 0", lambda p: Kind.STRICT,
+        lambda l: 1e-2 <= l <= 1e2, "0.01 <= lambda <= 100", lambda p: Kind.STRICT,
         t=lambda p, x, y: math.exp(-(((-math.log(x)) ** p + (-math.log(y)) ** p) ** (1.0 / p))),
         g=lambda p, x: (-math.log(x)) ** p,
         g_inv=lambda p, z: math.exp(-(z ** (1.0 / p))),

@@ -645,10 +645,11 @@ def _seeded_corpus():
 
 
 class TestSharedNodeState:
-    """A child whose pick leaves its column's running intersection as it was
-    (a forced reuse) shares its parent's ``inter`` dict and point list, so no
-    built dict or point may be mutated: checked after each search over the
-    planted covers and the seeded oracle corpus."""
+    """A row whose one step is a forced reuse that leaves its column's
+    running intersection as it was moves the node down in place, and any
+    other child whose pick leaves it as it was shares its parent's ``inter``
+    dict and point list.  So no built dict or point may be mutated: checked
+    after each search over the planted covers and the seeded oracle corpus."""
 
     @staticmethod
     def _problems():
@@ -686,6 +687,22 @@ class TestSharedNodeState:
                     assert node.x == [inter[j].lo if j in inter else v
                                       for j, v in enumerate(base_x)]
         assert shared >= 10_000 and copied >= 10_000
+
+    def test_pass_through_rows_build_no_node(self, monkeypatch):
+        built = 0
+        init = optimize._Node.__init__
+
+        def spy(node, *args):
+            nonlocal built
+            built += 1
+            init(node, *args)
+
+        monkeypatch.setattr(optimize._Node, "__init__", spy)
+        created = 0
+        for problem, _ in _planted_covers():
+            created += branch_and_bound(problem, modified=True).stats.nodes_created
+        assert created >= 5_000
+        assert built <= 0.3 * created, (built, created)
 
     def test_answer_and_tables_unchanged_after_search(self):
         for k, problem in enumerate(self._problems()):

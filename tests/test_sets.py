@@ -170,15 +170,34 @@ def _seeded_forms(tag: str) -> list:
     return forms
 
 
+def _edge_points(forms) -> list:
+    """Points at the tolerance edge above each bound of the points and
+    intervals of ``forms``: the last value equal to it within EPS, and the
+    next float past that."""
+    return [SetForm.point(w) for f in forms if f.is_point or f.is_interval
+            for v in ((f.lo,) if f.is_point else (f.lo, f.hi))
+            for w in (_edge_above(v), _beyond(v))]
+
+
 class TestOperandIdentity:
     """intersect and snap return an operand exactly when its bounds survive,
     and every result equals the constructors' to the bit."""
 
     def test_intersect_bit_identical(self):
         forms = _seeded_forms("intersect")
+        forms += _edge_points(forms)
+        met = missed = 0
         for x in forms:
             for y in forms:
-                assert bits(x.intersect(y)) == bits(constructed_intersect(x, y)), (x, y)
+                r = x.intersect(y)
+                assert bits(r) == bits(constructed_intersect(x, y)), (x, y)
+                if x.is_point and not r.is_empty:
+                    assert r is x, (x, y)
+                if x.is_point and y.is_point and abs(x.lo - y.lo) > 0.5 * EPS:
+                    met += not r.is_empty
+                    missed += r.is_empty
+        # point ∩ point is tried on both sides of the tolerance edge
+        assert met >= 100 and missed >= 100
 
     def test_interval_operand_returned_exactly_when_its_bounds_survive(self):
         forms = [f for f in _seeded_forms("identity") if f.is_interval]

@@ -28,6 +28,15 @@ CASES = [
 ]
 
 
+# Settings the closed forms cannot evaluate, which validate refuses.
+EXTREME_PARAMS = [("frank", 1e-300), ("dombi", 1e61), ("schweizer_sklar", -933.0),
+                  ("aczel_alsina", 1e300)]
+# The outermost parameters of each bounded domain.
+DOMAIN_EDGES = [("frank", 1e-12), ("frank", 1e12), ("yager", 0.01), ("hamacher", 1e-12),
+                ("hamacher", 1e12), ("dombi", 0.01), ("dombi", 25.0),
+                ("schweizer_sklar", -25.0), ("aczel_alsina", 0.01), ("aczel_alsina", 100.0)]
+
+
 def all_tnorms():
     return [validate(f, p) for f, p in CASES]
 
@@ -65,6 +74,30 @@ class TestValidate:
 
     def test_enum_accepted(self):
         assert validate(Family.LUKASIEWICZ).kind is Kind.NILPOTENT
+
+    @pytest.mark.parametrize("family,param", EXTREME_PARAMS)
+    def test_extreme_parameters_refused(self, family, param):
+        # the closed form of u raises on an ordinary cell at each of them
+        with pytest.raises((ValueError, OverflowError)):
+            _FAMILIES[Family(family)].u(param, 0.6, 0.25)
+        with pytest.raises(InvalidParameter):
+            validate(family, param)
+
+    @pytest.mark.parametrize("family,param", DOMAIN_EDGES)
+    def test_domain_edges_evaluate_and_solve_the_grid(self, family, param):
+        t = validate(family, param)
+        values = [k / 100 for k in range(101)] + [1.5 * EPS, 0.5 + 1.5 * EPS]
+        for a in values:
+            for b in values:
+                assert 0.0 <= evaluate(t, a, b) <= 1.0, (a, b)
+                if a >= b:
+                    assert 0.0 <= solve_u(t, a, b) <= 1.0, (a, b)
+
+    @pytest.mark.parametrize("family,param", DOMAIN_EDGES)
+    def test_just_past_domain_edges_refused(self, family, param):
+        past = param * (0.99 if abs(param) < 1 else 1.01)   # 1% outward
+        with pytest.raises(InvalidParameter):
+            validate(family, past)
 
     def test_schweizer_sklar_kind_depends_on_sign(self):
         assert validate("schweizer_sklar", -1.0).kind is Kind.STRICT
@@ -283,6 +316,11 @@ BENCHMARK_CASES = [
     ("schweizer_sklar", -1.0), ("schweizer_sklar", 2.0), ("sugeno_weber", 1.0),
     ("aczel_alsina", 2.0),
 ]
+
+
+@pytest.mark.parametrize("family,param", BENCHMARK_CASES)
+def test_benchmark_parameters_accepted(family, param):
+    assert validate(family, param).param == param
 
 
 def _unit_pairs(tag):
