@@ -23,12 +23,17 @@ a different, more aggressive reduction than the one this module documents
 and tests pin down.
 
 The set tables are never recomputed: removed rows' bounds stay baked into
-the column intervals, which is exactly what makes the removals sound.  Each
-slot makes one rule call and at most one restriction, however many actions
-the rule returns; the restricted supports are derived from the parent's, so
-no cell is scanned again.  Every action still gets its own ledger step,
-whose bounds come from the support sizes of the rows and columns that
-survive it.
+the column intervals, which is exactly what makes the removals sound.  The
+whole pass works in place on one live view of the input tables: the live
+row and column positions, ascending, a copy of each support list, and the
+running bound, a product of the live rows' support sizes with a count of
+the empty ones.  Each action updates that state as it is applied (a
+dropped row leaves the supports of the columns it was in, a dropped column
+those of the rows it was in) and gets its own ledger step, bounded by the
+rows and columns that survive it.  No cell is scanned again and no table
+is rebuilt between slots; one restriction at the end, made only when
+something was dropped, gives the search its compact tables.  The input
+tables are never mutated: the caller checks the answer against them.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import InconsistentReduction
-from .resolution import ResolutionTables, admissible_upper_bound, restrict
+from .resolution import ResolutionTables, restrict
 from .tolerance import EPS
 
 
@@ -158,16 +163,18 @@ class ReducedProblem:
 
 # -- individual techniques ---------------------------------------------------
 #
-# Each takes the current (restricted) tables, and the costs aligned with
-# them, and returns the actions its slot applies, in order and in original
-# indices: each action is found on the rows and columns the earlier ones
-# leave, and the list is empty when nothing applies.  Only the dominated
-# column rule reads the costs.  None of them mutates the tables.
+# Each takes tables, either a ``ResolutionTables`` or the reducer's live view
+# of one, and the costs aligned with their positions, and returns the actions
+# its slot applies, in order and in original indices: each action is found on
+# the rows and columns the earlier ones leave, and the list is empty when
+# nothing applies.  A rule scans only ``tables.rows`` and ``tables.cols``, the
+# positions still live, ascending.  Only the dominated column rule reads the
+# costs.  None of them mutates the tables.
 
 def rule_zero_rhs(tables: ResolutionTables, costs=None) -> list:
     """Rows whose right-hand side is zero are redundant; one action drops
     them all."""
-    rows = tuple(tables.row_ids[i] for i in range(tables.m) if tables.rhs[i] <= EPS)
+    rows = tuple(tables.row_ids[i] for i in tables.rows if tables.rhs[i] <= EPS)
     return [Action(Rule.ZERO_RHS_ROW, {}, rows, ())] if rows else []
 
 
@@ -189,40 +196,49 @@ def rule_singleton_column(tables: ResolutionTables, costs=None) -> list:
     actions.
     """
     alive = [True] * tables.m
-    return [_fix(Rule.SINGLETON_COLUMN, tables, alive, j, ij.minimum())
-            for j, ij in enumerate(tables.col_interval) if ij.is_point]
+    col_interval = tables.col_interval
+    return [_fix(Rule.SINGLETON_COLUMN, tables, alive, j, col_interval[j].minimum())
+            for j in tables.cols if col_interval[j].is_point]
 
 
-def _dominates(tables, support, i, i0) -> bool:
-    """Row i's restricted cells all sit inside row i0's.
-
-    An empty cell sits inside any set and a non-empty one never inside an
-    empty one, so row i0 must support every column row i does (``support``
-    holds each row's support as a set), and only row i's support columns
-    need a subset test.
-    """
-    if not support[i] <= support[i0]:
-        return False
-    cells, cells0 = tables.s_prime[i], tables.s_prime[i0]
-    return all(cells[j].issubset(cells0[j]) for j in tables.row_support[i])
+def _masks(supports, live, size) -> list:
+    """Each live support as an int with bit p set for each position p in
+    it; 0 for every other position."""
+    masks = [0] * size
+    for k in live:
+        bits = 0
+        for p in supports[k]:
+            bits |= 1 << p
+        masks[k] = bits
+    return masks
 
 
 def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
     """Rows made redundant by another surviving row, in a single ascending
     pass; one single-row action per removed row.
 
-    Mutually dominating (identical) rows keep the lower index.  A row kept
-    once stays kept as the survivors shrink, so the removals are the fixed
-    point of repeated single removals in ascending order.
+    Row i dominates row i0 when its cells all sit inside row i0's.  An
+    empty cell sits inside any set and a non-empty one never inside an
+    empty one, so row i0 must support every column row i does (a test on
+    the support bitmasks), and only row i's support columns need a subset
+    test.  Mutually dominating (identical) rows keep the lower index.  A
+    row kept once stays kept as the survivors shrink, so the removals are
+    the fixed point of repeated single removals in ascending order.
     """
-    support = [set(sup) for sup in tables.row_support]
-    alive = list(range(tables.m))
+    s_prime, row_support, rows = tables.s_prime, tables.row_support, tables.rows
+    masks = _masks(row_support, rows, tables.m)
+    alive = list(rows)
     out = []
-    for i0 in range(tables.m):
+    for i0 in rows:
+        m0, cells0 = masks[i0], s_prime[i0]
         for i in alive:
-            if i == i0 or not _dominates(tables, support, i, i0):
+            mi = masks[i]
+            if i == i0 or mi & m0 != mi:
                 continue
-            if i0 < i and _dominates(tables, support, i0, i):
+            cells = s_prime[i]
+            if not all(cells[j].issubset(cells0[j]) for j in row_support[i]):
+                continue
+            if i0 < i and mi == m0 and all(cells0[j].issubset(cells[j]) for j in row_support[i0]):
                 continue
             out.append(Action(Rule.DOMINATED_ROW, {}, (tables.row_ids[i0],), ()))
             alive.remove(i0)
@@ -239,32 +255,34 @@ def rule_forced_assignment(tables: ResolutionTables, costs=None) -> list:
     can leave an earlier row with a single column.
     """
     s_prime, row_support, col_support = tables.s_prime, tables.row_support, tables.col_support
+    rows = tables.rows
     sizes = [len(sup) for sup in row_support]
     alive = [True] * tables.m
     gone = [False] * tables.n
     out = []
-    i = 0
-    while i < tables.m:
+    k = 0
+    while k < len(rows):
+        i = rows[k]
         if not alive[i] or sizes[i] != 1:
-            i += 1
+            k += 1
             continue
         j = next(j for j in row_support[i] if not gone[j])
         cell = s_prime[i][j]
         if not cell.is_point:
-            i += 1
+            k += 1
             continue
         out.append(_fix(Rule.FORCED_ASSIGNMENT, tables, alive, j, cell.minimum()))
         gone[j] = True
         for r in col_support[j]:
             sizes[r] -= 1
-        i = 0
+        k = 0
     return out
 
 
 def rule_two_point_row(tables: ResolutionTables, costs=None) -> list:
     """Rows holding a two-point restricted cell never constrain candidate
     minima; one action drops them all."""
-    rows = tuple(tables.row_ids[i] for i in range(tables.m)
+    rows = tuple(tables.row_ids[i] for i in tables.rows
                  if any(tables.s_prime[i][j].is_pair for j in tables.row_support[i]))
     return [Action(Rule.TWO_POINT_ROW, {}, rows, ())] if rows else []
 
@@ -278,7 +296,7 @@ def rule_lower_bound_column(tables: ResolutionTables, costs=None) -> list:
     """
     fixed, rows, cols = {}, [], []
     gone = set()
-    for j in range(tables.n):
+    for j in tables.cols:
         sup = tables.col_support[j]
         if not sup:
             continue
@@ -302,7 +320,7 @@ def rule_free_column(tables: ResolutionTables, costs=None) -> list:
     """
     fixed = {}
     cols = []
-    for j in range(tables.n):
+    for j in tables.cols:
         if not tables.col_support[j] and not tables.col_interval[j].is_empty:
             fixed[tables.col_ids[j]] = tables.lower_bound(j)
             cols.append(tables.col_ids[j])
@@ -325,8 +343,9 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
     a single ascending pass over the surviving columns drains every match
     into one step.
     """
-    support = [set(sup) for sup in tables.col_support]
-    inter = [tables.intersect_cells(j, tables.col_support[j]) for j in range(tables.n)]
+    col_support = tables.col_support
+    masks = _masks(col_support, tables.cols, tables.n)
+    inter = {j: tables.intersect_cells(j, col_support[j]) for j in tables.cols}
 
     def variant(j1, j2):
         inter1, inter2 = inter[j1], inter[j2]
@@ -346,13 +365,14 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
             return "b"
         return None
 
-    alive = list(range(tables.n))
+    alive = list(tables.cols)
     fixed, cols, parts = {}, [], []
-    for j1 in range(tables.n):
-        if not support[j1]:
+    for j1 in tables.cols:
+        m1 = masks[j1]
+        if not m1:
             continue
         for j2 in alive:
-            if j2 == j1 or not support[j1] <= support[j2]:
+            if j2 == j1 or m1 & masks[j2] != m1:
                 continue
             kind = variant(j1, j2)
             if kind is None:
@@ -370,89 +390,111 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
 # -- driver -------------------------------------------------------------------
 
 # The rules in application order, one slot each (the order of ``Rule``); the
-# feasibility mode runs the first three.  A slot applies its rule's whole
-# action list with one restriction.
+# feasibility mode runs the first three.
 _SLOTS = (
     rule_zero_rhs, rule_singleton_column, rule_dominated_row, rule_forced_assignment,
     rule_two_point_row, rule_lower_bound_column, rule_free_column, rule_dominated_column,
 )
 
 
+class _LiveTables:
+    """The tables as the reduction has left them so far, read by the rules
+    like a ``ResolutionTables``.
+
+    Positions stay those of the input tables, whose cells, column
+    intervals, ids and right-hand sides are shared, never written.
+    ``rows`` and ``cols`` hold the live positions in ascending order, and
+    each support list is a copy that holds only live positions, so a live
+    row's support size is its live column count.
+    """
+
+    __slots__ = ("col_interval", "s_prime", "row_support", "col_support",
+                 "row_ids", "col_ids", "rhs", "rows", "cols")
+
+    m = ResolutionTables.m
+    n = ResolutionTables.n
+    lower_bound = ResolutionTables.lower_bound
+    upper_bound = ResolutionTables.upper_bound
+    intersect_cells = ResolutionTables.intersect_cells
+
+    def __init__(self, tables: ResolutionTables):
+        self.col_interval, self.s_prime = tables.col_interval, tables.s_prime
+        self.row_ids, self.col_ids, self.rhs = tables.row_ids, tables.col_ids, tables.rhs
+        self.row_support = [list(sup) for sup in tables.row_support]
+        self.col_support = [list(sup) for sup in tables.col_support]
+        self.rows = list(tables.rows)
+        self.cols = list(tables.cols)
+
+
 def simplify(tables: ResolutionTables, costs, mode: Mode):
     """Run the reduction pass; returns (ReducedProblem, ReductionLedger).
 
     ``costs`` must be aligned with ``tables.col_ids``.  The necessary
-    feasibility conditions are assumed to have passed.
+    feasibility conditions are assumed to have passed.  ``tables`` is not
+    mutated.
     """
     slots = _SLOTS[:3] if mode is Mode.FEASIBILITY_PRESERVING else _SLOTS
-    n_original = tables.n
-    cur = tables
-    cost_by_col = {j: costs[pos] for pos, j in enumerate(tables.col_ids)}
-    ledger = ReductionLedger(initial_bound=admissible_upper_bound(tables))
+    live = _LiveTables(tables)
+    row_support, col_support = live.row_support, live.col_support
+    row_pos = {i: pos for pos, i in enumerate(tables.row_ids)}
+    col_pos = {j: pos for pos, j in enumerate(tables.col_ids)}
+    row_alive = [True] * tables.m
+    col_alive = [True] * tables.n
+    # The bound is kept as a running product of the live rows' non-zero
+    # support sizes and a count of live rows whose support is empty, so an
+    # action updates only the rows it drops or a dropped column reaches.
+    # The integers are exact: a size divided out is a factor of the product.
+    product, zeros = 1, 0
+    for sup in row_support:
+        if sup:
+            product *= len(sup)
+        else:
+            zeros += 1
+    ledger = ReductionLedger(initial_bound=0 if zeros else product)
 
-    def apply(actions):
-        """One restriction for a rule's whole action list; each action
-        still gets its own ledger step, bounded by the rows and columns that
-        survive it.
-
-        The bound is kept as a running product of the alive rows' non-zero
-        support sizes and a count of alive rows whose support is empty, so
-        an action updates only the rows it drops or a dropped column
-        reaches.  The integers are exact: a size divided out is a factor of
-        the product.
-        """
-        nonlocal cur
-        col_pos = {j: pos for pos, j in enumerate(cur.col_ids)}
-        row_pos = {i: pos for pos, i in enumerate(cur.row_ids)}
-        sizes = [len(sup) for sup in cur.row_support]
-        alive = [True] * cur.m
-        dropped = set()
-        product, zeros = 1, 0
-        for size in sizes:
-            if size:
-                product *= size
-            else:
-                zeros += 1
-        bound = 0 if zeros else product
+    for rule in slots:
+        actions = rule(live, costs)
         for action in actions:
             for j, v in action.fixed.items():
-                interval = cur.col_interval[col_pos[j]]
+                interval = tables.col_interval[col_pos[j]]
                 if not interval.contains(v):
                     raise InconsistentReduction(
                         f"{action.rule.value} fixed x{j + 1}={v} outside {interval}")
+            bound = 0 if zeros else product
             for i in action.rows:
                 r = row_pos[i]
-                if alive[r]:
-                    alive[r] = False
-                    if sizes[r]:
-                        product //= sizes[r]
+                if row_alive[r]:
+                    row_alive[r] = False
+                    if row_support[r]:
+                        product //= len(row_support[r])
                     else:
                         zeros -= 1
+                    for c in row_support[r]:
+                        col_support[c].remove(r)
             for j in action.cols:
-                if col_pos[j] not in dropped:
-                    dropped.add(col_pos[j])
-                    for r in cur.col_support[col_pos[j]]:
-                        size = sizes[r]
-                        sizes[r] = size - 1
-                        if alive[r]:
-                            if size > 1:
-                                product = product // size * (size - 1)
-                            else:
-                                zeros += 1
-            after = 0 if zeros else product
-            ledger.steps.append(LedgerStep(action, bound, after))
-            bound = after
-        cur = restrict(cur, [r for r in range(cur.m) if alive[r]],
-                       [j for j in range(cur.n) if j not in dropped])
+                c = col_pos[j]
+                if col_alive[c]:
+                    col_alive[c] = False
+                    for r in col_support[c]:
+                        sup = row_support[r]
+                        size = len(sup)
+                        sup.remove(c)
+                        if size > 1:
+                            product = product // size * (size - 1)
+                        else:
+                            zeros += 1
+            ledger.steps.append(LedgerStep(action, bound, 0 if zeros else product))
+        if actions:
+            live.rows = [i for i in live.rows if row_alive[i]]
+            live.cols = [j for j in live.cols if col_alive[j]]
 
-    for rule in slots:
-        if actions := rule(cur, [cost_by_col[j] for j in cur.col_ids]):
-            apply(actions)
-
+    reduced_tables = tables
+    if len(live.rows) < tables.m or len(live.cols) < tables.n:
+        reduced_tables = restrict(tables, live.rows, live.cols)
     reduced = ReducedProblem(
-        tables=cur,
-        costs=[cost_by_col[j] for j in cur.col_ids],
+        tables=reduced_tables,
+        costs=[costs[j] for j in live.cols],
         fixed=ledger.fixed_assignments(),
-        n_original=n_original,
+        n_original=tables.n,
     )
     return reduced, ledger

@@ -161,6 +161,12 @@ def _schweizer_sklar_u(p, a, b):
 #   below p = 1/1024;
 # * dombi, aczel_alsina and negative schweizer_sklar: ((1 - b) / b)**p,
 #   (-log b)**p and b**p overflow for b near EPS at large |p|.
+# It is bounded further, again with a margin, where u stops round-tripping:
+# on the 0.01 grid (a > b > 0), the floats u- and u+ just below and just
+# above u must bracket b: T(a, u-) <= b + EPS and T(a, u+) >= b - EPS.
+# Grid cells fail that at frank s = 1e-12, yager p = 200, hamacher
+# alpha = 1e9 and schweizer_sklar p = 7, where the closed form of u loses
+# its digits to cancellation.
 _FAMILIES = {
     Family.PRODUCT: _Record(
         None, "no parameter", lambda p: Kind.STRICT,
@@ -181,7 +187,7 @@ _FAMILIES = {
         g_inv=lambda p, z: 1.0 - z,
         u=lambda p, a, b: 1.0 + b - a),
     Family.FRANK: _Record(
-        lambda s: 1e-12 <= s <= 1e12 and s != 1, "1e-12 <= s <= 1e12, s != 1", lambda p: Kind.STRICT,
+        lambda s: 1e-9 <= s <= 1e12 and s != 1, "1e-9 <= s <= 1e12, s != 1", lambda p: Kind.STRICT,
         t=lambda p, x, y: math.log1p(math.expm1(x * math.log(p)) * math.expm1(y * math.log(p))
                                      / (p - 1.0)) / math.log(p),
         # Natural-log variant of the base-s generator; positive for every
@@ -190,13 +196,13 @@ _FAMILIES = {
         g_inv=lambda p, z: math.log1p((p - 1.0) * math.exp(-z)) / math.log(p),
         u=_frank_u),
     Family.YAGER: _Record(
-        lambda p: p >= 1e-2, "p >= 0.01", lambda p: Kind.NILPOTENT,
+        lambda p: 1e-2 <= p <= 100, "0.01 <= p <= 100", lambda p: Kind.NILPOTENT,
         t=lambda p, x, y: 1.0 - ((1.0 - x) ** p + (1.0 - y) ** p) ** (1.0 / p),
         g=lambda p, x: (1.0 - x) ** p,
         g_inv=lambda p, z: 1.0 - z ** (1.0 / p),
         u=lambda p, a, b: 1.0 - max(0.0, (1.0 - b) ** p - (1.0 - a) ** p) ** (1.0 / p)),
     Family.HAMACHER: _Record(
-        lambda a: a == 0 or 1e-12 <= a <= 1e12, "alpha = 0 or 1e-12 <= alpha <= 1e12", lambda p: Kind.STRICT,
+        lambda a: a == 0 or 1e-12 <= a <= 1e6, "alpha = 0 or 1e-12 <= alpha <= 1e6", lambda p: Kind.STRICT,
         t=_hamacher_t,
         g=lambda p, x: (1.0 - x) / x if p == 0.0 else math.log((p + (1.0 - p) * x) / x),
         g_inv=lambda p, z: 1.0 / (1.0 + z) if p == 0.0 else p / (p - 1.0 + math.exp(z)),
@@ -211,7 +217,8 @@ _FAMILIES = {
                                  ** (1.0 / p))),
     # The only family whose kind depends on its parameter.
     Family.SCHWEIZER_SKLAR: _Record(
-        lambda p: p >= -25 and p != 0, "p >= -25, p != 0", lambda p: Kind.NILPOTENT if p > 0 else Kind.STRICT,
+        lambda p: -25 <= p <= 5 and p != 0, "-25 <= p <= 5, p != 0",
+        lambda p: Kind.NILPOTENT if p > 0 else Kind.STRICT,
         t=_schweizer_sklar_t,
         g=lambda p, x: (1.0 - x ** p) / p,
         g_inv=_schweizer_sklar_g_inv,
@@ -266,7 +273,9 @@ def _evaluator(t: TNorm):
     to the last ulp for every family.  The result is clamped into
     [0, min(x, y)], so the axiom T(x, y) <= min(x, y) holds exactly in
     floats; near min, the closed forms of yager, aczel_alsina, dombi and
-    schweizer_sklar at large |p| can round a few ulp above it.
+    schweizer_sklar at large |p| can round a few ulp above it.  A closed
+    form overflows only where an argument is tiny, which drives T to 0,
+    so an overflow reads as 0.
     """
     form, p = _FAMILIES[t.family].t, t.param
 
@@ -277,7 +286,11 @@ def _evaluator(t: TNorm):
             return x
         if x == 0.0 or y == 0.0:
             return 0.0
-        return min(x, y, max(0.0, form(p, x, y)))
+        try:
+            v = form(p, x, y)
+        except OverflowError:
+            return 0.0
+        return min(x, y, max(0.0, v))
 
     return T
 
@@ -295,7 +308,9 @@ def generator(t: TNorm, x: float) -> float:
         return INF
     try:
         return _FAMILIES[t.family].g(t.param, x)
-    except OverflowError:     # the generator decreases, so only x near 0 overflows
+    # the generator decreases, so only x near 0 overflows or divides by a
+    # term that underflowed to 0
+    except (OverflowError, ZeroDivisionError):
         return INF
 
 

@@ -81,9 +81,9 @@ class TestProblemFiles:
 
     @pytest.mark.parametrize("tnorm,message", [
         ({"family": "yager", "param": float("inf")},
-         "yager: parameter inf not allowed (finite p >= 0.01)"),
+         "yager: parameter inf not allowed (finite 0.01 <= p <= 100)"),
         ({"family": "schweizer_sklar", "param": float("nan")},
-         "schweizer_sklar: parameter nan not allowed (finite p >= -25, p != 0)"),
+         "schweizer_sklar: parameter nan not allowed (finite -25 <= p <= 5, p != 0)"),
     ])
     def test_non_finite_parameter(self, tmp_path, capsys, tnorm, message):
         path = write_problem(tmp_path, tiny_problem(tnorm=tnorm))
@@ -93,6 +93,7 @@ class TestProblemFiles:
     @pytest.mark.parametrize("command", ["solve", "resolve"])
     @pytest.mark.parametrize("family,param", [
         ("frank", 1e-300), ("dombi", 1e61), ("schweizer_sklar", -933.0), ("aczel_alsina", 1e300),
+        ("yager", 1000.0),
     ])
     def test_extreme_parameter_one_line_error(self, tmp_path, capsys, command, family, param):
         path = write_problem(tmp_path, tiny_problem(tnorm={"family": family, "param": param}))

@@ -812,7 +812,7 @@ class TestBuildTablesBitExact:
 
 _PRESOLVE_FAMILIES = [("yager", 2.0), ("product", None), ("lukasiewicz", None),
                       ("hamacher", 1.0)]
-_EXTREME_SETTINGS = [("yager", 30.0), ("dombi", 20.0), ("schweizer_sklar", 9.0),
+_EXTREME_SETTINGS = [("yager", 30.0), ("dombi", 20.0), ("schweizer_sklar", 5.0),
                      ("schweizer_sklar", -15.0), ("frank", 1e-3), ("sugeno_weber", 0.0)]
 
 

@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -612,6 +614,40 @@ class TestOneRestrictionPerFinderCall:
             forced = [s for s in ledgers[Mode.OPTIMALITY_PRESERVING].steps
                       if s.action.rule is Rule.FORCED_ASSIGNMENT]
             assert len(forced) >= 3, (family, k, len(forced))
+
+
+
+class TestOneRestrictionPerSimplify:
+    """The reducer works in place on a live view of its input and restricts
+    at most once, at the end; the input tables come back untouched."""
+
+    @pytest.mark.parametrize("test,args", [
+        ("test_matches_per_action_driver", ()),
+        ("test_singleton_column_chains", ()),
+        ("test_forced_assignment_chains_at_32x32", ("yager", 2.0)),
+        ("test_forced_assignment_chains_at_32x32", ("product", None)),
+    ])
+    def test_over_the_driver_corpora(self, monkeypatch, test, args):
+        module = importlib.import_module("bfre.simplify")
+        real_restrict, real_simplify = module.restrict, module.simplify
+        calls = []
+
+        def counted_restrict(*a):
+            calls[-1] += 1
+            return real_restrict(*a)
+
+        def checked_simplify(tables, costs, mode):
+            before = table_bits(tables)
+            calls.append(0)
+            out = real_simplify(tables, costs, mode)
+            assert table_bits(tables) == before, mode
+            return out
+
+        monkeypatch.setattr(module, "restrict", counted_restrict)
+        monkeypatch.setattr(sys.modules[__name__], "simplify", checked_simplify)
+        getattr(TestOneRestrictionPerFinderCall(), test)(*args)
+        assert len(calls) >= 6 and max(calls) <= 1, (len(calls), max(calls))
+        assert sum(calls) > 0
 
 
 def _pinned_instance(rng, family, param, m, n):

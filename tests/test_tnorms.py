@@ -32,9 +32,10 @@ CASES = [
 EXTREME_PARAMS = [("frank", 1e-300), ("dombi", 1e61), ("schweizer_sklar", -933.0),
                   ("aczel_alsina", 1e300)]
 # The outermost parameters of each bounded domain.
-DOMAIN_EDGES = [("frank", 1e-12), ("frank", 1e12), ("yager", 0.01), ("hamacher", 1e-12),
-                ("hamacher", 1e12), ("dombi", 0.01), ("dombi", 25.0),
-                ("schweizer_sklar", -25.0), ("aczel_alsina", 0.01), ("aczel_alsina", 100.0)]
+DOMAIN_EDGES = [("frank", 1e-9), ("frank", 1e12), ("yager", 0.01), ("yager", 100.0),
+                ("hamacher", 1e-12), ("hamacher", 1e6), ("dombi", 0.01), ("dombi", 25.0),
+                ("schweizer_sklar", -25.0), ("schweizer_sklar", 5.0),
+                ("aczel_alsina", 0.01), ("aczel_alsina", 100.0)]
 
 
 def all_tnorms():
@@ -92,6 +93,15 @@ class TestValidate:
                 assert 0.0 <= evaluate(t, a, b) <= 1.0, (a, b)
                 if a >= b:
                     assert 0.0 <= solve_u(t, a, b) <= 1.0, (a, b)
+        # u round-trips: the floats next to it bracket b (a > b > 0)
+        for ka in range(2, 101):
+            for kb in range(1, ka):
+                a, b = ka / 100, kb / 100
+                u = solve_u(t, a, b)
+                below = max(0.0, math.nextafter(u, -1.0))
+                above = min(1.0, math.nextafter(u, 2.0))
+                assert evaluate(t, a, below) <= b + EPS, (a, b, u)
+                assert evaluate(t, a, above) >= b - EPS, (a, b, u)
 
     @pytest.mark.parametrize("family,param", DOMAIN_EDGES)
     def test_just_past_domain_edges_refused(self, family, param):
@@ -321,6 +331,16 @@ BENCHMARK_CASES = [
 @pytest.mark.parametrize("family,param", BENCHMARK_CASES)
 def test_benchmark_parameters_accepted(family, param):
     assert validate(family, param).param == param
+
+
+@pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
+def test_tiny_arguments_evaluate_below_min(t):
+    # a closed form that overflows at a tiny argument reads T = 0 there
+    grid = [k / 100 for k in range(101)]
+    for tiny in (1e-160, 1e-300, 5e-324):
+        for v in grid:
+            for x, y in ((tiny, v), (v, tiny)):
+                assert 0.0 <= evaluate(t, x, y) <= min(x, y), (x, y)
 
 
 def _unit_pairs(tag):
@@ -607,7 +627,8 @@ class TestRecordsMatchChains:
         pairs += [(x, y) for x in self.EDGES + self.BAD for y in self.EDGES + [0.3, 0.7]]
         pairs += [(0.3, v) for v in self.BAD]
         for x, y in pairs:
-            assert _outcome(evaluate, t, x, y) == _outcome(_chain_evaluate, t, x, y), (x, y)
+            expected = _past_range(_outcome(_chain_evaluate, t, x, y), 0.0)
+            assert _outcome(evaluate, t, x, y) == expected, (x, y)
 
     @pytest.mark.parametrize("t", [validate(f, p) for f, p in CASES + EXTREME_CASES], ids=str)
     def test_generator(self, t):
