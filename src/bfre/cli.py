@@ -84,10 +84,11 @@ class _BadInput(Exception):
 
 def _load(path) -> ProblemInstance:
     """load_problem, with every way a file can be bad turned into _BadInput
-    (errors raised later, by the solver itself, are not input errors)."""
+    (errors raised later, by the solver itself, are not input errors).
+    ``json`` raises RecursionError on arrays or objects nested too deep."""
     try:
         return load_problem(path)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise _BadInput(exc) from exc
 
 
@@ -231,6 +232,9 @@ def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
 
 def cmd_verify(args, out=None) -> int:
     out = out or sys.stdout
+    if args.count < 1:
+        print(f"error: --count must be at least 1, not {args.count}", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     mismatches = []
     checked = planted_checked = 0

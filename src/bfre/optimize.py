@@ -11,11 +11,15 @@ only after two-point cells have been eliminated).
 
 Admissibility is incremental: each node holds the running intersection of
 every picked column, taken in pick order (ascending rows, the order
-``feasible_box`` and the oracle use), and a row's domain is the columns whose
-running intersection survives that row's cell.  Tolerance-snapped
-intersection is not associative, so every caller uses this one order, and
-one step routine, ``_admissible_steps``, over a row's (column, cell) list.
-A search binds those lists once.
+``feasible_box`` and the oracle use), as a list indexed by column with None
+for an unpicked column, and the bitmask of its picked columns.  A row's
+domain is the columns whose running intersection survives that row's cell.
+Tolerance-snapped intersection is not associative, so every caller uses this
+one order, and one step routine, ``_admissible_steps``, over a row's
+(column, cell) list and the bitmask of the row's picked columns.  A row with
+no picked column steps to its own list, with no lookup and no intersection;
+in modified mode the forced reuse comes from ``_forced`` alone.  A search
+binds every row's list and support bitmask once.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -23,22 +27,22 @@ ends (complete, pruned, or dead), jump to the cheapest node anywhere in the
 live set, a heap keyed (z, -depth, uid).  Cost never decreases along a
 branch, so pruning against the incumbent is exact.
 
-Node state is lazy.  A row whose one admissible step reuses a column and
-returns its running intersection itself (most forced reuses) is a
-pass-through row: its child would share the node's state and cost, so the
-node moves down the row in place, with a new uid and depth and one more
-column of picks.  Any other child is priced from its parent's point as a
-plain (cost, column, uid, running intersection) tuple, and the live set
-holds these tuples with their parent, so a node object is built only for
-the child dived into, a popped entry, the incumbent and a trace event.  A
-node's running intersections and point are built only when it is
-expanded, becomes the incumbent or is written to a trace event.  A child
-whose pick returns the parent's running intersection itself shares the
-parent's intersection dict and point list; any other child shares the
-parent's point list when the pick leaves that coordinate unchanged.  So a
-built dict or point is never mutated, and a node's picks are read up the
-parent chain.  A lone viable child is dived into without ordering or
-live-set traffic.
+Node state is lazy.  In modified mode a row whose forced reuse returns its
+column's running intersection itself is a pass-through row: its child would
+share the node's state and cost, so the node walks down consecutive
+pass-through rows in place, in one loop over ``_forced``, with a new uid and
+depth per row and its run of picks extended once.  Any other child is priced
+from its parent's point as a plain (cost, column, uid, running intersection)
+tuple, and the live set holds these tuples with their parent, so a node
+object is built only for the child dived into, a popped entry, the incumbent
+and a trace event.  A node's running intersections, mask and point are built
+only when it is expanded, becomes the incumbent or is written to a trace
+event.  A child whose pick returns the parent's running intersection itself
+shares the parent's intersection list, mask and point list; any other child
+shares the parent's point list when the pick leaves that coordinate
+unchanged.  So a built list or point is never mutated, and a node's picks
+are read up the parent chain.  A lone viable child is dived into without
+ordering or live-set traffic.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .resolution import (
     check_feasibility, FeasibilityStatus, is_feasible_point,
 )
 from .sets import EMPTY, SetForm
-from .simplify import Mode, ReducedProblem, ReductionLedger, simplify
+from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
 from .tolerance import EPS
 
 
@@ -85,46 +89,79 @@ def feasible_box(e, tables: ResolutionTables) -> list:
     return box
 
 
-def _running_intersections(prefix, tables: ResolutionTables) -> dict:
-    """Column -> intersection of its picked cells over ``prefix``, in pick order."""
-    return {j: tables.intersect_cells(j, rows) for j, rows in _pick_groups(prefix).items()}
+def _running_intersections(prefix, tables: ResolutionTables) -> list:
+    """Per column, the intersection of its picked cells over ``prefix``, in
+    pick order; None for a column ``prefix`` does not pick."""
+    inter = [None] * tables.n
+    for j, rows in _pick_groups(prefix).items():
+        inter[j] = tables.intersect_cells(j, rows)
+    return inter
 
 
 def _step_row(tables: ResolutionTables, i) -> list:
     """Row i's [(j, cell)] over its support, ascending: what
-    ``_admissible_steps`` walks.  A search binds every row's list once."""
+    ``_admissible_steps`` walks.  A search binds every row's list once,
+    with the row's support bitmask."""
     cells = tables.s_prime[i]
     return [(j, cells[j]) for j in tables.row_support[i]]
 
 
-def _admissible_steps(inter: dict, row, modified) -> list:
+def _forced(inter: list, hit, row):
+    """The forced reuse of a step row: (j, inter[j] ∩ cell) for the smallest
+    picked column j (a bit of ``hit``) whose running intersection survives
+    the cell, or None when there is none."""
+    for j, cell in row:
+        if hit >> j & 1:
+            s = inter[j].intersect(cell)
+            if s.kind != EMPTY:
+                return j, s
+    return None
+
+
+def _unpicked_steps(hit, row) -> list:
+    """The steps of a row's columns that are not in ``hit``: each one's
+    running intersection is its cell."""
+    return [(j, cell) for j, cell in row if not hit >> j & 1]
+
+
+def _admissible_steps(inter: list, hit, row, modified) -> list:
     """[(j, inter[j] ∩ cell)] for the (j, cell) pairs of a step row whose
     running intersection survives the cell (an unpicked column's is the
-    cell).  In modified mode a surviving already-picked column is forced:
-    only the smallest one is returned."""
+    cell).  ``hit`` is the bitmask of the row's picked columns; with none,
+    the row itself is returned.  In modified mode a surviving picked column
+    is forced: only ``_forced``'s step is returned."""
+    if not hit:
+        return row
+    if modified:
+        step = _forced(inter, hit, row)
+        return _unpicked_steps(hit, row) if step is None else [step]
     steps = []
     for j, cell in row:
-        prev = inter.get(j)
-        s = cell if prev is None else prev.intersect(cell)
+        s = inter[j].intersect(cell) if hit >> j & 1 else cell
         if s.kind != EMPTY:
-            if modified and prev is not None:
-                return [(j, s)]      # the row is ascending
             steps.append((j, s))
     return steps
+
+
+def _domain(prefix, i, tables: ResolutionTables, modified) -> list:
+    """Row i's columns after ``prefix``, by the search's own step routine."""
+    prefix = prefix[:i]
+    hit = sum(1 << j for j in set(prefix).intersection(tables.row_support[i]))
+    steps = _admissible_steps(_running_intersections(prefix, tables), hit,
+                              _step_row(tables, i), modified)
+    return [j for j, _ in steps]
 
 
 def admissible_domain(prefix, i, tables: ResolutionTables) -> list:
     """Columns row i may pick after the given prefix: its support, minus
     columns whose running intersection the row's cell would annihilate."""
-    inter = _running_intersections(prefix[:i], tables)
-    return [j for j, _ in _admissible_steps(inter, _step_row(tables, i), False)]
+    return _domain(prefix, i, tables, False)
 
 
 def modified_domain(prefix, i, tables: ResolutionTables) -> list:
     """Admissible columns for row i, restricted to the forced reuse column
     when one exists.  Raises DeadEnd when the row has no viable column."""
-    inter = _running_intersections(prefix[:i], tables)
-    domain = [j for j, _ in _admissible_steps(inter, _step_row(tables, i), True)]
+    domain = _domain(prefix, i, tables, True)
     if not domain:
         raise DeadEnd(f"row {i} has no viable column after prefix {list(prefix)}")
     return domain
@@ -134,7 +171,9 @@ def modified_domain(prefix, i, tables: ResolutionTables) -> list:
 
 class _Node:
     """A search node.  A child is born as (parent, column, running
-    intersection, cost); its ``inter`` dict and point ``x`` are built by
+    intersection, cost); its state (``inter``, a list of running
+    intersections by column with None for an unpicked column, ``mask``, the
+    bitmask of its picked columns, and the point ``x``) is built by
     ``materialize`` only when the search expands it, makes it the incumbent
     or writes it to a trace event.  A child whose pick leaves the parent's
     running intersection in place (``parent.inter[j] is s``) takes the
@@ -145,7 +184,7 @@ class _Node:
     ``run`` holds the columns of the pass-through rows the node has moved
     down in place since its own pick ``j``; ``picks`` reads both."""
 
-    __slots__ = ("uid", "parent", "j", "s", "z", "depth", "run", "inter", "x")
+    __slots__ = ("uid", "parent", "j", "s", "z", "depth", "run", "inter", "mask", "x")
 
     def __init__(self, uid, parent, j, s, z, depth):
         self.uid, self.parent, self.j, self.s, self.z, self.depth = uid, parent, j, s, z, depth
@@ -155,13 +194,15 @@ class _Node:
     def materialize(self) -> "_Node":
         if self.inter is None:
             parent, j, s = self.parent, self.j, self.s
-            inter, x = parent.inter, parent.x
-            if inter.get(j) is not s:
-                inter = {**inter, j: s}
+            inter, mask, x = parent.inter, parent.mask, parent.x
+            if inter[j] is not s:
+                inter = inter.copy()
+                inter[j] = s
+                mask |= 1 << j
                 if s.lo != x[j]:
                     x = x.copy()
                     x[j] = s.lo
-            self.inter, self.x = inter, x
+            self.inter, self.mask, self.x = inter, mask, x
         return self
 
     def picks(self) -> tuple:
@@ -231,31 +272,35 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     intersections, taken in pick order.  ``modified=False`` searches all
     admissible assignments (needed when two-point cells may still be present).
 
-    Every row's step list is bound once per search.  Node state is lazy
-    (see the module docstring).  A pass-through row moves the current node
-    down in place: one node created and, on the next turn, one expanded,
-    with its own uid and trace events, but nothing built, priced or pushed.
-    Other children are priced as (z, j, uid, s) tuples, the live set holds
-    (z, -depth, uid, parent, j, s), and without ``record`` a child already
-    priced out by the incumbent is only counted.  A lone viable child is
-    dived into directly: no ordering, no live-set traffic.
+    Every row's step list and support bitmask are bound once per search.
+    Node state is lazy (see the module docstring).  In modified mode the
+    node walks consecutive pass-through rows in place: per row one node
+    created and one expanded, with its own uid and trace events, but nothing
+    built, priced or pushed.  Other children are priced as (z, j, uid, s)
+    tuples, the live set holds (z, -depth, uid, parent, j, s), and without
+    ``record`` a child already priced out by the incumbent is only counted.
+    A lone viable child is dived into directly: no ordering, no live-set
+    traffic.  Without the reuse rule a row whose one step leaves its column
+    as it was gets such a lone child: the same counters and events.
     """
     tables = reduced.tables
     costs = reduced.costs
     m, n = tables.m, tables.n
-    rows = [_step_row(tables, i) for i in range(m)]
     base_x = [tables.lower_bound(j) for j in range(n)]
     base_z = sum((c * v for c, v in zip(costs, base_x)), 0.0)
     events: list = []
     if m == 0:
         return BnbResult(base_x, (), base_z, SearchStats(candidates_evaluated=1), events)
 
+    rows = [_step_row(tables, i) for i in range(m)]
+    masks = _masks(tables.row_support, range(m), m)
+
     created = expanded = candidates = prunes = updates = jumps = max_live = 0
     incumbent: _Node | None = None
     bar = math.inf       # incumbent.z - EPS: a node must cost less to survive
     live: list = []      # heap of (z, -depth, uid, parent, j, s)
     node = _Node(0, None, None, None, base_z, 0)
-    node.inter, node.x = {}, base_x
+    node.inter, node.mask, node.x = [None] * n, 0, base_x
 
     while node is not None:
         if node.inter is None:
@@ -264,17 +309,34 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
             expanded += 1
             if record:
                 events.append(node.event("expand"))
-        inter, x, z0, depth = node.inter, node.x, node.z, node.depth + 1
-        steps = _admissible_steps(inter, rows[node.depth], modified)
-        if len(steps) == 1 and depth < m:
-            j, s = steps[0]
-            if inter.get(j) is s:
-                # a pass-through row: the one child is this node one row
-                # down, at its cost, so the node moves there in place
-                created += 1
-                node.uid, node.depth = created, depth
-                node.run += (j,)
-                continue
+        inter, mask, x, z0 = node.inter, node.mask, node.x, node.z
+        # Walk the pass-through rows: each one's only child is this node one
+        # row down at its cost, so the node moves there in place.  Each row
+        # still counts one node created and expanded, with its own uid.
+        i, run, steps = node.depth, [], None
+        while modified and (hit := mask & masks[i]):
+            step = _forced(inter, hit, rows[i])
+            if step is None:
+                steps = _unpicked_steps(hit, rows[i])
+                break
+            j, s = step
+            if s is not inter[j] or i + 1 == m:
+                steps = [step]
+                break
+            run.append(j)
+            i += 1
+        if run:
+            if record:
+                picks, xs = node.picks(), tuple(x)
+                events += [TraceEvent(created + k, picks + tuple(run[:k]), xs, z0, "expand")
+                           for k in range(1, len(run) + 1)]
+            created += len(run)
+            expanded += len(run)
+            node.uid, node.depth = created, i
+            node.run += tuple(run)
+        if steps is None:
+            steps = _admissible_steps(inter, mask & masks[i], rows[i], modified)
+        depth = i + 1
         if depth == m:
             candidates += len(steps)
         # Siblings share a depth, so the bar only moves among leaves, and no
@@ -412,26 +474,33 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
     out = []
     m = sub.m
     rows = [_step_row(sub, i) for i in range(m)]
+    masks = _masks(sub.row_support, range(m), m)
 
     def lift_box(inter):
         full = [None] * p.n
         for j, v in reduced.fixed.items():
             full[j] = SetForm.point(v)
         for pos, j in enumerate(sub.col_ids):
-            full[j] = inter.get(pos, sub.col_interval[pos])
+            full[j] = sub.col_interval[pos] if inter[pos] is None else inter[pos]
         return full
 
-    def rec(prefix, inter):
-        # inter: column -> running intersection over prefix; with the column
-        # intervals it is the prefix's feasible box
-        if len(prefix) == m:
-            assignment = {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(prefix)}
+    def rec(prefix, inter, mask):
+        # inter: per column, the running intersection over prefix (None when
+        # unpicked); with the column intervals it is the prefix's feasible box
+        i = len(prefix)
+        if i == m:
+            assignment = {sub.row_ids[r]: sub.col_ids[j] for r, j in enumerate(prefix)}
             out.append((assignment, lift_box(inter)))
             return
-        for j, s in _admissible_steps(inter, rows[len(prefix)], False):
+        for j, s in _admissible_steps(inter, mask & masks[i], rows[i], False):
             prefix.append(j)
-            rec(prefix, inter if inter.get(j) is s else {**inter, j: s})
+            if inter[j] is s:
+                rec(prefix, inter, mask)
+            else:
+                child = inter.copy()
+                child[j] = s
+                rec(prefix, child, mask | 1 << j)
             prefix.pop()
 
-    rec([], {})
+    rec([], [None] * sub.n, 0)
     return out

@@ -72,6 +72,14 @@ class TestProblemFiles:
         assert main([command, path, "--no-timing"]) == 1
         assert capsys.readouterr().err == "error: 1 equation(s) over no variables\n"
 
+    @pytest.mark.parametrize("command", ["solve", "resolve", "verify"])
+    def test_deeply_nested_file_one_line_error(self, tmp_path, capsys, command):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, str(path), "--no-timing"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
     def test_non_finite_cost(self, tmp_path, capsys, cost):
         # json writes these as the NaN / Infinity literals, which json.load accepts
@@ -247,6 +255,13 @@ class TestVerifyCommand:
     def test_requires_some_input(self, capsys):
         assert main(["verify", "--no-timing"]) == 1
         assert main(["verify", "--json", "--no-timing"]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_count_below_one_refused(self, capsys, count):
+        assert main(["verify", "--seed", "1", "--count", count, "--no-timing"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --count must be at least 1, not {count}\n"
+        assert captured.out == ""
 
     def test_text_output_lines(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "20", "--no-timing"]) == 0

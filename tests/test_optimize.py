@@ -404,6 +404,18 @@ class TestSearchCounters:
             branch_and_bound(reduced_example, record=True).stats
 
 
+def _reference_domain(tables, picks, i, modified):
+    """Row i's domain after ``picks``, rebuilt from the pick groups of the
+    prefix and intersected in pick order."""
+    groups = {}
+    for row, col in enumerate(picks[:i]):
+        groups.setdefault(col, []).append(row)
+    out = [j for j in tables.row_support[i]
+           if not tables.intersect_cells(j, groups.get(j, []) + [i]).is_empty]
+    reusable = [j for j in out if j in groups]
+    return [min(reusable)] if modified and reusable else out
+
+
 def _reference_branch_and_bound(reduced, modified, eps=EPS):
     """The search loop before the live set became a heap: re-sort on every
     jump, pop the front, and rebuild each domain from the pick groups of
@@ -425,15 +437,6 @@ def _reference_branch_and_bound(reduced, modified, eps=EPS):
             stats["prunes"] += 1
         elif action == "incumbent":
             stats["incumbent_updates"] += 1
-
-    def domain(picks, i):
-        groups = {}
-        for row, col in enumerate(picks[:i]):
-            groups.setdefault(col, []).append(row)
-        out = [j for j in tables.row_support[i]
-               if not tables.intersect_cells(j, groups.get(j, []) + [i]).is_empty]
-        reusable = [j for j in out if j in groups]
-        return [min(reusable)] if modified and reusable else out
 
     incumbent, live, counter = None, [], 0
 
@@ -473,7 +476,7 @@ def _reference_branch_and_bound(reduced, modified, eps=EPS):
             stats["nodes_expanded"] += 1
             emit(node, "expand")
         open_children = []
-        for j in domain(node["picks"], node["depth"]):
+        for j in _reference_domain(tables, node["picks"], node["depth"], modified):
             child = make_child(node, j)
             if child["depth"] == m:
                 stats["candidates_evaluated"] += 1
@@ -675,7 +678,7 @@ class TestSharedNodeState:
                 branch_and_bound(problem, modified=modified)
                 for node in built:
                     parent = node.parent
-                    if parent.inter.get(node.j) == node.s:
+                    if parent.inter[node.j] == node.s:
                         assert node.inter is parent.inter and node.x is parent.x
                         shared += 1
                     else:
@@ -684,9 +687,32 @@ class TestSharedNodeState:
                     # every built state still matches its picks
                     inter = _running_intersections(node.picks(), tables)
                     assert node.inter == inter
-                    assert node.x == [inter[j].lo if j in inter else v
+                    assert node.x == [v if inter[j] is None else inter[j].lo
                                       for j, v in enumerate(base_x)]
         assert shared >= 10_000 and copied >= 10_000
+
+    def test_mask_is_the_picked_columns(self, monkeypatch):
+        built = []
+        materialize = optimize._Node.materialize
+
+        def spy(node):
+            if node.inter is None:
+                built.append(node)
+            return materialize(node)
+
+        monkeypatch.setattr(optimize._Node, "materialize", spy)
+        checked = 0
+        for problem in self._problems():
+            for modified in (True, False):
+                built.clear()
+                branch_and_bound(problem, modified=modified)
+                for node in built:
+                    picked = sum(1 << j for j, s in enumerate(node.inter) if s is not None)
+                    assert node.mask == picked
+                    assert set(node.picks()) == {j for j in range(problem.tables.n)
+                                                 if node.mask >> j & 1}
+                checked += len(built)
+        assert checked >= 20_000
 
     def test_pass_through_rows_build_no_node(self, monkeypatch):
         built = 0
@@ -717,6 +743,33 @@ class TestSharedNodeState:
                 assert tables.col_interval == col_interval, (k, modified)
                 assert tables.s_prime == s_prime, (k, modified)
                 assert [tables.lower_bound(j) for j in range(tables.n)] == lower, (k, modified)
+
+
+class TestDomainsMatchReference:
+    """The domain functions share the search's step routine; at every prefix
+    the sorted reference expands they give its domain, in both modes."""
+
+    def test_domains_at_expanded_prefixes(self):
+        prefixes = 0
+        for problem in itertools.islice(_seeded_corpus(), 160):
+            tables = problem.tables
+            for modified in (True, False):
+                *_, events = _reference_branch_and_bound(problem, modified)
+                expanded = [()] + [ev.picks for ev in events if ev.action == "expand"]
+                for prefix in expanded:
+                    i = len(prefix)
+                    if i == tables.m:
+                        continue
+                    assert admissible_domain(prefix, i, tables) == \
+                        _reference_domain(tables, prefix, i, False), prefix
+                    want = _reference_domain(tables, prefix, i, True)
+                    if want:
+                        assert modified_domain(prefix, i, tables) == want, prefix
+                    else:
+                        with pytest.raises(DeadEnd):
+                            modified_domain(prefix, i, tables)
+                    prefixes += 1
+        assert prefixes >= 5_000
 
 
 class TestRecordParity:
