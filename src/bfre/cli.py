@@ -34,7 +34,7 @@ from .oracle import (
 from .resolution import (
     ProblemInstance, build_tables, check_feasibility, row_value, tables_to_json,
 )
-from .sets import _fmt
+from .sets import spell
 from .simplify import Mode
 from .tnorms import validate
 from .tolerance import EPS
@@ -61,14 +61,34 @@ def load_problem(source) -> ProblemInstance:
     tn = data["tnorm"]
     if not isinstance(tn, dict) or "family" not in tn:
         raise ValueError("tnorm must be an object with a 'family' key")
+    if "param" in tn:
+        _number(tn["param"], "tnorm.param")
     t = validate(tn["family"], tn.get("param"))
     return ProblemInstance(
-        [list(map(float, row)) for row in data["a_plus"]],
-        [list(map(float, row)) for row in data["a_minus"]],
-        [float(v) for v in data["b"]],
-        [float(v) for v in data["c"]],
-        t,
+        [_numbers(row, "a_plus", i) for i, row in enumerate(data["a_plus"])],
+        [_numbers(row, "a_minus", i) for i, row in enumerate(data["a_minus"])],
+        _numbers(data["b"], "b"), _numbers(data["c"], "c"), t,
     )
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _number(v, name):
+    """Refuse ``v`` unless it is a JSON number, where ``float`` would also
+    take "2" or true."""
+    if type(v) not in _NUMBER_TYPES:
+        raise ValueError(f"{name} is {json.dumps(v, default=repr)}, not a number")
+
+
+def _numbers(values, name, row=None) -> list:
+    """``values``, every one a JSON number, as floats; ``row`` numbers a
+    matrix row in the error."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        name = name if row is None else f"{name}[{row}]"
+        for k, v in enumerate(values):
+            _number(v, f"{name}[{k}]")
+    return list(map(float, values))
 
 
 def _print_timing(args, seconds, out):
@@ -88,7 +108,7 @@ def _load(path) -> ProblemInstance:
     ``json`` raises RecursionError on arrays or objects nested too deep."""
     try:
         return load_problem(path)
-    except (OSError, ValueError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError, RecursionError) as exc:
         raise _BadInput(exc) from exc
 
 
@@ -137,8 +157,8 @@ def cmd_solve(args, out=None) -> int:
     else:
         print(f"status: {sol.status.value}", file=out)
         if sol.optimal:
-            print(f"objective: {_fmt(sol.objective)}", file=out)
-            print("x*: (" + ", ".join(_fmt(v) for v in sol.x) + ")", file=out)
+            print(f"objective: {spell(sol.objective)}", file=out)
+            print("x*: (" + ", ".join(spell(v) for v in sol.x) + ")", file=out)
         else:
             where = f" (index {sol.witness + 1})" if sol.witness is not None else ""
             print(f"reason: {sol.reason.value}{where}", file=out)
@@ -147,7 +167,7 @@ def cmd_solve(args, out=None) -> int:
             print(f"presolve bound: {chain}", file=out)
             fixed = sol.ledger.fixed_assignments()
             if fixed:
-                print("fixed: " + ", ".join(f"x{j + 1}={_fmt(v)}"
+                print("fixed: " + ", ".join(f"x{j + 1}={spell(v)}"
                                             for j, v in sorted(fixed.items())), file=out)
             for line in sol.ledger.describe():
                 print("  " + line, file=out)

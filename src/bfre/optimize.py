@@ -58,7 +58,7 @@ from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
     check_feasibility, FeasibilityStatus, is_feasible_point,
 )
-from .sets import EMPTY, SetForm
+from .sets import SetForm
 from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
 from .tolerance import EPS
 
@@ -84,7 +84,7 @@ def feasible_box(e, tables: ResolutionTables) -> list:
     box = list(tables.col_interval)
     for j, rows in _pick_groups(e).items():
         box[j] = tables.intersect_cells(j, rows)
-        if box[j].is_empty:
+        if not box[j]:
             raise NotAdmissible(f"column {j}: picked cells have empty intersection")
     return box
 
@@ -113,7 +113,7 @@ def _forced(inter: list, hit, row):
     for j, cell in row:
         if hit >> j & 1:
             s = inter[j].intersect(cell)
-            if s.kind != EMPTY:
+            if s:
                 return j, s
     return None
 
@@ -138,7 +138,7 @@ def _admissible_steps(inter: list, hit, row, modified) -> list:
     steps = []
     for j, cell in row:
         s = inter[j].intersect(cell) if hit >> j & 1 else cell
-        if s.kind != EMPTY:
+        if s:
             steps.append((j, s))
     return steps
 
@@ -199,9 +199,9 @@ class _Node:
                 inter = inter.copy()
                 inter[j] = s
                 mask |= 1 << j
-                if s.lo != x[j]:
+                if s[0] != x[j]:
                     x = x.copy()
-                    x[j] = s.lo
+                    x[j] = s[0]
             self.inter, self.mask, self.x = inter, mask, x
         return self
 
@@ -343,7 +343,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         # open child can be priced out by a later sibling.
         children = []
         for uid, (j, s) in enumerate(steps, created + 1):
-            z = z0 if s.lo == x[j] else z0 + costs[j] * (s.lo - x[j])
+            z = z0 if s[0] == x[j] else z0 + costs[j] * (s[0] - x[j])
             if z >= bar:
                 prunes += 1
                 if record:

@@ -44,7 +44,7 @@ def _admissible(tables, cap):
     """(pick vector, candidate point) for every admissible pick vector, in
     ``itertools.product`` order; CapExceeded when the vectors to try exceed
     ``cap``."""
-    if any(s.is_empty for s in tables.col_interval):
+    if not all(tables.col_interval):
         return
     bound = admissible_upper_bound(tables)
     if bound > cap:
@@ -69,7 +69,7 @@ def _batch_candidate(tables, e):
         inter = tables.s_prime[rows[0]][j]
         for i in rows[1:]:
             inter = inter.intersect(tables.s_prime[i][j])
-            if inter.is_empty:
+            if not inter:
                 return None
         groups[j] = inter.minimum()
     return [groups[j] if j in groups else tables.lower_bound(j) for j in range(tables.n)]

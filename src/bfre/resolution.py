@@ -7,12 +7,13 @@ keeping the term <= b_i).  Intersecting relaxation sets down each column
 yields the box constraint every feasible point obeys; restricting each cell
 solution set to that box gives the sets the search actually uses.
 
-Cells are resolved, folded and restricted on plain floats, by the bound
-rules of ``sets``, which give to the bit what the set algebra gives.  A
-``SetForm`` is built only for what the tables keep: one per column interval
-and one per non-empty restricted cell.  The raw relaxation and solution
-grids exist only for export, where ``cell_grids`` resolves them again from
-the instance and wraps each cell's floats into sets.
+Every set goes through the one algebra of ``sets``: cells are resolved into
+plain flat tuples, each column folds its cells' relaxation sets with
+``sets.fold`` in ascending row order, and each cell is cut to its column
+with ``SetForm.restrict``.  Only the column intervals and the restricted
+cells are kept, as ``SetForm``s; the raw relaxation and solution grids exist
+only for export, where ``cell_grids`` resolves them again from the
+instance.
 
 A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
@@ -34,12 +35,12 @@ from enum import Enum
 from itertools import chain
 
 from .errors import InconsistentReduction
-from .sets import (
-    EMPTY, PAIR, POINT, SetForm, fold_intervals, from_bounds, interval_bounds,
-    restrict_bounds,
-)
+from .sets import SetForm, fold, piece
 from .tnorms import DomainError, TNorm, _check_unit, _evaluator, _solver
 from .tolerance import EPS
+
+_EMPTY = SetForm.empty()
+_UNIT = piece(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,47 +100,35 @@ def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float):
     [0, 1] once, with ``solve_u``'s error texts, before the cell is
     resolved on the unchecked kernel of ``t``.
     """
-    return _cell_sets(_resolve_cell(_solver(t), _check_unit("a", a_plus),
-                                    _check_unit("a", a_minus), _check_unit("b", b)))
-
-
-def _cell_sets(resolved) -> tuple:
-    """(solution set, relaxation set) of a ``_resolve_cell`` result."""
-    rlo, rhi, kind, lo, hi = resolved
-    return from_bounds(kind, lo, hi), SetForm.interval(rlo, rhi)
+    cell, relax = _resolve_cell(_solver(t), _check_unit("a", a_plus),
+                                _check_unit("a", a_minus), _check_unit("b", b))
+    return SetForm(cell), SetForm.interval(*relax) if relax else SetForm.empty()
 
 
 def _resolve_cell(u, a_plus: float, a_minus: float, b: float) -> tuple:
-    """``bipolar_cell`` on floats, for arguments in [0, 1] and the bound
-    kernel ``u`` of ``tnorms._solver``: ``(rlo, rhi, kind, lo, hi)``.
-
-    The relaxation set is ``SetForm.interval(rlo, rhi)`` in every case,
-    which is empty when the bounds cross and a point when they meet within
-    EPS; the solution set is the ``sets`` triple ``(kind, lo, hi)``.
-    """
+    """``bipolar_cell`` for arguments in [0, 1] and the bound kernel ``u``
+    of ``tnorms._solver``, as plain tuples.  A one-sided relaxation set is
+    left as its raw bounds, which ``sets.fold`` constructs."""
     plus_ge = a_plus >= b - EPS
     minus_ge = a_minus >= b - EPS
     if not plus_ge and not minus_ge:
-        return 0.0, 1.0, EMPTY, math.nan, math.nan
+        return _EMPTY, _UNIT
     if b > EPS:
         if not minus_ge:
             v = u(a_plus, b)
-            return 0.0, v, POINT, v, v
+            return (v, v), (0.0, v)
         if not plus_ge:
             v = 1.0 - u(a_minus, b)
-            return v, 1.0, POINT, v, v
-        lo = 1.0 - u(a_minus, b)
-        hi = u(a_plus, b)
-        if lo > hi + EPS:
-            return lo, hi, EMPTY, math.nan, math.nan
-        if hi - lo <= EPS:
-            return lo, hi, POINT, lo, lo
-        return lo, hi, PAIR, lo, hi
+            return (v, v), (v, 1.0)
+        relax = piece(1.0 - u(a_minus, b), u(a_plus, b))
+        if not relax or relax[0] == relax[1]:
+            return relax, relax         # the two roots cross (∅) or meet ({lo})
+        lo, hi = relax
+        return (lo, lo, hi, hi), relax
     # b == 0: both sides always reach b, and solving == relaxing; a crossed
     # pair gives the empty interval.
-    lo = 1.0 - u(a_minus, 0.0)
-    hi = u(a_plus, 0.0)
-    return (lo, hi) + interval_bounds(lo, hi)
+    relax = piece(1.0 - u(a_minus, 0.0), u(a_plus, 0.0))
+    return relax, relax
 
 
 @dataclass(frozen=True)
@@ -188,55 +177,47 @@ class ResolutionTables:
     def intersect_cells(self, j: int, rows) -> SetForm:
         """Intersection of column j's restricted cells over ``rows``, taken
         in the given order; empty when ``rows`` is."""
-        inter = None
-        for i in rows:
-            cell = self.s_prime[i][j]
-            inter = cell if inter is None else inter.intersect(cell)
-            if inter.is_empty:
-                break
-        return SetForm.empty() if inter is None else inter
+        cells = [self.s_prime[i][j] for i in rows]
+        return fold(cells[1:], cells[0]) if cells else _EMPTY
 
 
 def build_tables(p: ProblemInstance) -> ResolutionTables:
     """Resolve an instance into its column intervals and restricted cells.
 
-    Only cells some coefficient can reach are resolved, on floats; each
-    column folds its cells' relaxation bounds in ascending row order.  Every
-    other cell has an empty solution set and a [0, 1] relaxation set, which
-    changes no interval.  Each non-empty solution set is then restricted to
-    its column interval, endpoints pinned onto the column bounds, still on
-    floats.  A ``SetForm`` is built only for each column interval and each
-    non-empty restricted cell.  The t-norm's kernel is bound once and the
-    cells are resolved unchecked: ``ProblemInstance`` has already held every
-    entry to [0, 1].
+    Only cells some coefficient can reach are resolved, as plain tuples;
+    each column folds its cells' relaxation sets in ascending row order.
+    Every other cell has an empty solution set and a [0, 1] relaxation set,
+    which changes no interval.  Each non-empty solution set is then
+    restricted to its column interval, and only what the tables keep becomes
+    a ``SetForm``.  The t-norm's kernel is bound once and the cells are
+    resolved unchecked: ``ProblemInstance`` has already held every entry to
+    [0, 1].
     """
     m, n = p.m, p.n
     u = _solver(p.tnorm)
-    relax = [[] for _ in range(n)]        # per column: (rlo, rhi) of the reached cells
-    solved = [[] for _ in range(n)]       # per column: (row, kind, lo, hi), non-empty
+    restrict = SetForm.restrict
+    relax = [[] for _ in range(n)]        # per column: the relaxation sets of the reached cells
+    solved = [[] for _ in range(n)]       # per column: (row, solution set), non-empty
     for i in range(m):
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
         reach = b - EPS
         for j in range(n):
             if ap[j] >= reach or am[j] >= reach:
-                rlo, rhi, kind, lo, hi = _resolve_cell(u, ap[j], am[j], b)
-                relax[j].append((rlo, rhi))
-                if kind is not EMPTY:
-                    solved[j].append((i, kind, lo, hi))
-    empty = SetForm.empty()
-    col_interval = []
-    s_prime = [[empty] * n for _ in range(m)]
+                cell, r = _resolve_cell(u, ap[j], am[j], b)
+                relax[j].append(r)
+                if cell:
+                    solved[j].append((i, cell))
+    s_prime = [[_EMPTY] * n for _ in range(m)]
     row_support = [[] for _ in range(m)]
     col_support = [[] for _ in range(n)]
-    for j in range(n):
-        ckind, clo, chi = fold_intervals(relax[j])
-        col_interval.append(from_bounds(ckind, clo, chi))
-        if ckind is EMPTY:
+    col_interval = [fold(r) for r in relax]
+    for j, col in enumerate(col_interval):
+        if not col:
             continue
-        for i, kind, lo, hi in solved[j]:
-            kind, lo, hi = restrict_bounds(kind, lo, hi, ckind, clo, chi)
-            if kind is not EMPTY:
-                s_prime[i][j] = from_bounds(kind, lo, hi)
+        for i, cell in solved[j]:
+            cell = restrict(cell, col)
+            if cell:
+                s_prime[i][j] = cell
                 row_support[i].append(j)
                 col_support[j].append(i)
     return ResolutionTables(
@@ -311,7 +292,7 @@ def check_feasibility(tables: ResolutionTables) -> FeasibilityReport:
     instance out immediately; passing both only means the search must decide.
     """
     for j in range(tables.n):
-        if tables.col_interval[j].is_empty:
+        if not tables.col_interval[j]:
             return FeasibilityReport(FeasibilityStatus.EMPTY_COLUMN, tables.col_ids[j])
     for i in range(tables.m):
         if not tables.row_support[i]:
@@ -411,8 +392,7 @@ def cell_grids(p: ProblemInstance, tables: ResolutionTables) -> tuple:
     """(solution, relaxation) grids of ``tables``' rows and columns,
     resolved again from the instance; an unreachable cell comes back as
     (∅, [0, 1])."""
-    u = _solver(p.tnorm)
-    cells = [[_cell_sets(_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i]))
+    cells = [[bipolar_cell(p.tnorm, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
               for j in tables.col_ids] for i in tables.row_ids]
     return ([[s for s, _ in row] for row in cells],
             [[r for _, r in row] for row in cells])

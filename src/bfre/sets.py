@@ -1,27 +1,42 @@
-"""Tagged representation of per-cell solution sets.
+"""The set algebra: every set is one flat tuple of sorted, disjoint closed
+pieces.
 
-Every set this solver manipulates is one of four shapes: empty, a single
-point, an unordered pair of points, or a closed interval.  Intersections of
-these shapes stay within the family, which is what makes the whole resolution
-machinery finite.
+A set is the tuple ``(lo0, hi0, lo1, hi1, ...)``: ``()`` is empty,
+``(v, v)`` the point v, ``(v, v, w, w)`` a two-point set and ``(lo, hi)`` a
+closed interval.  A piece is either a point (lo == hi) or wider than EPS,
+and pieces lie more than EPS apart, so the minimum is ``s[0]`` and an empty
+set is false.  ``SetForm`` is the tuple subclass that carries the rules as
+methods; the kinds ∅, {v}, {v,w} and [lo,hi] are views of its pieces.  The
+rules take plain tuples as well and always return a ``SetForm``, so a caller
+that builds many sets (``resolution.build_tables``) builds plain tuples and
+pays for a ``SetForm`` only where one is kept.
 
-All membership and identity tests are tolerance-snapped: values closer than
-``EPS`` are treated as equal, so endpoint coincidences survive float noise.
+Each rule is written once, for one piece against one piece, and a set of
+more pieces goes through it piece by piece:
 
-The same rules also act on plain bounds, a ``(kind, lo, hi)`` triple per set,
-for code that would otherwise build a form only to intersect it away:
-``interval_bounds``, ``fold_intervals`` and ``restrict_bounds`` give, to the
-bit, what ``SetForm.interval``, a left-to-right ``intersect`` and
-``intersect`` plus ``snap`` give, and ``from_bounds`` makes the form of a
-triple.  The tolerance rules are not associative, so a fold must keep its
-order: (0, 1) ∩ [.5, .5 + .5ε] ∩ [.5 + .8ε, 1] is the point .5, while a plain
+- construct (``piece``): a piece crossed by more than EPS is empty, and one
+  no wider than EPS is the point at its lo; pieces within EPS of each other
+  join;
+- contains: v is within EPS of a piece, |v - p| <= EPS for a point p;
+- intersect (``fold``): a point survives, itself, when the other piece
+  contains it; an interval keeps each point of the other that it contains,
+  and two intervals meet in [max lo, min hi], constructed.  The operand with
+  fewer pieces, or the left one, keeps its points and its bounds on a tie,
+  and an operand that survives whole is the result itself;
+- issubset: each piece lies in a piece of the other, a proper interval only
+  in an interval;
+- snap: a bound within EPS of a target moves onto the first such target;
+  ``restrict`` is intersect, then snap onto the bounds of the column.
+
+The rules are not associative, so a fold must keep its order:
+(0, 1) ∩ [.5, .5 + .5ε] ∩ [.5 + .8ε, 1] is the point .5, while a plain
 max/min over all bounds gives .5 + .8ε.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 
 from .tolerance import EPS
 
@@ -29,15 +44,104 @@ EMPTY = "empty"
 POINT = "point"
 PAIR = "pair"
 INTERVAL = "interval"
+UNION = "union"
+
+_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class SetForm:
-    """One of: empty set, {lo}, {lo, hi}, or [lo, hi]."""
+def piece(lo: float, hi: float) -> tuple:
+    """[lo, hi] as a plain tuple: empty when crossed by more than EPS, the
+    point lo when no wider than EPS."""
+    if lo > hi + EPS:
+        return ()
+    return (lo, lo) if hi - lo <= EPS else (lo, hi)
 
-    kind: str
-    lo: float = math.nan
-    hi: float = math.nan
+
+def _pieces(bounds) -> tuple:
+    """The pieces listed flat in ``bounds``, in any order, each constructed
+    by ``piece`` after joining it to the one before when it starts within
+    EPS of that one's end."""
+    out = []
+    for k in sorted(range(0, len(bounds), 2), key=bounds.__getitem__):
+        lo, hi = bounds[k], bounds[k + 1]
+        if out and lo - out[-1] <= EPS:
+            lo, hi = out[-2], max(out[-1], hi)
+            del out[-2:]
+        out += piece(lo, hi)
+    return tuple(out)
+
+
+def _form(s: tuple) -> "SetForm":
+    return s if type(s) is SetForm else _new(SetForm, s)
+
+
+def fold(sets, acc: tuple = (0.0, 1.0)) -> "SetForm":
+    """``acc ∩ s`` for each s of ``sets`` in turn, left to right, ``acc``
+    the unit interval unless given: the intersect rule.  An operand of one
+    piece may come as the raw bounds ``(lo, hi)`` of ``piece(lo, hi)``."""
+    return _form(_fold(sets, acc))
+
+
+def _fold(sets, acc: tuple) -> tuple:
+    for other in sets:
+        if len(acc) == 2 == len(other):
+            lo, hi = acc
+            olo, ohi = other
+            if olo != ohi and ohi - olo <= EPS:
+                other = piece(olo, ohi)
+                if not other:
+                    return _EMPTY
+                ohi = olo
+            if lo == hi:
+                if not (abs(lo - olo) <= EPS if olo == ohi else olo - EPS <= lo <= ohi + EPS):
+                    return _EMPTY
+            elif olo == ohi:
+                if not lo - EPS <= olo <= hi + EPS:
+                    return _EMPTY
+                acc = other
+            else:
+                # the bound of acc on a tie, so an operand whose bounds both
+                # survive is the result itself
+                nlo = olo if olo > lo else lo
+                nhi = ohi if ohi < hi else hi
+                if nlo is not lo or nhi is not hi:
+                    acc = other if nlo is olo and nhi is ohi else piece(nlo, nhi)
+                    if not acc:
+                        return _EMPTY
+        else:
+            acc = _meet(acc, other)
+            if not acc:
+                return _EMPTY
+    return acc
+
+
+def _meet(x: tuple, y: tuple) -> tuple:
+    """``x ∩ y`` piece by piece; a point of the operand with fewer pieces
+    (``x`` on a tie) is kept once."""
+    if not x or not y:
+        return ()
+    if len(y) < len(x):
+        x, y = y, x
+    out = []
+    for k in range(0, len(x), 2):
+        own = x[k:k + 2]
+        for q in range(0, len(y), 2):
+            met = _fold((y[q:q + 2],), own)
+            out += met
+            if met and own[0] == own[1]:
+                break
+    for operand in (x, y):
+        if len(out) == len(operand) and all(map(operator.is_, out, operand)):
+            return operand
+    if len(out) == 2 or all(out[k] - out[k - 1] > EPS for k in range(2, len(out), 2)):
+        return tuple(out)               # already sorted, apart and constructed
+    return _pieces(out)
+
+
+class SetForm(tuple):
+    """Sorted, disjoint closed pieces, flat: ``(lo0, hi0, lo1, hi1, ...)``."""
+
+    __slots__ = ()
 
     # -- constructors -----------------------------------------------------
 
@@ -47,284 +151,130 @@ class SetForm:
 
     @staticmethod
     def point(v: float) -> "SetForm":
-        return _form(POINT, v, v)
+        return _new(SetForm, (v, v))
 
     @staticmethod
     def pair(v1: float, v2: float) -> "SetForm":
-        """Two-point set; collapses to a point when the values coincide."""
-        if v1 > v2:
-            v1, v2 = v2, v1
-        if v2 - v1 <= EPS:
-            return _form(POINT, v1, v1)
-        return _form(PAIR, v1, v2)
+        """Two-point set; the lower point when they lie within EPS."""
+        return _new(SetForm, _pieces((v1, v1, v2, v2)))
 
     @staticmethod
     def interval(lo: float, hi: float) -> "SetForm":
-        """Closed interval; collapses to a point when degenerate.
+        return _new(SetForm, piece(lo, hi))
 
-        A crossed interval (lo > hi beyond tolerance) is empty.
-        """
-        if lo > hi + EPS:
-            return _EMPTY
-        if hi - lo <= EPS:
-            return _form(POINT, lo, lo)
-        return _form(INTERVAL, lo, hi)
-
-    # -- queries -----------------------------------------------------------
+    # -- views ------------------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return self.kind == EMPTY
+        return not self
 
     @property
     def is_point(self) -> bool:
-        return self.kind == POINT
+        return len(self) == 2 and self[0] == self[1]
 
     @property
     def is_pair(self) -> bool:
-        return self.kind == PAIR
+        return len(self) == 4 and self[0] == self[1] and self[2] == self[3]
 
     @property
     def is_interval(self) -> bool:
-        return self.kind == INTERVAL
+        return len(self) == 2 and self[0] != self[1]
+
+    @property
+    def kind(self) -> str:
+        if not self:
+            return EMPTY
+        return (POINT if self.is_point else INTERVAL if len(self) == 2
+                else PAIR if self.is_pair else UNION)
+
+    @property
+    def lo(self) -> float:
+        return self[0] if self else math.nan
+
+    @property
+    def hi(self) -> float:
+        return self[-1] if self else math.nan
 
     def minimum(self) -> float:
-        if self.is_empty:
+        if not self:
             raise ValueError("minimum of empty set")
-        return self.lo
+        return self[0]
 
     def maximum(self) -> float:
-        if self.is_empty:
+        if not self:
             raise ValueError("maximum of empty set")
-        return self.hi
+        return self[-1]
 
-    def contains(self, v: float) -> bool:
-        if self.kind == EMPTY:
-            return False
-        if self.kind == INTERVAL:
-            return self.lo - EPS <= v <= self.hi + EPS
-        if self.kind == POINT:
-            return abs(v - self.lo) <= EPS
-        return abs(v - self.lo) <= EPS or abs(v - self.hi) <= EPS
-
-    def values(self) -> tuple[float, ...]:
-        """Finite member list; only meaningful for point/pair forms."""
-        if self.kind == POINT:
-            return (self.lo,)
-        if self.kind == PAIR:
-            return (self.lo, self.hi)
+    def values(self) -> tuple:
+        """The members of a point or a two-point set."""
+        if self.is_point or self.is_pair:
+            return self[::2]
         raise ValueError(f"values() on {self.kind} form")
 
-    # -- algebra -----------------------------------------------------------
+    # -- algebra ----------------------------------------------------------
 
-    def intersect(self, other: "SetForm") -> "SetForm":
-        # A point operand is tested first, and point ∩ point, the commonest
-        # case in the search, is one compare.  A point that survives is
-        # returned itself; ``contains`` of an empty form is False.
-        kind, okind = self.kind, other.kind
-        if kind == POINT:
-            if okind == POINT:
-                return self if abs(self.lo - other.lo) <= EPS else _EMPTY
-            return self if other.contains(self.lo) else _EMPTY
-        if okind == POINT:
-            return other if self.contains(other.lo) else _EMPTY
-        if kind == EMPTY or okind == EMPTY:
-            return _EMPTY
-        if kind == PAIR:
-            kept = [v for v in (self.lo, self.hi) if other.contains(v)]
-            if not kept:
-                return _EMPTY
-            if len(kept) == 1:
-                return _form(POINT, kept[0], kept[0])
-            return _form(PAIR, kept[0], kept[1])
-        if okind == PAIR:
-            return other.intersect(self)
-        # max and min return one of their argument objects, so an operand
-        # whose bounds both survive is the intersection itself
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo is self.lo and hi is self.hi:
-            return self
-        if lo is other.lo and hi is other.hi:
-            return other
-        return SetForm.interval(lo, hi)
+    def contains(self, v: float) -> bool:
+        if len(self) == 2:
+            lo, hi = self
+            return abs(v - lo) <= EPS if lo == hi else lo - EPS <= v <= hi + EPS
+        return any(SetForm.contains(self[k:k + 2], v) for k in range(0, len(self), 2))
 
-    def issubset(self, other: "SetForm") -> bool:
-        if self.kind == EMPTY:
-            return True
-        if other.kind == EMPTY:
-            return False
-        if self.kind in (POINT, PAIR):
-            return all(other.contains(v) for v in self.values())
-        # proper interval fits only inside an interval
-        if other.kind != INTERVAL:
-            return False
-        return other.lo - EPS <= self.lo and self.hi <= other.hi + EPS
+    def intersect(self, other: tuple) -> "SetForm":
+        # equal operands, the commonest case in the search, meet in self,
+        # which keeps its bounds on a tie
+        return self if self == other else fold((other,), self)
+
+    def issubset(self, other: tuple) -> bool:
+        if len(self) == 2 == len(other):
+            lo, hi = self
+            olo, ohi = other
+            if lo == hi:
+                return abs(lo - olo) <= EPS if olo == ohi else olo - EPS <= lo <= ohi + EPS
+            return olo != ohi and olo - EPS <= lo and hi <= ohi + EPS
+        return not self or all(any(SetForm.issubset(self[k:k + 2], other[q:q + 2])
+                                   for q in range(0, len(other), 2))
+                               for k in range(0, len(self), 2))
 
     def snap(self, targets) -> "SetForm":
-        """Replace stored values by any target they match within EPS.
+        """Each bound moved onto the first of ``targets`` (at most two)
+        within EPS of it; the set itself when none moves."""
+        if not targets:
+            return _form(self)
+        t0, t1 = targets[0], targets[-1]
+        pinned, moved = [], False
+        for k in range(0, len(self), 2):
+            lo, hi = self[k], self[k + 1]
+            plo = t0 if abs(lo - t0) <= EPS else t1 if abs(lo - t1) <= EPS else lo
+            # a point's two bounds are one value, pinned once
+            phi = (plo if hi is lo else
+                   t0 if abs(hi - t0) <= EPS else t1 if abs(hi - t1) <= EPS else hi)
+            pinned += plo, phi
+            moved = moved or plo is not lo or phi is not hi
+        if not moved:
+            return _form(self)
+        return _new(SetForm, piece(*pinned) if len(pinned) == 2 else _pieces(pinned))
 
-        Used to pin restricted-cell endpoints exactly onto the column bounds.
-        A form with no endpoint pinned comes back as itself.
-        """
-        if self.kind == EMPTY:
-            return self
+    def restrict(self, col: tuple) -> "SetForm":
+        """``self ∩ col`` snapped onto the bounds of the column ``col``."""
+        s = _fold((col,), self)
+        return SetForm.snap(s, (col[0], col[-1])) if s else _EMPTY
 
-        def pin(v):
-            for tgt in targets:
-                if abs(v - tgt) <= EPS:
-                    return tgt
-            return v
-
-        lo, hi = pin(self.lo), pin(self.hi)
-        if lo is self.lo and hi is self.hi:
-            return self
-        if self.kind == INTERVAL:
-            return SetForm.interval(lo, hi)
-        if self.kind == PAIR:
-            return SetForm.pair(lo, hi)
-        return _form(POINT, lo, lo)
-
-    # -- formatting ---------------------------------------------------------
-
-    def __str__(self):
-        if self.kind == EMPTY:
-            return "∅"
-        if self.kind == POINT:
-            return "{%s}" % _fmt(self.lo)
-        if self.kind == PAIR:
-            return "{%s,%s}" % (_fmt(self.lo), _fmt(self.hi))
-        return "[%s,%s]" % (_fmt(self.lo), _fmt(self.hi))
+    def __str__(self) -> str:
+        return spell(self)
 
 
-def _fmt(v: float) -> str:
-    s = f"{v:.6g}"
-    return "0" if s == "-0" else s
+def spell(x) -> str:
+    """The display spelling of a number (``.6g``, never ``-0``) or of a set:
+    ∅, {v}, {v,w}, [lo,hi], and the pieces of other shapes joined by ∪."""
+    if not isinstance(x, tuple):
+        s = f"{x:.6g}"
+        return "0" if s == "-0" else s
+    if not x:
+        return "∅"
+    if all(x[k] == x[k + 1] for k in range(0, len(x), 2)):
+        return "{%s}" % ",".join(map(spell, x[::2]))
+    return "∪".join("{%s}" % spell(lo) if lo == hi else "[%s,%s]" % (spell(lo), spell(hi))
+                    for lo, hi in zip(x[::2], x[1::2]))
 
 
-_EMPTY = SetForm(EMPTY)
-
-_new = object.__new__
-# the slot member descriptors: setting through them skips the frozen
-# dataclass's __setattr__, which raises for everyone else
-_set_kind = SetForm.kind.__set__
-_set_lo = SetForm.lo.__set__
-_set_hi = SetForm.hi.__set__
-
-
-def _form(kind: str, lo: float, hi: float) -> SetForm:
-    """``SetForm(kind, lo, hi)`` without the dataclass ``__init__``, whose
-    three frozen-field assignments each go through ``object.__setattr__``."""
-    s = _new(SetForm)
-    _set_kind(s, kind)
-    _set_lo(s, lo)
-    _set_hi(s, hi)
-    return s
-
-
-_EMPTY_BOUNDS = (EMPTY, math.nan, math.nan)
-
-
-def from_bounds(kind: str, lo: float, hi: float) -> SetForm:
-    """The form of a ``(kind, lo, hi)`` triple of the functions below."""
-    return _EMPTY if kind is EMPTY else _form(kind, lo, hi)
-
-
-def interval_bounds(lo: float, hi: float) -> tuple:
-    """``SetForm.interval(lo, hi)`` as a triple."""
-    if lo > hi + EPS:
-        return _EMPTY_BOUNDS
-    if hi - lo <= EPS:
-        return POINT, lo, lo
-    return INTERVAL, lo, hi
-
-
-def fold_intervals(bounds) -> tuple:
-    """``SetForm.interval(0, 1)`` intersected with ``SetForm.interval(lo,
-    hi)`` for each ``(lo, hi)`` of ``bounds`` in turn, as a triple.
-
-    Each step follows ``intersect`` with the running set as ``self``: a
-    tie keeps the running bound, and a point keeps its value while the
-    next interval holds it within EPS.
-    """
-    eps = EPS
-    kind, lo, hi = INTERVAL, 0.0, 1.0
-    for rlo, rhi in bounds:
-        if rlo > rhi + eps:
-            return _EMPTY_BOUNDS
-        if rhi - rlo <= eps:                # the operand is the point rlo
-            if kind is POINT:
-                if not abs(lo - rlo) <= eps:
-                    return _EMPTY_BOUNDS
-            elif lo - eps <= rlo <= hi + eps:
-                kind, lo, hi = POINT, rlo, rlo
-            else:
-                return _EMPTY_BOUNDS
-        elif kind is POINT:
-            if not rlo - eps <= lo <= rhi + eps:
-                return _EMPTY_BOUNDS
-        else:
-            if rlo > lo:
-                lo = rlo
-            if rhi < hi:
-                hi = rhi
-            if lo > hi + eps:
-                return _EMPTY_BOUNDS
-            if hi - lo <= eps:
-                kind, hi = POINT, lo
-    return kind, lo, hi
-
-
-def restrict_bounds(kind: str, lo: float, hi: float,
-                    ckind: str, clo: float, chi: float) -> tuple:
-    """``s.intersect(c).snap((clo, chi))`` as a triple, for a non-empty
-    ``s = (kind, lo, hi)`` and a non-empty point or interval
-    ``c = (ckind, clo, chi)``."""
-    eps = EPS
-    # intersect, with s as self
-    if kind is POINT:
-        if not (abs(lo - clo) <= eps if ckind is POINT else clo - eps <= lo <= chi + eps):
-            return _EMPTY_BOUNDS
-    elif ckind is POINT:
-        if kind is PAIR:
-            held = abs(clo - lo) <= eps or abs(clo - hi) <= eps
-        else:
-            held = lo - eps <= clo <= hi + eps
-        if not held:
-            return _EMPTY_BOUNDS
-        return POINT, clo, clo              # snapping c's own value keeps it
-    elif kind is PAIR:
-        keep_lo = clo - eps <= lo <= chi + eps
-        if not clo - eps <= hi <= chi + eps:
-            if not keep_lo:
-                return _EMPTY_BOUNDS
-            kind, hi = POINT, lo
-        elif not keep_lo:
-            kind, lo = POINT, hi
-    else:
-        if clo > lo:
-            lo = clo
-        if chi < hi:
-            hi = chi
-        if lo > hi + eps:
-            return _EMPTY_BOUNDS
-        if hi - lo <= eps:
-            kind, hi = POINT, lo
-    # snap onto (clo, chi), the first target within EPS winning
-    if abs(lo - clo) <= eps:
-        lo = clo
-    elif abs(lo - chi) <= eps:
-        lo = chi
-    if kind is POINT:
-        return POINT, lo, lo
-    if abs(hi - clo) <= eps:
-        hi = clo
-    elif abs(hi - chi) <= eps:
-        hi = chi
-    if kind is INTERVAL:
-        return interval_bounds(lo, hi)
-    if lo > hi:
-        lo, hi = hi, lo
-    if hi - lo <= eps:
-        return POINT, lo, lo
-    return PAIR, lo, hi
+_EMPTY = _new(SetForm, ())

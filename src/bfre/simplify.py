@@ -321,7 +321,7 @@ def rule_free_column(tables: ResolutionTables, costs=None) -> list:
     fixed = {}
     cols = []
     for j in tables.cols:
-        if not tables.col_support[j] and not tables.col_interval[j].is_empty:
+        if not tables.col_support[j] and tables.col_interval[j]:
             fixed[tables.col_ids[j]] = tables.lower_bound(j)
             cols.append(tables.col_ids[j])
     return [Action(Rule.FREE_COLUMN, fixed, (), tuple(cols))] if cols else []

@@ -1,24 +1,22 @@
-"""The float-level set rules of ``bfre.sets`` against the set algebra.
+"""The ordered fold and the restrict of ``bfre.sets`` at the tolerance edge.
 
-``interval_bounds``, ``fold_intervals`` and ``restrict_bounds`` must give,
-to the bit, what ``SetForm.interval``, a left-to-right ``intersect`` and
-``intersect`` plus ``snap`` give.  The bounds are drawn within a few EPS of
-each other, where the tolerance rules decide every outcome.
+``fold`` takes each intersection left to right, and ``restrict`` is an
+intersection snapped onto the column's bounds; both must give, to the bit,
+what the reference helpers of ``setforms`` build with the constructors.  The
+bounds are drawn within a few EPS of each other, where the tolerance rules
+decide every outcome.  ``TestPieces`` checks sets of up to three pieces.
 """
 
 import math
 from functools import reduce
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfre.sets import (
-    EMPTY, PAIR, POINT, SetForm, fold_intervals, from_bounds, interval_bounds,
-    restrict_bounds,
-)
+from bfre.sets import SetForm, fold, piece
 from bfre.tolerance import EPS
 
-from setforms import bits
+from setforms import bits, constructed_intersect, constructed_snap
 
 RULES = settings(max_examples=400, derandomize=True, database=None, deadline=None)
 
@@ -44,11 +42,6 @@ def near_bounds(draw, count):
     return out
 
 
-def triple_bits(t) -> tuple:
-    kind, lo, hi = t
-    return kind, lo.hex(), hi.hex()
-
-
 @st.composite
 def near_forms(draw):
     """A non-empty point, pair or interval and a non-empty point or
@@ -66,38 +59,41 @@ class TestIntervalBounds:
     @given(near_bounds(2))
     def test_matches_constructor(self, bounds):
         lo, hi = bounds
-        t = interval_bounds(lo, hi)
-        assert triple_bits(t) == bits(SetForm.interval(lo, hi))
-        assert bits(from_bounds(*t)) == bits(SetForm.interval(lo, hi))
+        want = () if lo > hi + EPS else (lo, lo) if hi - lo <= EPS else (lo, hi)
+        assert [v.hex() for v in piece(lo, hi)] == [v.hex() for v in want]
+        assert bits(SetForm.interval(lo, hi)) == bits(SetForm(want))
 
 
 class TestFoldIntervals:
     @staticmethod
     def reference(bounds) -> SetForm:
-        return reduce(lambda acc, b: acc.intersect(SetForm.interval(*b)), bounds,
+        return reduce(lambda acc, b: constructed_intersect(acc, SetForm.interval(*b)), bounds,
                       SetForm.interval(0.0, 1.0))
 
     @RULES
     @given(st.integers(0, 6).flatmap(lambda k: near_bounds(2 * k)))
     def test_matches_intersect_in_order(self, flat):
         bounds = list(zip(flat[::2], flat[1::2]))
-        assert triple_bits(fold_intervals(bounds)) == bits(self.reference(bounds))
+        want = bits(self.reference(bounds))
+        # raw bounds, as resolution hands them over, and constructed sets
+        assert bits(fold(bounds)) == want
+        assert bits(fold([SetForm.interval(*b) for b in bounds])) == want
 
     def test_not_associative(self):
         # (0, 1) ∩ [.5, .5 + .5ε] is the point .5, which [.5 + .8ε, 1] still
         # holds within EPS; a plain max/min fold keeps .5 + .8ε instead
         bounds = [(0.5, 0.5 + 0.5 * EPS), (0.5 + 0.8 * EPS, 1.0)]
-        assert fold_intervals(bounds) == (POINT, 0.5, 0.5)
+        assert bits(fold(bounds)) == bits(SetForm.point(0.5))
         assert bits(self.reference(bounds)) == bits(SetForm.point(0.5))
         lo = max(b[0] for b in bounds)
         hi = min(b[1] for b in bounds)
-        assert triple_bits(interval_bounds(lo, hi)) == bits(SetForm.point(0.5 + 0.8 * EPS))
+        assert bits(SetForm.interval(lo, hi)) == bits(SetForm.point(0.5 + 0.8 * EPS))
 
     def test_empty_input_is_the_unit_interval(self):
-        assert fold_intervals([]) == ("interval", 0.0, 1.0)
+        assert bits(fold([])) == ("interval", (0.0).hex(), (1.0).hex())
 
     def test_crossed_operand_empties(self):
-        assert fold_intervals([(0.2, 0.6), (0.6, 0.2)])[0] is EMPTY
+        assert fold([(0.2, 0.6), (0.6, 0.2)]).is_empty
 
 
 class TestRestrictBounds:
@@ -107,17 +103,68 @@ class TestRestrictBounds:
         s, col = forms
         if col.is_empty:
             return
-        got = restrict_bounds(s.kind, s.lo, s.hi, col.kind, col.lo, col.hi)
-        want = s.intersect(col).snap((col.minimum(), col.maximum()))
-        assert triple_bits(got) == bits(want), (s, col)
+        want = constructed_snap(constructed_intersect(s, col), (col.minimum(), col.maximum()))
+        assert bits(s.restrict(col)) == bits(want), (s, col)
 
     def test_pair_snapped_onto_one_column_bound_collapses(self):
         # both pair values lie within EPS of the column's lower bound
         s = SetForm.pair(0.5, 0.5 + 1.5 * EPS)
         col = SetForm.interval(0.5 + 0.8 * EPS, 0.9)
-        got = restrict_bounds(s.kind, s.lo, s.hi, col.kind, col.lo, col.hi)
-        assert got == (POINT, col.lo, col.lo)
-        assert bits(s.intersect(col).snap((col.lo, col.hi))) == triple_bits(got)
+        got = s.restrict(col)
+        assert got.is_point and got[0] is col[0]
+        assert bits(constructed_snap(constructed_intersect(s, col), (col.lo, col.hi))) == bits(got)
 
     def test_pair_kept_whole(self):
-        assert restrict_bounds(PAIR, 0.2, 0.8, "interval", 0.0, 1.0) == (PAIR, 0.2, 0.8)
+        pair = SetForm.pair(0.2, 0.8)
+        assert pair.restrict(SetForm.interval(0.0, 1.0)) is pair
+
+
+@st.composite
+def near_pieces(draw, centre):
+    """A set of up to three sorted, disjoint pieces, each a point or wider
+    than EPS and more than EPS from the next, every bound within 4 EPS of
+    ``centre``."""
+    count = draw(st.integers(0, 3))
+    flat = sorted(centre + draw(st.integers(-16, 16)) * 0.25 * EPS for _ in range(2 * count))
+    out = []
+    for lo, hi in zip(flat[::2], flat[1::2]):
+        if draw(st.booleans()) or hi - lo <= EPS:
+            hi = lo
+        assume(not out or lo - out[-1] > EPS)
+        out += lo, hi
+    return SetForm(out)
+
+
+def _pair_of_sets():
+    return st.sampled_from([0.0, 0.3, 0.5, 1.0]).flatmap(
+        lambda c: st.tuples(near_pieces(c), near_pieces(c)))
+
+
+class TestPieces:
+    """Intersections of sets of up to three pieces, as two-piece cells will
+    make them."""
+
+    @staticmethod
+    def far_points(*sets):
+        """Sample points more than EPS from every bound of ``sets``."""
+        bounds = [v for s in sets for v in s]
+        if not bounds:
+            return []
+        c = bounds[0]
+        grid = (c + (k + 0.125) * 0.25 * EPS for k in range(-24, 24))
+        return [v for v in grid if all(abs(v - b) > EPS for b in bounds)]
+
+    @RULES
+    @given(_pair_of_sets())
+    def test_sorted_disjoint_and_membership(self, sets):
+        a, b = sets
+        r = a.intersect(b)
+        assert len(r) % 2 == 0
+        assert all(r[k] <= r[k + 1] for k in range(0, len(r), 2)), (a, b, r)
+        assert all(r[k - 1] < r[k] for k in range(2, len(r), 2)), (a, b, r)
+        for v in self.far_points(a, b):
+            assert r.contains(v) == (a.contains(v) and b.contains(v)), (a, b, r, v)
+        if r:
+            assert r.minimum() == r[0]
+        else:
+            assert r.is_empty

@@ -98,6 +98,36 @@ class TestProblemFiles:
         assert main(["solve", path, "--no-timing"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("value,spelled", [("2", '"2"'), (True, "true"), (None, "null")])
+    @pytest.mark.parametrize("field,where", [
+        ("a_plus", "a_plus[0][0]"), ("a_minus", "a_minus[0][0]"), ("b", "b[0]"), ("c", "c[0]"),
+        ("param", "tnorm.param"),
+    ])
+    def test_non_number_refused(self, tmp_path, capsys, field, where, value, spelled):
+        # float() would read "2" as 2.0 and true as 1.0
+        if field == "param":
+            data = tiny_problem(tnorm={"family": "yager", "param": value})
+        elif field in ("a_plus", "a_minus"):
+            data = tiny_problem(**{field: [[value]]})
+        else:
+            data = tiny_problem(**{field: [value]})
+        path = write_problem(tmp_path, data)
+        assert main(["solve", path, "--no-timing"]) == 1
+        assert capsys.readouterr().err == f"error: {where} is {spelled}, not a number\n"
+
+    def test_integers_are_numbers(self, tmp_path):
+        data = tiny_problem(tnorm={"family": "yager", "param": 2}, a_plus=[[1]], c=[3])
+        p = load_problem(data)
+        assert p.tnorm.param == 2.0 and p.a_plus == [[1.0]] and p.c == [3.0]
+        assert type(p.a_plus[0][0]) is float
+
+    def test_integer_too_large_one_line_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(tiny_problem(c=[0])).replace('"c": [0]', '"c": [' + "9" * 400 + "]"))
+        assert main(["solve", str(path), "--no-timing"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("command", ["solve", "resolve"])
     @pytest.mark.parametrize("family,param", [
         ("frank", 1e-300), ("dombi", 1e61), ("schweizer_sklar", -933.0), ("aczel_alsina", 1e300),

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -257,45 +256,3 @@ class TestOperandIdentity:
         assert bits(r) == ("pair", (0.0).hex(), (0.5).hex())
         assert SetForm.point(0.5).snap((_edge_above(0.5),)).lo == _edge_above(0.5)
         assert SetForm.point(0.5).snap((_beyond(0.5),)).lo == 0.5
-
-
-class TestBuiltWithoutInit:
-    """The constructors, intersect and snap build forms without the dataclass
-    __init__; each result must be the form SetForm(kind, lo, hi) builds."""
-
-    @staticmethod
-    def assert_like_init(s):
-        assert type(s) is SetForm
-        ref = SetForm(s.kind, s.lo, s.hi)
-        assert bits(s) == bits(ref)
-        assert s == ref and ref == s and not s != ref
-        assert hash(s) == hash(ref)
-        assert repr(s) == repr(ref)
-        for name in ("kind", "lo", "hi"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(s, name, 0.5)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            del s.lo
-
-    def test_constructors(self):
-        rng = random.Random("without-init")
-        for _ in range(300):
-            lo, hi = rng.choice((rng.random(), rng.randint(0, 20) / 20, -0.0)), rng.random()
-            if rng.random() < 0.3:
-                hi = _edge_above(lo) if rng.random() < 0.5 else _beyond(lo)
-            for s in (SetForm.point(lo), SetForm.pair(lo, hi), SetForm.pair(hi, lo),
-                      SetForm.interval(lo, hi), SetForm.interval(hi, lo)):
-                self.assert_like_init(s)
-
-    def test_intersect_and_snap(self):
-        forms = _seeded_forms("without-init")
-        for x in forms:
-            for y in forms:
-                self.assert_like_init(x.intersect(y))
-            for targets in ((0.0, 1.0), (_fresh(x.lo), 0.99), (_edge_above(x.hi),)):
-                self.assert_like_init(x.snap(targets))
-
-    def test_forms_from_init_and_constructors_mix(self):
-        built = {SetForm.point(0.5), SetForm.pair(0.2, 0.5), SetForm.interval(0.2, 0.5)}
-        assert built == {SetForm("point", 0.5, 0.5), SetForm("pair", 0.2, 0.5),
-                         SetForm("interval", 0.2, 0.5)}
