@@ -9,11 +9,11 @@ solution set to that box gives the sets the search actually uses.
 
 Every set goes through the one algebra of ``sets``: cells are resolved into
 plain flat tuples, each column folds its cells' relaxation sets with
-``sets.fold`` in ascending row order, and each cell is cut to its column
-with ``SetForm.restrict``.  Only the column intervals and the restricted
-cells are kept, as ``SetForm``s; the raw relaxation and solution grids exist
-only for export, where ``cell_grids`` resolves them again from the
-instance.
+``sets.fold`` in ascending row order, and then cuts all its non-empty
+solution sets at once with ``sets.restrict``, the one restrict rule, in the
+same order.  Only the column intervals and the restricted cells are kept,
+as ``SetForm``s; the raw relaxation and solution grids exist only for
+export, where ``cell_grids`` resolves them again from the instance.
 
 A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
@@ -36,6 +36,7 @@ from itertools import chain
 
 from .errors import InconsistentReduction
 from .sets import SetForm, fold, piece
+from .sets import restrict as restrict_cells
 from .tnorms import DomainError, TNorm, _check_unit, _evaluator, _solver
 from .tolerance import EPS
 
@@ -184,42 +185,45 @@ class ResolutionTables:
 def build_tables(p: ProblemInstance) -> ResolutionTables:
     """Resolve an instance into its column intervals and restricted cells.
 
-    Only cells some coefficient can reach are resolved, as plain tuples;
-    each column folds its cells' relaxation sets in ascending row order.
-    Every other cell has an empty solution set and a [0, 1] relaxation set,
-    which changes no interval.  Each non-empty solution set is then
-    restricted to its column interval, and only what the tables keep becomes
-    a ``SetForm``.  The t-norm's kernel is bound once and the cells are
-    resolved unchecked: ``ProblemInstance`` has already held every entry to
-    [0, 1].
+    Each row finds the columns some coefficient of it reaches in one pass,
+    and only those cells are resolved, as plain tuples.  Every other cell
+    has an empty solution set and a [0, 1] relaxation set, which changes no
+    interval.  Each column keeps its cells' relaxation sets and, in
+    parallel lists, the rows and non-empty solution sets, all in ascending
+    row order; it folds the relaxation sets into its interval and then cuts
+    the solution sets to that interval with one ``sets.restrict`` call.
+    Only what the tables keep becomes a ``SetForm``.  The t-norm's kernel
+    is bound once and the cells are resolved unchecked:
+    ``ProblemInstance`` has already held every entry to [0, 1].
     """
     m, n = p.m, p.n
     u = _solver(p.tnorm)
-    restrict = SetForm.restrict
-    relax = [[] for _ in range(n)]        # per column: the relaxation sets of the reached cells
-    solved = [[] for _ in range(n)]       # per column: (row, solution set), non-empty
+    cols = range(n)
+    relax = [[] for _ in cols]        # per column: the relaxation sets of the reached cells
+    rows = [[] for _ in cols]         # per column: the rows of the non-empty solution sets,
+    cells = [[] for _ in cols]        # and those sets, in the same order
     for i in range(m):
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
         reach = b - EPS
-        for j in range(n):
-            if ap[j] >= reach or am[j] >= reach:
-                cell, r = _resolve_cell(u, ap[j], am[j], b)
-                relax[j].append(r)
-                if cell:
-                    solved[j].append((i, cell))
+        for j in [j for j, x, y in zip(cols, ap, am) if x >= reach or y >= reach]:
+            cell, r = _resolve_cell(u, ap[j], am[j], b)
+            relax[j].append(r)
+            if cell:
+                rows[j].append(i)
+                cells[j].append(cell)
     s_prime = [[_EMPTY] * n for _ in range(m)]
     row_support = [[] for _ in range(m)]
-    col_support = [[] for _ in range(n)]
+    col_support = [[] for _ in cols]
     col_interval = [fold(r) for r in relax]
     for j, col in enumerate(col_interval):
         if not col:
             continue
-        for i, cell in solved[j]:
-            cell = restrict(cell, col)
+        support = col_support[j]
+        for i, cell in zip(rows[j], restrict_cells(col, cells[j])):
             if cell:
                 s_prime[i][j] = cell
                 row_support[i].append(j)
-                col_support[j].append(i)
+                support.append(i)
     return ResolutionTables(
         col_interval, s_prime, row_support, col_support,
         list(range(m)), list(range(n)), list(p.b),

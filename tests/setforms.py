@@ -1,6 +1,7 @@
 """SetForm helpers shared by the tests: the display spelling parsed back
 into a set, set equality up to the package tolerance, bit-level identity,
-and intersect/snap as the constructors compute them."""
+and intersect/snap as the constructors compute them, sets of more pieces
+included."""
 
 from bfre.sets import SetForm
 from bfre.tolerance import EPS
@@ -37,11 +38,42 @@ def bits(s: SetForm) -> tuple:
     return s.kind, s.lo.hex(), s.hi.hex()
 
 
+def pieces_of(s) -> list:
+    """The pieces of ``s``, each a one-piece ``SetForm``."""
+    return [SetForm.point(lo) if lo == hi else SetForm.interval(lo, hi)
+            for lo, hi in zip(s[::2], s[1::2])]
+
+
+def constructed_union(pieces) -> SetForm:
+    """Constructed one-piece sets, sorted by lo (stably) and joined when one
+    starts within EPS of the end of the one before, each joined piece
+    rebuilt by ``SetForm.interval``."""
+    out = []
+    for p in sorted((p for p in pieces if p), key=lambda p: p[0]):
+        if out and p[0] - out[-1][1] <= EPS:
+            p = SetForm.interval(out[-1][0], max(out.pop()[1], p[1]))
+        out.append(p)
+    return SetForm(v for p in out for v in p)
+
+
 def constructed_intersect(x: SetForm, y: SetForm) -> SetForm:
     """``x.intersect(y)`` with an interval result always rebuilt by
-    ``SetForm.interval``, never returned as an operand."""
+    ``SetForm.interval``, never returned as an operand.  A set of more
+    pieces meets the other piece by piece: each piece of the operand with
+    fewer pieces (``x`` on a tie) against each piece of the other, a point
+    kept once."""
     if x.is_empty or y.is_empty:
         return SetForm.empty()
+    if x.kind == "union" or y.kind == "union":
+        own, other = (x, y) if len(x) <= len(y) else (y, x)
+        met = []
+        for p in pieces_of(own):
+            for q in pieces_of(other):
+                r = constructed_intersect(p, q)
+                met.append(r)
+                if r and p.is_point:
+                    break
+        return constructed_union(met)
     if x.is_point:
         return x if y.contains(x.lo) else SetForm.empty()
     if y.is_point:
@@ -65,6 +97,9 @@ def constructed_snap(s: SetForm, targets) -> SetForm:
     def pin(v):
         return next((t for t in targets if abs(v - t) <= EPS), v)
 
+    if s.kind == "union":
+        return constructed_union([SetForm.interval(pin(lo), pin(hi))
+                                  for lo, hi in zip(s[::2], s[1::2])])
     lo, hi = pin(s.lo), pin(s.hi)
     if s.is_interval:
         return SetForm.interval(lo, hi)

@@ -4,7 +4,8 @@
 intersection snapped onto the column's bounds; both must give, to the bit,
 what the reference helpers of ``setforms`` build with the constructors.  The
 bounds are drawn within a few EPS of each other, where the tolerance rules
-decide every outcome.  ``TestPieces`` checks sets of up to three pieces.
+decide every outcome.  ``TestPieces`` checks sets of up to three pieces, and
+``TestRestrictColumn`` restricts whole columns of mixed cells at once.
 """
 
 import math
@@ -13,7 +14,7 @@ from functools import reduce
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bfre.sets import SetForm, fold, piece
+from bfre.sets import SetForm, fold, piece, restrict
 from bfre.tolerance import EPS
 
 from setforms import bits, constructed_intersect, constructed_snap
@@ -168,3 +169,85 @@ class TestPieces:
             assert r.minimum() == r[0]
         else:
             assert r.is_empty
+
+
+def _hexes(s) -> tuple:
+    """Every bound of ``s`` as float.hex: equality to the bit, any shape."""
+    return tuple(v.hex() for v in s)
+
+
+@st.composite
+def near_cell(draw, centre):
+    """A non-empty point, pair, interval or set of up to three pieces, every
+    bound within 4 EPS of ``centre``, as a ``SetForm`` or a plain tuple."""
+    near = lambda: centre + draw(st.integers(-16, 16)) * 0.25 * EPS
+    make = draw(st.sampled_from(["point", "pair", "interval", "pieces"]))
+    s = (SetForm.point(near()) if make == "point" else
+         SetForm.pair(near(), near()) if make == "pair" else
+         SetForm.interval(*sorted((near(), near()))) if make == "interval" else
+         draw(near_pieces(centre)))
+    assume(s)
+    return s if draw(st.booleans()) else tuple(s)
+
+
+@st.composite
+def near_column(draw):
+    """A point or interval column and a column of 1 to 6 mixed cells, every
+    bound within 4 EPS of one centre."""
+    centre = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    lo, hi = sorted(centre + draw(st.integers(-16, 16)) * 0.25 * EPS for _ in range(2))
+    col = SetForm.point(lo) if draw(st.booleans()) else SetForm.interval(lo, hi)
+    return col, draw(st.lists(near_cell(centre), min_size=1, max_size=6))
+
+
+class TestRestrictColumn:
+    """``restrict(col, cells)`` cuts a whole column at once, points and
+    pairs inline and every other shape through the fold."""
+
+    @RULES
+    @given(near_column())
+    def test_matches_intersect_then_snap(self, column):
+        col, cells = column
+        got = restrict(col, cells)
+        assert len(got) == len(cells)
+        for cell, r in zip(cells, got):
+            want = constructed_snap(constructed_intersect(SetForm(cell), col), (col.lo, col.hi))
+            assert type(r) is SetForm
+            assert _hexes(r) == _hexes(want), (cell, col, r, want)
+            assert _hexes(SetForm.restrict(cell, col)) == _hexes(r)
+
+    @RULES
+    @given(near_column())
+    def test_unchanged_cell_is_itself_and_snapped_bounds_are_the_columns(self, column):
+        col, cells = column
+        for cell, r in zip(cells, restrict(col, cells)):
+            for v in r:
+                if abs(v - col[0]) <= EPS:
+                    assert v is col[0], (cell, col, r)
+                elif abs(v - col[1]) <= EPS:
+                    assert v is col[1], (cell, col, r)
+            unpinned = all(abs(v - t) > EPS for v in cell for t in col)
+            if type(cell) is SetForm and unpinned and _hexes(r) == _hexes(cell):
+                assert r is cell, (cell, col, r)
+
+    def test_pair_collapsed_by_the_snap_is_its_lower_point(self):
+        # both points lie within EPS of the column's lower bound
+        col = SetForm.interval(0.5, 0.5 + 3.0 * EPS)
+        pair = SetForm.pair(0.5 - 0.6 * EPS, 0.5 + 0.8 * EPS)
+        assert pair.is_pair
+        (got,) = restrict(col, [pair])
+        assert got.is_point and got[0] is col[0]
+
+    def test_interval_plus_point_is_not_a_pair(self):
+        # four bounds, but the first piece is an interval: the fold's path
+        cell = SetForm((0.2, 0.4, 0.6, 0.6))
+        (got,) = restrict(SetForm.interval(0.3, 1.0), [cell])
+        assert _hexes(got) == _hexes((0.3, 0.4, 0.6, 0.6))
+
+    def test_cells_of_every_shape_against_one_column(self):
+        col = SetForm.interval(0.2, 0.8)
+        cells = [(0.5, 0.5), (0.9, 0.9), (0.1, 0.1, 0.5, 0.5), (0.3, 0.7),
+                 (0.0, 0.1, 0.4, 0.4, 0.7, 0.9), ()]
+        assert [_hexes(r) for r in restrict(col, cells)] == [
+            _hexes(x) for x in ((0.5, 0.5), (), (0.5, 0.5), (0.3, 0.7),
+                                (0.4, 0.4, 0.7, 0.8), ())]

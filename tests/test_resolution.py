@@ -675,6 +675,29 @@ class TestBuildTablesReference:
             TestDerivedSupports.assert_supports_scanned(tb)
 
 
+class TestBuildTablesPairs:
+    """At the settings where two-point cells are commonest, the per-column
+    restrict gives the full-grid tables to the bit."""
+
+    @pytest.mark.parametrize("family,param", [
+        ("dombi", 2.0), ("aczel_alsina", 2.0), ("schweizer_sklar", -1.0)])
+    def test_matches_full_grid_to_the_bit(self, family, param):
+        rng = random.Random(f"pair_restricts:{family}:{param}")
+        pairs = kept = 0
+        for _ in range(100):
+            p, _ = planted_feasible_instance(rng, family, param,
+                                             m=rng.randint(1, 6), n=rng.randint(1, 6))
+            tb = build_tables(p)
+            cells, col, s_prime = TestBuildTablesReference.full_grid(p)
+            assert [bits(c) for c in tb.col_interval] == [bits(c) for c in col], p
+            assert [[bits(c) for c in row] for row in tb.s_prime] == \
+                [[bits(c) for c in row] for row in s_prime], p
+            pairs += sum(c[0].is_pair for row in cells for c in row)
+            kept += sum(c.is_pair for row in tb.s_prime for c in row)
+        # a pair-heavy corpus: pairs cut, and pairs kept whole
+        assert pairs >= 100 and kept >= 30, (pairs, kept)
+
+
 def _chain_bipolar_cell(t, a_plus, a_minus, b):
     """``bipolar_cell`` as it resolved every cell through the checked
     ``solve_u`` of the former if/elif chain."""
