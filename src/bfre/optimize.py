@@ -56,7 +56,7 @@ from operator import itemgetter
 from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
 from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
-    check_feasibility, FeasibilityStatus, is_feasible_point,
+    check_feasibility, is_feasible_point,
 )
 from .sets import SetForm
 from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
@@ -64,13 +64,6 @@ from .tolerance import EPS
 
 
 # -- assignment-function primitives ------------------------------------------
-
-def _pick_groups(e) -> dict:
-    groups = {}
-    for row, col in enumerate(e):
-        groups.setdefault(col, []).append(row)
-    return groups
-
 
 def candidate_solution(e, tables: ResolutionTables) -> list:
     """Coordinatewise minimum point of the box carved out by a complete
@@ -81,19 +74,21 @@ def candidate_solution(e, tables: ResolutionTables) -> list:
 
 def feasible_box(e, tables: ResolutionTables) -> list:
     """Per-column sets whose Cartesian product lies in the feasible region."""
-    box = list(tables.col_interval)
-    for j, rows in _pick_groups(e).items():
-        box[j] = tables.intersect_cells(j, rows)
-        if not box[j]:
+    inter = _running_intersections(e, tables)
+    for j in e:
+        if not inter[j]:
             raise NotAdmissible(f"column {j}: picked cells have empty intersection")
-    return box
+    return [box if s is None else s for box, s in zip(tables.col_interval, inter)]
 
 
 def _running_intersections(prefix, tables: ResolutionTables) -> list:
     """Per column, the intersection of its picked cells over ``prefix``, in
     pick order; None for a column ``prefix`` does not pick."""
+    groups = {}
+    for i, j in enumerate(prefix):
+        groups.setdefault(j, []).append(i)
     inter = [None] * tables.n
-    for j, rows in _pick_groups(prefix).items():
+    for j, rows in groups.items():
         inter[j] = tables.intersect_cells(j, rows)
     return inter
 
@@ -434,10 +429,8 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
     tables = build_tables(p)
     report = check_feasibility(tables)
     if not report.ok:
-        reason = (InfeasibleReason.EMPTY_COLUMN
-                  if report.status is FeasibilityStatus.EMPTY_COLUMN
-                  else InfeasibleReason.UNSATISFIABLE_ROW)
-        return Solution(Status.INFEASIBLE, reason=reason, witness=report.witness)
+        return Solution(Status.INFEASIBLE, reason=InfeasibleReason(report.status.value),
+                        witness=report.witness)
     reduced, ledger = simplify(tables, p.c, mode)
     result = branch_and_bound(reduced, modified=(mode is Mode.OPTIMALITY_PRESERVING),
                               record=record)

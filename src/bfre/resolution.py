@@ -159,16 +159,6 @@ class ResolutionTables:
     def n(self) -> int:
         return len(self.col_ids)
 
-    @property
-    def rows(self):
-        """Positions of the rows, ascending; the presolve rules scan these."""
-        return range(len(self.row_ids))
-
-    @property
-    def cols(self):
-        """Positions of the columns, ascending."""
-        return range(len(self.col_ids))
-
     def lower_bound(self, j: int) -> float:
         return self.col_interval[j].minimum()
 

@@ -10,30 +10,29 @@ promises to retain at least one global optimum.
 
 The reducer makes a single pass over the techniques in a fixed order, one
 slot per technique.  Every technique is a rule with one contract: given the
-current tables, it returns the list of actions its slot applies, in order,
-each found on the rows and columns the earlier ones leave, and an empty list
-when nothing applies.  Singleton columns and forced assignments chain until
-exhausted.  The dominance techniques make a single ascending pass against a
-shrinking list of survivors: whether one row (or column) dominates another
-depends only on their own cells, which no restriction changes, so a removal
-can only retire dominators and never creates a new domination.  The other
-column-fixing optimality techniques act once, on the state where they first
-became applicable.  Chaining those fixes further would be sound but produces
-a different, more aggressive reduction than the one this module documents
-and tests pin down.
+current tables, it applies each action as soon as it finds it, so the next
+one is found on the rows and columns the earlier ones leave, and returns the
+list of actions its slot applied, empty when nothing applies.  Singleton
+columns and forced assignments chain until exhausted.  The dominance
+techniques make a single ascending pass against a shrinking list of
+survivors: whether one row (or column) dominates another depends only on
+their own cells, which no restriction changes, so a removal can only retire
+dominators and never creates a new domination.  The other column-fixing
+optimality techniques act once, on the state where they first became
+applicable.  Chaining those fixes further would be sound but produces a
+different, more aggressive reduction than the one this module documents and
+tests pin down.
 
 The set tables are never recomputed: removed rows' bounds stay baked into
 the column intervals, which is exactly what makes the removals sound.  The
-whole pass works in place on one live view of the input tables: the live
-row and column positions, ascending, a copy of each support list, and the
-running bound, a product of the live rows' support sizes with a count of
-the empty ones.  Each action updates that state as it is applied (a
-dropped row leaves the supports of the columns it was in, a dropped column
-those of the rows it was in) and gets its own ledger step, bounded by the
-rows and columns that survive it.  No cell is scanned again and no table
-is rebuilt between slots; one restriction at the end, made only when
-something was dropped, gives the search its compact tables.  The input
-tables are never mutated: the caller checks the answer against them.
+whole pass works in place on one live view of the input tables, and its
+``apply`` is the one place the reduction's state changes: each action drops
+its rows and columns from the live supports, updates the running bound and
+gets its own ledger step, bounded by the rows and columns that survive it.
+No cell is scanned again and no table is rebuilt between slots; one
+restriction at the end, made only when something was dropped, gives the
+search its compact tables.  The input tables are never mutated: the caller
+checks the answer against them.
 """
 
 from __future__ import annotations
@@ -161,30 +160,122 @@ class ReducedProblem:
         return x
 
 
+# -- the live state -----------------------------------------------------------
+
+class _LiveTables:
+    """The tables as the reduction has left them so far, read by the rules
+    like a ``ResolutionTables``; ``apply`` is the one place that state
+    changes.
+
+    Positions stay those of the input tables, whose cells, column
+    intervals, ids and right-hand sides are shared, never written.
+    ``rows`` and ``cols`` hold the live positions in ascending order, and
+    each support list is a copy that holds only live positions, so a live
+    row's support size is its live column count.  The bound is kept as a
+    running product of the live rows' non-zero support sizes and a count of
+    live rows whose support is empty, so an action updates only the rows it
+    drops or a dropped column reaches.  The integers are exact: a size
+    divided out is a factor of the product.
+    """
+
+    __slots__ = ("col_interval", "s_prime", "row_support", "col_support",
+                 "row_ids", "col_ids", "rhs", "rows", "cols", "product", "zeros", "ledger")
+
+    m = ResolutionTables.m
+    n = ResolutionTables.n
+    lower_bound = ResolutionTables.lower_bound
+    upper_bound = ResolutionTables.upper_bound
+    intersect_cells = ResolutionTables.intersect_cells
+
+    def __init__(self, tables: ResolutionTables):
+        self.col_interval, self.s_prime = tables.col_interval, tables.s_prime
+        self.row_ids, self.col_ids, self.rhs = tables.row_ids, tables.col_ids, tables.rhs
+        self.row_support = [list(sup) for sup in tables.row_support]
+        self.col_support = [list(sup) for sup in tables.col_support]
+        self.rows = list(range(tables.m))
+        self.cols = list(range(tables.n))
+        self.product, self.zeros = 1, 0
+        for sup in self.row_support:
+            if sup:
+                self.product *= len(sup)
+            else:
+                self.zeros += 1
+        self.ledger = ReductionLedger(initial_bound=0 if self.zeros else self.product)
+
+    def apply(self, rule: Rule, rows, cols=(), fixed=None, detail="") -> Action:
+        """Apply one action, given in live positions, and record its ledger
+        step; returns the action in original ids.
+
+        Every position given must be live, and given once.  Each fixed
+        value is checked against its column interval first.  The rows are
+        then dropped, from ``rows`` and from the column supports, and after
+        them the columns, from ``cols`` and from the row supports.
+        """
+        row_ids, col_ids = self.row_ids, self.col_ids
+        for j, v in fixed.items() if fixed else ():
+            if not self.col_interval[j].contains(v):
+                raise InconsistentReduction(
+                    f"{rule.value} fixed x{col_ids[j] + 1}={v} outside {self.col_interval[j]}")
+        row_support, col_support = self.row_support, self.col_support
+        product, zeros = self.product, self.zeros
+        before = 0 if zeros else product
+        for i in rows:
+            self.rows.remove(i)
+            sup = row_support[i]
+            if sup:
+                product //= len(sup)
+            else:
+                zeros -= 1
+            for c in sup:
+                col_support[c].remove(i)
+        for j in cols:
+            self.cols.remove(j)
+            for r in col_support[j]:
+                sup = row_support[r]
+                size = len(sup)
+                sup.remove(j)
+                if size > 1:
+                    product = product // size * (size - 1)
+                else:
+                    zeros += 1
+        self.product, self.zeros = product, zeros
+        action = Action(rule, {col_ids[j]: v for j, v in fixed.items()} if fixed else {},
+                        tuple([row_ids[i] for i in rows]), tuple([col_ids[j] for j in cols]),
+                        detail)
+        self.ledger.steps.append(LedgerStep(action, before, 0 if zeros else product))
+        return action
+
+
+def _live(tables) -> _LiveTables:
+    """``tables`` when it is the reducer's live view; a fresh live view of a
+    plain ``ResolutionTables``, which is then never mutated."""
+    return tables if isinstance(tables, _LiveTables) else _LiveTables(tables)
+
+
 # -- individual techniques ---------------------------------------------------
 #
 # Each takes tables, either a ``ResolutionTables`` or the reducer's live view
 # of one, and the costs aligned with their positions, and returns the actions
-# its slot applies, in order and in original indices: each action is found on
-# the rows and columns the earlier ones leave, and the list is empty when
-# nothing applies.  A rule scans only ``tables.rows`` and ``tables.cols``, the
-# positions still live, ascending.  Only the dominated column rule reads the
-# costs.  None of them mutates the tables.
+# its slot applies, in order and in original indices, or an empty list when
+# nothing applies.  A rule applies each action to the live view as soon as it
+# finds it, so the next one is found on the rows and columns it leaves; a
+# plain ``ResolutionTables`` gets a live view of its own.  A rule scans only
+# the live positions, ``rows`` and ``cols``, ascending, and scans a copy of
+# them where it applies actions as it goes.  Only the dominated column rule
+# reads the costs.
 
 def rule_zero_rhs(tables: ResolutionTables, costs=None) -> list:
     """Rows whose right-hand side is zero are redundant; one action drops
     them all."""
-    rows = tuple(tables.row_ids[i] for i in tables.rows if tables.rhs[i] <= EPS)
-    return [Action(Rule.ZERO_RHS_ROW, {}, rows, ())] if rows else []
+    t = _live(tables)
+    rows = [i for i in t.rows if t.rhs[i] <= EPS]
+    return [t.apply(Rule.ZERO_RHS_ROW, rows)] if rows else []
 
 
-def _fix(rule, tables, alive, j, k) -> Action:
-    """Fix column j at k and drop the alive rows whose cell holds k."""
-    rows = [i for i in tables.col_support[j] if alive[i] and tables.s_prime[i][j].contains(k)]
-    for i in rows:
-        alive[i] = False
-    return Action(rule, {tables.col_ids[j]: k}, tuple(tables.row_ids[i] for i in rows),
-                  (tables.col_ids[j],))
+def _fix(rule, t: _LiveTables, j, k) -> Action:
+    """Fix column j at k and drop the live rows whose cell holds k."""
+    return t.apply(rule, [i for i in t.col_support[j] if t.s_prime[i][j].contains(k)],
+                   (j,), {j: k})
 
 
 def rule_singleton_column(tables: ResolutionTables, costs=None) -> list:
@@ -195,10 +286,10 @@ def rule_singleton_column(tables: ResolutionTables, costs=None) -> list:
     in ascending order; only the rows each one drops depend on the earlier
     actions.
     """
-    alive = [True] * tables.m
-    col_interval = tables.col_interval
-    return [_fix(Rule.SINGLETON_COLUMN, tables, alive, j, col_interval[j].minimum())
-            for j in tables.cols if col_interval[j].is_point]
+    t = _live(tables)
+    col_interval = t.col_interval
+    return [_fix(Rule.SINGLETON_COLUMN, t, j, col_interval[j].minimum())
+            for j in [j for j in t.cols if col_interval[j].is_point]]
 
 
 def _masks(supports, live, size) -> list:
@@ -224,14 +315,15 @@ def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
     test.  Mutually dominating (identical) rows keep the lower index.  A
     row kept once stays kept as the survivors shrink, so the removals are
     the fixed point of repeated single removals in ascending order.
+    Dropping rows leaves every row support, and so every bitmask, as it is.
     """
-    s_prime, row_support, rows = tables.s_prime, tables.row_support, tables.rows
-    masks = _masks(row_support, rows, tables.m)
-    alive = list(rows)
+    t = _live(tables)
+    s_prime, row_support, live = t.s_prime, t.row_support, t.rows
+    masks = _masks(row_support, live, t.m)
     out = []
-    for i0 in rows:
+    for i0 in list(live):
         m0, cells0 = masks[i0], s_prime[i0]
-        for i in alive:
+        for i in live:
             mi = masks[i]
             if i == i0 or mi & m0 != mi:
                 continue
@@ -240,8 +332,7 @@ def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
                 continue
             if i0 < i and mi == m0 and all(cells0[j].issubset(cells[j]) for j in row_support[i0]):
                 continue
-            out.append(Action(Rule.DOMINATED_ROW, {}, (tables.row_ids[i0],), ()))
-            alive.remove(i0)
+            out.append(t.apply(Rule.DOMINATED_ROW, (i0,)))
             break
     return out
 
@@ -250,41 +341,29 @@ def rule_forced_assignment(tables: ResolutionTables, costs=None) -> list:
     """Rows supported by a single column whose restricted cell is a single
     value: fix the column, drop every row that value satisfies.
 
-    Each row's live support size is tracked as columns go, and the
-    ascending row scan restarts after every action, since a dropped column
-    can leave an earlier row with a single column.
+    The ascending scan of the live rows restarts after every action, since
+    a dropped column can leave an earlier row with a single column.
     """
-    s_prime, row_support, col_support = tables.s_prime, tables.row_support, tables.col_support
-    rows = tables.rows
-    sizes = [len(sup) for sup in row_support]
-    alive = [True] * tables.m
-    gone = [False] * tables.n
+    t = _live(tables)
+    s_prime, row_support, live = t.s_prime, t.row_support, t.rows
     out = []
     k = 0
-    while k < len(rows):
-        i = rows[k]
-        if not alive[i] or sizes[i] != 1:
+    while k < len(live):
+        i = live[k]
+        if len(row_support[i]) == 1 and (cell := s_prime[i][row_support[i][0]]).is_point:
+            out.append(_fix(Rule.FORCED_ASSIGNMENT, t, row_support[i][0], cell.minimum()))
+            k = 0
+        else:
             k += 1
-            continue
-        j = next(j for j in row_support[i] if not gone[j])
-        cell = s_prime[i][j]
-        if not cell.is_point:
-            k += 1
-            continue
-        out.append(_fix(Rule.FORCED_ASSIGNMENT, tables, alive, j, cell.minimum()))
-        gone[j] = True
-        for r in col_support[j]:
-            sizes[r] -= 1
-        k = 0
     return out
 
 
 def rule_two_point_row(tables: ResolutionTables, costs=None) -> list:
     """Rows holding a two-point restricted cell never constrain candidate
     minima; one action drops them all."""
-    rows = tuple(tables.row_ids[i] for i in tables.rows
-                 if any(tables.s_prime[i][j].is_pair for j in tables.row_support[i]))
-    return [Action(Rule.TWO_POINT_ROW, {}, rows, ())] if rows else []
+    t = _live(tables)
+    rows = [i for i in t.rows if any(t.s_prime[i][j].is_pair for j in t.row_support[i])]
+    return [t.apply(Rule.TWO_POINT_ROW, rows)] if rows else []
 
 
 def rule_lower_bound_column(tables: ResolutionTables, costs=None) -> list:
@@ -294,22 +373,17 @@ def rule_lower_bound_column(tables: ResolutionTables, costs=None) -> list:
     Matches are collected against the entry state; a row shared by several
     matching columns is dropped once, under the first.
     """
-    fixed, rows, cols = {}, [], []
-    gone = set()
-    for j in tables.cols:
-        sup = tables.col_support[j]
+    t = _live(tables)
+    fixed, rows = {}, {}
+    for j in t.cols:
+        sup = t.col_support[j]
         if not sup:
             continue
-        lj = tables.lower_bound(j)
-        if not all(tables.s_prime[i][j].contains(lj) for i in sup):
-            continue
-        fixed[tables.col_ids[j]] = lj
-        cols.append(tables.col_ids[j])
-        for i in sup:
-            if i not in gone:
-                gone.add(i)
-                rows.append(tables.row_ids[i])
-    return [Action(Rule.LOWER_BOUND_COLUMN, fixed, tuple(rows), tuple(cols))] if cols else []
+        lj = t.lower_bound(j)
+        if all(t.s_prime[i][j].contains(lj) for i in sup):
+            fixed[j] = lj
+            rows.update(dict.fromkeys(sup))
+    return [t.apply(Rule.LOWER_BOUND_COLUMN, list(rows), list(fixed), fixed)] if fixed else []
 
 
 def rule_free_column(tables: ResolutionTables, costs=None) -> list:
@@ -318,13 +392,9 @@ def rule_free_column(tables: ResolutionTables, costs=None) -> list:
     Columns with an empty interval are left alone; they belong to the
     feasibility check, not to the reducer.
     """
-    fixed = {}
-    cols = []
-    for j in tables.cols:
-        if not tables.col_support[j] and tables.col_interval[j]:
-            fixed[tables.col_ids[j]] = tables.lower_bound(j)
-            cols.append(tables.col_ids[j])
-    return [Action(Rule.FREE_COLUMN, fixed, (), tuple(cols))] if cols else []
+    t = _live(tables)
+    fixed = {j: t.lower_bound(j) for j in t.cols if not t.col_support[j] and t.col_interval[j]}
+    return [t.apply(Rule.FREE_COLUMN, (), list(fixed), fixed)] if fixed else []
 
 
 def rule_dominated_column(tables: ResolutionTables, costs) -> list:
@@ -340,23 +410,24 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
     bound.
 
     No rows are removed, so applying one match never invalidates another;
-    a single ascending pass over the surviving columns drains every match
-    into one step.
+    a single ascending pass over the surviving columns, each matched one
+    leaving the candidates for j2, drains every match into one step.
     """
-    col_support = tables.col_support
-    masks = _masks(col_support, tables.cols, tables.n)
-    inter = {j: tables.intersect_cells(j, col_support[j]) for j in tables.cols}
+    t = _live(tables)
+    col_support, cols = t.col_support, t.cols
+    masks = _masks(col_support, cols, t.n)
+    inter = {j: t.intersect_cells(j, col_support[j]) for j in cols}
 
     def variant(j1, j2):
         inter1, inter2 = inter[j1], inter[j2]
-        l2 = tables.lower_bound(j2)
+        l2 = t.lower_bound(j2)
         if inter2.is_point and abs(inter2.minimum() - l2) <= EPS:
             return "a"
         if not (inter1.is_point and inter2.is_point):
             return None
         v = inter1.minimum()
-        l1, u1 = tables.lower_bound(j1), tables.upper_bound(j1)
-        u2 = tables.upper_bound(j2)
+        l1, u1 = t.lower_bound(j1), t.upper_bound(j1)
+        u2 = t.upper_bound(j2)
         if not (abs(v - l1) <= EPS or abs(v - u1) <= EPS):
             return None
         if abs(inter2.minimum() - u2) > EPS:
@@ -365,26 +436,23 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
             return "b"
         return None
 
-    alive = list(tables.cols)
-    fixed, cols, parts = {}, [], []
-    for j1 in tables.cols:
+    fixed, parts = {}, []
+    for j1 in cols:
         m1 = masks[j1]
         if not m1:
             continue
-        for j2 in alive:
-            if j2 == j1 or m1 & masks[j2] != m1:
+        for j2 in cols:
+            if j2 == j1 or m1 & masks[j2] != m1 or j2 in fixed:
                 continue
             kind = variant(j1, j2)
             if kind is None:
                 continue
-            fixed[tables.col_ids[j1]] = tables.lower_bound(j1)
-            cols.append(tables.col_ids[j1])
-            parts.append(f"{kind}:x{tables.col_ids[j1] + 1}<-x{tables.col_ids[j2] + 1}")
-            alive.remove(j1)
+            fixed[j1] = t.lower_bound(j1)
+            parts.append(f"{kind}:x{t.col_ids[j1] + 1}<-x{t.col_ids[j2] + 1}")
             break
-    if not cols:
+    if not fixed:
         return []
-    return [Action(Rule.DOMINATED_COLUMN, fixed, (), tuple(cols), detail=";".join(parts))]
+    return [t.apply(Rule.DOMINATED_COLUMN, (), list(fixed), fixed, ";".join(parts))]
 
 
 # -- driver -------------------------------------------------------------------
@@ -397,35 +465,6 @@ _SLOTS = (
 )
 
 
-class _LiveTables:
-    """The tables as the reduction has left them so far, read by the rules
-    like a ``ResolutionTables``.
-
-    Positions stay those of the input tables, whose cells, column
-    intervals, ids and right-hand sides are shared, never written.
-    ``rows`` and ``cols`` hold the live positions in ascending order, and
-    each support list is a copy that holds only live positions, so a live
-    row's support size is its live column count.
-    """
-
-    __slots__ = ("col_interval", "s_prime", "row_support", "col_support",
-                 "row_ids", "col_ids", "rhs", "rows", "cols")
-
-    m = ResolutionTables.m
-    n = ResolutionTables.n
-    lower_bound = ResolutionTables.lower_bound
-    upper_bound = ResolutionTables.upper_bound
-    intersect_cells = ResolutionTables.intersect_cells
-
-    def __init__(self, tables: ResolutionTables):
-        self.col_interval, self.s_prime = tables.col_interval, tables.s_prime
-        self.row_ids, self.col_ids, self.rhs = tables.row_ids, tables.col_ids, tables.rhs
-        self.row_support = [list(sup) for sup in tables.row_support]
-        self.col_support = [list(sup) for sup in tables.col_support]
-        self.rows = list(tables.rows)
-        self.cols = list(tables.cols)
-
-
 def simplify(tables: ResolutionTables, costs, mode: Mode):
     """Run the reduction pass; returns (ReducedProblem, ReductionLedger).
 
@@ -433,68 +472,16 @@ def simplify(tables: ResolutionTables, costs, mode: Mode):
     feasibility conditions are assumed to have passed.  ``tables`` is not
     mutated.
     """
-    slots = _SLOTS[:3] if mode is Mode.FEASIBILITY_PRESERVING else _SLOTS
     live = _LiveTables(tables)
-    row_support, col_support = live.row_support, live.col_support
-    row_pos = {i: pos for pos, i in enumerate(tables.row_ids)}
-    col_pos = {j: pos for pos, j in enumerate(tables.col_ids)}
-    row_alive = [True] * tables.m
-    col_alive = [True] * tables.n
-    # The bound is kept as a running product of the live rows' non-zero
-    # support sizes and a count of live rows whose support is empty, so an
-    # action updates only the rows it drops or a dropped column reaches.
-    # The integers are exact: a size divided out is a factor of the product.
-    product, zeros = 1, 0
-    for sup in row_support:
-        if sup:
-            product *= len(sup)
-        else:
-            zeros += 1
-    ledger = ReductionLedger(initial_bound=0 if zeros else product)
-
-    for rule in slots:
-        actions = rule(live, costs)
-        for action in actions:
-            for j, v in action.fixed.items():
-                interval = tables.col_interval[col_pos[j]]
-                if not interval.contains(v):
-                    raise InconsistentReduction(
-                        f"{action.rule.value} fixed x{j + 1}={v} outside {interval}")
-            bound = 0 if zeros else product
-            for i in action.rows:
-                r = row_pos[i]
-                if row_alive[r]:
-                    row_alive[r] = False
-                    if row_support[r]:
-                        product //= len(row_support[r])
-                    else:
-                        zeros -= 1
-                    for c in row_support[r]:
-                        col_support[c].remove(r)
-            for j in action.cols:
-                c = col_pos[j]
-                if col_alive[c]:
-                    col_alive[c] = False
-                    for r in col_support[c]:
-                        sup = row_support[r]
-                        size = len(sup)
-                        sup.remove(c)
-                        if size > 1:
-                            product = product // size * (size - 1)
-                        else:
-                            zeros += 1
-            ledger.steps.append(LedgerStep(action, bound, 0 if zeros else product))
-        if actions:
-            live.rows = [i for i in live.rows if row_alive[i]]
-            live.cols = [j for j in live.cols if col_alive[j]]
-
+    for rule in _SLOTS[:3] if mode is Mode.FEASIBILITY_PRESERVING else _SLOTS:
+        rule(live, costs)
     reduced_tables = tables
     if len(live.rows) < tables.m or len(live.cols) < tables.n:
         reduced_tables = restrict(tables, live.rows, live.cols)
     reduced = ReducedProblem(
         tables=reduced_tables,
         costs=[costs[j] for j in live.cols],
-        fixed=ledger.fixed_assignments(),
+        fixed=live.ledger.fixed_assignments(),
         n_original=tables.n,
     )
-    return reduced, ledger
+    return reduced, live.ledger

@@ -4,6 +4,9 @@ Every branch decision of the form a >= b, every set-identity test and every
 endpoint snap in this package compares against the single tolerance ``EPS``
 below.  It can be overridden globally with the BFRE_EPS environment variable,
 read once at import; only finite values in [EPS_MIN, EPS_MAX] are accepted.
+Any other value makes the import raise ``EpsRefused``, a ``ValueError`` to
+library code that ends a program it escapes with one ``error:`` line and
+exit code 1.
 """
 
 import math
@@ -13,14 +16,26 @@ DEFAULT_EPS = 1e-9
 EPS_MIN, EPS_MAX = 1e-12, 1e-3
 
 
+class EpsRefused(SystemExit, ValueError):
+    """BFRE_EPS is not a number in [EPS_MIN, EPS_MAX].
+
+    Caught as a ``ValueError`` whose message names the value; uncaught, the
+    interpreter prints ``error: <message>`` alone and exits with code 1.
+    """
+
+    def __init__(self, message: str):
+        super().__init__(message)
+        self.code = f"error: {message}"
+
+
 def _read_eps(raw: str) -> float:
-    """The tolerance BFRE_EPS names; ValueError outside [EPS_MIN, EPS_MAX]."""
+    """The tolerance BFRE_EPS names; EpsRefused outside [EPS_MIN, EPS_MAX]."""
     try:
         eps = float(raw)
     except ValueError:
         eps = math.nan
     if not EPS_MIN <= eps <= EPS_MAX:
-        raise ValueError(f"BFRE_EPS={raw!r} is not a number in [{EPS_MIN:g}, {EPS_MAX:g}]")
+        raise EpsRefused(f"BFRE_EPS={raw!r} is not a number in [{EPS_MIN:g}, {EPS_MAX:g}]")
     return eps
 
 

@@ -6,14 +6,14 @@ import sys
 
 import pytest
 
-from bfre import Mode, build_tables, simplify
+from bfre import InconsistentReduction, Mode, build_tables, simplify
 from bfre.oracle import (
     brute_force_optimum, planted_feasible_instance, random_feasible_instance, random_instance,
 )
 from bfre.resolution import admissible_upper_bound, restrict, satisfies_by_tables
 from bfre.sets import SetForm
 from bfre.simplify import (
-    Action, LedgerStep, ReducedProblem, ReductionLedger, Rule, rule_dominated_column,
+    _SLOTS, Action, LedgerStep, ReducedProblem, ReductionLedger, Rule, rule_dominated_column,
     rule_dominated_row, rule_forced_assignment, rule_free_column, rule_lower_bound_column,
     rule_singleton_column, rule_two_point_row, rule_zero_rhs,
 )
@@ -174,6 +174,38 @@ class TestDominatedColumn:
         # cheap column 4 flips the elimination onto column 3
         act, = rule_dominated_column(sub, [0.93, 0.01])
         assert act.cols == (2,) and act.fixed == {2: 0.0}
+
+
+class TestRulesOnPlainTables:
+    """A rule handed a plain ``ResolutionTables`` applies its actions to a
+    live view of its own: a second call returns the same actions, and the
+    tables come back untouched."""
+
+    @pytest.mark.parametrize("rule", _SLOTS, ids=lambda rule: rule.__name__)
+    def test_same_actions_twice_tables_untouched(self, rule, example, example_tables):
+        sub = state(example_tables, rows=[1, 2, 4, 5, 6, 8], cols=range(1, 10))
+        found = 0
+        for tables in (example_tables, sub):
+            costs = [example.c[j] for j in tables.col_ids]
+            before = table_bits(tables)
+            first = rule(tables, costs)
+            assert rule(tables, costs) == first
+            assert table_bits(tables) == before
+            found += len(first)
+        assert found or rule is _SLOTS[0]
+
+
+class TestFixedValueGuard:
+    def test_fix_outside_the_column_interval_raises(self, monkeypatch, example_tables):
+        def bad_rule(tables, costs):
+            j = tables.cols[0]
+            return [tables.apply(Rule.FREE_COLUMN, (), (j,), {j: tables.upper_bound(j) + 0.5})]
+
+        module = importlib.import_module("bfre.simplify")
+        monkeypatch.setattr(module, "_SLOTS", (bad_rule,) + module._SLOTS[1:])
+        sub = state(example_tables, rows=[1, 4, 5], cols=[3, 4])
+        with pytest.raises(InconsistentReduction, match=r"^FreeColumn fixed x3=\S+ outside "):
+            simplify(sub, [0.93, 3.28], Mode.FEASIBILITY_PRESERVING)
 
 
 class TestSimplifyPipeline:

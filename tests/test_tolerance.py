@@ -46,7 +46,22 @@ def test_out_of_range_value_refused_at_import(value):
     env = dict(os.environ, BFRE_EPS=value)
     done = subprocess.run([sys.executable, "-m", "bfre.cli", "solve", example_path()],
                           env=env, capture_output=True, text=True)
-    assert done.returncode != 0
+    assert done.returncode == 1
     assert done.stdout == ""
-    last = done.stderr.strip().splitlines()[-1]
-    assert last.startswith("ValueError: ") and "BFRE_EPS" in last, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert lines[0].startswith("error: ") and "BFRE_EPS" in lines[0], done.stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "abc", "1e-2"])
+def test_refused_value_is_a_value_error_to_library_code(value):
+    code = (
+        "try:\n"
+        "    import bfre\n"
+        "except ValueError as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    env = dict(os.environ, BFRE_EPS=value)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == f"EpsRefused BFRE_EPS={value!r} is not a number in [1e-12, 0.001]\n"
