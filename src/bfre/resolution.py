@@ -7,11 +7,11 @@ keeping the term <= b_i).  Intersecting relaxation sets down each column
 yields the box constraint every feasible point obeys; restricting each cell
 solution set to that box gives the sets the search actually uses.
 
-Every set goes through the one algebra of ``sets``: cells are resolved into
-plain flat tuples, each column folds its cells' relaxation sets with
-``sets.fold`` in ascending row order, and then cuts all its non-empty
-solution sets at once with ``sets.restrict``, the one restrict rule, in the
-same order.  Only the column intervals and the restricted cells are kept,
+Cells are resolved into plain flat tuples, and each column folds its cells'
+relaxation sets with ``sets.fold`` in ascending row order.  The restricted
+cells are then read off the column's own bounds: a cell's points are ends of
+its relaxation set, so a restricted cell is the column interval, {lo}, {hi}
+or {lo, hi}.  Only the column intervals and the restricted cells are kept,
 as ``SetForm``s; the raw relaxation and solution grids exist only for
 export, where ``cell_grids`` resolves them again from the instance.
 
@@ -36,7 +36,6 @@ from itertools import chain
 
 from .errors import InconsistentReduction
 from .sets import SetForm, fold, piece
-from .sets import restrict as restrict_cells
 from .tnorms import DomainError, TNorm, _check_unit, _evaluator, _solver
 from .tolerance import EPS
 
@@ -180,11 +179,22 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
     has an empty solution set and a [0, 1] relaxation set, which changes no
     interval.  Each column keeps its cells' relaxation sets and, in
     parallel lists, the rows and non-empty solution sets, all in ascending
-    row order; it folds the relaxation sets into its interval and then cuts
-    the solution sets to that interval with one ``sets.restrict`` call.
-    Only what the tables keep becomes a ``SetForm``.  The t-norm's kernel
-    is bound once and the cells are resolved unchecked:
+    row order, and folds the relaxation sets into its interval (lo, hi).
+    The t-norm's kernel is bound once and the cells are resolved unchecked:
     ``ProblemInstance`` has already held every entry to [0, 1].
+
+    The restricted cells are read off (lo, hi) without the set algebra.
+    This rests on two premises of ``_resolve_cell``: a cell's points are
+    the ends of its relaxation set, and an interval cell is a b <= EPS cell
+    and so its own relaxation set.  An interval cell holds the whole column,
+    so it restricts to the column interval.  In a proper column lo is the
+    largest lower end and hi the smallest upper end of the relaxation sets,
+    so a cell's first point either lies within EPS of lo, where it becomes
+    lo, or is cut, and its last point likewise becomes hi or is cut; in a
+    point column every surviving cell is the column.  The column's sets
+    {lo}, {hi} and {lo, hi} are built once and shared by its rows.  A cell
+    that breaks the premises, such as a piece wider than EPS that is not a
+    whole relaxation set, must go through ``sets.restrict`` instead.
     """
     m, n = p.m, p.n
     u = _solver(p.tnorm)
@@ -208,12 +218,25 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
     for j, col in enumerate(col_interval):
         if not col:
             continue
+        lo, hi = col
+        if lo == hi:
+            at_lo = at_hi = at_both = col
+        else:
+            at_lo, at_hi, at_both = SetForm.point(lo), SetForm.point(hi), SetForm((lo, lo, hi, hi))
         support = col_support[j]
-        for i, cell in zip(rows[j], restrict_cells(col, cells[j])):
-            if cell:
-                s_prime[i][j] = cell
-                row_support[i].append(j)
-                support.append(i)
+        for i, cell in zip(rows[j], cells[j]):
+            first, last = cell[0], cell[-1]
+            if first != last and len(cell) == 2:    # a b <= EPS interval cell
+                kept = col
+            elif abs(first - lo) <= EPS:
+                kept = at_both if abs(last - hi) <= EPS else at_lo
+            elif abs(last - hi) <= EPS:
+                kept = at_hi
+            else:
+                continue
+            s_prime[i][j] = kept
+            row_support[i].append(j)
+            support.append(i)
     return ResolutionTables(
         col_interval, s_prime, row_support, col_support,
         list(range(m)), list(range(n)), list(p.b),
@@ -334,7 +357,7 @@ def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = N
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
     for j, v in enumerate(x):
-        if v < -EPS or v > 1.0 + EPS:
+        if not -EPS <= v <= 1.0 + EPS:     # NaN fails it too
             raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
     x = [min(1.0, max(0.0, v)) for v in x]
     x_neg = [1.0 - v for v in x]

@@ -26,13 +26,9 @@ more pieces goes through it piece by piece:
 - issubset: each piece lies in a piece of the other, a proper interval only
   in an interval;
 - snap: a bound within EPS of a target moves onto the first such target;
-- restrict: a cell ∩ its column, snapped onto the column's bounds.  It is
-  one rule over a whole column of cells, ``restrict(col, cells)``, which
-  binds the column's bounds once; ``SetForm.restrict`` is that rule for one
-  cell.  Against a column of one proper interval it cuts a point cell and
-  a two-point cell inline, point by point, and every other shape (an
-  interval, a set of more pieces, or any cell against a point column or a
-  column of more pieces) goes through intersect, then snap.
+- restrict: a cell ∩ its column by intersect, then snapped onto the
+  column's bounds.  ``restrict(col, cells)`` applies it to each of a
+  column's cells, and ``SetForm.restrict`` to one cell.
 
 The rules are not associative, so a fold must keep its order:
 (0, 1) ∩ [.5, .5 + .5ε] ∩ [.5 + .8ε, 1] is the point .5, while a plain
@@ -286,60 +282,8 @@ _EMPTY = _new(SetForm, ())
 
 
 def restrict(col: tuple, cells) -> list:
-    """Each of ``cells`` ∩ ``col``, snapped onto the bounds of the column
-    ``col``: the restrict rule, one column at a time.
-
-    Against a column of one proper interval, a point or a two-point cell is
-    cut and snapped inline, point by point: a point survives within EPS of the
-    column, a survivor within EPS of a column bound moves onto that bound
-    (lo first), and a pair whose survivors end up within EPS of each other
-    is its lower point.  Every other shape goes through ``fold``, then
-    ``snap``.  A cell left unchanged comes back as itself, as a
-    ``SetForm``.
-    """
-    if len(col) != 2 or not col[1] - col[0] > EPS:
-        # a point column, or a column of other than one constructed piece
-        return [_cut(cell, col) for cell in cells]
-    lo, hi = col
-    out = []
-    append = out.append
-    lo_e, hi_e = lo - EPS, hi + EPS
-    for cell in cells:
-        k = len(cell)
-        if k == 2 and cell[0] == cell[1]:
-            v = cell[0]
-            if not lo_e <= v <= hi_e:
-                append(_EMPTY)
-                continue
-            q = lo if abs(v - lo) <= EPS else hi if abs(v - hi) <= EPS else v
-            append(_new(SetForm, (q, q)) if q is not v else
-                   cell if type(cell) is SetForm else _new(SetForm, cell))
-        elif k == 4 and cell[0] == cell[1] and cell[2] == cell[3]:
-            v, w = cell[0], cell[2]
-            if not lo_e <= w <= hi_e:
-                w = None
-            if not lo_e <= v <= hi_e:
-                v, w = w, None
-            if v is None:
-                append(_EMPTY)
-                continue
-            q = lo if abs(v - lo) <= EPS else hi if abs(v - hi) <= EPS else v
-            if w is None:
-                append(_new(SetForm, (q, q)))
-                continue
-            r = lo if abs(w - lo) <= EPS else hi if abs(w - hi) <= EPS else w
-            if q is v and r is w:
-                append(cell if type(cell) is SetForm else _new(SetForm, cell))
-                continue
-            if r < q:
-                q, r = r, q
-            append(_new(SetForm, (q, q) if r - q <= EPS else (q, q, r, r)))
-        else:
-            append(_cut(cell, col))
-    return out
-
-
-def _cut(cell: tuple, col: tuple) -> SetForm:
-    """``cell ∩ col`` by ``fold``, snapped onto the bounds of ``col``."""
-    s = _fold((col,), cell)
-    return SetForm.snap(s, (col[0], col[-1])) if s else _EMPTY
+    """Each of ``cells`` ∩ ``col`` by ``fold``, snapped onto the bounds of
+    the column ``col``: the restrict rule.  A cell left unchanged comes back
+    as itself, as a ``SetForm``."""
+    return [SetForm.snap(s, (col[0], col[-1])) if s else _EMPTY
+            for s in (_fold((col,), cell) for cell in cells)]

@@ -89,7 +89,7 @@ class TNorm:
 
 
 def _check_unit(name, v):
-    if v < -EPS or v > 1 + EPS:
+    if not -EPS <= v <= 1 + EPS:       # NaN fails it too
         raise DomainError(f"{name}={v!r} outside [0, 1]")
     return min(1.0, max(0.0, v))
 
@@ -317,7 +317,7 @@ def generator(t: TNorm, x: float) -> float:
 def pseudo_inverse(t: TNorm, z: float) -> float:
     """Generator pseudoinverse: the inverse up to generator(t, 0), then 0;
     also 0 where the inverse's closed form leaves the float range."""
-    if z < -EPS:
+    if not z >= -EPS:                   # NaN fails it too
         raise DomainError(f"z={z!r} negative")
     z = max(0.0, z)
     if z > generator(t, 0.0):

@@ -201,8 +201,8 @@ def near_column(draw):
 
 
 class TestRestrictColumn:
-    """``restrict(col, cells)`` cuts a whole column at once, points and
-    pairs inline and every other shape through the fold."""
+    """``restrict(col, cells)`` cuts a whole column of mixed cells, each
+    through the fold, then the snap."""
 
     @RULES
     @given(near_column())

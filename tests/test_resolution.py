@@ -127,6 +127,13 @@ class TestBipolarCell:
         edge = bipolar_cell(t, 1.0 + EPS / 2, -EPS / 2, 0.5)
         assert [bits(c) for c in edge] == [bits(c) for c in bipolar_cell(t, 1.0, 0.0, 0.5)]
 
+    def test_nan_argument_rejected(self):
+        t = validate("yager", 2)
+        for args, name in (((math.nan, 0.2, 0.5), "a"), ((0.2, math.nan, 0.5), "a"),
+                           ((0.2, 0.1, math.nan), "b")):
+            with pytest.raises(DomainError, match=rf"^{name}=nan outside \[0, 1\]$"):
+                bipolar_cell(t, *args)
+
 
 class TestExampleTables:
     def test_relaxation_cells(self, example, example_tables):
@@ -210,6 +217,12 @@ class TestIsFeasiblePoint:
             with pytest.raises(DomainError) as err:
                 is_feasible_point(example, x)
             assert str(err.value) == f"x[3]={v!r} outside [0, 1]"
+
+    def test_nan_coordinate_names_it(self, example):
+        # x[3] is 0 at the optimum, so a NaN read as 0 would pass
+        x = [0.4, 0.64, 0, math.nan, 0.3, 0, 0, 0.2, 0.8, 0.6]
+        with pytest.raises(DomainError, match=r"^x\[3\]=nan outside \[0, 1\]$"):
+            is_feasible_point(example, x)
 
     def test_one_row_off_by_two_eps_is_rejected(self):
         # product: 0.9·0.5 = 0.45 and 0.8·0.5 = 0.4 hold exactly at x = (0.5, 0.5)
@@ -529,6 +542,11 @@ class TestRowValue:
             assert is_feasible_point(p, x, tables=tb) == \
                 is_feasible_point(p, clamped, tables=tb), (p, x)
 
+    def test_nan_coordinate_rejected(self, example):
+        x = [0.4, 0.64, 0, math.nan, 0.3, 0, 0, 0.2, 0.8, 0.6]
+        with pytest.raises(DomainError, match=r"^y=nan outside \[0, 1\]$"):
+            row_value(example, 0, x)
+
     def test_row_of_zero_coefficients_is_zero(self):
         p = ProblemInstance([[0.0]], [[0.0]], [0.3], [1.0], validate("product"))
         value = row_value(p, 0, [0.5])
@@ -836,7 +854,11 @@ class TestBuildTablesBitExact:
 _PRESOLVE_FAMILIES = [("yager", 2.0), ("product", None), ("lukasiewicz", None),
                       ("hamacher", 1.0)]
 _EXTREME_SETTINGS = [("yager", 30.0), ("dombi", 20.0), ("schweizer_sklar", 5.0),
-                     ("schweizer_sklar", -15.0), ("frank", 1e-3), ("sugeno_weber", 0.0)]
+                     ("schweizer_sklar", -15.0), ("frank", 1e-3), ("sugeno_weber", 0.0),
+                     # the _FAMILIES domain edges, where cells are least regular
+                     ("yager", 100.0), ("dombi", 25.0), ("aczel_alsina", 100.0),
+                     ("frank", 1e-9), ("frank", 1e12), ("hamacher", 1e6),
+                     ("schweizer_sklar", -25.0)]
 
 
 def _wide_corpus():
@@ -857,6 +879,28 @@ def _wide_corpus():
                 yield random_feasible_instance(rng, family, param, m=m, n=n)
             else:
                 yield _float_instance(rng, family, param, m, n)
+
+
+class TestColumnBoundCells:
+    """``build_tables`` reads each column's restricted cells off the
+    column's bounds (lo, hi): a kept cell is the column interval itself or
+    one of the column's shared sets {lo}, {hi} and {lo, hi}."""
+
+    def test_kept_cells_are_the_columns_shared_sets(self):
+        hexes = lambda s: tuple(v.hex() for v in s)
+        reused = 0
+        for p in _wide_corpus():
+            tb = build_tables(p)
+            for j, col in enumerate(tb.col_interval):
+                kept = [tb.s_prime[i][j] for i in tb.col_support[j]]
+                shared = {id(c): c for c in kept if c is not col}
+                lo, hi = col.lo, col.hi
+                allowed = {hexes((lo, lo)), hexes((hi, hi)), hexes((lo, lo, hi, hi))}
+                assert len(shared) <= 3, (p, j)
+                assert len({hexes(c) for c in shared.values()}) == len(shared), (p, j)
+                assert all(hexes(c) in allowed for c in shared.values()), (p, j)
+                reused += len(kept) - len(shared)
+        assert reused >= 1000, reused
 
 
 def _shape_census(p, col) -> set:

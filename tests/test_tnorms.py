@@ -148,6 +148,13 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(validate("product"), 0.5, -0.1)
 
+    def test_nan_rejected(self):
+        t = validate("yager", 2)
+        with pytest.raises(DomainError, match=r"^x=nan outside \[0, 1\]$"):
+            evaluate(t, math.nan, 0.5)
+        with pytest.raises(DomainError, match=r"^y=nan outside \[0, 1\]$"):
+            evaluate(t, 0.5, math.nan)
+
 
 class TestGenerator:
     def test_product(self):
@@ -158,6 +165,10 @@ class TestGenerator:
 
     def test_yager(self):
         assert generator(validate("yager", 2), 0.8) == pytest.approx(0.04, abs=TOL)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match=r"^x=nan outside \[0, 1\]$"):
+            generator(validate("yager", 2), math.nan)
 
     @pytest.mark.parametrize("t", all_tnorms(), ids=str)
     def test_one_maps_to_zero(self, t):
@@ -191,6 +202,10 @@ class TestPseudoInverse:
     def test_negative_rejected(self):
         with pytest.raises(DomainError):
             pseudo_inverse(validate("product"), -0.5)
+
+    def test_nan_rejected(self):
+        with pytest.raises(DomainError, match=r"^z=nan negative$"):
+            pseudo_inverse(validate("yager", 2), math.nan)
 
     @pytest.mark.parametrize("t", all_tnorms(), ids=str)
     def test_inverts_generator(self, t):
@@ -539,7 +554,7 @@ def _chain_inverse(t, z):
 
 def _chain_pseudo_inverse(t, z):
     """``pseudo_inverse`` on the former chains: the same cut-off and clamp."""
-    if z < -EPS:
+    if not z >= -EPS:
         raise DomainError(f"z={z!r} negative")
     z = max(0.0, z)
     if z > _chain_generator(t, 0.0):
