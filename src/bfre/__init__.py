@@ -9,10 +9,10 @@ reference (oracle) validates the whole chain on small instances, and a CLI
 
 from importlib import resources
 
-from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
+from .errors import CapExceeded, InconsistentReduction
 from .optimize import (
-    InfeasibleReason, Solution, Status, branch_and_bound, candidate_solution,
-    enumerate_feasible_decomposition, feasible_box, modified_domain, solve,
+    InfeasibleReason, Solution, Status, branch_and_bound,
+    enumerate_feasible_decomposition, solve,
 )
 from .oracle import (
     OracleReport, brute_force_optimum, enumerate_all_admissible,

@@ -2,9 +2,9 @@
 
 Problem files are JSON objects with keys ``tnorm`` ({"family", "param"}),
 ``a_plus``, ``a_minus`` (equal-shape matrices), ``b`` and ``c``.  Exit codes:
-0 success (optimum found / no mismatches), 2 infeasible, 1 bad input or cap
-exceeded.  The BFRE_EPS environment variable overrides the comparison
-tolerance.
+0 success (optimum found / no mismatches), 2 infeasible, 1 bad input, cap
+exceeded or an inconsistent reduction.  The BFRE_EPS environment variable
+overrides the comparison tolerance.
 
 ``verify`` compares the solver with the brute-force oracle; on planted
 instances it also requires an optimum no costlier than the planted point,
@@ -26,7 +26,7 @@ import random
 import sys
 import time
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InconsistentReduction
 from .optimize import Solution, enumerate_feasible_decomposition, solve
 from .oracle import (
     DEFAULT_CAP, brute_force_optimum, planted_feasible_instance, random_instance,
@@ -345,7 +345,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_BadInput, CapExceeded) as exc:
+    except (_BadInput, CapExceeded, InconsistentReduction) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

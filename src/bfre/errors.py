@@ -10,14 +10,6 @@ class CapExceeded(RuntimeError):
         self.cap = cap
 
 
-class NotAdmissible(ValueError):
-    """A pick vector violates the non-empty-intersection requirement."""
-
-
-class DeadEnd(ValueError):
-    """A partial pick vector admits no column for the next row."""
-
-
 class InconsistentReduction(RuntimeError):
     """A simplification fixed a variable outside its column interval.
 

@@ -10,9 +10,9 @@ column, which prunes equal-cost duplicates without losing any optimum (valid
 only after two-point cells have been eliminated).
 
 Admissibility is incremental: each node holds the running intersection of
-every picked column, taken in pick order (ascending rows, the order
-``feasible_box`` and the oracle use), as a list indexed by column with None
-for an unpicked column, and the bitmask of its picked columns.  A row's
+every picked column, taken in pick order (ascending rows, the order the
+oracle uses), as a list indexed by column with None for an unpicked
+column, and the bitmask of its picked columns.  A row's
 domain is the columns whose running intersection survives that row's cell.
 Tolerance-snapped intersection is not associative, so every caller uses this
 one order, and one step routine, ``_admissible_steps``, over a row's
@@ -53,7 +53,7 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .errors import CapExceeded, DeadEnd, InconsistentReduction, NotAdmissible
+from .errors import CapExceeded, InconsistentReduction
 from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
     check_feasibility, is_feasible_point,
@@ -64,34 +64,6 @@ from .tolerance import EPS
 
 
 # -- assignment-function primitives ------------------------------------------
-
-def candidate_solution(e, tables: ResolutionTables) -> list:
-    """Coordinatewise minimum point of the box carved out by a complete
-    assignment: picked columns sit at their intersection minimum, the rest at
-    their interval lower bound."""
-    return [s.minimum() for s in feasible_box(e, tables)]
-
-
-def feasible_box(e, tables: ResolutionTables) -> list:
-    """Per-column sets whose Cartesian product lies in the feasible region."""
-    inter = _running_intersections(e, tables)
-    for j in e:
-        if not inter[j]:
-            raise NotAdmissible(f"column {j}: picked cells have empty intersection")
-    return [box if s is None else s for box, s in zip(tables.col_interval, inter)]
-
-
-def _running_intersections(prefix, tables: ResolutionTables) -> list:
-    """Per column, the intersection of its picked cells over ``prefix``, in
-    pick order; None for a column ``prefix`` does not pick."""
-    groups = {}
-    for i, j in enumerate(prefix):
-        groups.setdefault(j, []).append(i)
-    inter = [None] * tables.n
-    for j, rows in groups.items():
-        inter[j] = tables.intersect_cells(j, rows)
-    return inter
-
 
 def _step_row(tables: ResolutionTables, i) -> list:
     """Row i's [(j, cell)] over its support, ascending: what
@@ -136,30 +108,6 @@ def _admissible_steps(inter: list, hit, row, modified) -> list:
         if s:
             steps.append((j, s))
     return steps
-
-
-def _domain(prefix, i, tables: ResolutionTables, modified) -> list:
-    """Row i's columns after ``prefix``, by the search's own step routine."""
-    prefix = prefix[:i]
-    hit = sum(1 << j for j in set(prefix).intersection(tables.row_support[i]))
-    steps = _admissible_steps(_running_intersections(prefix, tables), hit,
-                              _step_row(tables, i), modified)
-    return [j for j, _ in steps]
-
-
-def admissible_domain(prefix, i, tables: ResolutionTables) -> list:
-    """Columns row i may pick after the given prefix: its support, minus
-    columns whose running intersection the row's cell would annihilate."""
-    return _domain(prefix, i, tables, False)
-
-
-def modified_domain(prefix, i, tables: ResolutionTables) -> list:
-    """Admissible columns for row i, restricted to the forced reuse column
-    when one exists.  Raises DeadEnd when the row has no viable column."""
-    domain = _domain(prefix, i, tables, True)
-    if not domain:
-        raise DeadEnd(f"row {i} has no viable column after prefix {list(prefix)}")
-    return domain
 
 
 # -- branch-and-bound ----------------------------------------------------------

@@ -138,14 +138,11 @@ def grid_feasibility_census(p: ProblemInstance, step: float = 0.05,
 
 # -- random instances ---------------------------------------------------------
 
-#: Entries are snapped to this grid so endpoint coincidences (the hard cases
-#: of the set algebra) happen often.
-VALUE_GRID_STEP = 0.05
-
-
 def random_instance(rng: random.Random, family, param=None, m=None, n=None,
                     max_rows: int = 5, max_cols: int = 5) -> ProblemInstance:
-    """Random instance with all entries on the 0.05 grid, costs on [0, 5]."""
+    """Random instance with all entries on the 0.05 grid, so endpoint
+    coincidences (the hard cases of the set algebra) happen often; costs on
+    [0, 5]."""
     m = m if m is not None else rng.randint(1, max_rows)
     n = n if n is not None else rng.randint(1, max_cols)
     snap = lambda: rng.randint(0, 20) / 20

@@ -244,46 +244,27 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
 
 
 def restrict(tables: ResolutionTables, keep_rows, keep_cols) -> ResolutionTables:
-    """Drop rows/columns (given as distinct positions) without recomputing
-    any set.
+    """Drop rows/columns without recomputing any set.  ``keep_rows`` and
+    ``keep_cols`` must list distinct positions in ascending order.
 
     The supports are the parent's support lists remapped to the new
-    positions; a remapped list is sorted only when its keep list is not
-    ascending, since an ascending one keeps it ascending.  No cell is
-    examined again.  When every column is kept in place, the parent's cell
-    rows, row supports, column intervals and column ids are reused as they
-    are: tables are never mutated, so sharing them is safe.
+    positions, which keeps them ascending.  No cell is examined again.
     """
-    keep_rows = list(keep_rows)
-    keep_cols = list(keep_cols)
-    col_support = _remap(tables.col_support, keep_cols, keep_rows)
-    row_ids = [tables.row_ids[i] for i in keep_rows]
-    rhs = [tables.rhs[i] for i in keep_rows]
-    if keep_cols == list(range(tables.n)):
-        return ResolutionTables(
-            tables.col_interval, [tables.s_prime[i] for i in keep_rows],
-            [tables.row_support[i] for i in keep_rows], col_support,
-            row_ids, tables.col_ids, rhs,
-        )
     return ResolutionTables(
         [tables.col_interval[j] for j in keep_cols],
         [[tables.s_prime[i][j] for j in keep_cols] for i in keep_rows],
-        _remap(tables.row_support, keep_rows, keep_cols), col_support,
-        row_ids, [tables.col_ids[j] for j in keep_cols], rhs,
+        _remap(tables.row_support, keep_rows, keep_cols),
+        _remap(tables.col_support, keep_cols, keep_rows),
+        [tables.row_ids[i] for i in keep_rows], [tables.col_ids[j] for j in keep_cols],
+        [tables.rhs[i] for i in keep_rows],
     )
 
 
 def _remap(supports, pick, keep) -> list:
     """``supports[k]`` for each k in ``pick``, renumbered to positions in
-    ``keep`` with every entry ``keep`` drops left out.  Renumbering keeps an
-    ascending list ascending when ``keep`` is ascending; otherwise each list
-    is sorted."""
+    the ascending ``keep`` with every entry ``keep`` drops left out."""
     new = {p: q for q, p in enumerate(keep)}
-    out = [[new[p] for p in supports[k] if p in new] for k in pick]
-    if any(a > b for a, b in zip(keep, keep[1:])):
-        for sup in out:
-            sup.sort()
-    return out
+    return [[new[p] for p in supports[k] if p in new] for k in pick]
 
 
 class FeasibilityStatus(Enum):

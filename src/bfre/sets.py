@@ -6,10 +6,12 @@ A set is the tuple ``(lo0, hi0, lo1, hi1, ...)``: ``()`` is empty,
 closed interval.  A piece is either a point (lo == hi) or wider than EPS,
 and pieces lie more than EPS apart, so the minimum is ``s[0]`` and an empty
 set is false.  ``SetForm`` is the tuple subclass that carries the rules as
-methods; the kinds ∅, {v}, {v,w} and [lo,hi] are views of its pieces.  The
-rules take plain tuples as well and always return a ``SetForm``, so a caller
-that builds many sets (``resolution.build_tables``) builds plain tuples and
-pays for a ``SetForm`` only where one is kept.
+methods; ``is_point`` and ``is_pair`` tell a point and a two-point set,
+and the rest is read off the tuple: ``not s`` when empty, ``s[0]`` and
+``s[-1]`` its bounds.  The rules take plain tuples as well and always
+return a ``SetForm``, so a caller that builds many sets
+(``resolution.build_tables``) builds plain tuples and pays for a
+``SetForm`` only where one is kept.
 
 Each rule is written once, for one piece against one piece, and a set of
 more pieces goes through it piece by piece:
@@ -28,7 +30,11 @@ more pieces goes through it piece by piece:
 - snap: a bound within EPS of a target moves onto the first such target;
 - restrict: a cell ∩ its column by intersect, then snapped onto the
   column's bounds.  ``restrict(col, cells)`` applies it to each of a
-  column's cells, and ``SetForm.restrict`` to one cell.
+  column's cells.
+
+Every tolerance test is a difference against EPS (``v - hi <= EPS``, never
+``v <= hi + EPS``), so a value one rule holds within EPS of a bound is held
+there by every rule.
 
 The rules are not associative, so a fold must keep its order:
 (0, 1) ∩ [.5, .5 + .5ε] ∩ [.5 + .8ε, 1] is the point .5, while a plain
@@ -37,16 +43,9 @@ max/min over all bounds gives .5 + .8ε.
 
 from __future__ import annotations
 
-import math
 import operator
 
 from .tolerance import EPS
-
-EMPTY = "empty"
-POINT = "point"
-PAIR = "pair"
-INTERVAL = "interval"
-UNION = "union"
 
 _new = tuple.__new__
 
@@ -54,7 +53,7 @@ _new = tuple.__new__
 def piece(lo: float, hi: float) -> tuple:
     """[lo, hi] as a plain tuple: empty when crossed by more than EPS, the
     point lo when no wider than EPS."""
-    if lo > hi + EPS:
+    if lo - hi > EPS:
         return ()
     return (lo, lo) if hi - lo <= EPS else (lo, hi)
 
@@ -95,10 +94,11 @@ def _fold(sets, acc: tuple) -> tuple:
                     return _EMPTY
                 ohi = olo
             if lo == hi:
-                if not (abs(lo - olo) <= EPS if olo == ohi else olo - EPS <= lo <= ohi + EPS):
+                if not (abs(lo - olo) <= EPS if olo == ohi else
+                        olo - lo <= EPS and lo - ohi <= EPS):
                     return _EMPTY
             elif olo == ohi:
-                if not lo - EPS <= olo <= hi + EPS:
+                if not (lo - olo <= EPS and olo - hi <= EPS):
                     return _EMPTY
                 acc = other
             else:
@@ -156,19 +156,10 @@ class SetForm(tuple):
         return _new(SetForm, (v, v))
 
     @staticmethod
-    def pair(v1: float, v2: float) -> "SetForm":
-        """Two-point set; the lower point when they lie within EPS."""
-        return _new(SetForm, _pieces((v1, v1, v2, v2)))
-
-    @staticmethod
     def interval(lo: float, hi: float) -> "SetForm":
         return _new(SetForm, piece(lo, hi))
 
     # -- views ------------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not self
 
     @property
     def is_point(self) -> bool:
@@ -177,25 +168,6 @@ class SetForm(tuple):
     @property
     def is_pair(self) -> bool:
         return len(self) == 4 and self[0] == self[1] and self[2] == self[3]
-
-    @property
-    def is_interval(self) -> bool:
-        return len(self) == 2 and self[0] != self[1]
-
-    @property
-    def kind(self) -> str:
-        if not self:
-            return EMPTY
-        return (POINT if self.is_point else INTERVAL if len(self) == 2
-                else PAIR if self.is_pair else UNION)
-
-    @property
-    def lo(self) -> float:
-        return self[0] if self else math.nan
-
-    @property
-    def hi(self) -> float:
-        return self[-1] if self else math.nan
 
     def minimum(self) -> float:
         if not self:
@@ -207,18 +179,12 @@ class SetForm(tuple):
             raise ValueError("maximum of empty set")
         return self[-1]
 
-    def values(self) -> tuple:
-        """The members of a point or a two-point set."""
-        if self.is_point or self.is_pair:
-            return self[::2]
-        raise ValueError(f"values() on {self.kind} form")
-
     # -- algebra ----------------------------------------------------------
 
     def contains(self, v: float) -> bool:
         if len(self) == 2:
             lo, hi = self
-            return abs(v - lo) <= EPS if lo == hi else lo - EPS <= v <= hi + EPS
+            return abs(v - lo) <= EPS if lo == hi else lo - v <= EPS and v - hi <= EPS
         return any(SetForm.contains(self[k:k + 2], v) for k in range(0, len(self), 2))
 
     def intersect(self, other: tuple) -> "SetForm":
@@ -231,8 +197,8 @@ class SetForm(tuple):
             lo, hi = self
             olo, ohi = other
             if lo == hi:
-                return abs(lo - olo) <= EPS if olo == ohi else olo - EPS <= lo <= ohi + EPS
-            return olo != ohi and olo - EPS <= lo and hi <= ohi + EPS
+                return abs(lo - olo) <= EPS if olo == ohi else olo - lo <= EPS and lo - ohi <= EPS
+            return olo != ohi and olo - lo <= EPS and hi - ohi <= EPS
         return not self or all(any(SetForm.issubset(self[k:k + 2], other[q:q + 2])
                                    for q in range(0, len(other), 2))
                                for k in range(0, len(self), 2))
@@ -255,10 +221,6 @@ class SetForm(tuple):
         if not moved:
             return _form(self)
         return _new(SetForm, piece(*pinned) if len(pinned) == 2 else _pieces(pinned))
-
-    def restrict(self, col: tuple) -> "SetForm":
-        """``self ∩ col`` snapped onto the bounds of the column ``col``."""
-        return restrict(col, (self,))[0]
 
     def __str__(self) -> str:
         return spell(self)

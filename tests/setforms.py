@@ -1,10 +1,27 @@
-"""SetForm helpers shared by the tests: the display spelling parsed back
-into a set, set equality up to the package tolerance, bit-level identity,
-and intersect/snap as the constructors compute them, sets of more pieces
+"""SetForm helpers shared by the tests: the kind of a set and the
+two-point constructor, the display spelling parsed back into a set, set
+equality up to the package tolerance, bit-level identity, and
+intersect/snap as the constructors compute them, sets of more pieces
 included."""
 
-from bfre.sets import SetForm
+import math
+
+from bfre.sets import SetForm, _pieces
 from bfre.tolerance import EPS
+
+
+def kind(s) -> str:
+    """The kind of ``s``: empty, point, pair, interval or union."""
+    if not s:
+        return "empty"
+    if len(s) == 2:
+        return "point" if s[0] == s[1] else "interval"
+    return "pair" if len(s) == 4 and s[0] == s[1] and s[2] == s[3] else "union"
+
+
+def pair(v: float, w: float) -> SetForm:
+    """The two-point set {v, w}; the lower point when they lie within EPS."""
+    return SetForm(_pieces((v, v, w, w)))
 
 
 def parse(text: str) -> SetForm:
@@ -20,22 +37,24 @@ def parse(text: str) -> SetForm:
         if len(vals) == 1:
             return SetForm.point(vals[0])
         if len(vals) == 2:
-            return SetForm.pair(vals[0], vals[1])
+            return pair(vals[0], vals[1])
     raise ValueError(f"unparseable set form: {text!r}")
 
 
 def same(a: SetForm, b: SetForm) -> bool:
     """Set equality up to tolerance."""
-    if a.kind != b.kind:
+    if kind(a) != kind(b):
         return False
-    if a.is_empty:
+    if not a:
         return True
-    return abs(a.lo - b.lo) <= EPS and abs(a.hi - b.hi) <= EPS
+    return abs(a[0] - b[0]) <= EPS and abs(a[-1] - b[-1]) <= EPS
 
 
 def bits(s: SetForm) -> tuple:
-    """(kind, lo, hi) with the bounds as float.hex: equality to the bit."""
-    return s.kind, s.lo.hex(), s.hi.hex()
+    """(kind, lo, hi) with the bounds as float.hex (nan when empty):
+    equality to the bit."""
+    lo, hi = (s[0], s[-1]) if s else (math.nan, math.nan)
+    return kind(s), lo.hex(), hi.hex()
 
 
 def pieces_of(s) -> list:
@@ -62,9 +81,9 @@ def constructed_intersect(x: SetForm, y: SetForm) -> SetForm:
     pieces meets the other piece by piece: each piece of the operand with
     fewer pieces (``x`` on a tie) against each piece of the other, a point
     kept once."""
-    if x.is_empty or y.is_empty:
+    if not x or not y:
         return SetForm.empty()
-    if x.kind == "union" or y.kind == "union":
+    if kind(x) == "union" or kind(y) == "union":
         own, other = (x, y) if len(x) <= len(y) else (y, x)
         met = []
         for p in pieces_of(own):
@@ -75,34 +94,34 @@ def constructed_intersect(x: SetForm, y: SetForm) -> SetForm:
                     break
         return constructed_union(met)
     if x.is_point:
-        return x if y.contains(x.lo) else SetForm.empty()
+        return x if y.contains(x[0]) else SetForm.empty()
     if y.is_point:
-        return y if x.contains(y.lo) else SetForm.empty()
+        return y if x.contains(y[0]) else SetForm.empty()
     if x.is_pair:
-        kept = [v for v in (x.lo, x.hi) if y.contains(v)]
+        kept = [v for v in (x[0], x[-1]) if y.contains(v)]
         if not kept:
             return SetForm.empty()
-        return SetForm.point(kept[0]) if len(kept) == 1 else SetForm.pair(kept[0], kept[1])
+        return SetForm.point(kept[0]) if len(kept) == 1 else pair(kept[0], kept[1])
     if y.is_pair:
         return constructed_intersect(y, x)
-    return SetForm.interval(max(x.lo, y.lo), min(x.hi, y.hi))
+    return SetForm.interval(max(x[0], y[0]), min(x[-1], y[-1]))
 
 
 def constructed_snap(s: SetForm, targets) -> SetForm:
     """``s.snap(targets)`` with the result always rebuilt by the
     constructor of its kind."""
-    if s.is_empty:
+    if not s:
         return s
 
     def pin(v):
         return next((t for t in targets if abs(v - t) <= EPS), v)
 
-    if s.kind == "union":
+    if kind(s) == "union":
         return constructed_union([SetForm.interval(pin(lo), pin(hi))
                                   for lo, hi in zip(s[::2], s[1::2])])
-    lo, hi = pin(s.lo), pin(s.hi)
-    if s.is_interval:
+    lo, hi = pin(s[0]), pin(s[-1])
+    if kind(s) == "interval":
         return SetForm.interval(lo, hi)
     if s.is_pair:
-        return SetForm.pair(lo, hi)
+        return pair(lo, hi)
     return SetForm.point(lo)

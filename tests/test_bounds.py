@@ -4,8 +4,9 @@
 intersection snapped onto the column's bounds; both must give, to the bit,
 what the reference helpers of ``setforms`` build with the constructors.  The
 bounds are drawn within a few EPS of each other, where the tolerance rules
-decide every outcome.  ``TestPieces`` checks sets of up to three pieces, and
-``TestRestrictColumn`` restricts whole columns of mixed cells at once.
+decide every outcome.  ``TestPieces`` checks sets of up to three pieces,
+``TestRestrictColumn`` restricts whole columns of mixed cells at once, and
+``TestOneToleranceTest`` puts a point one EPS beside a column's bound.
 """
 
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from bfre.sets import SetForm, fold, piece, restrict
 from bfre.tolerance import EPS
 
-from setforms import bits, constructed_intersect, constructed_snap
+from setforms import bits, constructed_intersect, constructed_snap, pair
 
 RULES = settings(max_examples=400, derandomize=True, database=None, deadline=None)
 
@@ -50,7 +51,7 @@ def near_forms(draw):
     a, b, c, d = draw(near_bounds(4))
     make = draw(st.sampled_from(["point", "pair", "interval"]))
     s = (SetForm.point(a) if make == "point" else
-         SetForm.pair(a, b) if make == "pair" else SetForm.interval(*sorted((a, b))))
+         pair(a, b) if make == "pair" else SetForm.interval(*sorted((a, b))))
     col = SetForm.interval(*sorted((c, d)))
     return s, col
 
@@ -60,7 +61,7 @@ class TestIntervalBounds:
     @given(near_bounds(2))
     def test_matches_constructor(self, bounds):
         lo, hi = bounds
-        want = () if lo > hi + EPS else (lo, lo) if hi - lo <= EPS else (lo, hi)
+        want = () if lo - hi > EPS else (lo, lo) if hi - lo <= EPS else (lo, hi)
         assert [v.hex() for v in piece(lo, hi)] == [v.hex() for v in want]
         assert bits(SetForm.interval(lo, hi)) == bits(SetForm(want))
 
@@ -94,7 +95,7 @@ class TestFoldIntervals:
         assert bits(fold([])) == ("interval", (0.0).hex(), (1.0).hex())
 
     def test_crossed_operand_empties(self):
-        assert fold([(0.2, 0.6), (0.6, 0.2)]).is_empty
+        assert not fold([(0.2, 0.6), (0.6, 0.2)])
 
 
 class TestRestrictBounds:
@@ -102,22 +103,22 @@ class TestRestrictBounds:
     @given(near_forms())
     def test_matches_intersect_then_snap(self, forms):
         s, col = forms
-        if col.is_empty:
+        if not col:
             return
         want = constructed_snap(constructed_intersect(s, col), (col.minimum(), col.maximum()))
-        assert bits(s.restrict(col)) == bits(want), (s, col)
+        assert bits(restrict(col, [s])[0]) == bits(want), (s, col)
 
     def test_pair_snapped_onto_one_column_bound_collapses(self):
         # both pair values lie within EPS of the column's lower bound
-        s = SetForm.pair(0.5, 0.5 + 1.5 * EPS)
+        s = pair(0.5, 0.5 + 1.5 * EPS)
         col = SetForm.interval(0.5 + 0.8 * EPS, 0.9)
-        got = s.restrict(col)
+        (got,) = restrict(col, [s])
         assert got.is_point and got[0] is col[0]
-        assert bits(constructed_snap(constructed_intersect(s, col), (col.lo, col.hi))) == bits(got)
+        assert bits(constructed_snap(constructed_intersect(s, col), (col[0], col[-1]))) == bits(got)
 
     def test_pair_kept_whole(self):
-        pair = SetForm.pair(0.2, 0.8)
-        assert pair.restrict(SetForm.interval(0.0, 1.0)) is pair
+        two = pair(0.2, 0.8)
+        assert restrict(SetForm.interval(0.0, 1.0), [two])[0] is two
 
 
 @st.composite
@@ -168,7 +169,7 @@ class TestPieces:
         if r:
             assert r.minimum() == r[0]
         else:
-            assert r.is_empty
+            assert not r
 
 
 def _hexes(s) -> tuple:
@@ -183,7 +184,7 @@ def near_cell(draw, centre):
     near = lambda: centre + draw(st.integers(-16, 16)) * 0.25 * EPS
     make = draw(st.sampled_from(["point", "pair", "interval", "pieces"]))
     s = (SetForm.point(near()) if make == "point" else
-         SetForm.pair(near(), near()) if make == "pair" else
+         pair(near(), near()) if make == "pair" else
          SetForm.interval(*sorted((near(), near()))) if make == "interval" else
          draw(near_pieces(centre)))
     assume(s)
@@ -211,10 +212,10 @@ class TestRestrictColumn:
         got = restrict(col, cells)
         assert len(got) == len(cells)
         for cell, r in zip(cells, got):
-            want = constructed_snap(constructed_intersect(SetForm(cell), col), (col.lo, col.hi))
+            want = constructed_snap(constructed_intersect(SetForm(cell), col), (col[0], col[-1]))
             assert type(r) is SetForm
             assert _hexes(r) == _hexes(want), (cell, col, r, want)
-            assert _hexes(SetForm.restrict(cell, col)) == _hexes(r)
+            assert _hexes(restrict(col, [cell])[0]) == _hexes(r)
 
     @RULES
     @given(near_column())
@@ -233,9 +234,9 @@ class TestRestrictColumn:
     def test_pair_collapsed_by_the_snap_is_its_lower_point(self):
         # both points lie within EPS of the column's lower bound
         col = SetForm.interval(0.5, 0.5 + 3.0 * EPS)
-        pair = SetForm.pair(0.5 - 0.6 * EPS, 0.5 + 0.8 * EPS)
-        assert pair.is_pair
-        (got,) = restrict(col, [pair])
+        two = pair(0.5 - 0.6 * EPS, 0.5 + 0.8 * EPS)
+        assert two.is_pair
+        (got,) = restrict(col, [two])
         assert got.is_point and got[0] is col[0]
 
     def test_interval_plus_point_is_not_a_pair(self):
@@ -251,3 +252,23 @@ class TestRestrictColumn:
         assert [_hexes(r) for r in restrict(col, cells)] == [
             _hexes(x) for x in ((0.5, 0.5), (), (0.5, 0.5), (0.3, 0.7),
                                 (0.4, 0.4, 0.7, 0.8), ())]
+
+
+class TestOneToleranceTest:
+    """contains, restrict and snap decide "within EPS of a bound" by the one
+    difference test: at v = fl(hi ± EPS) and fl(lo ∓ EPS) a point the column
+    contains is restricted onto the column, as the snap puts it, and any
+    other point is cut."""
+
+    @RULES
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([1.0, -1.0]),
+           st.booleans())
+    def test_contains_restrict_and_snap_agree(self, a, b, sign, at_hi):
+        col = SetForm.interval(*sorted((a, b)))
+        lo, hi = col[0], col[-1]
+        v = hi + sign * EPS if at_hi else lo - sign * EPS
+        (got,) = restrict(col, [(v, v)])
+        snapped = SetForm.point(v).snap((lo, hi))
+        inside = lo <= snapped[0] <= hi
+        assert col.contains(v) == inside, (col, v)
+        assert _hexes(got) == (_hexes(snapped) if inside else ()), (col, v, got)

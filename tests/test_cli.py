@@ -139,6 +139,18 @@ class TestProblemFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {family}: parameter ") and err.count("\n") == 1
 
+    def test_inconsistent_reduction_one_line_error(self, tmp_path, capsys):
+        # at yager(0.01) T(a, ·) climbs from 0 to a within one float of 1, so
+        # the tables admit a point that the direct check of the answer rejects
+        path = write_problem(tmp_path, tiny_problem(
+            tnorm={"family": "yager", "param": 0.01},
+            a_plus=[[0.45, 0.3, 0.25, 0.9, 0.6]], a_minus=[[0.75, 0.3, 0.55, 0.6, 0.9]],
+            b=[0.3], c=[1.0] * 5))
+        assert main(["solve", path, "--no-timing"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: direct and table feasibility criteria disagree")
+        assert err.count("\n") == 1
+
 
 class TestSolveCommand:
     def test_example_exit_zero(self, capsys):

@@ -4,15 +4,12 @@ import random
 import pytest
 
 from bfre import (
-    CapExceeded, DeadEnd, InfeasibleReason, Mode, NotAdmissible, Status,
-    branch_and_bound, build_tables, candidate_solution, check_feasibility,
-    enumerate_feasible_decomposition, feasible_box, is_feasible_point,
-    modified_domain, simplify, solve,
+    CapExceeded, InfeasibleReason, Mode, Status, branch_and_bound, build_tables,
+    check_feasibility, enumerate_feasible_decomposition, is_feasible_point, simplify, solve,
 )
 from bfre import optimize
-from bfre.optimize import _running_intersections, admissible_domain
 from bfre.oracle import (
-    brute_force_optimum, enumerate_all_admissible, random_feasible_instance,
+    _batch_candidate, brute_force_optimum, enumerate_all_admissible, random_feasible_instance,
     random_instance,
 )
 from bfre import ProblemInstance, ReducedProblem, ResolutionTables, SetForm, validate
@@ -22,7 +19,7 @@ from bfre.simplify import Rule
 from bfre.tnorms import solve_u
 from bfre.tolerance import EPS
 from conftest import make_instance
-from setforms import same
+from setforms import kind, pair, same
 
 TOL = 1e-9
 
@@ -38,53 +35,68 @@ def reduced_example(example, example_tables):
     return reduced
 
 
+def _running(prefix, tables) -> list:
+    """Per column, its cells picked by ``prefix`` intersected in pick order;
+    None for a column ``prefix`` does not pick."""
+    inter = [None] * tables.n
+    for j in set(prefix):
+        inter[j] = tables.intersect_cells(j, [i for i, k in enumerate(prefix) if k == j])
+    return inter
+
+
+def _domain(prefix, i, tables, modified=False) -> list:
+    """Row i's columns after ``prefix[:i]``, by the search's own step routine."""
+    prefix = prefix[:i]
+    hit = sum(1 << j for j in set(prefix) & set(tables.row_support[i]))
+    steps = optimize._admissible_steps(_running(prefix, tables), hit,
+                                       optimize._step_row(tables, i), modified)
+    return [j for j, _ in steps]
+
+
 class TestCandidateSolution:
     def test_shared_column_intersection(self, example_tables):
-        x = candidate_solution(E3, example_tables)
+        x = _batch_candidate(example_tables, E3)
         assert x[0] == pytest.approx(0.4, abs=TOL)
 
     def test_unpicked_columns_sit_at_lower_bounds(self, example_tables):
-        x = candidate_solution(E2, example_tables)
+        x = _batch_candidate(example_tables, E2)
         # columns 4, 5(0-based 3, 4) and 7 are never picked by E2
         assert x[3] == example_tables.lower_bound(3)
         assert x[6] == example_tables.lower_bound(6)
 
     def test_reduced_example_first_leaf(self, reduced_example):
-        x = candidate_solution((0, 1, 0), reduced_example.tables)
+        x = _batch_candidate(reduced_example.tables, (0, 1, 0))
         assert x == pytest.approx([0.4, 0.64, 0.0], abs=TOL)
         z = sum(c * v for c, v in zip(reduced_example.costs, x))
         assert z == pytest.approx(0.624, abs=TOL)
 
     def test_inadmissible_rejected(self, example_tables):
-        with pytest.raises(NotAdmissible):
-            candidate_solution(E1, example_tables)
+        assert _batch_candidate(example_tables, E1) is None
 
 
 class TestFeasibleBox:
-    def test_known_product_box(self, example_tables):
-        box = feasible_box(E2, example_tables)
-        want = ["{0.4}", "{0.64}", "{0.6}", "[0,1]", "[0.3,0.6]",
-                "{0,1}", "[0,0.55]", "{0.2}", "{0.8}", "{0.6}"]
-        assert [str(s) for s in box] == want
+    """Boxes as ``enumerate_feasible_decomposition`` lists them;
+    ``TestDecomposition`` pins the spelling of E2's."""
 
     def test_single_row_instance(self):
         p = make_instance([[0.9, 0.0]], [[0.0, 0.0]], [0.5])
         tb = build_tables(p)
-        box = feasible_box((0,), tb)
+        [(_, box)] = enumerate_feasible_decomposition(p)
         assert str(box[0]) == "{0.6}" and same(box[1], tb.col_interval[1])
 
-    def test_sampled_points_are_feasible(self, example, example_tables):
-        box = feasible_box(E2, example_tables)
+    def test_sampled_points_are_feasible(self, example):
+        e2 = {0: 0, 1: 7, 3: 1, 4: 2, 7: 8, 9: 5}     # E2 on the rows the reduction keeps
+        box = next(box for a, box in enumerate_feasible_decomposition(example) if a == e2)
         rng = random.Random(3)
         for _ in range(100):
             x = []
             for s in box:
-                if s.is_interval:
-                    x.append(s.lo + rng.random() * (s.hi - s.lo))
+                if kind(s) == "interval":
+                    x.append(s[0] + rng.random() * (s[-1] - s[0]))
                 elif s.is_pair:
-                    x.append(rng.choice(s.values()))
+                    x.append(rng.choice(s[::2]))
                 else:
-                    x.append(s.lo)
+                    x.append(s[0])
             assert is_feasible_point(example, x)
 
 
@@ -92,20 +104,19 @@ class TestDomains:
     def test_clashing_reuse_excluded(self, example_tables):
         # after rows 1-4 of E1, row 5 can reuse neither column 5 (clash with
         # row 1's cell) nor column 1 (clash with row 2's cell)
-        dom = admissible_domain(E1[:4], 4, example_tables)
+        dom = _domain(E1, 4, example_tables)
         assert 4 not in dom and dom == [2, 3]
 
     def test_forced_reuse_is_minimum(self, example_tables):
-        assert modified_domain(E2[:4], 4, example_tables) == [0]
+        assert _domain(E2, 4, example_tables, modified=True) == [0]
 
     def test_reduced_node_two_domain(self, reduced_example):
-        assert modified_domain((1,), 1, reduced_example.tables) == [2]
+        assert _domain((1,), 1, reduced_example.tables, modified=True) == [2]
 
-    def test_dead_end_raises(self):
+    def test_dead_end_is_empty(self):
         p = make_instance([[0.2], [0.8]], [[0.7], [0.2]], [0.5, 0.5])
         tb = build_tables(p)
-        with pytest.raises(DeadEnd):
-            modified_domain((0,), 1, tb)
+        assert _domain((0,), 1, tb, modified=True) == []
 
 
 class TestBranchAndBound:
@@ -362,7 +373,7 @@ class TestIncrementalVsBatchAdmissibility:
             for e in itertools.product(*tb.row_support):
                 ok = True
                 for i in range(tb.m):
-                    if e[i] not in admissible_domain(e[:i], i, tb):
+                    if e[i] not in _domain(e, i, tb):
                         ok = False
                         break
                 if ok:
@@ -374,7 +385,7 @@ def _snapped_chain_tables():
     """3x1 tables whose cells intersect to empty in pick order (rows 0, 1,
     then 2) but not when row 2's cell comes first: tolerance-snapped
     intersection is not associative."""
-    cells = [SetForm.pair(0.500000000052308, 0.9), SetForm.pair(0.5000000014956291, 0.9),
+    cells = [pair(0.500000000052308, 0.9), pair(0.5000000014956291, 0.9),
              SetForm.point(0.5000000007700169)]
     grid = [[cell] for cell in cells]
     return ResolutionTables([SetForm.interval(0, 1)], grid,
@@ -385,7 +396,7 @@ class TestIntersectionOrder:
     def test_pick_order_empty_intersection_is_not_admissible(self):
         tb = _snapped_chain_tables()
         assert enumerate_all_admissible(tb) == []
-        assert admissible_domain((0, 0), 2, tb) == []
+        assert _domain((0, 0), 2, tb) == []
         for modified in (True, False):
             res = branch_and_bound(ReducedProblem(tb, [1.0], {}, 1), modified=modified)
             assert not res.found
@@ -411,7 +422,7 @@ def _reference_domain(tables, picks, i, modified):
     for row, col in enumerate(picks[:i]):
         groups.setdefault(col, []).append(row)
     out = [j for j in tables.row_support[i]
-           if not tables.intersect_cells(j, groups.get(j, []) + [i]).is_empty]
+           if tables.intersect_cells(j, groups.get(j, []) + [i])]
     reusable = [j for j in out if j in groups]
     return [min(reusable)] if modified and reusable else out
 
@@ -685,9 +696,9 @@ class TestSharedNodeState:
                         assert node.inter is not parent.inter
                         copied += 1
                     # every built state still matches its picks
-                    inter = _running_intersections(node.picks(), tables)
+                    inter = _running(node.picks(), tables)
                     assert node.inter == inter
-                    assert node.x == [v if inter[j] is None else inter[j].lo
+                    assert node.x == [v if inter[j] is None else inter[j][0]
                                       for j, v in enumerate(base_x)]
         assert shared >= 10_000 and copied >= 10_000
 
@@ -739,15 +750,15 @@ class TestSharedNodeState:
             for modified in (True, False):
                 res = branch_and_bound(problem, modified=modified)
                 if res.found:
-                    assert res.x == candidate_solution(res.picks, tables), (k, modified)
+                    assert res.x == _batch_candidate(tables, res.picks), (k, modified)
                 assert tables.col_interval == col_interval, (k, modified)
                 assert tables.s_prime == s_prime, (k, modified)
                 assert [tables.lower_bound(j) for j in range(tables.n)] == lower, (k, modified)
 
 
 class TestDomainsMatchReference:
-    """The domain functions share the search's step routine; at every prefix
-    the sorted reference expands they give its domain, in both modes."""
+    """At every prefix the sorted reference expands, the search's step
+    routine gives the reference's domain, in both modes."""
 
     def test_domains_at_expanded_prefixes(self):
         prefixes = 0
@@ -760,14 +771,10 @@ class TestDomainsMatchReference:
                     i = len(prefix)
                     if i == tables.m:
                         continue
-                    assert admissible_domain(prefix, i, tables) == \
+                    assert _domain(prefix, i, tables) == \
                         _reference_domain(tables, prefix, i, False), prefix
-                    want = _reference_domain(tables, prefix, i, True)
-                    if want:
-                        assert modified_domain(prefix, i, tables) == want, prefix
-                    else:
-                        with pytest.raises(DeadEnd):
-                            modified_domain(prefix, i, tables)
+                    assert _domain(prefix, i, tables, modified=True) == \
+                        _reference_domain(tables, prefix, i, True), prefix
                     prefixes += 1
         assert prefixes >= 5_000
 

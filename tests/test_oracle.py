@@ -29,7 +29,7 @@ class TestEnumeration:
     def test_empty_column_blocks_everything(self):
         p = make_instance([[1.0, 0.9]], [[1.0, 0.0]], [0.2])
         tb = build_tables(p)
-        assert tb.col_interval[0].is_empty
+        assert not tb.col_interval[0]
         assert enumerate_all_admissible(tb) == []
 
     def test_full_interval_cells_accept_all_picks(self):
@@ -87,7 +87,7 @@ def _two_pass_oracle(tables, costs):
             inter = tables.s_prime[rows[0]][j]
             for i in rows[1:]:
                 inter = inter.intersect(tables.s_prime[i][j])
-                if inter.is_empty:
+                if not inter:
                     return False
         return True
 
@@ -100,7 +100,7 @@ def _two_pass_oracle(tables, costs):
             x[j] = inter.minimum()
         return x
 
-    if any(s.is_empty for s in tables.col_interval):
+    if any(not s for s in tables.col_interval):
         return [], None
     vectors = [e for e in itertools.product(*tables.row_support) if admissible(e)]
     best = None

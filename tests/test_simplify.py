@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from bfre import InconsistentReduction, Mode, build_tables, simplify
+from bfre import InconsistentReduction, Mode, build_tables, check_feasibility, simplify
 from bfre.oracle import (
     brute_force_optimum, planted_feasible_instance, random_feasible_instance, random_instance,
 )
@@ -315,7 +315,6 @@ class TestModeGuarantees:
         for _ in range(60):
             p = _random(rng)
             tables = build_tables(p)
-            from bfre import check_feasibility
             if not check_feasibility(tables).ok:
                 continue
             reduced, _ = simplify(tables, p.c, Mode.FEASIBILITY_PRESERVING)
@@ -331,7 +330,6 @@ class TestModeGuarantees:
         for _ in range(120):
             p = _random(rng)
             tables = build_tables(p)
-            from bfre import check_feasibility
             if not check_feasibility(tables).ok:
                 continue
             full = brute_force_optimum(tables, p.c)
@@ -471,8 +469,8 @@ def _ref_restrict(tables, keep_rows, keep_cols):
     m, n = len(keep_rows), len(keep_cols)
     return ResolutionTables(
         [tables.col_interval[j] for j in keep_cols], s_prime,
-        [[j for j in range(n) if not s_prime[i][j].is_empty] for i in range(m)],
-        [[i for i in range(m) if not s_prime[i][j].is_empty] for j in range(n)],
+        [[j for j in range(n) if s_prime[i][j]] for i in range(m)],
+        [[i for i in range(m) if s_prime[i][j]] for j in range(n)],
         [tables.row_ids[i] for i in keep_rows],
         [tables.col_ids[j] for j in keep_cols],
         [tables.rhs[i] for i in keep_rows],
@@ -596,7 +594,6 @@ _DRIVER_FAMILIES = [
 
 class TestOneRestrictionPerFinderCall:
     def test_matches_per_action_driver(self):
-        from bfre import check_feasibility
         rng = random.Random(9090)
         compared = many_dominated = 0
         for k in range(320):
@@ -635,7 +632,6 @@ class TestOneRestrictionPerFinderCall:
     def test_forced_assignment_chains_at_32x32(self, family, param):
         """Planted 32x32 instances on the 0.05 grid, where one finder call
         returns a chain of at least three forced assignments."""
-        from bfre import check_feasibility
         rng = random.Random(f"forced-chains:{family}")
         for k in range(3):
             p, _ = planted_feasible_instance(rng, family, param, m=32, n=32)
@@ -680,6 +676,32 @@ class TestOneRestrictionPerSimplify:
         getattr(TestOneRestrictionPerFinderCall(), test)(*args)
         assert len(calls) >= 6 and max(calls) <= 1, (len(calls), max(calls))
         assert sum(calls) > 0
+
+
+class TestAscendingKeepLists:
+    """``restrict`` takes distinct keep lists in ascending order, and
+    ``simplify`` is its one caller in the solver: the reduced row and column
+    ids must ascend strictly, on planted and random instances alike."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_reduced_ids_strictly_ascending(self, mode):
+        families = [("lukasiewicz", None), ("product", None), ("yager", 2.0), ("hamacher", 1.0),
+                    ("dombi", 2.0), ("schweizer_sklar", -1.0)]
+        rng = random.Random(f"ascending:{mode.value}")
+        restricted = 0
+        for k in range(300):
+            family, param = families[k % len(families)]
+            m, n = rng.randint(1, 12), rng.randint(1, 12)
+            p = (planted_feasible_instance(rng, family, param, m=m, n=n)[0] if k % 2
+                 else random_instance(rng, family, param, m=m, n=n))
+            tables = build_tables(p)
+            if not check_feasibility(tables).ok:
+                continue
+            reduced, _ = simplify(tables, p.c, mode)
+            for ids in (reduced.tables.row_ids, reduced.tables.col_ids):
+                assert all(a < b for a, b in zip(ids, ids[1:])), (k, p, ids)
+            restricted += reduced.tables is not tables
+        assert restricted >= 100, restricted
 
 
 def _pinned_instance(rng, family, param, m, n):
