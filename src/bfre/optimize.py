@@ -55,8 +55,8 @@ from operator import itemgetter
 
 from .errors import CapExceeded, InconsistentReduction
 from .resolution import (
-    ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
-    check_feasibility, is_feasible_point,
+    ProblemInstance, ResolutionTables, _build_tables, _is_feasible_point, _reached_columns,
+    admissible_upper_bound, build_tables, check_feasibility,
 )
 from .sets import SetForm
 from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
@@ -372,9 +372,10 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
     With the optimality-preserving mode (default) the search runs over
     modified assignments; with the feasibility-preserving mode it runs over
     all admissible assignments (the reduction then never discards feasible
-    points).
+    points).  One scan of each row serves resolution and the final check.
     """
-    tables = build_tables(p)
+    reached = _reached_columns(p)
+    tables = _build_tables(p, reached)
     report = check_feasibility(tables)
     if not report.ok:
         return Solution(Status.INFEASIBLE, reason=InfeasibleReason(report.status.value),
@@ -386,7 +387,7 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
         return Solution(Status.INFEASIBLE, reason=InfeasibleReason.EXHAUSTED_SEARCH,
                         ledger=ledger, stats=result.stats, events=result.events)
     x = reduced.lift(result.x)
-    if not is_feasible_point(p, x, tables=tables):
+    if not _is_feasible_point(p, x, reached, tables):
         raise InconsistentReduction(
             "reduction produced a candidate violating the original system")
     objective = sum((c * v for c, v in zip(p.c, x)), 0.0)

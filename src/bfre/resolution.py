@@ -19,12 +19,14 @@ A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
 original bounds, so they are frozen, never recomputed.
 
-``is_feasible_point`` checks a point against the original equations without
-evaluating every term.  Since T(a, y) <= min(a, y), a term whose cap
-min(a, y) lies below b - EPS can change no verdict, a term with cap above
-b + EPS is always evaluated (it may overshoot), and one with its cap within
-b ± EPS is evaluated only until some term of the row has reached b - EPS.
-``row_value`` stays the full evaluation of a row.
+Each row's coefficients are scanned once per ``solve``: ``_reached_columns``
+keeps, ascending, the columns where a+ or a- is at least fl(b - 2·EPS);
+``build_tables`` resolves only those cells and ``is_feasible_point``
+evaluates only those terms, each stage with its own exact test.  The two
+tests, a >= fl(b - EPS) and fl(a - b) >= -EPS, disagree near b = EPS, so
+the scan's bound lies below both: each implies a >= b - EPS - 2**-54, above
+fl(b - 2·EPS) for every EPS >= EPS_MIN.  ``row_value`` stays the full
+evaluation of a row.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 
 from .errors import InconsistentReduction
 from .sets import SetForm, fold, piece
@@ -171,15 +172,24 @@ class ResolutionTables:
         return fold(cells[1:], cells[0]) if cells else _EMPTY
 
 
+def _reached_columns(p: ProblemInstance) -> list:
+    """Per row, the ascending columns where a+ or a- is at least
+    fl(b - 2·EPS): the row scan resolution and the direct check share."""
+    cols = range(p.n)
+    return [[j for j, x, y in zip(cols, ap, am) if x >= reach or y >= reach]
+            for ap, am, reach in zip(p.a_plus, p.a_minus, [b - 2 * EPS for b in p.b])]
+
+
 def build_tables(p: ProblemInstance) -> ResolutionTables:
     """Resolve an instance into its column intervals and restricted cells.
 
-    Each row finds the columns some coefficient of it reaches in one pass,
-    and only those cells are resolved, as plain tuples.  Every other cell
-    has an empty solution set and a [0, 1] relaxation set, which changes no
-    interval.  Each column keeps its cells' relaxation sets and, in
-    parallel lists, the rows and non-empty solution sets, all in ascending
-    row order, and folds the relaxation sets into its interval (lo, hi).
+    Only the cells in the scan of ``_reached_columns`` are resolved, as
+    plain tuples.  Every other cell, and every kept one that fails
+    ``_resolve_cell``'s own test a >= fl(b - EPS), has an empty solution set
+    and a [0, 1] relaxation set, which changes no interval.  Each column
+    keeps its cells' relaxation sets and, in parallel lists, the rows and
+    non-empty solution sets, all in ascending row order, and folds the
+    relaxation sets into its interval (lo, hi).
     The t-norm's kernel is bound once and the cells are resolved unchecked:
     ``ProblemInstance`` has already held every entry to [0, 1].
 
@@ -196,16 +206,20 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
     that breaks the premises, such as a piece wider than EPS that is not a
     whole relaxation set, must go through ``sets.restrict`` instead.
     """
+    return _build_tables(p, _reached_columns(p))
+
+
+def _build_tables(p: ProblemInstance, reached: list) -> ResolutionTables:
+    """``build_tables`` over the row scan ``reached`` of ``_reached_columns``."""
     m, n = p.m, p.n
     u = _solver(p.tnorm)
     cols = range(n)
     relax = [[] for _ in cols]        # per column: the relaxation sets of the reached cells
     rows = [[] for _ in cols]         # per column: the rows of the non-empty solution sets,
     cells = [[] for _ in cols]        # and those sets, in the same order
-    for i in range(m):
+    for i, reached_cols in enumerate(reached):
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
-        reach = b - EPS
-        for j in [j for j, x, y in zip(cols, ap, am) if x >= reach or y >= reach]:
+        for j in reached_cols:
             cell, r = _resolve_cell(u, ap[j], am[j], b)
             relax[j].append(r)
             if cell:
@@ -330,11 +344,18 @@ def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = N
     """Check every row equality directly at x: |row_value - b_i| <= EPS,
     decided from the terms that can change the verdict.
 
-    Each coordinate is checked and clamped into [0, 1] once, and the
-    t-norm's kernel bound once, before the rows are examined.  When freshly
-    built tables are supplied, the direct check is cross-checked against
-    the table criterion; a disagreement raises InconsistentReduction.
+    Only the terms in the scan of ``_reached_columns`` are examined: every
+    other term has fl(a - b) < -EPS and changes no verdict.  Each coordinate
+    is checked and clamped into [0, 1] once, and the t-norm's kernel bound
+    once, before the rows are examined.  When freshly built tables are
+    supplied, the direct check is cross-checked against the table
+    criterion; a disagreement raises InconsistentReduction.
     """
+    return _is_feasible_point(p, x, _reached_columns(p), tables)
+
+
+def _is_feasible_point(p: ProblemInstance, x, reached: list, tables) -> bool:
+    """``is_feasible_point`` over the row scan ``reached`` of ``_reached_columns``."""
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
     for j, v in enumerate(x):
@@ -343,14 +364,14 @@ def is_feasible_point(p: ProblemInstance, x, tables: ResolutionTables | None = N
     x = [min(1.0, max(0.0, v)) for v in x]
     x_neg = [1.0 - v for v in x]
     T = _evaluator(p.tnorm)
-    ok = all(_row_holds(T, p.a_plus[i], p.a_minus[i], p.b[i], x, x_neg)
-             for i in range(p.m))
+    ok = all(_row_holds(T, p.a_plus[i], p.a_minus[i], p.b[i], cols, x, x_neg)
+             for i, cols in enumerate(reached))
     if tables is not None and ok != satisfies_by_tables(tables, x):
         raise InconsistentReduction(f"direct and table feasibility criteria disagree at {x}")
     return ok
 
 
-def _row_holds(T, a_plus, a_minus, b: float, x, x_neg) -> bool:
+def _row_holds(T, a_plus, a_minus, b: float, cols, x, x_neg) -> bool:
     """Whether |max(0, terms) - b| <= EPS, the verdict of ``row_value``, on
     the bound kernel ``T`` of ``tnorms._evaluator``.
 
@@ -360,11 +381,16 @@ def _row_holds(T, a_plus, a_minus, b: float, x, x_neg) -> bool:
     row nor overshoot it and is skipped; a term with cap - b > EPS is
     always evaluated, since it may overshoot; a term in between matters
     only until some term has reached b - EPS.  With no reaching term the
-    row holds only if b <= EPS (the empty max is 0).
+    row holds only if b <= EPS (the empty max is 0).  Only the terms of the
+    columns ``cols`` with a and y at least fl(b - 2·EPS) are listed: every
+    other term must have cap - b < -EPS.
     """
     eps, neg_eps = EPS, -EPS
+    reach = b - 2 * eps
     reached = b <= eps
-    for a, y in chain(zip(a_plus, x), zip(a_minus, x_neg)):
+    for a, y in ([(a_plus[j], x[j]) for j in cols if a_plus[j] >= reach and x[j] >= reach]
+                 + [(a_minus[j], x_neg[j]) for j in cols
+                    if a_minus[j] >= reach and x_neg[j] >= reach]):
         d = (a if a < y else y) - b
         if d < neg_eps or (reached and d <= eps):
             continue

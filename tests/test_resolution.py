@@ -10,8 +10,8 @@ from bfre import (
 from bfre.errors import InconsistentReduction
 from bfre.oracle import planted_feasible_instance, random_feasible_instance, random_instance
 from bfre.resolution import (
-    admissible_upper_bound, cell_grids, restrict, row_value, satisfies_by_tables,
-    tables_to_json,
+    _build_tables, _is_feasible_point, admissible_upper_bound, cell_grids, restrict, row_value,
+    satisfies_by_tables, tables_to_json,
 )
 from bfre.tnorms import DomainError, solve_u
 from bfre.tolerance import EPS
@@ -407,19 +407,19 @@ class TestRestrictSharing:
 
         built, checked = [], []
 
-        def tracked_build(p):
-            tb = build_tables(p)
+        def tracked_build(p, reached):
+            tb = _build_tables(p, reached)
             built.append((tb, table_bits(tb)))
             return tb
 
-        def tracked_check(p, x, tables=None):
+        def tracked_check(p, x, reached, tables):
             tb, before = built[-1]
             assert tables is tb and table_bits(tables) == before
             checked.append(tables)
-            return is_feasible_point(p, x, tables=tables)
+            return _is_feasible_point(p, x, reached, tables)
 
-        monkeypatch.setattr(optimize, "build_tables", tracked_build)
-        monkeypatch.setattr(optimize, "is_feasible_point", tracked_check)
+        monkeypatch.setattr(optimize, "_build_tables", tracked_build)
+        monkeypatch.setattr(optimize, "_is_feasible_point", tracked_check)
         mode = Mode.OPTIMALITY_PRESERVING if mode == "optimality" else Mode.FEASIBILITY_PRESERVING
         rng = random.Random(f"sharing:{mode.value}")
         families = [("yager", 2.0), ("product", None), ("lukasiewicz", None), ("hamacher", 1.0)]
@@ -639,6 +639,95 @@ class TestSkipRuleEquivalence:
             b = math.nextafter(b, 1.0)
         p = make_instance([[0.05]], [[0.0]], [b], family="yager", param=30.0)
         assert not is_feasible_point(p, [0.7]) and not _full_verdict(p, [0.7])
+
+    @pytest.mark.parametrize("family,param", [
+        ("yager", 2.0), ("product", None), ("lukasiewicz", None), ("hamacher", 1.0)])
+    def test_matches_full_evaluation_at_32x32(self, family, param):
+        # the benchmark's shape: most of a row's terms lie below b - EPS
+        rng = random.Random(f"skip_rule_32:{family}:{param}")
+        seen = {True: 0, False: 0}
+        for _ in range(2):
+            p, planted = planted_feasible_instance(rng, family, param, m=32, n=32)
+            sol = solve(p)
+            assert sol.optimal
+            for x in self._points(rng, p, [planted, sol.x]):
+                verdict = is_feasible_point(p, x)
+                assert verdict == _full_verdict(p, x), (p, x)
+                seen[verdict] += 1
+        assert seen[True] >= 40 and seen[False] >= 40, seen
+
+
+def _knife_edges():
+    """(b, a) pairs on which the two reach tests disagree: 'direct' where
+    only fl(a - b) >= -EPS holds, with b in (EPS, 2·EPS]; 'tables' where
+    only a >= fl(b - EPS) does."""
+    rng = random.Random("knife_edge")
+    found = {}
+    while len(found) < 2:
+        b = EPS + rng.random() * EPS
+        a = math.nextafter(b - EPS, 0.0)
+        if EPS < b and a - b >= -EPS and not a >= b - EPS:
+            found.setdefault("direct", (b, a))
+        b = rng.random()
+        a = b - EPS
+        if a >= b - EPS and not a - b >= -EPS:
+            found.setdefault("tables", (b, a))
+    return found
+
+
+class TestOneRowScan:
+    """solve scans each row's coefficients once; resolution and the direct
+    check both read that scan."""
+
+    @pytest.mark.parametrize("mode", ["optimality", "feasibility"])
+    def test_solve_scans_once(self, monkeypatch, mode):
+        import bfre.optimize as optimize
+        import bfre.resolution as resolution
+        from bfre import Mode
+
+        scan, calls = resolution._reached_columns, []
+
+        def counted(p):
+            calls.append(p)
+            return scan(p)
+
+        monkeypatch.setattr(resolution, "_reached_columns", counted)
+        monkeypatch.setattr(optimize, "_reached_columns", counted)
+        mode = Mode.OPTIMALITY_PRESERVING if mode == "optimality" else Mode.FEASIBILITY_PRESERVING
+        rng = random.Random(f"one_scan:{mode.value}")
+        statuses = set()
+        for k in range(12):
+            size = dict(m=rng.randint(1, 6), n=rng.randint(1, 6))
+            gen = random_instance if k % 2 else random_feasible_instance
+            p = gen(rng, "product", **size)
+            calls.clear()
+            statuses.add(solve(p, mode).status)
+            assert calls == [p]
+        assert len(statuses) == 2
+
+    @pytest.mark.parametrize("edge", ["direct", "tables"])
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("family,param", [
+        ("product", None), ("lukasiewicz", None), ("yager", 2.0)])
+    def test_knife_edge_of_the_two_reach_tests(self, edge, side, family, param):
+        # a term one test keeps and the other drops: the scan must keep it
+        # for both, and each stage decide it by its own test
+        b, a = _knife_edges()[edge]
+        row, zero = [a, 0.0], [0.0, 0.0]
+        a_plus, a_minus = (row, zero) if side == "plus" else (zero, row)
+        p = make_instance([a_plus], [a_minus], [b], family=family, param=param)
+        at_a = 1.0 if side == "plus" else 0.0     # T(a, 1) = a for every t-norm
+        rng = random.Random(f"knife_edge:{edge}:{side}:{family}")
+        for x in TestSkipRuleEquivalence._points(rng, p, [[at_a, 0.5]]):
+            assert is_feasible_point(p, x) == _full_verdict(p, x), (p, x)
+        if edge == "direct":
+            assert _full_verdict(p, [at_a, 0.5])
+        tb = build_tables(p)
+        cells, col, s_prime = TestBuildTablesReference.full_grid(p)
+        assert [bits(c) for c in tb.col_interval] == [bits(c) for c in col]
+        assert [[bits(c) for c in r] for r in tb.s_prime] == [[bits(c) for c in r] for r in s_prime]
+        if edge == "tables":
+            assert tb.row_support == [[0]]
 
 
 class TestBuildTablesReference:
