@@ -22,10 +22,9 @@ original bounds, so they are frozen, never recomputed.
 Each row's coefficients are scanned once per ``solve``: ``_reached_columns``
 keeps, ascending, the columns where a+ or a- is at least fl(b - 2·EPS);
 ``build_tables`` resolves only those cells and ``is_feasible_point``
-evaluates only those terms, each stage with its own exact test.  The two
-tests, a >= fl(b - EPS) and fl(a - b) >= -EPS, disagree near b = EPS, so
-the scan's bound lies below both: each implies a >= b - EPS - 2**-54, above
-fl(b - 2·EPS) for every EPS >= EPS_MIN.  ``row_value`` stays the full
+evaluates only those terms, each deciding a kept one by the reach test of
+``tolerance``.  The scan is a cheap superset: the reach test implies
+a >= b - EPS - 2**-54 > fl(b - 2·EPS).  ``row_value`` stays the full
 evaluation of a row.
 """
 
@@ -42,6 +41,7 @@ from .tolerance import EPS
 
 _EMPTY = SetForm.empty()
 _UNIT = piece(0.0, 1.0)
+_NEG_EPS = -EPS
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ def _resolve_cell(u, a_plus: float, a_minus: float, b: float) -> tuple:
     """``bipolar_cell`` for arguments in [0, 1] and the bound kernel ``u``
     of ``tnorms._solver``, as plain tuples.  A one-sided relaxation set is
     left as its raw bounds, which ``sets.fold`` constructs."""
-    plus_ge = a_plus >= b - EPS
-    minus_ge = a_minus >= b - EPS
+    plus_ge = a_plus - b >= _NEG_EPS
+    minus_ge = a_minus - b >= _NEG_EPS
     if not plus_ge and not minus_ge:
         return _EMPTY, _UNIT
     if b > EPS:
@@ -184,12 +184,11 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
     """Resolve an instance into its column intervals and restricted cells.
 
     Only the cells in the scan of ``_reached_columns`` are resolved, as
-    plain tuples.  Every other cell, and every kept one that fails
-    ``_resolve_cell``'s own test a >= fl(b - EPS), has an empty solution set
-    and a [0, 1] relaxation set, which changes no interval.  Each column
-    keeps its cells' relaxation sets and, in parallel lists, the rows and
-    non-empty solution sets, all in ascending row order, and folds the
-    relaxation sets into its interval (lo, hi).
+    plain tuples.  Every other cell has an empty solution set and a [0, 1]
+    relaxation set, which changes no interval.  Each column keeps its
+    cells' relaxation sets and, in parallel lists, the rows and non-empty
+    solution sets, all in ascending row order, and folds the relaxation
+    sets into its interval (lo, hi).
     The t-norm's kernel is bound once and the cells are resolved unchecked:
     ``ProblemInstance`` has already held every entry to [0, 1].
 
@@ -358,10 +357,7 @@ def _is_feasible_point(p: ProblemInstance, x, reached: list, tables) -> bool:
     """``is_feasible_point`` over the row scan ``reached`` of ``_reached_columns``."""
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
-    for j, v in enumerate(x):
-        if not -EPS <= v <= 1.0 + EPS:     # NaN fails it too
-            raise DomainError(f"x[{j}]={v!r} outside [0, 1]")
-    x = [min(1.0, max(0.0, v)) for v in x]
+    x = [_check_unit(f"x[{j}]", v) for j, v in enumerate(x)]
     x_neg = [1.0 - v for v in x]
     T = _evaluator(p.tnorm)
     ok = all(_row_holds(T, p.a_plus[i], p.a_minus[i], p.b[i], cols, x, x_neg)
@@ -380,10 +376,10 @@ def _row_holds(T, a_plus, a_minus, b: float, cols, x, x_neg) -> bool:
     monotone in v.  So a term with cap - b < -EPS can neither reach the
     row nor overshoot it and is skipped; a term with cap - b > EPS is
     always evaluated, since it may overshoot; a term in between matters
-    only until some term has reached b - EPS.  With no reaching term the
-    row holds only if b <= EPS (the empty max is 0).  Only the terms of the
-    columns ``cols`` with a and y at least fl(b - 2·EPS) are listed: every
-    other term must have cap - b < -EPS.
+    only until some term has reached b within EPS.  With no reaching term
+    the row holds only if b <= EPS (the empty max is 0).  Only the terms of
+    the columns ``cols`` with a and y at least fl(b - 2·EPS) are listed:
+    every other term must have cap - b < -EPS.
     """
     eps, neg_eps = EPS, -EPS
     reach = b - 2 * eps

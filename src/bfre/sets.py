@@ -34,7 +34,7 @@ more pieces goes through it piece by piece:
 
 Every tolerance test is a difference against EPS (``v - hi <= EPS``, never
 ``v <= hi + EPS``), so a value one rule holds within EPS of a bound is held
-there by every rule.
+there by every rule; ``tolerance`` states the reach rule the same way.
 
 The rules are not associative, so a fold must keep its order:
 (0, 1) ∩ [.5, .5 + .5ε] ∩ [.5 + .8ε, 1] is the point .5, while a plain

@@ -331,7 +331,7 @@ def pseudo_inverse(t: TNorm, z: float) -> float:
 
 def _solver(t: TNorm):
     """The unchecked kernel of ``solve_u`` for ``t``: a function u(a, b) for
-    a, b already in [0, 1] with a >= b - EPS.
+    a, b already in [0, 1] with a reaching b, fl(a - b) >= -EPS.
 
     Family, parameter and kind are resolved once, here, so callers that
     solve many cells of one instance bind the kernel once and pay only for
@@ -356,7 +356,8 @@ def _solver(t: TNorm):
 
 
 def solve_u(t: TNorm, a: float, b: float) -> float:
-    """The solution value u of evaluate(a, x) == b for a >= b.
+    """The solution value u of evaluate(a, x) == b for a that reaches b
+    within EPS, fl(a - b) >= -EPS.
 
     Cases: a == b gives 1; b == 0 gives 0 for strict families and the
     endpoint of the zero set for nilpotent ones; otherwise the closed form
@@ -366,6 +367,6 @@ def solve_u(t: TNorm, a: float, b: float) -> float:
     """
     a = _check_unit("a", a)
     b = _check_unit("b", b)
-    if a < b - EPS:
+    if a - b < -EPS:
         raise PreconditionViolated(f"a={a!r} < b={b!r}")
     return _solver(t)(a, b)

@@ -2,11 +2,13 @@
 
 Every branch decision of the form a >= b, every set-identity test and every
 endpoint snap in this package compares against the single tolerance ``EPS``
-below.  It can be overridden globally with the BFRE_EPS environment variable,
-read once at import; only finite values in [EPS_MIN, EPS_MAX] are accepted.
-Any other value makes the import raise ``EpsRefused``, a ``ValueError`` to
-library code that ends a program it escapes with one ``error:`` line and
-exit code 1.
+below.  A term with coefficient a reaches a right-hand side b when
+fl(a - b) >= -EPS: cell resolution, ``solve_u`` and the direct check of a
+point all decide reach by this one test.  EPS can be overridden globally
+with the BFRE_EPS environment variable, read once at import; only finite
+values in [EPS_MIN, EPS_MAX] are accepted.  Any other value makes the
+import raise ``EpsRefused``, a ``ValueError`` to library code that ends a
+program it escapes with one ``error:`` line and exit code 1.
 """
 
 import math

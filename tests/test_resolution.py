@@ -4,8 +4,8 @@ import random
 import pytest
 
 from bfre import (
-    FeasibilityStatus, ProblemInstance, SetForm, bipolar_cell, build_tables,
-    check_feasibility, is_feasible_point, solve, validate,
+    FeasibilityStatus, InfeasibleReason, PreconditionViolated, ProblemInstance, SetForm, Status,
+    bipolar_cell, build_tables, check_feasibility, is_feasible_point, solve, validate,
 )
 from bfre.errors import InconsistentReduction
 from bfre.oracle import planted_feasible_instance, random_feasible_instance, random_instance
@@ -658,9 +658,9 @@ class TestSkipRuleEquivalence:
 
 
 def _knife_edges():
-    """(b, a) pairs on which the two reach tests disagree: 'direct' where
-    only fl(a - b) >= -EPS holds, with b in (EPS, 2·EPS]; 'tables' where
-    only a >= fl(b - EPS) does."""
+    """(b, a) pairs on which the reach test fl(a - b) >= -EPS and the
+    spelling a >= fl(b - EPS) disagree: 'direct' where only the reach test
+    holds, with b in (EPS, 2·EPS]; 'tables' where only the spelling does."""
     rng = random.Random("knife_edge")
     found = {}
     while len(found) < 2:
@@ -673,6 +673,18 @@ def _knife_edges():
         if a >= b - EPS and not a - b >= -EPS:
             found.setdefault("tables", (b, a))
     return found
+
+
+_KNIFE_FAMILIES = [("product", None), ("lukasiewicz", None), ("yager", 2.0)]
+
+
+def _edge_instance(b, a, side, family, param):
+    """A 1x2 row whose one term with coefficient a sits on side ``side``,
+    and the point where that term is T(a, 1) = a for every t-norm."""
+    row, zero = [a, 0.0], [0.0, 0.0]
+    a_plus, a_minus = (row, zero) if side == "plus" else (zero, row)
+    p = make_instance([a_plus], [a_minus], [b], family=family, param=param)
+    return p, [1.0 if side == "plus" else 0.0, 0.5]
 
 
 class TestOneRowScan:
@@ -707,27 +719,76 @@ class TestOneRowScan:
 
     @pytest.mark.parametrize("edge", ["direct", "tables"])
     @pytest.mark.parametrize("side", ["plus", "minus"])
-    @pytest.mark.parametrize("family,param", [
-        ("product", None), ("lukasiewicz", None), ("yager", 2.0)])
+    @pytest.mark.parametrize("family,param", _KNIFE_FAMILIES)
     def test_knife_edge_of_the_two_reach_tests(self, edge, side, family, param):
-        # a term one test keeps and the other drops: the scan must keep it
-        # for both, and each stage decide it by its own test
+        # a term the two spellings decide apart: the scan keeps it, and the
+        # tables and the direct check decide it by the one reach test
         b, a = _knife_edges()[edge]
-        row, zero = [a, 0.0], [0.0, 0.0]
-        a_plus, a_minus = (row, zero) if side == "plus" else (zero, row)
-        p = make_instance([a_plus], [a_minus], [b], family=family, param=param)
-        at_a = 1.0 if side == "plus" else 0.0     # T(a, 1) = a for every t-norm
+        p, at_a = _edge_instance(b, a, side, family, param)
         rng = random.Random(f"knife_edge:{edge}:{side}:{family}")
-        for x in TestSkipRuleEquivalence._points(rng, p, [[at_a, 0.5]]):
+        for x in TestSkipRuleEquivalence._points(rng, p, [at_a]):
             assert is_feasible_point(p, x) == _full_verdict(p, x), (p, x)
-        if edge == "direct":
-            assert _full_verdict(p, [at_a, 0.5])
+        assert _full_verdict(p, at_a) == (edge == "direct")
         tb = build_tables(p)
         cells, col, s_prime = TestBuildTablesReference.full_grid(p)
         assert [bits(c) for c in tb.col_interval] == [bits(c) for c in col]
         assert [[bits(c) for c in r] for r in tb.s_prime] == [[bits(c) for c in r] for r in s_prime]
-        if edge == "tables":
-            assert tb.row_support == [[0]]
+        assert tb.row_support == ([[0]] if edge == "direct" else [[]])
+
+
+class TestOneReachTest:
+    """Cell resolution, solve_u and the direct check decide whether a term
+    reaches b by the one test fl(a - b) >= -EPS."""
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("family,param", _KNIFE_FAMILIES)
+    def test_direct_edge_solves(self, side, family, param):
+        # a = nextafter(fl(b - EPS), 0) reaches b: T(a, 1) is within EPS of b
+        b = 1.420571580830845e-09
+        a = math.nextafter(b - EPS, 0.0)
+        assert a - b >= -EPS and not a >= b - EPS
+        p, at_a = _edge_instance(b, a, side, family, param)
+        sol = solve(p)
+        assert sol.status is Status.OPTIMAL, sol
+        assert sol.x == [at_a[0], 0.0]
+        assert is_feasible_point(p, sol.x)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("family,param", _KNIFE_FAMILIES)
+    def test_tables_edge_is_infeasible(self, side, family, param):
+        # a = fl(b - EPS) with fl(a - b) < -EPS does not reach b: the row has
+        # no usable cell, and the direct check rejects the point T(a, 1) = a
+        b, a = _knife_edges()["tables"]
+        p, at_a = _edge_instance(b, a, side, family, param)
+        sol = solve(p)
+        assert (sol.status, sol.reason, sol.witness) == \
+            (Status.INFEASIBLE, InfeasibleReason.UNSATISFIABLE_ROW, 0)
+        assert not is_feasible_point(p, at_a, tables=build_tables(p))
+
+    @pytest.mark.parametrize("family,param", _KNIFE_FAMILIES)
+    def test_every_stage_decides_reach_alike(self, family, param):
+        t = validate(family, param)
+        rng = random.Random(f"one_reach:{family}")
+        seen = set()
+        for k in range(600):
+            b = rng.uniform(EPS, 1.0) if k % 2 else EPS + EPS * (1.0 - rng.random())
+            a = b - EPS
+            for _ in range(rng.randint(0, 4)):
+                a = math.nextafter(a, rng.choice((0.0, 1.0)))
+            reaches = a - b >= -EPS
+            cell, _ = bipolar_cell(t, a, 0.0, b)
+            try:
+                solve_u(t, a, b)
+                solved = True
+            except PreconditionViolated:
+                solved = False
+            p = make_instance([[a]], [[0.0]], [b], family=family, param=param)
+            # T(a, 1) = a; the tables' cross-check raises on a disagreement
+            direct = is_feasible_point(p, [1.0], tables=build_tables(p))
+            assert bool(cell) == solved == reaches == direct, (a, b)
+            seen.add((reaches, a >= b - EPS))
+        # both outcomes, and both cases where the spelling a >= fl(b - EPS) errs
+        assert seen == {(True, True), (False, False), (True, False), (False, True)}, seen
 
 
 class TestBuildTablesReference:
