@@ -315,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="find a global optimum")
     sp.add_argument("path", help="problem JSON file")
-    sp.add_argument("--trace", action="store_true", help="print the search trace")
+    sp.add_argument("--trace", action="store_true",
+                    help="print the search trace; it holds every node in memory, "
+                         "so it is meant for small searches")
     sp.add_argument("--tables", action="store_true", help="print the resolution tables")
     sp.add_argument("--no-simplify", action="store_true",
                     help="feasibility-preserving presolve only; search all "

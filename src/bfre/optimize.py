@@ -18,8 +18,9 @@ Tolerance-snapped intersection is not associative, so every caller uses this
 one order, and one step routine, ``_admissible_steps``, over a row's
 (column, cell) list and the bitmask of the row's picked columns.  A row with
 no picked column steps to its own list, with no lookup and no intersection;
-in modified mode the forced reuse comes from ``_forced`` alone.  A search
-binds every row's list and support bitmask once.
+in modified mode the forced reuse comes from ``_forced``, or in the search
+from a column whose cells are all equal (below).  A search binds every row's
+list and support bitmask once.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -31,18 +32,20 @@ Node state is lazy.  In modified mode a row whose forced reuse returns its
 column's running intersection itself is a pass-through row: its child would
 share the node's state and cost, so the node walks down consecutive
 pass-through rows in place, in one loop over ``_forced``, with a new uid and
-depth per row and its run of picks extended once.  Any other child is priced
-from its parent's point as a plain (cost, column, uid, running intersection)
-tuple, and the live set holds these tuples with their parent, so a node
-object is built only for the child dived into, a popped entry, the incumbent
-and a trace event.  A node's running intersections, mask and point are built
-only when it is expanded, becomes the incumbent or is written to a trace
-event.  A child whose pick returns the parent's running intersection itself
-shares the parent's intersection list, mask and point list; any other child
-shares the parent's point list when the pick leaves that coordinate
-unchanged.  So a built list or point is never mutated, and a node's picks
-are read up the parent chain.  A lone viable child is dived into without
-ordering or live-set traffic.
+depth per row and its run of picks extended once.  A column whose cells are
+all equal keeps its cell as its running intersection, so a row whose lowest
+picked column is such a column passes through on one bit test, without
+``_forced``.  Any other child is priced from its parent's point as a plain
+(cost, column, uid, running intersection) tuple, and the live set holds
+these tuples with their parent, so a node object is built only for the child
+dived into, a popped entry, the incumbent and a trace event.  A node's
+running intersections, mask and point are built only when it is expanded,
+becomes the incumbent or is written to a trace event.  A child whose pick
+returns the parent's running intersection itself shares the parent's
+intersection list, mask and point list; any other child shares the parent's
+point list when the pick leaves that coordinate unchanged.  So a built list
+or point is never mutated, and a node's picks are read up the parent chain.
+A lone viable child is dived into without ordering or live-set traffic.
 """
 
 from __future__ import annotations
@@ -219,12 +222,15 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     Node state is lazy (see the module docstring).  In modified mode the
     node walks consecutive pass-through rows in place: per row one node
     created and one expanded, with its own uid and trace events, but nothing
-    built, priced or pushed.  Other children are priced as (z, j, uid, s)
-    tuples, the live set holds (z, -depth, uid, parent, j, s), and without
-    ``record`` a child already priced out by the incumbent is only counted.
-    A lone viable child is dived into directly: no ordering, no live-set
-    traffic.  Without the reuse rule a row whose one step leaves its column
-    as it was gets such a lone child: the same counters and events.
+    built, priced or pushed; a row whose lowest picked column is in the
+    bitmask ``uniform`` of columns with all cells equal takes that column's
+    running intersection as its step, with no intersection.  Other children
+    are priced as (z, j, uid, s) tuples, the live set holds
+    (z, -depth, uid, parent, j, s), and without ``record`` a child already
+    priced out by the incumbent is only counted.  A lone viable child is
+    dived into directly: no ordering, no live-set traffic.  Without the
+    reuse rule a row whose one step leaves its column as it was gets such a
+    lone child: the same counters and events.
     """
     tables = reduced.tables
     costs = reduced.costs
@@ -237,6 +243,8 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
 
     rows = [_step_row(tables, i) for i in range(m)]
     masks = _masks(tables.row_support, range(m), m)
+    uniform = sum(1 << j for j, sup in enumerate(tables.col_support)
+                  if len({tables.s_prime[i][j] for i in sup}) == 1) if modified else 0
 
     created = expanded = candidates = prunes = updates = jumps = max_live = 0
     incumbent: _Node | None = None
@@ -258,13 +266,16 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         # still counts one node created and expanded, with its own uid.
         i, run, steps = node.depth, [], None
         while modified and (hit := mask & masks[i]):
-            step = _forced(inter, hit, rows[i])
-            if step is None:
+            if (low := hit & -hit) & uniform:
+                j = low.bit_length() - 1
+                s = inter[j]
+            elif (step := _forced(inter, hit, rows[i])) is None:
                 steps = _unpicked_steps(hit, rows[i])
                 break
-            j, s = step
+            else:
+                j, s = step
             if s is not inter[j] or i + 1 == m:
-                steps = [step]
+                steps = [(j, s)]
                 break
             run.append(j)
             i += 1

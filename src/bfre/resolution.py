@@ -357,7 +357,9 @@ def _is_feasible_point(p: ProblemInstance, x, reached: list, tables) -> bool:
     """``is_feasible_point`` over the row scan ``reached`` of ``_reached_columns``."""
     if len(x) != p.n:
         raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
-    x = [_check_unit(f"x[{j}]", v) for j, v in enumerate(x)]
+    # the guard inline, so a name is formatted only for a coordinate it refuses
+    x = [min(1.0, max(0.0, v)) if -EPS <= v <= 1 + EPS else _check_unit(f"x[{j}]", v)
+         for j, v in enumerate(x)]
     x_neg = [1.0 - v for v in x]
     T = _evaluator(p.tnorm)
     ok = all(_row_holds(T, p.a_plus[i], p.a_minus[i], p.b[i], cols, x, x_neg)

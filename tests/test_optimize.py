@@ -795,3 +795,109 @@ class TestRecordParity:
                     (loud.x, loud.picks, loud.objective), (k, modified)
                 assert vars(quiet.stats) == vars(loud.stats), (k, modified)
                 assert quiet.events == []
+
+
+def _uniform_tables(cells, n):
+    """Tables over n columns from ``cells``, one {column: cell} dict per row;
+    every column interval is [0, 1]."""
+    grid = [[row.get(j, SetForm.empty()) for j in range(n)] for row in cells]
+    row_support = [sorted(row) for row in cells]
+    col_support = [[i for i, row in enumerate(cells) if j in row] for j in range(n)]
+    m = len(cells)
+    return ResolutionTables([SetForm.interval(0, 1)] * n, grid, row_support, col_support,
+                            list(range(m)), list(range(n)), [0.5] * m)
+
+
+class TestUniformColumns:
+    """A column whose cells over its rows are all equal keeps its cell as
+    its running intersection, so the modified search steps it without
+    ``_forced``.  Each search must still match the sorted reference."""
+
+    @staticmethod
+    def _lowest_uniform():
+        # row 2 after picks (0, 1): column 0 is uniform, column 1 is not
+        point, iv = SetForm.point(0.5), SetForm.interval
+        return _uniform_tables([{0: point, 1: iv(0.2, 0.8)}, {1: iv(0.3, 0.9)},
+                                {0: point, 1: iv(0.4, 1.0)}, {1: iv(0.5, 1.0)}], 2)
+
+    @staticmethod
+    def _lowest_not_uniform():
+        # row 2 after picks (0, 1): column 0 is not uniform and survives
+        # ([0.2, 0.8] ∩ [0.3, 0.9]), column 1 is uniform above it
+        point, iv = SetForm.point(0.5), SetForm.interval
+        return _uniform_tables([{0: iv(0.2, 0.8), 1: point}, {1: point},
+                                {0: iv(0.3, 0.9), 1: point}], 2)
+
+    @staticmethod
+    def _equal_distinct_cells():
+        # column 0's cells are equal sets but distinct objects
+        iv = SetForm.interval
+        tb = _uniform_tables([{0: iv(0.2, 0.7), 1: iv(0.1, 0.4)}, {1: iv(0.2, 0.5)},
+                              {0: iv(0.2, 0.7), 1: iv(0.3, 0.6)}, {0: iv(0.2, 0.7)}], 2)
+        cells = [tb.s_prime[i][0] for i in (0, 2, 3)]
+        assert all(c == cells[0] and c is not cells[0] for c in cells[1:])
+        return tb
+
+    @staticmethod
+    def _none_uniform():
+        iv = SetForm.interval
+        return _uniform_tables([{0: iv(0.2, 0.8), 1: iv(0.1, 0.6)},
+                                {0: iv(0.3, 0.9), 1: iv(0.2, 0.7)}], 2)
+
+    @staticmethod
+    def _count_forced(monkeypatch):
+        calls = []
+        forced = optimize._forced
+
+        def spy(*args):
+            calls.append(args)
+            return forced(*args)
+
+        monkeypatch.setattr(optimize, "_forced", spy)
+        return calls
+
+    @pytest.mark.parametrize("costs", [[1.0, 1.0], [0.1, 1.0], [1.0, 0.1]])
+    @pytest.mark.parametrize("build", ["_lowest_uniform", "_lowest_not_uniform",
+                                       "_equal_distinct_cells", "_none_uniform"])
+    def test_matches_sorted_reference(self, build, costs):
+        problem = ReducedProblem(getattr(self, build)(), costs, {}, 2)
+        for modified in (True, False):
+            res = branch_and_bound(problem, modified=modified, record=True)
+            x, picks, z, stats, events = _reference_branch_and_bound(problem, modified)
+            assert res.found
+            assert (res.x, res.picks, res.objective) == (x, picks, z), modified
+            assert vars(res.stats) == stats, modified
+            assert res.events == events, modified
+
+    def test_lowest_picked_column_is_forced(self):
+        # the reuse rule forces the smallest surviving picked column, 0,
+        # whose intersection moves x0 to 0.3, not the uniform column 1
+        problem = ReducedProblem(self._lowest_not_uniform(), [1.0, 1.0], {}, 2)
+        res = branch_and_bound(problem, record=True)
+        expanded = [ev.picks for ev in res.events if ev.action == "expand"]
+        assert (0, 1) in expanded
+        assert (0, 1, 1) not in [ev.picks for ev in res.events]
+        assert any(ev.picks == (0, 1, 0) and ev.x == (0.3, 0.5) for ev in res.events)
+
+    @pytest.mark.parametrize("build", ["_lowest_uniform", "_equal_distinct_cells"])
+    def test_uniform_lowest_column_skips_forced(self, build, monkeypatch):
+        # column 0 is uniform in both tables, and row 2 reuses it after (0, 1)
+        calls = self._count_forced(monkeypatch)
+        res = branch_and_bound(ReducedProblem(getattr(self, build)(), [0.1, 1.0], {}, 2),
+                               record=True)
+        assert (0, 1, 0) in [ev.picks for ev in res.events if ev.action == "expand"]
+        assert all(not hit & 1 for _, hit, _ in calls), calls
+
+    def test_planted_covers_never_call_forced(self, monkeypatch):
+        calls = self._count_forced(monkeypatch)
+        created = 0
+        for problem, _ in _planted_covers():
+            created += branch_and_bound(problem, modified=True).stats.nodes_created
+        assert created >= 5_000
+        assert calls == []
+
+    def test_tables_without_uniform_columns_call_forced(self, monkeypatch):
+        calls = self._count_forced(monkeypatch)
+        res = branch_and_bound(ReducedProblem(self._none_uniform(), [1.0, 1.0], {}, 2))
+        assert res.found
+        assert calls
