@@ -11,7 +11,14 @@ class CapExceeded(RuntimeError):
 
 
 class InconsistentReduction(RuntimeError):
-    """A simplification fixed a variable outside its column interval.
+    """A result failed one of the solver's own consistency checks: a
+    simplification fixed a variable outside its column interval, the lifted
+    optimum failed the final direct check against the original equations,
+    or the resolution tables disagreed with a direct evaluation.
 
-    This signals a bug in the reduction machinery, never a user error.
+    It can come from a bug in the reduction machinery, but valid input at
+    the edges of the small-parameter domains raises it too: on a 1x5
+    yager(0.01) instance the tables admit a point that the direct check
+    refuses, and the table cross-check raises.  The CLI reports it as one
+    error line with exit code 1.
     """

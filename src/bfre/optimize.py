@@ -4,23 +4,27 @@ A complete assignment of one column to every row (each pick drawn from the
 row's support, all chosen-column cell intersections non-empty) carves a
 compact box out of the feasible region; the coordinatewise minimum of that
 box is the candidate solution, and the global optimum is the cheapest
-candidate.  The search builds assignments row by row.  In modified mode a
-row that can reuse an already-picked column must reuse the smallest such
-column, which prunes equal-cost duplicates without losing any optimum (valid
-only after two-point cells have been eliminated).
+candidate.  Two searches build assignments row by row: the branch-and-bound
+for the optimum and the depth-first walk that lists every box.  In modified
+mode a row that can reuse an already-picked column must reuse the smallest
+such column, which prunes equal-cost duplicates without losing any optimum
+(valid only after two-point cells have been eliminated).
 
-Admissibility is incremental: each node holds the running intersection of
-every picked column, taken in pick order (ascending rows, the order the
-oracle uses), as a list indexed by column with None for an unpicked
-column, and the bitmask of its picked columns.  A row's
-domain is the columns whose running intersection survives that row's cell.
-Tolerance-snapped intersection is not associative, so every caller uses this
-one order, and one step routine, ``_admissible_steps``, over a row's
-(column, cell) list and the bitmask of the row's picked columns.  A row with
-no picked column steps to its own list, with no lookup and no intersection;
-in modified mode the forced reuse comes from ``_forced``, or in the search
-from a column whose cells are all equal (below).  A search binds every row's
-list and support bitmask once.
+Admissibility is incremental: a search state holds the running intersection
+of every picked column, taken in pick order (ascending rows, the order the
+oracle uses), as a list indexed by column with None for an unpicked column,
+and the bitmask of its picked columns.  A row's domain is the columns whose
+running intersection survives that row's cell.  Tolerance-snapped
+intersection is not associative, so both searches use this one order, one
+step routine, ``_admissible_steps``, over a row's (column, cell) list and
+the bitmask of the row's picked columns, and one child rule, ``_pick``: a
+pick that returns its column's running intersection itself keeps the
+parent's list and mask, any other pick copies the list.  So a built list is
+never mutated.  ``_bind_rows`` gives a search every row's list and support
+bitmask once.  A row with no picked column steps to its own list, with no
+lookup and no intersection; in modified mode the forced reuse comes from
+``_forced``, or in the branch-and-bound from a column whose cells are all
+equal (below).
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -28,24 +32,20 @@ ends (complete, pruned, or dead), jump to the cheapest node anywhere in the
 live set, a heap keyed (z, -depth, uid).  Cost never decreases along a
 branch, so pruning against the incumbent is exact.
 
-Node state is lazy.  In modified mode a row whose forced reuse returns its
-column's running intersection itself is a pass-through row: its child would
-share the node's state and cost, so the node walks down consecutive
-pass-through rows in place, in one loop over ``_forced``, with a new uid and
-depth per row and its run of picks extended once.  A column whose cells are
-all equal keeps its cell as its running intersection, so a row whose lowest
-picked column is such a column passes through on one bit test, without
-``_forced``.  Any other child is priced from its parent's point as a plain
-(cost, column, uid, running intersection) tuple, and the live set holds
-these tuples with their parent, so a node object is built only for the child
-dived into, a popped entry, the incumbent and a trace event.  A node's
-running intersections, mask and point are built only when it is expanded,
-becomes the incumbent or is written to a trace event.  A child whose pick
-returns the parent's running intersection itself shares the parent's
-intersection list, mask and point list; any other child shares the parent's
-point list when the pick leaves that coordinate unchanged.  So a built list
-or point is never mutated, and a node's picks are read up the parent chain.
-A lone viable child is dived into without ordering or live-set traffic.
+A node is built with its state: ``_pick``'s list and mask, and a point that
+is its parent's list itself when the pick leaves that coordinate unchanged.
+Its picks are read up the parent chain.  A child is priced from its
+parent's point straight into a live-set entry (z, -depth, uid, parent,
+column, running intersection), so a node is built only for the child dived
+into, a popped entry, the incumbent and a trace event.  A lone viable child
+is dived into without ordering or live-set traffic.  In modified mode a row
+whose forced reuse returns its column's running intersection itself is a
+pass-through row: its child would share the node's state and cost, so the
+node walks down consecutive pass-through rows in place, in one loop, with a
+new uid and depth per row and its run of picks extended once.  A column
+whose cells are all equal keeps its cell as its running intersection, so a
+row whose lowest picked column is such a column passes through on one bit
+test, without ``_forced``.
 """
 
 from __future__ import annotations
@@ -62,18 +62,17 @@ from .resolution import (
     admissible_upper_bound, build_tables, check_feasibility,
 )
 from .sets import SetForm
-from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
+from .simplify import Mode, ReducedProblem, ReductionLedger, simplify
 from .tolerance import EPS
 
 
 # -- assignment-function primitives ------------------------------------------
 
-def _step_row(tables: ResolutionTables, i) -> list:
-    """Row i's [(j, cell)] over its support, ascending: what
-    ``_admissible_steps`` walks.  A search binds every row's list once,
-    with the row's support bitmask."""
-    cells = tables.s_prime[i]
-    return [(j, cells[j]) for j in tables.row_support[i]]
+def _bind_rows(tables: ResolutionTables) -> tuple:
+    """Every row's [(j, cell)] over its support, ascending (what
+    ``_admissible_steps`` walks), and every row's support bitmask."""
+    rows = [[(j, cells[j]) for j in sup] for cells, sup in zip(tables.s_prime, tables.row_support)]
+    return rows, [sum(1 << j for j in sup) for sup in tables.row_support]
 
 
 def _forced(inter: list, hit, row):
@@ -113,19 +112,26 @@ def _admissible_steps(inter: list, hit, row, modified) -> list:
     return steps
 
 
+def _pick(inter: list, mask, j, s) -> tuple:
+    """The running intersections and picked-column bitmask once column j's
+    running intersection is ``s``: ``inter`` and ``mask`` themselves when
+    ``s is inter[j]``, else a copy of ``inter`` with ``s`` at j."""
+    if inter[j] is s:
+        return inter, mask
+    inter = inter.copy()
+    inter[j] = s
+    return inter, mask | 1 << j
+
+
 # -- branch-and-bound ----------------------------------------------------------
 
 class _Node:
-    """A search node.  A child is born as (parent, column, running
-    intersection, cost); its state (``inter``, a list of running
-    intersections by column with None for an unpicked column, ``mask``, the
-    bitmask of its picked columns, and the point ``x``) is built by
-    ``materialize`` only when the search expands it, makes it the incumbent
-    or writes it to a trace event.  A child whose pick leaves the parent's
-    running intersection in place (``parent.inter[j] is s``) takes the
-    parent's ``inter`` and ``x`` objects themselves; any other child takes
-    the parent's ``x`` whenever the pick leaves that coordinate unchanged.
-    So a built ``inter`` or ``x`` is never mutated.
+    """A search node: its pick ``j`` with running intersection ``s``, its
+    cost ``z`` and depth, and its state, built from its parent's with it:
+    ``inter`` and ``mask`` by ``_pick``, and the point ``x``, which is the
+    parent's list itself when the pick leaves ``x[j]`` unchanged.  So a
+    built ``inter`` or ``x`` is never mutated.  The root, the one node
+    without a parent, gets its state from the search.
 
     ``run`` holds the columns of the pass-through rows the node has moved
     down in place since its own pick ``j``; ``picks`` reads both."""
@@ -135,21 +141,13 @@ class _Node:
     def __init__(self, uid, parent, j, s, z, depth):
         self.uid, self.parent, self.j, self.s, self.z, self.depth = uid, parent, j, s, z, depth
         self.run = ()
-        self.inter = self.x = None
-
-    def materialize(self) -> "_Node":
-        if self.inter is None:
-            parent, j, s = self.parent, self.j, self.s
-            inter, mask, x = parent.inter, parent.mask, parent.x
-            if inter[j] is not s:
-                inter = inter.copy()
-                inter[j] = s
-                mask |= 1 << j
-                if s[0] != x[j]:
-                    x = x.copy()
-                    x[j] = s[0]
-            self.inter, self.mask, self.x = inter, mask, x
-        return self
+        if parent is not None:
+            self.inter, self.mask = _pick(parent.inter, parent.mask, j, s)
+            x = parent.x
+            if s[0] != x[j]:
+                x = x.copy()
+                x[j] = s[0]
+            self.x = x
 
     def picks(self) -> tuple:
         parts = []
@@ -160,7 +158,6 @@ class _Node:
         return tuple(j for part in reversed(parts) for j in part)
 
     def event(self, action) -> "TraceEvent":
-        self.materialize()
         return TraceEvent(self.uid, self.picks(), tuple(self.x), self.z, action)
 
 
@@ -218,19 +215,21 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     intersections, taken in pick order.  ``modified=False`` searches all
     admissible assignments (needed when two-point cells may still be present).
 
-    Every row's step list and support bitmask are bound once per search.
-    Node state is lazy (see the module docstring).  In modified mode the
-    node walks consecutive pass-through rows in place: per row one node
-    created and one expanded, with its own uid and trace events, but nothing
-    built, priced or pushed; a row whose lowest picked column is in the
-    bitmask ``uniform`` of columns with all cells equal takes that column's
-    running intersection as its step, with no intersection.  Other children
-    are priced as (z, j, uid, s) tuples, the live set holds
-    (z, -depth, uid, parent, j, s), and without ``record`` a child already
-    priced out by the incumbent is only counted.  A lone viable child is
-    dived into directly: no ordering, no live-set traffic.  Without the
-    reuse rule a row whose one step leaves its column as it was gets such a
-    lone child: the same counters and events.
+    Every row's step list and support bitmask are bound once per search,
+    and a node is built with its state (see the module docstring).  In
+    modified mode the node walks consecutive pass-through rows in place: per
+    row one node created and one expanded, with its own uid and trace
+    events, but nothing built, priced or pushed; a row whose lowest picked
+    column is in the bitmask ``uniform`` of columns with all cells equal
+    takes that column's running intersection as its step, with no
+    intersection.  Other children are priced as live-set entries
+    (z, -depth, uid, parent, j, s); siblings share a depth and their uids
+    rise with their columns, so the cheapest entry is the cheapest child,
+    ties to the lowest column.  Without ``record`` a child already priced
+    out by the incumbent is only counted.  A lone viable child is dived
+    into directly: no ordering, no live-set traffic.  Without the reuse
+    rule a row whose one step leaves its column as it was gets such a lone
+    child: the same counters and events.
     """
     tables = reduced.tables
     costs = reduced.costs
@@ -241,8 +240,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     if m == 0:
         return BnbResult(base_x, (), base_z, SearchStats(candidates_evaluated=1), events)
 
-    rows = [_step_row(tables, i) for i in range(m)]
-    masks = _masks(tables.row_support, range(m), m)
+    rows, masks = _bind_rows(tables)
     uniform = sum(1 << j for j, sup in enumerate(tables.col_support)
                   if len({tables.s_prime[i][j] for i in sup}) == 1) if modified else 0
 
@@ -254,8 +252,6 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     node.inter, node.mask, node.x = [None] * n, 0, base_x
 
     while node is not None:
-        if node.inter is None:
-            node.materialize()
         if node.uid:
             expanded += 1
             if record:
@@ -303,9 +299,9 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                 if record:
                     events.append(_Node(uid, node, j, s, z, depth).event("prune"))
             elif depth < m:
-                children.append((z, j, uid, s))
+                children.append((z, -depth, uid, node, j, s))
             else:
-                incumbent = _Node(uid, node, j, s, z, depth).materialize()
+                incumbent = _Node(uid, node, j, s, z, depth)
                 bar = z - EPS
                 updates += 1
                 if record:
@@ -322,15 +318,13 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                 live = keep
         created += len(steps)
         if len(children) == 1:
-            z, j, uid, s = children[0]
-            node = _Node(uid, node, j, s, z, depth)
+            node = _entry_node(children[0])
         elif children:
-            best = min(children)     # (z, j) is unique among siblings
-            for z, j, uid, s in children:
-                if uid != best[2]:
-                    heappush(live, (z, -depth, uid, node, j, s))
-            z, j, uid, s = best
-            node = _Node(uid, node, j, s, z, depth)
+            best = min(children)     # uids are unique: no tie reaches the parent
+            for entry in children:
+                if entry is not best:
+                    heappush(live, entry)
+            node = _entry_node(best)
             max_live = max(max_live, len(live))
         elif live:
             node = _entry_node(heappop(live))
@@ -410,10 +404,12 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
     """All compact boxes whose union is the feasible region.
 
     Runs the feasibility-preserving reduction, then enumerates every
-    admissible assignment of the reduced problem depth-first.  Returns a list
-    of (assignment, boxes) pairs in original indexing: the assignment maps
-    original row -> original column, the boxes list one set per original
-    variable.  Raises CapExceeded when the support-size product exceeds cap.
+    admissible assignment of the reduced problem depth-first, each row's
+    columns ascending, on an explicit stack, so a problem with many rows
+    needs no deep recursion.  Returns a list of (assignment, boxes) pairs in
+    original indexing: the assignment maps original row -> original column,
+    the boxes list one set per original variable.  Raises CapExceeded when
+    the support-size product exceeds cap.
     """
     tables = build_tables(p)
     if not check_feasibility(tables).ok:
@@ -425,35 +421,23 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
         raise CapExceeded(bound, cap)
 
     out = []
-    m = sub.m
-    rows = [_step_row(sub, i) for i in range(m)]
-    masks = _masks(sub.row_support, range(m), m)
-
-    def lift_box(inter):
-        full = [None] * p.n
-        for j, v in reduced.fixed.items():
-            full[j] = SetForm.point(v)
-        for pos, j in enumerate(sub.col_ids):
-            full[j] = sub.col_interval[pos] if inter[pos] is None else inter[pos]
-        return full
-
-    def rec(prefix, inter, mask):
-        # inter: per column, the running intersection over prefix (None when
-        # unpicked); with the column intervals it is the prefix's feasible box
+    rows, masks = _bind_rows(sub)
+    # An entry is a prefix of picks with its running intersections and mask;
+    # with the column intervals they make the prefix's feasible box.  A
+    # node's children are pushed in descending column order, so they pop
+    # ascending.
+    stack = [((), [None] * sub.n, 0)]
+    while stack:
+        prefix, inter, mask = stack.pop()
         i = len(prefix)
-        if i == m:
-            assignment = {sub.row_ids[r]: sub.col_ids[j] for r, j in enumerate(prefix)}
-            out.append((assignment, lift_box(inter)))
-            return
-        for j, s in _admissible_steps(inter, mask & masks[i], rows[i], False):
-            prefix.append(j)
-            if inter[j] is s:
-                rec(prefix, inter, mask)
-            else:
-                child = inter.copy()
-                child[j] = s
-                rec(prefix, child, mask | 1 << j)
-            prefix.pop()
-
-    rec([], [None] * sub.n, 0)
+        if i < sub.m:
+            for j, s in reversed(_admissible_steps(inter, mask & masks[i], rows[i], False)):
+                stack.append((prefix + (j,), *_pick(inter, mask, j, s)))
+            continue
+        box = [None] * p.n
+        for j, v in reduced.fixed.items():
+            box[j] = SetForm.point(v)
+        for pos, j in enumerate(sub.col_ids):
+            box[j] = sub.col_interval[pos] if inter[pos] is None else inter[pos]
+        out.append(({sub.row_ids[r]: sub.col_ids[j] for r, j in enumerate(prefix)}, box))
     return out

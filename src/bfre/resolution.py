@@ -50,7 +50,8 @@ class ProblemInstance:
 
     All matrix/vector entries live in [0, 1]; costs are finite and
     nonnegative (callers with negative costs must substitute variables before
-    building an instance).
+    building an instance), and so is their float sum, which bounds every
+    objective the search prices.
     """
 
     a_plus: list
@@ -81,6 +82,8 @@ class ProblemInstance:
                 raise ValueError(f"c[{j}] not finite")
             if v < 0:
                 raise ValueError(f"c[{j}] negative")
+        if not math.isfinite(sum(self.c, 0.0)):
+            raise ValueError("sum of c overflows the float range")
 
     @property
     def m(self) -> int:

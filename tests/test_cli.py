@@ -87,6 +87,12 @@ class TestProblemFiles:
         assert main(["solve", path, "--no-timing"]) == 1
         assert capsys.readouterr().err == "error: c[0] not finite\n"
 
+    def test_cost_sum_overflow_one_line_error(self, tmp_path, capsys):
+        path = write_problem(tmp_path, tiny_problem(
+            a_plus=[[0.9] * 9], a_minus=[[0.2] * 9], c=[1e308] * 9))
+        assert main(["solve", path, "--no-timing"]) == 1
+        assert capsys.readouterr().err == "error: sum of c overflows the float range\n"
+
     @pytest.mark.parametrize("tnorm,message", [
         ({"family": "yager", "param": float("inf")},
          "yager: parameter inf not allowed (finite 0.01 <= p <= 100)"),
@@ -264,6 +270,17 @@ class TestResolveCommand:
         path = write_problem(tmp_path, tiny_problem())
         assert main(["resolve", path, "--boxes", "--no-timing"]) == 0
         assert "feasible boxes: 1" in capsys.readouterr().out
+
+    def test_deep_diagonal_boxes(self, tmp_path, capsys):
+        # 1,200 rows with one column each: a 1,200-pick walk to one box.
+        # The text report, since --json would also write four 1200x1200 tables.
+        n = 1200
+        path = write_problem(tmp_path, tiny_problem(
+            tnorm={"family": "product"},
+            a_plus=[[0.9 if j == i else 0.0 for j in range(n)] for i in range(n)],
+            a_minus=[[0.0] * n] * n, b=[0.5] * n, c=[1.0] * n))
+        assert main(["resolve", path, "--boxes", "--no-timing"]) == 0
+        assert "feasible boxes: 1\n" in capsys.readouterr().out
 
     def test_infeasible_exit_two(self, tmp_path, capsys):
         path = write_problem(tmp_path, tiny_problem(a_plus=[[1.0]], a_minus=[[1.0]], b=[0.2]))

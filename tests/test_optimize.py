@@ -49,7 +49,7 @@ def _domain(prefix, i, tables, modified=False) -> list:
     prefix = prefix[:i]
     hit = sum(1 << j for j in set(prefix) & set(tables.row_support[i]))
     steps = optimize._admissible_steps(_running(prefix, tables), hit,
-                                       optimize._step_row(tables, i), modified)
+                                       optimize._bind_rows(tables)[0][i], modified)
     return [j for j, _ in steps]
 
 
@@ -357,6 +357,45 @@ class TestDecomposition:
         assert len(boxes) == 1
         assert str(boxes[0][1][0]) == "{0.6}"
 
+    def test_deep_diagonal_instance_single_box(self):
+        # 1,200 rows with one column each: the walk is 1,200 picks deep
+        n = 1200
+        p = make_instance([[0.9 if j == i else 0.0 for j in range(n)] for i in range(n)],
+                          [[0.0] * n for _ in range(n)], [0.5] * n, family="product")
+        [(assignment, box)] = enumerate_feasible_decomposition(p)
+        assert assignment == {i: i for i in range(n)}
+        assert all(s.is_point and s[0] == pytest.approx(0.5 / 0.9, abs=TOL) for s in box)
+
+    def test_walk_order_and_boxes_match_oracle(self):
+        """On a seeded corpus up to 6x6, the walk lists the oracle's
+        admissible pick vectors over the feasibility-reduced tables in
+        their order, mapped to original ids, and each picked column's box
+        minimum is the oracle's candidate value."""
+        fams = [("lukasiewicz", None), ("product", None), ("yager", 2.0),
+                ("hamacher", 1.0), ("frank", 0.5), ("dombi", 1.0)]
+        rng = random.Random(4242)
+        walks = boxes_seen = 0
+        for k in range(600):
+            fam, param = fams[k % len(fams)]
+            gen = random_feasible_instance if k % 3 else random_instance
+            p = gen(rng, fam, param, m=rng.randint(1, 6), n=rng.randint(1, 6))
+            got = enumerate_feasible_decomposition(p)
+            tables = build_tables(p)
+            if not check_feasibility(tables).ok:
+                assert got == []
+                continue
+            sub = simplify(tables, p.c, Mode.FEASIBILITY_PRESERVING)[0].tables
+            picks = enumerate_all_admissible(sub)
+            assert [a for a, _ in got] == [
+                {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(e)} for e in picks], k
+            for e, (_, box) in zip(picks, got):
+                x = _batch_candidate(sub, e)
+                for j in set(e):
+                    assert box[sub.col_ids[j]].minimum() == x[j], (k, e, j)
+            walks += 1
+            boxes_seen += len(got)
+        assert walks >= 400 and boxes_seen >= 1000, (walks, boxes_seen)
+
 
 class TestIncrementalVsBatchAdmissibility:
     def test_complete_vectors_agree(self):
@@ -662,7 +701,7 @@ class TestSharedNodeState:
     """A row whose one step is a forced reuse that leaves its column's
     running intersection as it was moves the node down in place, and any
     other child whose pick leaves it as it was shares its parent's ``inter``
-    dict and point list.  So no built dict or point may be mutated: checked
+    list and point list.  So no built list or point may be mutated: checked
     after each search over the planted covers and the seeded oracle corpus."""
 
     @staticmethod
@@ -672,14 +711,14 @@ class TestSharedNodeState:
 
     def test_unchanged_reuse_shares_parent_objects(self, monkeypatch):
         built = []
-        materialize = optimize._Node.materialize
+        init = optimize._Node.__init__
 
-        def spy(node):
-            if node.inter is None:
+        def spy(node, *args):
+            init(node, *args)
+            if node.parent is not None:
                 built.append(node)
-            return materialize(node)
 
-        monkeypatch.setattr(optimize._Node, "materialize", spy)
+        monkeypatch.setattr(optimize._Node, "__init__", spy)
         shared = copied = 0
         for problem in self._problems():
             tables = problem.tables
@@ -704,14 +743,14 @@ class TestSharedNodeState:
 
     def test_mask_is_the_picked_columns(self, monkeypatch):
         built = []
-        materialize = optimize._Node.materialize
+        init = optimize._Node.__init__
 
-        def spy(node):
-            if node.inter is None:
+        def spy(node, *args):
+            init(node, *args)
+            if node.parent is not None:
                 built.append(node)
-            return materialize(node)
 
-        monkeypatch.setattr(optimize._Node, "materialize", spy)
+        monkeypatch.setattr(optimize._Node, "__init__", spy)
         checked = 0
         for problem in self._problems():
             for modified in (True, False):

@@ -262,6 +262,12 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match=r"c\[1\] not finite"):
             make_instance([[0.5, 0.5]], [[0.5, 0.5]], [0.5], c=[1.0, cost])
 
+    def test_cost_sum_overflows(self):
+        # each cost is finite, but every objective would overflow to inf
+        with pytest.raises(ValueError, match="sum of c overflows"):
+            make_instance([[0.5] * 9], [[0.5] * 9], [0.5], c=[1e308] * 9)
+        make_instance([[0.5] * 9], [[0.5] * 9], [0.5], c=[1.99e307] * 9)
+
     def test_ragged_matrix(self):
         with pytest.raises(ValueError):
             make_instance([[0.5, 0.5], [0.5]], [[0.5, 0.5], [0.5, 0.5]], [0.5, 0.5])
