@@ -153,7 +153,10 @@ def cmd_solve(args, out=None) -> int:
     sol = solve(p, mode=mode, record=args.trace)
     dt = time.perf_counter() - t0
     if args.json:
-        print(json.dumps(_solution_json(sol), indent=2), file=out)
+        doc = _solution_json(sol)
+        if args.tables:
+            doc["tables"] = tables_to_json(p, build_tables(p))
+        print(json.dumps(doc, indent=2), file=out)
     else:
         print(f"status: {sol.status.value}", file=out)
         if sol.optimal:

@@ -22,9 +22,11 @@ pick that returns its column's running intersection itself keeps the
 parent's list and mask, any other pick copies the list.  So a built list is
 never mutated.  ``_bind_rows`` gives a search every row's list and support
 bitmask once.  A row with no picked column steps to its own list, with no
-lookup and no intersection; in modified mode the forced reuse comes from
-``_forced``, or in the branch-and-bound from a column whose cells are all
-equal (below).
+lookup and no intersection.  The reuse rule lives in the branch-and-bound's
+walk (below), which takes every modified-mode row with a picked column: the
+forced reuse comes from ``_forced``, or from a column whose cells are all
+equal, and a row whose picked columns all die in its cell steps to its
+unpicked columns, ``_unpicked_steps``.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -93,17 +95,15 @@ def _unpicked_steps(hit, row) -> list:
     return [(j, cell) for j, cell in row if not hit >> j & 1]
 
 
-def _admissible_steps(inter: list, hit, row, modified) -> list:
+def _admissible_steps(inter: list, hit, row) -> list:
     """[(j, inter[j] ∩ cell)] for the (j, cell) pairs of a step row whose
     running intersection survives the cell (an unpicked column's is the
     cell).  ``hit`` is the bitmask of the row's picked columns; with none,
-    the row itself is returned.  In modified mode a surviving picked column
-    is forced: only ``_forced``'s step is returned."""
+    the row itself is returned.  The reuse rule is not applied here: in
+    modified mode the branch-and-bound's walk handles every row with a
+    picked column."""
     if not hit:
         return row
-    if modified:
-        step = _forced(inter, hit, row)
-        return _unpicked_steps(hit, row) if step is None else [step]
     steps = []
     for j, cell in row:
         s = inter[j].intersect(cell) if hit >> j & 1 else cell
@@ -285,7 +285,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
             node.uid, node.depth = created, i
             node.run += tuple(run)
         if steps is None:
-            steps = _admissible_steps(inter, mask & masks[i], rows[i], modified)
+            steps = _admissible_steps(inter, mask & masks[i], rows[i])
         depth = i + 1
         if depth == m:
             candidates += len(steps)
@@ -431,7 +431,7 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
         prefix, inter, mask = stack.pop()
         i = len(prefix)
         if i < sub.m:
-            for j, s in reversed(_admissible_steps(inter, mask & masks[i], rows[i], False)):
+            for j, s in reversed(_admissible_steps(inter, mask & masks[i], rows[i])):
                 stack.append((prefix + (j,), *_pick(inter, mask, j, s)))
             continue
         box = [None] * p.n

@@ -104,9 +104,13 @@ def bipolar_cell(t: TNorm, a_plus: float, a_minus: float, b: float):
     [0, 1] once, with ``solve_u``'s error texts, before the cell is
     resolved on the unchecked kernel of ``t``.
     """
-    cell, relax = _resolve_cell(_solver(t), _check_unit("a", a_plus),
-                                _check_unit("a", a_minus), _check_unit("b", b))
-    return SetForm(cell), SetForm.interval(*relax) if relax else SetForm.empty()
+    return _cell_sets(*_resolve_cell(_solver(t), _check_unit("a", a_plus),
+                                     _check_unit("a", a_minus), _check_unit("b", b)))
+
+
+def _cell_sets(cell, relax) -> tuple:
+    """``_resolve_cell``'s plain tuples as (solution, relaxation) sets."""
+    return SetForm(cell), SetForm.interval(*relax) if relax else _EMPTY
 
 
 def _resolve_cell(u, a_plus: float, a_minus: float, b: float) -> tuple:
@@ -415,9 +419,11 @@ def admissible_upper_bound(tables: ResolutionTables) -> int:
 
 def cell_grids(p: ProblemInstance, tables: ResolutionTables) -> tuple:
     """(solution, relaxation) grids of ``tables``' rows and columns,
-    resolved again from the instance; an unreachable cell comes back as
-    (∅, [0, 1])."""
-    cells = [[bipolar_cell(p.tnorm, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
+    resolved again from the instance, cell by cell as ``bipolar_cell``
+    does, on a kernel bound once (the instance holds every entry in
+    [0, 1]); an unreachable cell comes back as (∅, [0, 1])."""
+    u = _solver(p.tnorm)
+    cells = [[_cell_sets(*_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i]))
               for j in tables.col_ids] for i in tables.row_ids]
     return ([[s for s, _ in row] for row in cells],
             [[r for _, r in row] for row in cells])

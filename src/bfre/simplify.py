@@ -10,9 +10,9 @@ promises to retain at least one global optimum.
 
 The reducer makes a single pass over the techniques in a fixed order, one
 slot per technique.  Every technique is a rule with one contract: given the
-current tables, it applies each action as soon as it finds it, so the next
-one is found on the rows and columns the earlier ones leave, and returns the
-list of actions its slot applied, empty when nothing applies.  Singleton
+live view of the tables, it applies each action to the view as soon as it
+finds it, so the next one is found on the rows and columns the earlier ones
+leave, and the view's ledger is the one record of what it applied.  Singleton
 columns and forced assignments chain until exhausted.  The dominance
 techniques make a single ascending pass against a shrinking list of
 survivors: whether one row (or column) dominates another depends only on
@@ -202,9 +202,9 @@ class _LiveTables:
                 self.zeros += 1
         self.ledger = ReductionLedger(initial_bound=0 if self.zeros else self.product)
 
-    def apply(self, rule: Rule, rows, cols=(), fixed=None, detail="") -> Action:
-        """Apply one action, given in live positions, and record its ledger
-        step; returns the action in original ids.
+    def apply(self, rule: Rule, rows, cols=(), fixed=None, detail="") -> None:
+        """Apply one action, given in live positions, and record it, in
+        original ids, as its ledger step.
 
         Every position given must be live, and given once.  Each fixed
         value is checked against its column interval first.  The rows are
@@ -243,42 +243,32 @@ class _LiveTables:
                         tuple([row_ids[i] for i in rows]), tuple([col_ids[j] for j in cols]),
                         detail)
         self.ledger.steps.append(LedgerStep(action, before, 0 if zeros else product))
-        return action
-
-
-def _live(tables) -> _LiveTables:
-    """``tables`` when it is the reducer's live view; a fresh live view of a
-    plain ``ResolutionTables``, which is then never mutated."""
-    return tables if isinstance(tables, _LiveTables) else _LiveTables(tables)
 
 
 # -- individual techniques ---------------------------------------------------
 #
-# Each takes tables, either a ``ResolutionTables`` or the reducer's live view
-# of one, and the costs aligned with their positions, and returns the actions
-# its slot applies, in order and in original indices, or an empty list when
-# nothing applies.  A rule applies each action to the live view as soon as it
-# finds it, so the next one is found on the rows and columns it leaves; a
-# plain ``ResolutionTables`` gets a live view of its own.  A rule scans only
-# the live positions, ``rows`` and ``cols``, ascending, and scans a copy of
-# them where it applies actions as it goes.  Only the dominated column rule
-# reads the costs.
+# Each takes the reducer's live view and the costs aligned with its
+# positions, and returns nothing.  A rule applies each action to the view as
+# soon as it finds it, so the next one is found on the rows and columns it
+# leaves, and the view's ledger records it; a slot where nothing applies adds
+# no step.  A rule scans only the live positions, ``rows`` and ``cols``,
+# ascending, and scans a copy of them where it applies actions as it goes.
+# Only the dominated column rule reads the costs.
 
-def rule_zero_rhs(tables: ResolutionTables, costs=None) -> list:
+def rule_zero_rhs(t: _LiveTables, costs=None) -> None:
     """Rows whose right-hand side is zero are redundant; one action drops
     them all."""
-    t = _live(tables)
     rows = [i for i in t.rows if t.rhs[i] <= EPS]
-    return [t.apply(Rule.ZERO_RHS_ROW, rows)] if rows else []
+    if rows:
+        t.apply(Rule.ZERO_RHS_ROW, rows)
 
 
-def _fix(rule, t: _LiveTables, j, k) -> Action:
+def _fix(rule, t: _LiveTables, j, k) -> None:
     """Fix column j at k and drop the live rows whose cell holds k."""
-    return t.apply(rule, [i for i in t.col_support[j] if t.s_prime[i][j].contains(k)],
-                   (j,), {j: k})
+    t.apply(rule, [i for i in t.col_support[j] if t.s_prime[i][j].contains(k)], (j,), {j: k})
 
 
-def rule_singleton_column(tables: ResolutionTables, costs=None) -> list:
+def rule_singleton_column(t: _LiveTables, costs=None) -> None:
     """Columns whose interval is a single value: fix each, drop the rows
     that value satisfies.
 
@@ -286,10 +276,9 @@ def rule_singleton_column(tables: ResolutionTables, costs=None) -> list:
     in ascending order; only the rows each one drops depend on the earlier
     actions.
     """
-    t = _live(tables)
     col_interval = t.col_interval
-    return [_fix(Rule.SINGLETON_COLUMN, t, j, col_interval[j].minimum())
-            for j in [j for j in t.cols if col_interval[j].is_point]]
+    for j in [j for j in t.cols if col_interval[j].is_point]:
+        _fix(Rule.SINGLETON_COLUMN, t, j, col_interval[j].minimum())
 
 
 def _masks(supports, live, size) -> list:
@@ -304,7 +293,7 @@ def _masks(supports, live, size) -> list:
     return masks
 
 
-def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
+def rule_dominated_row(t: _LiveTables, costs=None) -> None:
     """Rows made redundant by another surviving row, in a single ascending
     pass; one single-row action per removed row.
 
@@ -317,10 +306,8 @@ def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
     the fixed point of repeated single removals in ascending order.
     Dropping rows leaves every row support, and so every bitmask, as it is.
     """
-    t = _live(tables)
     s_prime, row_support, live = t.s_prime, t.row_support, t.rows
     masks = _masks(row_support, live, t.m)
-    out = []
     for i0 in list(live):
         m0, cells0 = masks[i0], s_prime[i0]
         for i in live:
@@ -332,48 +319,43 @@ def rule_dominated_row(tables: ResolutionTables, costs=None) -> list:
                 continue
             if i0 < i and mi == m0 and all(cells0[j].issubset(cells[j]) for j in row_support[i0]):
                 continue
-            out.append(t.apply(Rule.DOMINATED_ROW, (i0,)))
+            t.apply(Rule.DOMINATED_ROW, (i0,))
             break
-    return out
 
 
-def rule_forced_assignment(tables: ResolutionTables, costs=None) -> list:
+def rule_forced_assignment(t: _LiveTables, costs=None) -> None:
     """Rows supported by a single column whose restricted cell is a single
     value: fix the column, drop every row that value satisfies.
 
     The ascending scan of the live rows restarts after every action, since
     a dropped column can leave an earlier row with a single column.
     """
-    t = _live(tables)
     s_prime, row_support, live = t.s_prime, t.row_support, t.rows
-    out = []
     k = 0
     while k < len(live):
         i = live[k]
         if len(row_support[i]) == 1 and (cell := s_prime[i][row_support[i][0]]).is_point:
-            out.append(_fix(Rule.FORCED_ASSIGNMENT, t, row_support[i][0], cell.minimum()))
+            _fix(Rule.FORCED_ASSIGNMENT, t, row_support[i][0], cell.minimum())
             k = 0
         else:
             k += 1
-    return out
 
 
-def rule_two_point_row(tables: ResolutionTables, costs=None) -> list:
+def rule_two_point_row(t: _LiveTables, costs=None) -> None:
     """Rows holding a two-point restricted cell never constrain candidate
     minima; one action drops them all."""
-    t = _live(tables)
     rows = [i for i in t.rows if any(t.s_prime[i][j].is_pair for j in t.row_support[i])]
-    return [t.apply(Rule.TWO_POINT_ROW, rows)] if rows else []
+    if rows:
+        t.apply(Rule.TWO_POINT_ROW, rows)
 
 
-def rule_lower_bound_column(tables: ResolutionTables, costs=None) -> list:
+def rule_lower_bound_column(t: _LiveTables, costs=None) -> None:
     """Columns whose lower bound satisfies every supporting row: fix at the
     lower bound and drop those rows.
 
     Matches are collected against the entry state; a row shared by several
     matching columns is dropped once, under the first.
     """
-    t = _live(tables)
     fixed, rows = {}, {}
     for j in t.cols:
         sup = t.col_support[j]
@@ -383,21 +365,22 @@ def rule_lower_bound_column(tables: ResolutionTables, costs=None) -> list:
         if all(t.s_prime[i][j].contains(lj) for i in sup):
             fixed[j] = lj
             rows.update(dict.fromkeys(sup))
-    return [t.apply(Rule.LOWER_BOUND_COLUMN, list(rows), list(fixed), fixed)] if fixed else []
+    if fixed:
+        t.apply(Rule.LOWER_BOUND_COLUMN, list(rows), list(fixed), fixed)
 
 
-def rule_free_column(tables: ResolutionTables, costs=None) -> list:
+def rule_free_column(t: _LiveTables, costs=None) -> None:
     """Columns no surviving row can use: fix at the lower bound.
 
     Columns with an empty interval are left alone; they belong to the
     feasibility check, not to the reducer.
     """
-    t = _live(tables)
     fixed = {j: t.lower_bound(j) for j in t.cols if not t.col_support[j] and t.col_interval[j]}
-    return [t.apply(Rule.FREE_COLUMN, (), list(fixed), fixed)] if fixed else []
+    if fixed:
+        t.apply(Rule.FREE_COLUMN, (), list(fixed), fixed)
 
 
-def rule_dominated_column(tables: ResolutionTables, costs) -> list:
+def rule_dominated_column(t: _LiveTables, costs) -> None:
     """Column-vs-column elimination (requires two-point rows already gone).
 
     Variant (a): if every row that can use column j1 can also use column j2,
@@ -413,7 +396,6 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
     a single ascending pass over the surviving columns, each matched one
     leaving the candidates for j2, drains every match into one step.
     """
-    t = _live(tables)
     col_support, cols = t.col_support, t.cols
     masks = _masks(col_support, cols, t.n)
     inter = {j: t.intersect_cells(j, col_support[j]) for j in cols}
@@ -450,9 +432,8 @@ def rule_dominated_column(tables: ResolutionTables, costs) -> list:
             fixed[j1] = t.lower_bound(j1)
             parts.append(f"{kind}:x{t.col_ids[j1] + 1}<-x{t.col_ids[j2] + 1}")
             break
-    if not fixed:
-        return []
-    return [t.apply(Rule.DOMINATED_COLUMN, (), list(fixed), fixed, ";".join(parts))]
+    if fixed:
+        t.apply(Rule.DOMINATED_COLUMN, (), list(fixed), fixed, ";".join(parts))
 
 
 # -- driver -------------------------------------------------------------------

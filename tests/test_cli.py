@@ -200,6 +200,17 @@ class TestSolveCommand:
         assert doc["presolve"]["bound_sequence"] == [5184, 864, 288, 144, 72, 36, 8]
         assert doc["search"]["nodes_created"] == 6
 
+    def test_json_tables_block(self, capsys):
+        assert main(["solve", example_path(), "--tables", "--json", "--no-timing"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["tables"]["column_interval"][9] == "{0.6}"
+        assert doc["presolve"]["bound_sequence"] == [5184, 864, 288, 144, 72, 36, 8]
+        # the block ``resolve --json`` writes, and only with --tables
+        assert main(["resolve", example_path(), "--json", "--no-timing"]) == 0
+        assert doc["tables"] == json.loads(capsys.readouterr().out)["tables"]
+        assert main(["solve", example_path(), "--json", "--no-timing"]) == 0
+        assert "tables" not in json.loads(capsys.readouterr().out)
+
     def test_json_search_counters(self, capsys):
         assert main(["solve", example_path(), "--json", "--trace", "--no-timing"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -45,11 +45,16 @@ def _running(prefix, tables) -> list:
 
 
 def _domain(prefix, i, tables, modified=False) -> list:
-    """Row i's columns after ``prefix[:i]``, by the search's own step routine."""
+    """Row i's columns after ``prefix[:i]``, by the search's own step
+    routines: with ``modified`` and a picked column, the walk's reuse rule."""
     prefix = prefix[:i]
     hit = sum(1 << j for j in set(prefix) & set(tables.row_support[i]))
-    steps = optimize._admissible_steps(_running(prefix, tables), hit,
-                                       optimize._bind_rows(tables)[0][i], modified)
+    inter, row = _running(prefix, tables), optimize._bind_rows(tables)[0][i]
+    if modified and hit:
+        step = optimize._forced(inter, hit, row)
+        steps = optimize._unpicked_steps(hit, row) if step is None else [step]
+    else:
+        steps = optimize._admissible_steps(inter, hit, row)
     return [j for j, _ in steps]
 
 

@@ -1082,3 +1082,31 @@ class TestExports:
         for key in ("relaxation", "solution", "restricted"):
             assert doc[key] == [[full[key][i][j] for j in cols] for i in rows], key
         assert doc["solution"][2] == ["∅", "{0,0.8}"]
+
+    def test_cell_grids_match_bipolar_cell(self):
+        # grid values, b = 0 rows and a+ = a- = 1 cells, whose relaxation
+        # [1 - b, b] is crossed (empty) for b < 0.5
+        rng = random.Random("cell_grids")
+        zero_rows = crossed = 0
+        for k in range(160):
+            family, param = _ALL_FAMILIES[k % len(_ALL_FAMILIES)]
+            m, n = rng.randint(1, 6), rng.randint(1, 6)
+            a_plus = [[rng.choice((1.0, rng.randint(0, 20) / 20)) for _ in range(n)]
+                      for _ in range(m)]
+            a_minus = [[1.0 if a == 1.0 and rng.random() < 0.5 else rng.randint(0, 20) / 20
+                        for a in row] for row in a_plus]
+            b = [rng.choice((0.0, rng.randint(0, 20) / 20)) for _ in range(m)]
+            p = ProblemInstance(a_plus, a_minus, b, [1.0] * n, validate(family, param))
+            tb = build_tables(p)
+            if k % 2:
+                tb = restrict(tb, sorted(rng.sample(range(m), rng.randint(1, m))),
+                              sorted(rng.sample(range(n), rng.randint(1, n))))
+            solution, relaxation = cell_grids(p, tb)
+            for r, i in enumerate(tb.row_ids):
+                zero_rows += b[i] == 0.0
+                for c, j in enumerate(tb.col_ids):
+                    want = bipolar_cell(p.tnorm, a_plus[i][j], a_minus[i][j], b[i])
+                    assert (bits(solution[r][c]), bits(relaxation[r][c])) == \
+                        tuple(bits(s) for s in want), (k, i, j)
+                    crossed += b[i] > EPS and not want[1]
+        assert zero_rows >= 100 and crossed >= 100, (zero_rows, crossed)

@@ -13,9 +13,9 @@ from bfre.oracle import (
 from bfre.resolution import admissible_upper_bound, restrict, satisfies_by_tables
 from bfre.sets import SetForm
 from bfre.simplify import (
-    _SLOTS, Action, LedgerStep, ReducedProblem, ReductionLedger, Rule, rule_dominated_column,
-    rule_dominated_row, rule_forced_assignment, rule_free_column, rule_lower_bound_column,
-    rule_singleton_column, rule_two_point_row, rule_zero_rhs,
+    _SLOTS, Action, LedgerStep, ReducedProblem, ReductionLedger, Rule, _LiveTables,
+    rule_dominated_column, rule_dominated_row, rule_forced_assignment, rule_free_column,
+    rule_lower_bound_column, rule_singleton_column, rule_two_point_row, rule_zero_rhs,
 )
 from bfre.resolution import ProblemInstance, ResolutionTables
 
@@ -23,6 +23,14 @@ from conftest import make_instance
 from test_resolution import table_bits
 
 TOL = 1e-9
+
+
+def applied(rule, tables, costs=None) -> list:
+    """The actions ``rule`` applies to a fresh live view of ``tables``, in
+    order and in original ids, as the view's ledger records them."""
+    view = _LiveTables(tables)
+    rule(view, costs)
+    return [s.action for s in view.ledger.steps]
 
 
 def dropped(actions):
@@ -41,29 +49,29 @@ def state(example_tables, rows, cols):
 
 class TestZeroRhs:
     def test_example_has_none(self, example_tables):
-        assert rule_zero_rhs(example_tables) == []
+        assert applied(rule_zero_rhs, example_tables) == []
 
     def test_single_zero(self):
         p = make_instance([[0.5], [0.5]], [[0.5], [0.5]], [0.0, 0.5])
-        act, = rule_zero_rhs(build_tables(p))
+        act, = applied(rule_zero_rhs, build_tables(p))
         assert act.rows == (0,)
 
     def test_all_zero(self):
         p = make_instance([[0.5], [0.5]], [[0.5], [0.5]], [0.0, 0.0])
-        act, = rule_zero_rhs(build_tables(p))
+        act, = applied(rule_zero_rhs, build_tables(p))
         assert act.rows == (0, 1)
 
 
 class TestSingletonColumn:
     def test_example_fixes_last_column(self, example_tables):
-        act = rule_singleton_column(example_tables)[0]
+        act = applied(rule_singleton_column, example_tables)[0]
         assert act.rule is Rule.SINGLETON_COLUMN
         assert act.fixed == {9: pytest.approx(0.6, abs=TOL)}
         assert act.cols == (9,) and act.rows == (6, 8)
 
     def test_no_singleton_no_action(self, example_tables):
         sub = state(example_tables, rows=range(1, 11), cols=range(1, 10))
-        assert rule_singleton_column(sub) == []
+        assert applied(rule_singleton_column, sub) == []
 
     def test_unsupported_singleton_removes_only_column(self):
         # synthetic: the column interval is a point no cell can witness
@@ -73,113 +81,113 @@ class TestSingletonColumn:
             row_support=[[1]], col_support=[[], [0]],
             row_ids=[0], col_ids=[0, 1], rhs=[0.5],
         )
-        act, = rule_singleton_column(tables)
+        act, = applied(rule_singleton_column, tables)
         assert act.fixed == {0: 0.0} and act.cols == (0,) and act.rows == ()
 
 
 class TestDominatedRow:
     def test_example_first_removal_is_row_three(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 3, 4, 5, 6, 8, 10], cols=range(1, 10))
-        removed = dropped(rule_dominated_row(sub))
+        removed = dropped(applied(rule_dominated_row, sub))
         assert removed[0] == 2
         assert removed == [2, 5]  # row 6 is covered by row 8 as well
 
     def test_identical_rows_keep_lower_index(self):
         p = make_instance([[0.9, 0.2], [0.9, 0.2]], [[0.1, 0.1], [0.1, 0.1]], [0.5, 0.5])
-        assert dropped(rule_dominated_row(build_tables(p))) == [1]
+        assert dropped(applied(rule_dominated_row, build_tables(p))) == [1]
 
     def test_disjoint_supports_untouched(self):
         p = make_instance([[0.9, 0.0], [0.0, 0.9]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
-        assert rule_dominated_row(build_tables(p)) == []
+        assert applied(rule_dominated_row, build_tables(p)) == []
 
 
 class TestForcedAssignment:
     def test_example_row_eight(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 4, 5, 6, 8], cols=range(1, 10))
-        act = rule_forced_assignment(sub)[0]
+        act = applied(rule_forced_assignment, sub)[0]
         assert act.fixed == {8: pytest.approx(0.8, abs=TOL)}
         assert act.cols == (8,) and act.rows == (5, 7)
 
     def test_two_point_cell_not_forced(self):
         p = make_instance([[0.9]], [[0.9]], [0.5])  # restricted cell is a pair
         assert build_tables(p).s_prime[0][0].is_pair
-        assert rule_forced_assignment(build_tables(p)) == []
+        assert applied(rule_forced_assignment, build_tables(p)) == []
 
     def test_wide_support_not_forced(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        assert rule_forced_assignment(sub) == []
+        assert applied(rule_forced_assignment, sub) == []
 
 
 class TestTwoPointRow:
     def test_example_row_ten(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 4, 5, 10], cols=range(1, 9))
-        act, = rule_two_point_row(sub)
+        act, = applied(rule_two_point_row, sub)
         assert act.rows == (9,)
 
     def test_none_without_pairs(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        assert rule_two_point_row(sub) == []
+        assert applied(rule_two_point_row, sub) == []
 
     def test_row_with_two_pairs_listed_once(self):
         p = make_instance([[0.9, 0.9]], [[0.9, 0.9]], [0.5])
-        act, = rule_two_point_row(build_tables(p))
+        act, = applied(rule_two_point_row, build_tables(p))
         assert act.rows == (0,)
 
 
 class TestLowerBoundColumn:
     def test_example_column_eight(self, example_tables):
         sub = state(example_tables, rows=[1, 2, 4, 5], cols=range(1, 9))
-        act, = rule_lower_bound_column(sub)
+        act, = applied(rule_lower_bound_column, sub)
         assert act.fixed == {7: pytest.approx(0.2, abs=TOL)}
         assert act.cols == (7,) and act.rows == (1,)
 
     def test_unsupported_column_left_for_free_rule(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=[6, 7])
-        assert rule_lower_bound_column(sub) == []
+        assert applied(rule_lower_bound_column, sub) == []
 
     def test_upper_bound_cells_not_matched(self, example_tables):
         # all supports meet only at upper bounds here
         sub = state(example_tables, rows=[1, 4, 5], cols=[3, 4])
-        assert rule_lower_bound_column(sub) == []
+        assert applied(rule_lower_bound_column, sub) == []
 
 
 class TestFreeColumn:
     def test_example_columns_six_seven(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 8))
-        act, = rule_free_column(sub)
+        act, = applied(rule_free_column, sub)
         assert act.fixed == {5: 0.0, 6: 0.0}
         assert act.cols == (5, 6) and act.rows == ()
 
     def test_all_supported_no_action(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        assert rule_free_column(sub) == []
+        assert applied(rule_free_column, sub) == []
 
 
 class TestDominatedColumn:
     def test_example_pair_of_fixes(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=range(1, 6))
-        act, = rule_dominated_column(sub, [1.0, 0.35, 0.93, 3.28, 5.03])
+        act, = applied(rule_dominated_column, sub, [1.0, 0.35, 0.93, 3.28, 5.03])
         assert act.fixed == {3: 0.0, 4: pytest.approx(0.3, abs=TOL)}
         assert set(act.cols) == {3, 4} and act.rows == ()
         assert "a:x5<-x1" in act.detail and "b:x4<-x3" in act.detail
 
     def test_no_nested_supports_no_action(self, example_tables):
         sub = state(example_tables, rows=[1, 4, 5], cols=[1, 2, 3])
-        assert rule_dominated_column(sub, [1.0, 0.35, 0.93]) == []
+        assert applied(rule_dominated_column, sub, [1.0, 0.35, 0.93]) == []
 
     def test_cost_inequality_gates_variant_b(self, example_tables):
         # costs balanced so neither direction passes the strict inequality
         sub = state(example_tables, rows=[1, 4, 5], cols=[3, 4])
-        assert rule_dominated_column(sub, [1.0, 0.6]) == []
+        assert applied(rule_dominated_column, sub, [1.0, 0.6]) == []
         # cheap column 4 flips the elimination onto column 3
-        act, = rule_dominated_column(sub, [0.93, 0.01])
+        act, = applied(rule_dominated_column, sub, [0.93, 0.01])
         assert act.cols == (2,) and act.fixed == {2: 0.0}
 
 
 class TestRulesOnPlainTables:
-    """A rule handed a plain ``ResolutionTables`` applies its actions to a
-    live view of its own: a second call returns the same actions, and the
-    tables come back untouched."""
+    """A rule acts only on the live view it is given: run on two fresh views
+    of the same plain tables it records the same actions, and the tables
+    under the views come back untouched."""
 
     @pytest.mark.parametrize("rule", _SLOTS, ids=lambda rule: rule.__name__)
     def test_same_actions_twice_tables_untouched(self, rule, example, example_tables):
@@ -188,8 +196,8 @@ class TestRulesOnPlainTables:
         for tables in (example_tables, sub):
             costs = [example.c[j] for j in tables.col_ids]
             before = table_bits(tables)
-            first = rule(tables, costs)
-            assert rule(tables, costs) == first
+            first = applied(rule, tables, costs)
+            assert applied(rule, tables, costs) == first
             assert table_bits(tables) == before
             found += len(first)
         assert found or rule is _SLOTS[0]
@@ -197,9 +205,9 @@ class TestRulesOnPlainTables:
 
 class TestFixedValueGuard:
     def test_fix_outside_the_column_interval_raises(self, monkeypatch, example_tables):
-        def bad_rule(tables, costs):
-            j = tables.cols[0]
-            return [tables.apply(Rule.FREE_COLUMN, (), (j,), {j: tables.upper_bound(j) + 0.5})]
+        def bad_rule(t, costs):
+            j = t.cols[0]
+            t.apply(Rule.FREE_COLUMN, (), (j,), {j: t.upper_bound(j) + 0.5})
 
         module = importlib.import_module("bfre.simplify")
         monkeypatch.setattr(module, "_SLOTS", (bad_rule,) + module._SLOTS[1:])
@@ -441,10 +449,10 @@ class TestSinglePassDominance:
                                 range(tables.n))
             for t in (tables, no_pairs):
                 want = _ref_dominated_row(t)
-                assert dropped(rule_dominated_row(t)) == want, (k, p)
+                assert dropped(applied(rule_dominated_row, t)) == want, (k, p)
                 multi_rows += len(want) > 1
                 want = _ref_dominated_column(t, p.c)
-                acts = rule_dominated_column(t, p.c)
+                acts = applied(rule_dominated_column, t, p.c)
                 got = (acts[0].cols, acts[0].fixed, acts[0].detail) if acts else None
                 assert got == want, (k, p)
                 multi_cols += want is not None and len(want[0]) > 1
@@ -533,15 +541,15 @@ def _ref_one(act):
 # single-action finder again, on the tables its last action left, until it
 # finds nothing.
 _REF_SLOTS = (
-    (Rule.ZERO_RHS_ROW, rule_zero_rhs, False),
+    (Rule.ZERO_RHS_ROW, lambda t, c: applied(rule_zero_rhs, t, c), False),
     (Rule.SINGLETON_COLUMN, lambda t, c: _ref_one(_ref_singleton_column(t)), True),
     (Rule.DOMINATED_ROW, lambda t, c: [Action(Rule.DOMINATED_ROW, {}, (i,), ())
                                        for i in _ref_single_pass_dominated_row(t)], False),
     (Rule.FORCED_ASSIGNMENT, lambda t, c: _ref_one(_ref_forced_assignment(t)), True),
-    (Rule.TWO_POINT_ROW, rule_two_point_row, False),
-    (Rule.LOWER_BOUND_COLUMN, rule_lower_bound_column, False),
-    (Rule.FREE_COLUMN, rule_free_column, False),
-    (Rule.DOMINATED_COLUMN, rule_dominated_column, False),
+    (Rule.TWO_POINT_ROW, lambda t, c: applied(rule_two_point_row, t, c), False),
+    (Rule.LOWER_BOUND_COLUMN, lambda t, c: applied(rule_lower_bound_column, t, c), False),
+    (Rule.FREE_COLUMN, lambda t, c: applied(rule_free_column, t, c), False),
+    (Rule.DOMINATED_COLUMN, lambda t, c: applied(rule_dominated_column, t, c), False),
 )
 
 
