@@ -14,7 +14,8 @@ worst objective gap and the worst row residual |row_value - b_i| of the
 optimal answers it checked.
 
 With ``--json`` standard output is one JSON document; the timing line, when
-not suppressed, goes to standard error.
+not suppressed, goes to standard error.  It times a command from after it
+reads its problem file (``verify``: from its start) up to the line itself.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import random
 import sys
 import time
@@ -91,11 +93,12 @@ def _numbers(values, name, row=None) -> list:
     return list(map(float, values))
 
 
-def _print_timing(args, seconds, out):
-    """The timing line, unless suppressed; with --json it goes to stderr so
-    that stdout stays one JSON document."""
+def _print_timing(args, t0):
+    """The timing line, the seconds since ``t0``, unless suppressed; with
+    --json it goes to stderr so that stdout stays one JSON document."""
     if not args.no_timing:
-        print(f"time: {seconds:.3f}s", file=sys.stderr if args.json else out)
+        seconds = time.perf_counter() - t0
+        print(f"time: {seconds:.3f}s", file=sys.stderr if args.json else sys.stdout)
 
 
 class _BadInput(Exception):
@@ -112,23 +115,23 @@ def _load(path) -> ProblemInstance:
         raise _BadInput(exc) from exc
 
 
-def _print_tables(p, tables, out):
+def _print_tables(p, tables):
     names = (("relaxation", "relaxation sets"), ("solution", "solution sets"),
              ("column_interval", "column intervals"), ("restricted", "restricted sets"))
     data = tables_to_json(p, tables)
     header = "      " + " ".join(f"{'x%d' % (j + 1):>10}" for j in tables.col_ids)
     for key, title in names:
-        print(f"{title}:", file=out)
-        print(header, file=out)
+        print(f"{title}:")
+        print(header)
         if key == "column_interval":
-            print("    - " + " ".join(f"{s:>10}" for s in data[key]), file=out)
+            print("    - " + " ".join(f"{s:>10}" for s in data[key]))
         else:
             for rid, row in zip(tables.row_ids, data[key]):
-                print(f"  {rid + 1:>3} " + " ".join(f"{s:>10}" for s in row), file=out)
-        print(file=out)
+                print(f"  {rid + 1:>3} " + " ".join(f"{s:>10}" for s in row))
+        print()
 
 
-def _solution_json(sol: Solution) -> dict:
+def _solution_json(sol: Solution, trace: bool) -> dict:
     out = {"status": sol.status.value}
     if sol.optimal:
         out["objective"] = sol.objective
@@ -140,61 +143,57 @@ def _solution_json(sol: Solution) -> dict:
     if sol.ledger is not None:
         out["presolve"] = sol.ledger.to_json()
     out["search"] = dataclasses.asdict(sol.stats)
-    if sol.events:
+    if trace:
         out["trace"] = sol.trace_lines()
     return out
 
 
-def cmd_solve(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_solve(args) -> int:
     p = _load(args.path)
     t0 = time.perf_counter()
     mode = Mode.FEASIBILITY_PRESERVING if args.no_simplify else Mode.OPTIMALITY_PRESERVING
     sol = solve(p, mode=mode, record=args.trace)
-    dt = time.perf_counter() - t0
+    tables = build_tables(p) if args.tables else None
     if args.json:
-        doc = _solution_json(sol)
-        if args.tables:
-            doc["tables"] = tables_to_json(p, build_tables(p))
-        print(json.dumps(doc, indent=2), file=out)
+        doc = _solution_json(sol, args.trace)
+        if tables is not None:
+            doc["tables"] = tables_to_json(p, tables)
+        print(json.dumps(doc, indent=2))
     else:
-        print(f"status: {sol.status.value}", file=out)
+        print(f"status: {sol.status.value}")
         if sol.optimal:
-            print(f"objective: {spell(sol.objective)}", file=out)
-            print("x*: (" + ", ".join(spell(v) for v in sol.x) + ")", file=out)
+            print(f"objective: {spell(sol.objective)}")
+            print("x*: (" + ", ".join(spell(v) for v in sol.x) + ")")
         else:
             where = f" (index {sol.witness + 1})" if sol.witness is not None else ""
-            print(f"reason: {sol.reason.value}{where}", file=out)
+            print(f"reason: {sol.reason.value}{where}")
         if sol.ledger is not None:
             chain = " -> ".join(str(v) for v in sol.ledger.bound_sequence())
-            print(f"presolve bound: {chain}", file=out)
+            print(f"presolve bound: {chain}")
             fixed = sol.ledger.fixed_assignments()
             if fixed:
                 print("fixed: " + ", ".join(f"x{j + 1}={spell(v)}"
-                                            for j, v in sorted(fixed.items())), file=out)
+                                            for j, v in sorted(fixed.items())))
             for line in sol.ledger.describe():
-                print("  " + line, file=out)
+                print("  " + line)
         s = sol.stats
         print(f"search: created {s.nodes_created}, expanded {s.nodes_expanded}, "
-              f"candidates {s.candidates_evaluated}", file=out)
+              f"candidates {s.candidates_evaluated}")
         if args.trace:
             for line in sol.trace_lines():
-                print(line, file=out)
-        if args.tables:
-            _print_tables(p, build_tables(p), out)
-    _print_timing(args, dt, out)
+                print(line)
+        if tables is not None:
+            _print_tables(p, tables)
+    _print_timing(args, t0)
     return 0 if sol.optimal else 2
 
 
-def cmd_resolve(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_resolve(args) -> int:
     p = _load(args.path)
     t0 = time.perf_counter()
     tables = build_tables(p)
     report = check_feasibility(tables)
-    boxes = None
-    if args.boxes:
-        boxes = enumerate_feasible_decomposition(p, cap=args.cap)
+    boxes = enumerate_feasible_decomposition(p, cap=args.cap) if args.boxes else None
     if args.json:
         doc = {"feasibility": report.status.value, "tables": tables_to_json(p, tables)}
         if report.witness is not None:
@@ -205,19 +204,18 @@ def cmd_resolve(args, out=None) -> int:
                  "box": [str(s) for s in box]}
                 for a, box in boxes
             ]
-        print(json.dumps(doc, indent=2), file=out)
+        print(json.dumps(doc, indent=2))
     else:
         print(f"feasibility: {report.status.value}"
-              + (f" (index {report.witness + 1})" if report.witness is not None else ""),
-              file=out)
+              + (f" (index {report.witness + 1})" if report.witness is not None else ""))
         if args.tables:
-            _print_tables(p, tables, out)
+            _print_tables(p, tables)
         if boxes is not None:
-            print(f"feasible boxes: {len(boxes)}", file=out)
+            print(f"feasible boxes: {len(boxes)}")
             for a, box in boxes:
                 picks = ",".join(f"{i + 1}->{j + 1}" for i, j in sorted(a.items()))
-                print("  e{" + picks + "}: " + " x ".join(str(s) for s in box), file=out)
-    _print_timing(args, time.perf_counter() - t0, out)
+                print("  e{" + picks + "}: " + " x ".join(str(s) for s in box))
+    _print_timing(args, t0)
     return 0 if report.ok else 2
 
 
@@ -225,14 +223,14 @@ def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
     """Solver vs brute force on one instance, and vs the planted point's cost
     when one is given.
 
-    Returns (mismatch strings, |solver - oracle| objective gap or None, the
-    solver's largest row residual |row_value - b_i| or None); the two
-    numbers are None unless the answer is OPTIMAL.
+    Returns (mismatch strings, |solver - oracle| objective gap, the solver's
+    largest row residual |row_value - b_i|); the two numbers are 0.0 unless
+    the answer is OPTIMAL.
     """
     sol = solve(p)
     rep = brute_force_optimum(build_tables(p), p.c, cap=cap)
     mismatches = []
-    gap = residual = None
+    gap = residual = 0.0
     if sol.optimal:
         residual = max((abs(row_value(p, i, sol.x) - b) for i, b in enumerate(p.b)),
                        default=0.0)
@@ -253,8 +251,21 @@ def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
     return mismatches, gap, residual
 
 
-def cmd_verify(args, out=None) -> int:
-    out = out or sys.stdout
+def _cases(args):
+    """(label, instance, planted point or None) for each instance ``verify``
+    checks: the problem file first, then the seeded batch, drawn in turn."""
+    if args.path is not None:
+        yield "", _load(args.path), None
+    if args.seed is not None:
+        rng = random.Random(args.seed)
+        for k in range(args.count):
+            family, param = _VERIFY_FAMILIES[k % len(_VERIFY_FAMILIES)]
+            p, planted = (planted_feasible_instance(rng, family, param) if k % 2
+                          else (random_instance(rng, family, param), None))
+            yield f" [{family} #{k}]", p, planted
+
+
+def cmd_verify(args) -> int:
     if args.count < 1:
         print(f"error: --count must be at least 1, not {args.count}", file=sys.stderr)
         return 1
@@ -262,33 +273,15 @@ def cmd_verify(args, out=None) -> int:
     mismatches = []
     checked = planted_checked = 0
     worst_gap = worst_residual = 0.0
-
-    def check(p, label, planted=None):
-        nonlocal checked, planted_checked, worst_gap, worst_residual
+    for checked, (label, p, planted) in enumerate(_cases(args), 1):
         found, gap, residual = _compare(p, args.cap, planted)
-        checked += 1
         planted_checked += planted is not None
-        if gap is not None:
-            worst_gap = max(worst_gap, gap)
-        if residual is not None:
-            worst_residual = max(worst_residual, residual)
+        worst_gap = max(worst_gap, gap)
+        worst_residual = max(worst_residual, residual)
         for msg in found:
             mismatches.append(f"mismatch{label}: {msg}")
             if not args.json:
-                print(mismatches[-1], file=out)
-
-    if args.path is not None:
-        check(_load(args.path), "")
-    if args.seed is not None:
-        rng = random.Random(args.seed)
-        for k in range(args.count):
-            family, param = _VERIFY_FAMILIES[k % len(_VERIFY_FAMILIES)]
-            label = f" [{family} #{k}]"
-            if k % 2:
-                p, planted = planted_feasible_instance(rng, family, param)
-                check(p, label, planted)
-            else:
-                check(random_instance(rng, family, param), label)
+                print(mismatches[-1])
     if checked == 0:
         print("error: give a problem file, --seed, or both", file=sys.stderr)
         return 1
@@ -296,12 +289,11 @@ def cmd_verify(args, out=None) -> int:
         print(json.dumps({"checked": checked, "planted_checked": planted_checked,
                           "mismatches": mismatches, "worst_objective_gap": worst_gap,
                           "worst_row_residual": worst_residual},
-                         indent=2), file=out)
+                         indent=2))
     else:
         print(f"verified {checked} instance(s): "
-              + ("all agree" if not mismatches else f"{len(mismatches)} mismatch(es)"),
-              file=out)
-    _print_timing(args, time.perf_counter() - t0, out)
+              + ("all agree" if not mismatches else f"{len(mismatches)} mismatch(es)"))
+    _print_timing(args, t0)
     return 0 if not mismatches else 1
 
 
@@ -312,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "equation systems with continuous Archimedean t-norms.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, func):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument("--no-timing", action="store_true", help="suppress the timing line")
+        sp.set_defaults(func=func)
 
     sp = sub.add_parser("solve", help="find a global optimum")
     sp.add_argument("path", help="problem JSON file")
@@ -325,33 +318,38 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-simplify", action="store_true",
                     help="feasibility-preserving presolve only; search all "
                          "admissible assignments")
-    common(sp)
-    sp.set_defaults(func=cmd_solve)
+    common(sp, cmd_solve)
 
     sp = sub.add_parser("resolve", help="resolve the feasible region")
     sp.add_argument("path", help="problem JSON file")
     sp.add_argument("--tables", action="store_true", help="print the resolution tables")
     sp.add_argument("--boxes", action="store_true", help="enumerate the feasible boxes")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="enumeration cap")
-    common(sp)
-    sp.set_defaults(func=cmd_resolve)
+    common(sp, cmd_resolve)
 
     sp = sub.add_parser("verify", help="cross-check the solver against brute force")
     sp.add_argument("path", nargs="?", default=None, help="problem JSON file")
     sp.add_argument("--seed", type=int, default=None, help="also run a random batch")
     sp.add_argument("--count", type=int, default=40, help="batch size for --seed")
     sp.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle enumeration cap")
-    common(sp)
-    sp.set_defaults(func=cmd_verify)
+    common(sp, cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (_BadInput, CapExceeded, InconsistentReduction) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # stdout's reader is gone: point stdout at devnull so that the flush at
+        # exit does not raise again ("Note on SIGPIPE" in Python's signal docs)
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

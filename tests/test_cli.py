@@ -12,6 +12,7 @@ from bfre.cli import load_problem, main
 from bfre.resolution import row_value
 
 TOL = 1e-9
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def problem_to_dict(p):
@@ -158,6 +159,14 @@ class TestProblemFiles:
         assert err.count("\n") == 1
 
 
+class TestExampleInstance:
+    def test_matches_the_bundled_file(self):
+        p, q = bfre.example_instance(), load_problem(example_path())
+        for field in dataclasses.fields(p):
+            assert getattr(p, field.name) == getattr(q, field.name), field.name
+        assert bfre.solve(p).objective == pytest.approx(10.717, abs=TOL)
+
+
 class TestSolveCommand:
     def test_example_exit_zero(self, capsys):
         assert main(["solve", example_path(), "--no-timing"]) == 0
@@ -245,6 +254,14 @@ class TestSolveCommand:
         assert "time:" in capsys.readouterr().out
         main(["solve", example_path(), "--no-timing"])
         assert "time:" not in capsys.readouterr().out
+
+    def test_json_trace_key_whenever_asked(self, tmp_path, capsys):
+        # presolve fixes the one variable, so the search records no node
+        path = write_problem(tmp_path, tiny_problem())
+        assert main(["solve", path, "--trace", "--json", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"] == []
+        assert main(["solve", path, "--json", "--no-timing"]) == 0
+        assert "trace" not in json.loads(capsys.readouterr().out)
 
 
 class TestResolveCommand:
@@ -418,6 +435,43 @@ class TestVerifyCommand:
         found = json.loads(capsys.readouterr().out)["mismatches"]
         assert any(m.startswith("mismatch [product #1]: planted: solver=infeasible, "
                                 "planted point costs ") for m in found), found
+
+
+class TestWholeTextOutput:
+    """The full text output on the example, line for line."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (["solve", example_path(), "--trace", "--tables"], "solve_example_trace_tables.txt"),
+        (["resolve", example_path(), "--boxes", "--tables"], "resolve_example_boxes_tables.txt"),
+    ])
+    def test_example(self, capsys, argv, name):
+        assert main([*argv, "--no-timing"]) == 0
+        with open(os.path.join(DATA, name)) as fh:
+            assert capsys.readouterr().out == fh.read()
+
+
+class TestClosedStdout:
+    """A reader that has gone away ends a command with exit 1 and no
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", example_path()],
+        ["resolve", example_path(), "--boxes"],
+        ["verify", "--seed", "1", "--count", "2"],
+    ])
+    def test_exit_one_and_quiet(self, argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bfre.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            done = subprocess.run([sys.executable, "-m", "bfre.cli", *argv, "--no-timing"],
+                                  env=env, stdout=w, stderr=subprocess.PIPE, text=True,
+                                  timeout=300)
+        finally:
+            os.close(w)
+        assert (done.returncode, done.stderr) == (1, "")
 
 
 class TestJsonStdout:
