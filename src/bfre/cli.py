@@ -28,11 +28,9 @@ import random
 import sys
 import time
 
-from .errors import CapExceeded, InconsistentReduction
+from .errors import DEFAULT_CAP, CapExceeded, InconsistentReduction
 from .optimize import Solution, enumerate_feasible_decomposition, solve
-from .oracle import (
-    DEFAULT_CAP, brute_force_optimum, planted_feasible_instance, random_instance,
-)
+from .oracle import brute_force_optimum, planted_feasible_instance, random_instance
 from .resolution import (
     ProblemInstance, build_tables, check_feasibility, row_value, tables_to_json,
 )
@@ -195,9 +193,11 @@ def cmd_resolve(args) -> int:
     report = check_feasibility(tables)
     boxes = enumerate_feasible_decomposition(p, cap=args.cap) if args.boxes else None
     if args.json:
-        doc = {"feasibility": report.status.value, "tables": tables_to_json(p, tables)}
+        doc = {"feasibility": report.status.value}
         if report.witness is not None:
             doc["witness"] = report.witness + 1
+        if args.tables:
+            doc["tables"] = tables_to_json(p, tables)
         if boxes is not None:
             doc["boxes"] = [
                 {"assignment": {str(i + 1): j + 1 for i, j in sorted(a.items())},

@@ -1,4 +1,6 @@
-"""Exception types shared across modules."""
+"""Exception types shared across modules, and the enumeration cap."""
+
+DEFAULT_CAP = 10 ** 6    # largest enumeration a cap-taking function allows by default
 
 
 class CapExceeded(RuntimeError):

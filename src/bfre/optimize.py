@@ -23,10 +23,12 @@ parent's list and mask, any other pick copies the list.  So a built list is
 never mutated.  ``_bind_rows`` gives a search every row's list and support
 bitmask once.  A row with no picked column steps to its own list, with no
 lookup and no intersection.  The reuse rule lives in the branch-and-bound's
-walk (below), which takes every modified-mode row with a picked column: the
-forced reuse comes from ``_forced``, or from a column whose cells are all
-equal, and a row whose picked columns all die in its cell steps to its
-unpicked columns, ``_unpicked_steps``.
+walk (below), which decides every modified-mode row with a picked column by
+one rule: over the row's picked columns, lowest first, a running
+intersection that is the row's cell itself is kept on an identity test, any
+other is intersected with the cell, and the first that survives is the
+reuse.  A row whose picked columns all die in its cell falls through to
+``_admissible_steps``, which then steps to its unpicked columns.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -41,13 +43,12 @@ parent's point straight into a live-set entry (z, -depth, uid, parent,
 column, running intersection), so a node is built only for the child dived
 into, a popped entry, the incumbent and a trace event.  A lone viable child
 is dived into without ordering or live-set traffic.  In modified mode a row
-whose forced reuse returns its column's running intersection itself is a
+whose reuse returns its column's running intersection itself is a
 pass-through row: its child would share the node's state and cost, so the
 node walks down consecutive pass-through rows in place, in one loop, with a
-new uid and depth per row and its run of picks extended once.  A column
-whose cells are all equal keeps its cell as its running intersection, so a
-row whose lowest picked column is such a column passes through on one bit
-test, without ``_forced``.
+new uid and depth per row and its run of picks extended once.  The
+resolution tables share one cell object among a column's equal cells, so a
+reuse that meets its own cell passes through on the identity test alone.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ from enum import Enum
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .errors import CapExceeded, InconsistentReduction
+from .errors import DEFAULT_CAP, CapExceeded, InconsistentReduction
 from .resolution import (
     ProblemInstance, ResolutionTables, _build_tables, _is_feasible_point, _reached_columns,
     admissible_upper_bound, build_tables, check_feasibility,
 )
 from .sets import SetForm
-from .simplify import Mode, ReducedProblem, ReductionLedger, simplify
+from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
 from .tolerance import EPS
 
 
@@ -74,25 +75,7 @@ def _bind_rows(tables: ResolutionTables) -> tuple:
     """Every row's [(j, cell)] over its support, ascending (what
     ``_admissible_steps`` walks), and every row's support bitmask."""
     rows = [[(j, cells[j]) for j in sup] for cells, sup in zip(tables.s_prime, tables.row_support)]
-    return rows, [sum(1 << j for j in sup) for sup in tables.row_support]
-
-
-def _forced(inter: list, hit, row):
-    """The forced reuse of a step row: (j, inter[j] ∩ cell) for the smallest
-    picked column j (a bit of ``hit``) whose running intersection survives
-    the cell, or None when there is none."""
-    for j, cell in row:
-        if hit >> j & 1:
-            s = inter[j].intersect(cell)
-            if s:
-                return j, s
-    return None
-
-
-def _unpicked_steps(hit, row) -> list:
-    """The steps of a row's columns that are not in ``hit``: each one's
-    running intersection is its cell."""
-    return [(j, cell) for j, cell in row if not hit >> j & 1]
+    return rows, _masks(tables.row_support, range(tables.m), tables.m)
 
 
 def _admissible_steps(inter: list, hit, row) -> list:
@@ -101,7 +84,8 @@ def _admissible_steps(inter: list, hit, row) -> list:
     cell).  ``hit`` is the bitmask of the row's picked columns; with none,
     the row itself is returned.  The reuse rule is not applied here: in
     modified mode the branch-and-bound's walk handles every row with a
-    picked column."""
+    picked column first, and a row none of whose picked columns survives
+    falls through to here."""
     if not hit:
         return row
     steps = []
@@ -219,10 +203,12 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     and a node is built with its state (see the module docstring).  In
     modified mode the node walks consecutive pass-through rows in place: per
     row one node created and one expanded, with its own uid and trace
-    events, but nothing built, priced or pushed; a row whose lowest picked
-    column is in the bitmask ``uniform`` of columns with all cells equal
-    takes that column's running intersection as its step, with no
-    intersection.  Other children are priced as live-set entries
+    events, but nothing built, priced or pushed.  A row's reuse is one loop
+    over its picked columns, lowest first: a running intersection that is
+    the row's cell itself is kept on an identity test, any other is
+    intersected with the cell, and the first that survives is the step;
+    with none, the row falls through to ``_admissible_steps``.  Other
+    children are priced as live-set entries
     (z, -depth, uid, parent, j, s); siblings share a depth and their uids
     rise with their columns, so the cheapest entry is the cheapest child,
     ties to the lowest column.  Without ``record`` a child already priced
@@ -241,8 +227,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         return BnbResult(base_x, (), base_z, SearchStats(candidates_evaluated=1), events)
 
     rows, masks = _bind_rows(tables)
-    uniform = sum(1 << j for j, sup in enumerate(tables.col_support)
-                  if len({tables.s_prime[i][j] for i in sup}) == 1) if modified else 0
+    s_prime = tables.s_prime
 
     created = expanded = candidates = prunes = updates = jumps = max_live = 0
     incumbent: _Node | None = None
@@ -260,16 +245,21 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         # Walk the pass-through rows: each one's only child is this node one
         # row down at its cost, so the node moves there in place.  Each row
         # still counts one node created and expanded, with its own uid.
+        # A row with a picked column reuses the smallest one that survives
+        # its cell; with none, its steps are left to ``_admissible_steps``.
         i, run, steps = node.depth, [], None
         while modified and (hit := mask & masks[i]):
-            if (low := hit & -hit) & uniform:
-                j = low.bit_length() - 1
+            cells = s_prime[i]
+            while hit:
+                j = (hit & -hit).bit_length() - 1
                 s = inter[j]
-            elif (step := _forced(inter, hit, rows[i])) is None:
-                steps = _unpicked_steps(hit, rows[i])
-                break
+                if s is not cells[j]:
+                    s = s.intersect(cells[j])
+                if s:
+                    break
+                hit &= hit - 1
             else:
-                j, s = step
+                break
             if s is not inter[j] or i + 1 == m:
                 steps = [(j, s)]
                 break
@@ -293,7 +283,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         # open child can be priced out by a later sibling.
         children = []
         for uid, (j, s) in enumerate(steps, created + 1):
-            z = z0 if s[0] == x[j] else z0 + costs[j] * (s[0] - x[j])
+            z = z0 + costs[j] * (s[0] - x[j])
             if z >= bar:
                 prunes += 1
                 if record:
@@ -400,7 +390,7 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
                     stats=result.stats, events=result.events)
 
 
-def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = 10 ** 6):
+def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = DEFAULT_CAP):
     """All compact boxes whose union is the feasible region.
 
     Runs the feasibility-preserving reduction, then enumerates every

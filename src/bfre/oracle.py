@@ -14,15 +14,13 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import CapExceeded
+from .errors import DEFAULT_CAP, CapExceeded
 from .resolution import (
     ProblemInstance, ResolutionTables, admissible_upper_bound, build_tables,
     row_value, satisfies_by_tables,
 )
 from .tnorms import validate
 from .tolerance import EPS
-
-DEFAULT_CAP = 10 ** 6
 
 
 @dataclass

@@ -216,7 +216,13 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
 
 
 def _build_tables(p: ProblemInstance, reached: list) -> ResolutionTables:
-    """``build_tables`` over the row scan ``reached`` of ``_reached_columns``."""
+    """``build_tables`` over the row scan ``reached`` of ``_reached_columns``.
+
+    The cell objects each column shares among its rows (its interval, {lo},
+    {hi} and {lo, hi}) let the search's reuse rule keep a running
+    intersection that is the row's cell itself on an identity test.  That
+    is a premise of its speed, not of its answers: equal but distinct cells
+    cost one intersection each and give the same search."""
     m, n = p.m, p.n
     u = _solver(p.tnorm)
     cols = range(n)

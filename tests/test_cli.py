@@ -215,7 +215,7 @@ class TestSolveCommand:
         assert doc["tables"]["column_interval"][9] == "{0.6}"
         assert doc["presolve"]["bound_sequence"] == [5184, 864, 288, 144, 72, 36, 8]
         # the block ``resolve --json`` writes, and only with --tables
-        assert main(["resolve", example_path(), "--json", "--no-timing"]) == 0
+        assert main(["resolve", example_path(), "--tables", "--json", "--no-timing"]) == 0
         assert doc["tables"] == json.loads(capsys.readouterr().out)["tables"]
         assert main(["solve", example_path(), "--json", "--no-timing"]) == 0
         assert "tables" not in json.loads(capsys.readouterr().out)
@@ -320,10 +320,13 @@ class TestResolveCommand:
         assert "exceeds cap" in capsys.readouterr().err
 
     def test_json_document(self, capsys):
-        assert main(["resolve", example_path(), "--json", "--no-timing"]) == 0
+        assert main(["resolve", example_path(), "--tables", "--json", "--no-timing"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["feasibility"] == "necessary_conditions_pass"
         assert doc["tables"]["column_interval"][9] == "{0.6}"
+        # the tables are written only when asked for
+        assert main(["resolve", example_path(), "--json", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"feasibility": "necessary_conditions_pass"}
 
 
 class TestVerifyCommand:

@@ -46,16 +46,14 @@ def _running(prefix, tables) -> list:
 
 def _domain(prefix, i, tables, modified=False) -> list:
     """Row i's columns after ``prefix[:i]``, by the search's own step
-    routines: with ``modified`` and a picked column, the walk's reuse rule."""
+    routine; with ``modified``, the walk's reuse rule over it: the first
+    step whose column is picked, or else all the steps."""
     prefix = prefix[:i]
     hit = sum(1 << j for j in set(prefix) & set(tables.row_support[i]))
     inter, row = _running(prefix, tables), optimize._bind_rows(tables)[0][i]
-    if modified and hit:
-        step = optimize._forced(inter, hit, row)
-        steps = optimize._unpicked_steps(hit, row) if step is None else [step]
-    else:
-        steps = optimize._admissible_steps(inter, hit, row)
-    return [j for j, _ in steps]
+    domain = [j for j, _ in optimize._admissible_steps(inter, hit, row)]
+    reused = [j for j in domain if hit >> j & 1]
+    return reused[:1] if modified and reused else domain
 
 
 class TestCandidateSolution:
@@ -853,9 +851,13 @@ def _uniform_tables(cells, n):
 
 
 class TestUniformColumns:
-    """A column whose cells over its rows are all equal keeps its cell as
-    its running intersection, so the modified search steps it without
-    ``_forced``.  Each search must still match the sorted reference."""
+    """The modified search reuses a row's smallest picked column whose
+    running intersection survives the row's cell, and meets a running
+    intersection that is the cell itself without an intersection.  A column
+    whose cells are one shared object keeps that object as its running
+    intersection, so a row steps it on that identity test alone; equal but
+    distinct cells cost one intersection each.  Each search must still
+    match the sorted reference."""
 
     @staticmethod
     def _lowest_uniform():
@@ -889,15 +891,15 @@ class TestUniformColumns:
                                 {0: iv(0.3, 0.9), 1: iv(0.2, 0.7)}], 2)
 
     @staticmethod
-    def _count_forced(monkeypatch):
+    def _count_intersect(monkeypatch):
         calls = []
-        forced = optimize._forced
+        intersect = SetForm.intersect
 
-        def spy(*args):
-            calls.append(args)
-            return forced(*args)
+        def spy(a, b):
+            calls.append((a, b))
+            return intersect(a, b)
 
-        monkeypatch.setattr(optimize, "_forced", spy)
+        monkeypatch.setattr(SetForm, "intersect", spy)
         return calls
 
     @pytest.mark.parametrize("costs", [[1.0, 1.0], [0.1, 1.0], [1.0, 0.1]])
@@ -923,25 +925,42 @@ class TestUniformColumns:
         assert (0, 1, 1) not in [ev.picks for ev in res.events]
         assert any(ev.picks == (0, 1, 0) and ev.x == (0.3, 0.5) for ev in res.events)
 
-    @pytest.mark.parametrize("build", ["_lowest_uniform", "_equal_distinct_cells"])
-    def test_uniform_lowest_column_skips_forced(self, build, monkeypatch):
-        # column 0 is uniform in both tables, and row 2 reuses it after (0, 1)
-        calls = self._count_forced(monkeypatch)
-        res = branch_and_bound(ReducedProblem(getattr(self, build)(), [0.1, 1.0], {}, 2),
-                               record=True)
+    def _reuse_of_column_0(self, tb, monkeypatch) -> list:
+        """The intersections whose operands are both column 0's cells, in
+        a modified search that expands (0, 1, 0): row 2 reuses column 0."""
+        cells = [tb.s_prime[i][0] for i in tb.col_support[0]]
+        calls = self._count_intersect(monkeypatch)
+        res = branch_and_bound(ReducedProblem(tb, [0.1, 1.0], {}, 2), record=True)
         assert (0, 1, 0) in [ev.picks for ev in res.events if ev.action == "expand"]
-        assert all(not hit & 1 for _, hit, _ in calls), calls
+        return [(a, b) for a, b in calls
+                if any(a is c for c in cells) and any(b is c for c in cells)]
+
+    @pytest.mark.parametrize("build", ["_lowest_uniform"])
+    def test_uniform_lowest_column_skips_forced(self, build, monkeypatch):
+        # column 0's cells are one object: row 2 reuses it on the identity test
+        assert self._reuse_of_column_0(getattr(self, build)(), monkeypatch) == []
+
+    def test_equal_distinct_cells_meet_once(self, monkeypatch):
+        # column 0's cells are equal but distinct: row 2's reuse after (0, 1)
+        # meets row 0's cell and its own, once
+        tb = self._equal_distinct_cells()
+        row0, row2 = tb.s_prime[0][0], tb.s_prime[2][0]
+        calls = self._reuse_of_column_0(tb, monkeypatch)
+        assert [(a is row0, b is row2) for a, b in calls].count((True, True)) == 1
 
     def test_planted_covers_never_call_forced(self, monkeypatch):
-        calls = self._count_forced(monkeypatch)
+        # every reuse on the covers meets its own cell: no intersection at all
+        problems = [problem for problem, _ in _planted_covers()]
+        calls = self._count_intersect(monkeypatch)
         created = 0
-        for problem, _ in _planted_covers():
+        for problem in problems:
             created += branch_and_bound(problem, modified=True).stats.nodes_created
         assert created >= 5_000
         assert calls == []
 
     def test_tables_without_uniform_columns_call_forced(self, monkeypatch):
-        calls = self._count_forced(monkeypatch)
-        res = branch_and_bound(ReducedProblem(self._none_uniform(), [1.0, 1.0], {}, 2))
+        problem = ReducedProblem(self._none_uniform(), [1.0, 1.0], {}, 2)
+        calls = self._count_intersect(monkeypatch)
+        res = branch_and_bound(problem)
         assert res.found
         assert calls
