@@ -11,24 +11,26 @@ such column, which prunes equal-cost duplicates without losing any optimum
 (valid only after two-point cells have been eliminated).
 
 Admissibility is incremental: a search state holds the running intersection
-of every picked column, taken in pick order (ascending rows, the order the
-oracle uses), as a list indexed by column with None for an unpicked column,
-and the bitmask of its picked columns.  A row's domain is the columns whose
-running intersection survives that row's cell.  Tolerance-snapped
-intersection is not associative, so both searches use this one order, one
-step routine, ``_admissible_steps``, over a row's (column, cell) list and
-the bitmask of the row's picked columns, and one child rule, ``_pick``: a
-pick that returns its column's running intersection itself keeps the
-parent's list and mask, any other pick copies the list.  So a built list is
-never mutated.  ``_bind_rows`` gives a search every row's list and support
-bitmask once.  A row with no picked column steps to its own list, with no
-lookup and no intersection.  The reuse rule lives in the branch-and-bound's
-walk (below), which decides every modified-mode row with a picked column by
-one rule: over the row's picked columns, lowest first, a running
-intersection that is the row's cell itself is kept on an identity test, any
-other is intersected with the cell, and the first that survives is the
-reuse.  A row whose picked columns all die in its cell falls through to
-``_admissible_steps``, which then steps to its unpicked columns.
+of every column, taken in pick order (ascending rows, the order the oracle
+uses), as a list indexed by column that starts from the column intervals, so
+an unpicked column's entry is its interval, and the bitmask of its picked
+columns.  A row's domain is the columns whose running intersection survives
+that row's cell.  Tolerance-snapped intersection is not associative, so both
+searches use this one order, one step routine, ``_admissible_steps``, over a
+row's (column, cell) list and the bitmask of the row's picked columns, and
+one child rule, ``_pick``: a pick that returns its column's running
+intersection itself keeps the parent's list, any other pick copies the list,
+and either sets the column's bit.  So a built list is never mutated, and the
+box walk reads an unpicked column's box straight off it.  ``_bind_rows``
+gives a search every row's list and support bitmask once.  A row with no
+picked column steps to its own list, with no lookup and no intersection.
+The reuse rule lives in the branch-and-bound's walk (below), which decides
+every modified-mode row with a picked column by one rule: over the row's
+picked columns, lowest first, a running intersection that is the row's cell
+itself is kept on an identity test, any other is intersected with the cell,
+and the first that survives is the reuse.  A row whose picked columns all
+die in its cell steps to its unpicked columns, so no cell meets a picked
+column twice.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -36,17 +38,19 @@ ends (complete, pruned, or dead), jump to the cheapest node anywhere in the
 live set, a heap keyed (z, -depth, uid).  Cost never decreases along a
 branch, so pruning against the incumbent is exact.
 
-A node is built with its state: ``_pick``'s list and mask, and a point that
-is its parent's list itself when the pick leaves that coordinate unchanged.
-Its picks are read up the parent chain.  A child is priced from its
-parent's point straight into a live-set entry (z, -depth, uid, parent,
-column, running intersection), so a node is built only for the child dived
-into, a popped entry, the incumbent and a trace event.  A lone viable child
-is dived into without ordering or live-set traffic.  In modified mode a row
-whose reuse returns its column's running intersection itself is a
-pass-through row: its child would share the node's state and cost, so the
-node walks down consecutive pass-through rows in place, in one loop, with a
-new uid and depth per row and its run of picks extended once.  The
+The branch-and-bound builds no object per node.  The current node is loop
+variables: its uid, cost, depth, link chain and state.  A live-set entry is
+a child together with its parent's state, (z, -depth, uid, link, j, s,
+inter, mask), and diving into an entry or popping one applies ``_pick``.
+A node's picks are a link chain of (parent link, columns) tuples, read only
+for the incumbent and for trace events.  Every column lies in the running
+intersections, so the node's point is their minima: x[j] == inter[j][0],
+and a child is priced off ``inter[j][0]`` with no point to copy.  A lone
+viable child is dived into without ordering or live-set traffic.  In
+modified mode a row whose reuse returns its column's running intersection
+itself is a pass-through row: its child would share the node's state and
+cost, so the node walks down consecutive pass-through rows in place, in one
+loop, with a new uid and depth per row, and the run adds one link.  The
 resolution tables share one cell object among a column's equal cells, so a
 reuse that meets its own cell passes through on the identity test alone.
 """
@@ -83,9 +87,8 @@ def _admissible_steps(inter: list, hit, row) -> list:
     running intersection survives the cell (an unpicked column's is the
     cell).  ``hit`` is the bitmask of the row's picked columns; with none,
     the row itself is returned.  The reuse rule is not applied here: in
-    modified mode the branch-and-bound's walk handles every row with a
-    picked column first, and a row none of whose picked columns survives
-    falls through to here."""
+    modified mode the branch-and-bound's walk decides every row with a
+    picked column itself."""
     if not hit:
         return row
     steps = []
@@ -97,59 +100,26 @@ def _admissible_steps(inter: list, hit, row) -> list:
 
 
 def _pick(inter: list, mask, j, s) -> tuple:
-    """The running intersections and picked-column bitmask once column j's
-    running intersection is ``s``: ``inter`` and ``mask`` themselves when
-    ``s is inter[j]``, else a copy of ``inter`` with ``s`` at j."""
-    if inter[j] is s:
-        return inter, mask
-    inter = inter.copy()
-    inter[j] = s
+    """The running intersections and picked-column bitmask once column j is
+    picked with running intersection ``s``: ``inter`` itself when ``s is
+    inter[j]``, else a copy of ``inter`` with ``s`` at j; the mask gains j's
+    bit either way."""
+    if inter[j] is not s:
+        inter = inter.copy()
+        inter[j] = s
     return inter, mask | 1 << j
 
 
+def _picks(link) -> tuple:
+    """The picks of a link chain ``(parent link, columns)``, root first."""
+    parts = []
+    while link is not None:
+        link, columns = link
+        parts.append(columns)
+    return tuple(j for columns in reversed(parts) for j in columns)
+
+
 # -- branch-and-bound ----------------------------------------------------------
-
-class _Node:
-    """A search node: its pick ``j`` with running intersection ``s``, its
-    cost ``z`` and depth, and its state, built from its parent's with it:
-    ``inter`` and ``mask`` by ``_pick``, and the point ``x``, which is the
-    parent's list itself when the pick leaves ``x[j]`` unchanged.  So a
-    built ``inter`` or ``x`` is never mutated.  The root, the one node
-    without a parent, gets its state from the search.
-
-    ``run`` holds the columns of the pass-through rows the node has moved
-    down in place since its own pick ``j``; ``picks`` reads both."""
-
-    __slots__ = ("uid", "parent", "j", "s", "z", "depth", "run", "inter", "mask", "x")
-
-    def __init__(self, uid, parent, j, s, z, depth):
-        self.uid, self.parent, self.j, self.s, self.z, self.depth = uid, parent, j, s, z, depth
-        self.run = ()
-        if parent is not None:
-            self.inter, self.mask = _pick(parent.inter, parent.mask, j, s)
-            x = parent.x
-            if s[0] != x[j]:
-                x = x.copy()
-                x[j] = s[0]
-            self.x = x
-
-    def picks(self) -> tuple:
-        parts = []
-        node = self
-        while node.parent is not None:
-            parts.append((node.j,) + node.run)
-            node = node.parent
-        return tuple(j for part in reversed(parts) for j in part)
-
-    def event(self, action) -> "TraceEvent":
-        return TraceEvent(self.uid, self.picks(), tuple(self.x), self.z, action)
-
-
-def _entry_node(entry) -> _Node:
-    """The node of a live-set entry (z, -depth, uid, parent, j, s)."""
-    z, neg_depth, uid, parent, j, s = entry
-    return _Node(uid, parent, j, s, z, -neg_depth)
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -163,6 +133,14 @@ class TraceEvent:
         e = ", ".join(str(j + 1) for j in self.picks)
         xs = ", ".join(f"{v:g}" for v in self.x)
         return f"node {self.node}: e=[{e}], x=({xs}), z={self.z:g}, action={self.action}"
+
+
+def _event(entry, action) -> TraceEvent:
+    """The event of a live-set entry's child: its picks read up the link
+    chain, its point the minima of its running intersections."""
+    z, _, uid, link, j, s, inter, mask = entry
+    inter = _pick(inter, mask, j, s)[0]
+    return TraceEvent(uid, _picks(link) + (j,), tuple(v[0] for v in inter), z, action)
 
 
 @dataclass
@@ -200,22 +178,24 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     admissible assignments (needed when two-point cells may still be present).
 
     Every row's step list and support bitmask are bound once per search,
-    and a node is built with its state (see the module docstring).  In
-    modified mode the node walks consecutive pass-through rows in place: per
-    row one node created and one expanded, with its own uid and trace
-    events, but nothing built, priced or pushed.  A row's reuse is one loop
-    over its picked columns, lowest first: a running intersection that is
-    the row's cell itself is kept on an identity test, any other is
-    intersected with the cell, and the first that survives is the step;
-    with none, the row falls through to ``_admissible_steps``.  Other
+    and the current node lives in loop variables (see the module
+    docstring): no object is built per node.  In modified mode the node
+    walks consecutive pass-through rows in place: per row one node created
+    and one expanded, with its own uid and trace events, but nothing built,
+    priced or pushed.  A row's reuse is one loop over its picked columns,
+    lowest first: a running intersection that is the row's cell itself is
+    kept on an identity test, any other is intersected with the cell, and
+    the first that survives is the step; with none, the row steps to its
+    unpicked columns, and no picked column meets the cell twice.  Other
     children are priced as live-set entries
-    (z, -depth, uid, parent, j, s); siblings share a depth and their uids
-    rise with their columns, so the cheapest entry is the cheapest child,
-    ties to the lowest column.  Without ``record`` a child already priced
-    out by the incumbent is only counted.  A lone viable child is dived
-    into directly: no ordering, no live-set traffic.  Without the reuse
-    rule a row whose one step leaves its column as it was gets such a lone
-    child: the same counters and events.
+    (z, -depth, uid, link, j, s, inter, mask), each carrying its parent's
+    state; siblings share a depth and their uids rise with their columns,
+    so the cheapest entry is the cheapest child, ties to the lowest column.
+    Without ``record`` a child already priced out by the incumbent is only
+    counted.  A lone viable child is dived into directly: no ordering, no
+    live-set traffic.  Without the reuse rule a row whose one step leaves
+    its column as it was gets such a lone child: the same counters and
+    events.
     """
     tables = reduced.tables
     costs = reduced.costs
@@ -230,26 +210,26 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     s_prime = tables.s_prime
 
     created = expanded = candidates = prunes = updates = jumps = max_live = 0
-    incumbent: _Node | None = None
-    bar = math.inf       # incumbent.z - EPS: a node must cost less to survive
-    live: list = []      # heap of (z, -depth, uid, parent, j, s)
-    node = _Node(0, None, None, None, base_z, 0)
-    node.inter, node.mask, node.x = [None] * n, 0, base_x
+    incumbent = None     # the live-set entry of the best leaf so far
+    bar = math.inf       # incumbent z - EPS: a node must cost less to survive
+    live: list = []      # heap of (z, -depth, uid, link, j, s, inter, mask)
+    # The current node: its uid, cost, depth, link chain and state.
+    uid, z0, i, link, inter, mask = 0, base_z, 0, None, list(tables.col_interval), 0
 
-    while node is not None:
-        if node.uid:
+    while True:
+        if uid:
             expanded += 1
             if record:
-                events.append(node.event("expand"))
-        inter, mask, x, z0 = node.inter, node.mask, node.x, node.z
+                events.append(TraceEvent(uid, _picks(link), tuple(v[0] for v in inter), z0,
+                                         "expand"))
         # Walk the pass-through rows: each one's only child is this node one
         # row down at its cost, so the node moves there in place.  Each row
         # still counts one node created and expanded, with its own uid.
         # A row with a picked column reuses the smallest one that survives
-        # its cell; with none, its steps are left to ``_admissible_steps``.
-        i, run, steps = node.depth, [], None
+        # its cell; with none, it steps to its unpicked columns.
+        run, steps = [], None
         while modified and (hit := mask & masks[i]):
-            cells = s_prime[i]
+            cells, picked = s_prime[i], hit
             while hit:
                 j = (hit & -hit).bit_length() - 1
                 s = inter[j]
@@ -259,6 +239,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                     break
                 hit &= hit - 1
             else:
+                steps = [(j, cell) for j, cell in rows[i] if not picked >> j & 1]
                 break
             if s is not inter[j] or i + 1 == m:
                 steps = [(j, s)]
@@ -267,13 +248,12 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
             i += 1
         if run:
             if record:
-                picks, xs = node.picks(), tuple(x)
+                picks, xs = _picks(link), tuple(v[0] for v in inter)
                 events += [TraceEvent(created + k, picks + tuple(run[:k]), xs, z0, "expand")
                            for k in range(1, len(run) + 1)]
             created += len(run)
             expanded += len(run)
-            node.uid, node.depth = created, i
-            node.run += tuple(run)
+            uid, link = created, (link, tuple(run))
         if steps is None:
             steps = _admissible_steps(inter, mask & masks[i], rows[i])
         depth = i + 1
@@ -283,19 +263,19 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         # open child can be priced out by a later sibling.
         children = []
         for uid, (j, s) in enumerate(steps, created + 1):
-            z = z0 + costs[j] * (s[0] - x[j])
+            z = z0 + costs[j] * (s[0] - inter[j][0])
             if z >= bar:
                 prunes += 1
                 if record:
-                    events.append(_Node(uid, node, j, s, z, depth).event("prune"))
+                    events.append(_event((z, -depth, uid, link, j, s, inter, mask), "prune"))
             elif depth < m:
-                children.append((z, -depth, uid, node, j, s))
+                children.append((z, -depth, uid, link, j, s, inter, mask))
             else:
-                incumbent = _Node(uid, node, j, s, z, depth)
+                incumbent = (z, -depth, uid, link, j, s, inter, mask)
                 bar = z - EPS
                 updates += 1
                 if record:
-                    events.append(incumbent.event("incumbent"))
+                    events.append(_event(incumbent, "incumbent"))
                 keep = []
                 for entry in sorted(live, key=itemgetter(2)):
                     if entry[0] < bar:
@@ -303,29 +283,33 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                     else:
                         prunes += 1
                         if record:
-                            events.append(_entry_node(entry).event("prune"))
+                            events.append(_event(entry, "prune"))
                 heapify(keep)
                 live = keep
         created += len(steps)
         if len(children) == 1:
-            node = _entry_node(children[0])
+            entry = children[0]
         elif children:
-            best = min(children)     # uids are unique: no tie reaches the parent
-            for entry in children:
-                if entry is not best:
-                    heappush(live, entry)
-            node = _entry_node(best)
+            entry = min(children)    # uids are unique: no tie reaches the parent
+            for child in children:
+                if child is not entry:
+                    heappush(live, child)
             max_live = max(max_live, len(live))
         elif live:
-            node = _entry_node(heappop(live))
+            entry = heappop(live)
             jumps += 1
         else:
-            node = None
+            break
+        z0, i, uid, link, j, s, inter, mask = entry
+        i = -i
+        inter, mask = _pick(inter, mask, j, s)
+        link = (link, (j,))
 
     stats = SearchStats(created, expanded, candidates, prunes, updates, jumps, max_live)
     if incumbent is None:
         return BnbResult(None, None, None, stats, events)
-    return BnbResult(incumbent.x, incumbent.picks(), incumbent.z, stats, events)
+    best = _event(incumbent, "incumbent")
+    return BnbResult(list(best.x), best.picks, best.z, stats, events)
 
 
 # -- full pipeline --------------------------------------------------------------
@@ -413,10 +397,10 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = DEFAULT_CAP)
     out = []
     rows, masks = _bind_rows(sub)
     # An entry is a prefix of picks with its running intersections and mask;
-    # with the column intervals they make the prefix's feasible box.  A
-    # node's children are pushed in descending column order, so they pop
-    # ascending.
-    stack = [((), [None] * sub.n, 0)]
+    # the intersections, rooted at the column intervals, are the prefix's
+    # feasible box.  A node's children are pushed in descending column
+    # order, so they pop ascending.
+    stack = [((), list(sub.col_interval), 0)]
     while stack:
         prefix, inter, mask = stack.pop()
         i = len(prefix)
@@ -428,6 +412,6 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = DEFAULT_CAP)
         for j, v in reduced.fixed.items():
             box[j] = SetForm.point(v)
         for pos, j in enumerate(sub.col_ids):
-            box[j] = sub.col_interval[pos] if inter[pos] is None else inter[pos]
+            box[j] = inter[pos]
         out.append(({sub.row_ids[r]: sub.col_ids[j] for r, j in enumerate(prefix)}, box))
     return out

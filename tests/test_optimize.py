@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,7 @@ from bfre import (
     check_feasibility, enumerate_feasible_decomposition, is_feasible_point, simplify, solve,
 )
 from bfre import optimize
+from bfre.cli import load_problem
 from bfre.oracle import (
     _batch_candidate, brute_force_optimum, enumerate_all_admissible, random_feasible_instance,
     random_instance,
@@ -704,84 +708,72 @@ class TestSharedNodeState:
     """A row whose one step is a forced reuse that leaves its column's
     running intersection as it was moves the node down in place, and any
     other child whose pick leaves it as it was shares its parent's ``inter``
-    list and point list.  So no built list or point may be mutated: checked
-    after each search over the planted covers and the seeded oracle corpus."""
+    list.  So no built list may be mutated: checked after each search over
+    the planted covers and the seeded oracle corpus."""
 
     @staticmethod
     def _problems():
         yield from (problem for problem, _ in _planted_covers())
         yield from itertools.islice(_seeded_corpus(), 120)
 
+    @staticmethod
+    def _spy_pick(monkeypatch) -> list:
+        """Every ``_pick`` the search applies, as (parent inter, parent
+        mask, j, s, inter, mask, picks).  The search calls it with ``link``
+        still the parent's chain, so the picks are that chain's and j."""
+        calls = []
+        pick = optimize._pick
+
+        def spy(inter, mask, j, s):
+            out = pick(inter, mask, j, s)
+            link = sys._getframe(1).f_locals["link"]
+            calls.append((inter, mask, j, s, *out, optimize._picks(link) + (j,)))
+            return out
+
+        monkeypatch.setattr(optimize, "_pick", spy)
+        return calls
+
     def test_unchanged_reuse_shares_parent_objects(self, monkeypatch):
-        built = []
-        init = optimize._Node.__init__
-
-        def spy(node, *args):
-            init(node, *args)
-            if node.parent is not None:
-                built.append(node)
-
-        monkeypatch.setattr(optimize._Node, "__init__", spy)
+        built = self._spy_pick(monkeypatch)
         shared = copied = 0
         for problem in self._problems():
             tables = problem.tables
-            base_x = [tables.lower_bound(j) for j in range(tables.n)]
             for modified in (True, False):
                 built.clear()
                 branch_and_bound(problem, modified=modified)
-                for node in built:
-                    parent = node.parent
-                    if parent.inter[node.j] == node.s:
-                        assert node.inter is parent.inter and node.x is parent.x
+                for parent, _, j, s, inter, _, picks in built:
+                    if parent[j] == s:
+                        assert inter is parent
                         shared += 1
                     else:
-                        assert node.inter is not parent.inter
+                        assert inter is not parent
                         copied += 1
                     # every built state still matches its picks
-                    inter = _running(node.picks(), tables)
-                    assert node.inter == inter
-                    assert node.x == [v if inter[j] is None else inter[j][0]
-                                      for j, v in enumerate(base_x)]
+                    running = _running(picks, tables)
+                    assert inter == [tables.col_interval[k] if r is None else r
+                                     for k, r in enumerate(running)]
+                    assert [s[0] for s in inter] == _batch_candidate(tables, picks)
         assert shared >= 10_000 and copied >= 10_000
 
     def test_mask_is_the_picked_columns(self, monkeypatch):
-        built = []
-        init = optimize._Node.__init__
-
-        def spy(node, *args):
-            init(node, *args)
-            if node.parent is not None:
-                built.append(node)
-
-        monkeypatch.setattr(optimize._Node, "__init__", spy)
+        built = self._spy_pick(monkeypatch)
         checked = 0
         for problem in self._problems():
             for modified in (True, False):
                 built.clear()
                 branch_and_bound(problem, modified=modified)
-                for node in built:
-                    picked = sum(1 << j for j, s in enumerate(node.inter) if s is not None)
-                    assert node.mask == picked
-                    assert set(node.picks()) == {j for j in range(problem.tables.n)
-                                                 if node.mask >> j & 1}
+                for *_, mask, picks in built:
+                    assert mask == sum(1 << j for j in set(picks))
                 checked += len(built)
         assert checked >= 20_000
 
     def test_pass_through_rows_build_no_node(self, monkeypatch):
-        built = 0
-        init = optimize._Node.__init__
-
-        def spy(node, *args):
-            nonlocal built
-            built += 1
-            init(node, *args)
-
-        monkeypatch.setattr(optimize._Node, "__init__", spy)
+        built = self._spy_pick(monkeypatch)
         created = 0
         for problem, _ in _planted_covers():
             created += branch_and_bound(problem, modified=True).stats.nodes_created
         assert created >= 5_000
-        assert built <= 0.3 * created, (built, created)
+        assert len(built) <= 0.3 * created, (len(built), created)
 
     def test_answer_and_tables_unchanged_after_search(self):
         for k, problem in enumerate(self._problems()):
@@ -837,6 +829,31 @@ class TestRecordParity:
                     (loud.x, loud.picks, loud.objective), (k, modified)
                 assert vars(quiet.stats) == vars(loud.stats), (k, modified)
                 assert quiet.events == []
+
+
+def _workloads():
+    """The benchmark's generators, loaded read-only from perfbench/."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCoverCounters:
+    """The search counters of the 28×18 cover that CI's console-script step
+    solves, in both modes: a change to the node order shows here first."""
+
+    @pytest.mark.parametrize("mode, want", [
+        (Mode.OPTIMALITY_PRESERVING, (3001, 1909, 5, 1087, 5, 291, 306)),
+        (Mode.FEASIBILITY_PRESERVING, (332082, 110693, 9, 221385, 4, 38368, 15698)),
+    ])
+    def test_ci_cover(self, mode, want):
+        problem, _ = _workloads().planted_cover(random.Random(7), "yager", 2.0, 28, 18)
+        sol = solve(load_problem(problem), mode=mode)
+        assert sol.optimal
+        assert tuple(vars(sol.stats).values()) == want
 
 
 def _uniform_tables(cells, n):
