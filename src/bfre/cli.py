@@ -55,6 +55,8 @@ def load_problem(source) -> ProblemInstance:
     else:
         with open(source) as fh:
             data = json.load(fh)
+    if type(data) is not dict:
+        raise ValueError(f"problem is {_kind(data)}, not an object")
     for key in ("tnorm", "a_plus", "a_minus", "b", "c"):
         if key not in data:
             raise ValueError(f"missing key {key!r}")
@@ -65,13 +67,21 @@ def load_problem(source) -> ProblemInstance:
         _number(tn["param"], "tnorm.param")
     t = validate(tn["family"], tn.get("param"))
     return ProblemInstance(
-        [_numbers(row, "a_plus", i) for i, row in enumerate(data["a_plus"])],
-        [_numbers(row, "a_minus", i) for i, row in enumerate(data["a_minus"])],
+        [_numbers(row, "a_plus", i) for i, row in enumerate(_array(data["a_plus"], "a_plus"))],
+        [_numbers(row, "a_minus", i) for i, row in enumerate(_array(data["a_minus"], "a_minus"))],
         _numbers(data["b"], "b"), _numbers(data["c"], "c"), t,
     )
 
 
 _NUMBER_TYPES = frozenset((int, float))
+_ARRAY_TYPES = frozenset((list, tuple))
+_KINDS = {dict: "an object", list: "an array", tuple: "an array", str: "a string",
+          int: "a number", float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def _kind(v) -> str:
+    """What the JSON value ``v`` is, in words."""
+    return _KINDS.get(type(v), type(v).__name__)
 
 
 def _number(v, name):
@@ -81,11 +91,20 @@ def _number(v, name):
         raise ValueError(f"{name} is {json.dumps(v, default=repr)}, not a number")
 
 
+def _array(v, name):
+    """``v``, refused unless it is a JSON array, where iterating would also
+    take a string or an object's keys."""
+    if type(v) not in _ARRAY_TYPES:
+        raise ValueError(f"{name} is {_kind(v)}, not an array")
+    return v
+
+
 def _numbers(values, name, row=None) -> list:
-    """``values``, every one a JSON number, as floats; ``row`` numbers a
+    """``values``, an array of JSON numbers, as floats; ``row`` numbers a
     matrix row in the error."""
-    if not _NUMBER_TYPES.issuperset(map(type, values)):
+    if type(values) not in _ARRAY_TYPES or not _NUMBER_TYPES.issuperset(map(type, values)):
         name = name if row is None else f"{name}[{row}]"
+        _array(values, name)
         for k, v in enumerate(values):
             _number(v, f"{name}[{k}]")
     return list(map(float, values))

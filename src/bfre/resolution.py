@@ -7,13 +7,16 @@ keeping the term <= b_i).  Intersecting relaxation sets down each column
 yields the box constraint every feasible point obeys; restricting each cell
 solution set to that box gives the sets the search actually uses.
 
-Cells are resolved into plain flat tuples, and each column folds its cells'
-relaxation sets with ``sets.fold`` in ascending row order.  The restricted
-cells are then read off the column's own bounds: a cell's points are ends of
-its relaxation set, so a restricted cell is the column interval, {lo}, {hi}
-or {lo, hi}.  Only the column intervals and the restricted cells are kept,
-as ``SetForm``s; the raw relaxation and solution grids exist only for
-export, where ``cell_grids`` resolves them again from the instance.
+Each column keeps running bounds, the largest lower end and the smallest
+upper end of its cells' relaxation sets.  When they end more than EPS apart
+they are the column interval, by the lemma beside ``sets.fold``; otherwise
+the column folds its relaxation sets with ``sets.fold`` in ascending row
+order.  The restricted cells are then read off the column's own bounds: a
+cell's points are ends of its relaxation set, so a restricted cell is the
+column interval, {lo}, {hi} or {lo, hi}.  Only the column intervals and the
+restricted cells are kept, as ``SetForm``s; the raw relaxation and solution
+grids exist only for export, where ``cell_grids`` resolves them again from
+the instance.
 
 A restricted view of the tables (rows/columns dropped) deliberately keeps the
 original column intervals: redundancy arguments for removed rows rely on the
@@ -42,6 +45,7 @@ from .tolerance import EPS
 _EMPTY = SetForm.empty()
 _UNIT = piece(0.0, 1.0)
 _NEG_EPS = -EPS
+_CROSSED = math.inf         # the running lower end of a column with a crossed cell
 
 
 @dataclass(frozen=True)
@@ -190,12 +194,17 @@ def _reached_columns(p: ProblemInstance) -> list:
 def build_tables(p: ProblemInstance) -> ResolutionTables:
     """Resolve an instance into its column intervals and restricted cells.
 
-    Only the cells in the scan of ``_reached_columns`` are resolved, as
-    plain tuples.  Every other cell has an empty solution set and a [0, 1]
-    relaxation set, which changes no interval.  Each column keeps its
-    cells' relaxation sets and, in parallel lists, the rows and non-empty
-    solution sets, all in ascending row order, and folds the relaxation
-    sets into its interval (lo, hi).
+    Only the cells in the scan of ``_reached_columns`` are resolved.  Every
+    other cell has an empty solution set and a [0, 1] relaxation set, which
+    changes no interval.  A one-sided cell is resolved to its point alone,
+    a float; any other cell to ``_resolve_cell``'s plain tuples.  Each
+    column keeps its non-empty solution sets with their rows, in ascending
+    row order, and the largest lower end lo and the smallest upper end hi
+    of its relaxation sets.  When hi - lo > EPS, (lo, hi) is the interval
+    the fold of those sets gives, by the lemma beside ``sets.fold``.
+    Otherwise a crossed cell, whose relaxation set is empty, empties the
+    column, and any other column resolves its rows' relaxation sets again
+    and folds them with ``sets.fold`` in ascending row order.
     The t-norm's kernel is bound once and the cells are resolved unchecked:
     ``ProblemInstance`` has already held every entry to [0, 1].
 
@@ -208,15 +217,21 @@ def build_tables(p: ProblemInstance) -> ResolutionTables:
     so a cell's first point either lies within EPS of lo, where it becomes
     lo, or is cut, and its last point likewise becomes hi or is cut; in a
     point column every surviving cell is the column.  The column's sets
-    {lo}, {hi} and {lo, hi} are built once and shared by its rows.  A cell
-    that breaks the premises, such as a piece wider than EPS that is not a
-    whole relaxation set, must go through ``sets.restrict`` instead.
+    {lo}, {hi} and {lo, hi} are built when a cell first needs one and then
+    shared by its rows.  A cell that breaks the premises, such as a piece
+    wider than EPS that is not a whole relaxation set, must go through
+    ``sets.restrict`` instead.
     """
     return _build_tables(p, _reached_columns(p))
 
 
 def _build_tables(p: ProblemInstance, reached: list) -> ResolutionTables:
     """``build_tables`` over the row scan ``reached`` of ``_reached_columns``.
+
+    The bulk branch resolves a one-sided cell, where exactly one of a+ and
+    a- reaches b, inline; it must match ``_resolve_cell``, the rule every
+    other cell goes through.  Exactly one side can reach only when b > EPS,
+    since a >= 0 always reaches a b <= EPS.
 
     The cell objects each column shares among its rows (its interval, {lo},
     {hi} and {lo, hi}) let the search's reuse rule keep a running
@@ -225,39 +240,70 @@ def _build_tables(p: ProblemInstance, reached: list) -> ResolutionTables:
     cost one intersection each and give the same search."""
     m, n = p.m, p.n
     u = _solver(p.tnorm)
+    eps, neg_eps = EPS, -EPS
     cols = range(n)
-    relax = [[] for _ in cols]        # per column: the relaxation sets of the reached cells
-    rows = [[] for _ in cols]         # per column: the rows of the non-empty solution sets,
-    cells = [[] for _ in cols]        # and those sets, in the same order
+    low = [0.0] * n                   # per column: the largest lower end and the smallest
+    high = [1.0] * n                  # upper end of its cells' relaxation sets so far
+    cells = [[] for _ in cols]        # per column: (row, non-empty solution set), in row
+                                      # order; a one-sided cell's point as a float
     for i, reached_cols in enumerate(reached):
         ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
         for j in reached_cols:
-            cell, r = _resolve_cell(u, ap[j], am[j], b)
-            relax[j].append(r)
-            if cell:
-                rows[j].append(i)
-                cells[j].append(cell)
+            x, y = ap[j], am[j]
+            plus_ge = x - b >= neg_eps
+            if plus_ge is not (y - b >= neg_eps):
+                if plus_ge:             # relaxation set [0, v]
+                    v = u(x, b)
+                    if v < high[j]:
+                        high[j] = v
+                else:                   # relaxation set [v, 1]
+                    v = 1.0 - u(y, b)
+                    if v > low[j]:
+                        low[j] = v
+            else:
+                v, r = _resolve_cell(u, x, y, b)
+                if not r:               # crossed: ∅ empties the column's fold
+                    low[j] = _CROSSED
+                if not v:               # crossed, or unreached: [0, 1] changes no fold
+                    continue
+                lo, hi = r
+                if lo > low[j]:
+                    low[j] = lo
+                if hi < high[j]:
+                    high[j] = hi
+            cells[j].append((i, v))
     s_prime = [[_EMPTY] * n for _ in range(m)]
     row_support = [[] for _ in range(m)]
     col_support = [[] for _ in cols]
-    col_interval = [fold(r) for r in relax]
-    for j, col in enumerate(col_interval):
+    col_interval = []
+    for j, lo, hi in zip(cols, low, high):
+        if hi - lo > eps:               # the lemma beside sets.fold
+            col = SetForm((lo, hi))
+        elif lo == _CROSSED:
+            col = _EMPTY
+        else:
+            col = fold([_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i])[1]
+                        for i, _ in cells[j]])
+        col_interval.append(col)
         if not col:
             continue
         lo, hi = col
-        if lo == hi:
-            at_lo = at_hi = at_both = col
-        else:
-            at_lo, at_hi, at_both = SetForm.point(lo), SetForm.point(hi), SetForm((lo, lo, hi, hi))
+        at_lo = at_hi = at_both = col if lo == hi else None     # built when first kept
         support = col_support[j]
-        for i, cell in zip(rows[j], cells[j]):
-            first, last = cell[0], cell[-1]
-            if first != last and len(cell) == 2:    # a b <= EPS interval cell
+        for i, cell in cells[j]:
+            if cell.__class__ is float:
+                first = last = cell
+            else:
+                first, last = cell[0], cell[-1]
+            if first != last and len(cell) == 2:        # a b <= EPS interval cell
                 kept = col
-            elif abs(first - lo) <= EPS:
-                kept = at_both if abs(last - hi) <= EPS else at_lo
-            elif abs(last - hi) <= EPS:
-                kept = at_hi
+            elif abs(first - lo) <= eps:
+                if abs(last - hi) <= eps:
+                    kept = at_both = at_both or SetForm((lo, lo, hi, hi))
+                else:
+                    kept = at_lo = at_lo or SetForm.point(lo)
+            elif abs(last - hi) <= eps:
+                kept = at_hi = at_hi or SetForm.point(hi)
             else:
                 continue
             s_prime[i][j] = kept
@@ -384,32 +430,41 @@ def _is_feasible_point(p: ProblemInstance, x, reached: list, tables) -> bool:
 
 def _row_holds(T, a_plus, a_minus, b: float, cols, x, x_neg) -> bool:
     """Whether |max(0, terms) - b| <= EPS, the verdict of ``row_value``, on
-    the bound kernel ``T`` of ``tnorms._evaluator``.
+    the bound kernel ``T`` of ``tnorms._evaluator``, in one pass over the
+    columns ``cols``.
 
     The axiom T(a, y) <= min(a, y), which the kernel keeps exactly, caps
     every term by cap = min(a, y), and the rounded difference v - b is
     monotone in v.  So a term with cap - b < -EPS can neither reach the
     row nor overshoot it and is skipped; a term with cap - b > EPS is
-    always evaluated, since it may overshoot; a term in between matters
-    only until some term has reached b within EPS.  With no reaching term
-    the row holds only if b <= EPS (the empty max is 0).  Only the terms of
-    the columns ``cols`` with a and y at least fl(b - 2·EPS) are listed:
-    every other term must have cap - b < -EPS.
+    evaluated at once, since it may overshoot; a reach-only term, with
+    cap within EPS of b, cannot overshoot and is evaluated only while no
+    term has reached b within EPS.  With no reaching term the row holds
+    only if b <= EPS (the empty max is 0).  The verdict does not depend on
+    the order of the terms.  ``cols`` lists the columns with a+ or a- at
+    least fl(b - 2·EPS), and a term with a or y below that bound has
+    cap - b < -EPS, so it is skipped on that test alone.
     """
     eps, neg_eps = EPS, -EPS
     reach = b - 2 * eps
     reached = b <= eps
-    for a, y in ([(a_plus[j], x[j]) for j in cols if a_plus[j] >= reach and x[j] >= reach]
-                 + [(a_minus[j], x_neg[j]) for j in cols
-                    if a_minus[j] >= reach and x_neg[j] >= reach]):
-        d = (a if a < y else y) - b
-        if d < neg_eps or (reached and d <= eps):
-            continue
-        d = T(a, y) - b
-        if d > eps:
-            return False
-        if d >= neg_eps:
-            reached = True
+    for j in cols:                  # the a+ term of column j, then its a- term
+        a, y = a_plus[j], x[j]
+        if a >= reach <= y:
+            d = (a if a < y else y) - b
+            if d > eps or (not reached and d >= neg_eps):
+                d = T(a, y) - b
+                if d > eps:
+                    return False
+                reached = reached or d >= neg_eps
+        a, y = a_minus[j], x_neg[j]
+        if a >= reach <= y:
+            d = (a if a < y else y) - b
+            if d > eps or (not reached and d >= neg_eps):
+                d = T(a, y) - b
+                if d > eps:
+                    return False
+                reached = reached or d >= neg_eps
     return reached
 
 

@@ -79,7 +79,15 @@ def _form(s: tuple) -> "SetForm":
 def fold(sets, acc: tuple = (0.0, 1.0)) -> "SetForm":
     """``acc ∩ s`` for each s of ``sets`` in turn, left to right, ``acc``
     the unit interval unless given: the intersect rule.  An operand of one
-    piece may come as the raw bounds ``(lo, hi)`` of ``piece(lo, hi)``."""
+    piece may come as the raw bounds ``(lo, hi)`` of ``piece(lo, hi)``.
+
+    Lemma: let every operand, ``acc`` too, be one piece ``(lo, hi)``, and
+    let L be the largest lo and H the smallest hi.  If H - L > EPS, the fold
+    is exactly [L, H].  Every operand and every partial fold then spans at
+    least [L, H], and rounding keeps that order, so each is an interval
+    wider than EPS: no point rule and no narrowing ``piece`` fires, and each
+    step keeps the larger lo and the smaller hi.  ``resolution.build_tables``
+    reads a column interval off its running bounds by this lemma."""
     return _form(_fold(sets, acc))
 
 

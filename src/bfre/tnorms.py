@@ -59,8 +59,8 @@ class Kind(Enum):
 
 
 class InvalidParameter(ValueError):
-    def __init__(self, family, param, domain):
-        super().__init__(f"{family}: parameter {param!r} not allowed ({domain})")
+    def __init__(self, family, param, domain, message=None):
+        super().__init__(message or f"{family}: parameter {param!r} not allowed ({domain})")
         self.family = family
         self.param = param
         self.domain = domain
@@ -242,14 +242,19 @@ _FAMILIES = {
 def validate(family, param=None) -> TNorm:
     """Build a TNorm, rejecting out-of-domain parameters.
 
-    ``family`` may be a Family member or its lowercase string name.  A
-    parameter must be finite and in the family's domain.
+    ``family`` may be a Family member or its string name, in any case; any
+    other value, or a name of no family, is refused without a word on the
+    parameter.  A parameter must be finite and in the family's domain.
     """
     if not isinstance(family, Family):
+        if not isinstance(family, str):
+            raise InvalidParameter(family, param, "unknown family",
+                                   f"t-norm family {family!r} is not a string")
         try:
-            family = Family(str(family).lower())
+            family = Family(family.lower())
         except ValueError:
-            raise InvalidParameter(family, param, "unknown family") from None
+            raise InvalidParameter(family, param, "unknown family",
+                                   f"unknown t-norm family {family!r}") from None
     rec = _FAMILIES[family]
     if rec.ok is None:
         if param is not None:

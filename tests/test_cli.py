@@ -51,9 +51,14 @@ class TestProblemFiles:
         path = write_problem(tmp_path, {k: v for k, v in tiny_problem().items() if k != "b"})
         assert main(["solve", path]) == 1
 
-    def test_bad_family(self, tmp_path):
-        path = write_problem(tmp_path, tiny_problem(tnorm={"family": "minimum"}))
-        assert main(["solve", path]) == 1
+    def test_bad_family(self, tmp_path, capsys):
+        # the family is refused for itself, with no word on a parameter
+        for family, message in [("minimum", "unknown t-norm family 'minimum'"),
+                                (["yager"], "t-norm family ['yager'] is not a string"),
+                                (None, "t-norm family None is not a string")]:
+            path = write_problem(tmp_path, tiny_problem(tnorm={"family": family}))
+            assert main(["solve", path, "--no-timing"]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n", family
 
     def test_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -121,6 +126,23 @@ class TestProblemFiles:
         path = write_problem(tmp_path, data)
         assert main(["solve", path, "--no-timing"]) == 1
         assert capsys.readouterr().err == f"error: {where} is {spelled}, not a number\n"
+
+    @pytest.mark.parametrize("data,message", [
+        (tiny_problem(b=None), "b is null, not an array"),
+        (tiny_problem(a_plus=[0.5]), "a_plus[0] is a number, not an array"),
+        (tiny_problem(a_minus=[[0.2], "ab"]), "a_minus[1] is a string, not an array"),
+        (tiny_problem(a_plus="ab"), "a_plus is a string, not an array"),
+        (tiny_problem(b="0.5"), "b is a string, not an array"),
+        (tiny_problem(c={"0": 1}), "c is an object, not an array"),
+        (tiny_problem(a_minus=True), "a_minus is a boolean, not an array"),
+        ([tiny_problem()], "problem is an array, not an object"),
+        ("problem", "problem is a string, not an object"),
+    ])
+    def test_malformed_shape_refused(self, tmp_path, capsys, data, message):
+        # iterating would read a string as characters and an object as its keys
+        path = write_problem(tmp_path, data)
+        assert main(["solve", path, "--no-timing"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_integers_are_numbers(self, tmp_path):
         data = tiny_problem(tnorm={"family": "yager", "param": 2}, a_plus=[[1]], c=[3])

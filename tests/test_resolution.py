@@ -13,6 +13,7 @@ from bfre.resolution import (
     _build_tables, _is_feasible_point, admissible_upper_bound, cell_grids, restrict, row_value,
     satisfies_by_tables, tables_to_json,
 )
+from bfre.sets import fold
 from bfre.tnorms import DomainError, solve_u
 from bfre.tolerance import EPS
 
@@ -981,6 +982,49 @@ class TestBuildTablesBitExact:
         assert bits(tb.col_interval[0]) == bits(tb.col_interval[2]) == bits(SetForm.point(0.5))
         assert tb.s_prime[1][1].is_pair and tb.s_prime[1][1][-1] == tb.col_interval[1][-1] == 0.75
 
+    def test_running_bounds_narrow_after_wide(self, monkeypatch):
+        # one-sided cells only: [0, .5] and [.3, 1] leave the column wide,
+        # then [.5 - .4e, 1] ends its running bounds within EPS, so it is
+        # folded into the point .5 - .4e, which row 0's point .5 keeps
+        e = EPS
+        p = make_instance([[0.75], [0.0], [0.0]], [[0.0], [0.55], [0.75 - 0.4 * e]], [0.25] * 3)
+        tb, _ = self.assert_matches_chain(p)
+        assert tb.col_interval[0].is_point and tb.col_support[0] == [0, 2]
+        assert _column_folds(monkeypatch, p) == 1
+
+    def test_crossed_cell_after_one_sided_cells(self, monkeypatch):
+        # rows 0, 1 and 3 are one-sided; row 2's two sides cross, [.65, .35],
+        # which empties the column without a fold
+        p = make_instance([[0.75], [0.0], [0.9], [0.6]], [[0.0], [0.55], [0.9], [0.0]],
+                          [0.25] * 4)
+        tb, _ = self.assert_matches_chain(p)
+        assert not tb.col_interval[0] and tb.col_support[0] == []
+        assert _column_folds(monkeypatch, p) == 0
+
+    def test_zero_rhs_rows_beside_one_sided_rows(self, monkeypatch):
+        # column 0: the b = 0 and b = EPS/2 interval cells [.1, .8] and
+        # [.4, .7] between one-sided rows leave the running bounds [.4, .5]
+        # wide, and both are kept as the column itself; column 1: the b = 0
+        # point {.6} meets the one-sided [.6, 1], and the column is folded
+        p = make_instance([[0.75, 0.0], [0.2, 0.4], [0.0, 0.0], [0.3, 0.0]],
+                          [[0.0, 0.85], [0.1, 0.6], [0.55, 0.0], [0.4, 0.0]],
+                          [0.25, 0.0, 0.25, 0.5 * EPS])
+        tb, _ = self.assert_matches_chain(p)
+        assert kind(tb.col_interval[0]) == "interval" and tb.col_interval[1].is_point
+        assert tb.s_prime[1][0] is tb.col_interval[0] is tb.s_prime[3][0]
+        assert _column_folds(monkeypatch, p) == 1
+
+    def test_corpus_takes_both_column_paths(self, monkeypatch):
+        # a column is read off its running bounds exactly when the reference
+        # relaxation sets, none of them empty, end more than EPS apart
+        shortcut = folded = 0
+        for p in _wide_corpus():
+            paths = _column_paths(p)
+            assert _column_folds(monkeypatch, p) == paths.count("fold"), p
+            shortcut += paths.count("shortcut")
+            folded += paths.count("fold")
+        assert shortcut >= 1000 and folded >= 100, (shortcut, folded)
+
     def test_full_size_and_extreme_settings(self):
         # the corpus must reach every branch of the float-level resolution
         census = set()
@@ -1045,6 +1089,40 @@ class TestColumnBoundCells:
                 assert all(hexes(c) in allowed for c in shared.values()), (p, j)
                 reused += len(kept) - len(shared)
         assert reused >= 1000, reused
+
+
+def _column_folds(monkeypatch, p) -> int:
+    """How many columns ``build_tables(p)`` folds with ``sets.fold``."""
+    import bfre.resolution as resolution
+    calls = []
+
+    def counted(sets, *acc):
+        calls.append(1)
+        return fold(sets, *acc)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(resolution, "fold", counted)
+        build_tables(p)
+    return len(calls)
+
+
+def _column_paths(p) -> list:
+    """Per column, how the lemma beside ``sets.fold`` sorts the reference
+    relaxation sets: "crossed" when one is empty, else "shortcut" when the
+    largest lower end and the smallest upper end lie more than EPS apart,
+    else "fold"."""
+    paths = []
+    for j in range(p.n):
+        lo, hi, crossed = 0.0, 1.0, False
+        for i in range(p.m):
+            ap, am, b = p.a_plus[i][j], p.a_minus[i][j], p.b[i]
+            relax = _chain_bipolar_cell(p.tnorm, ap, am, b)[1]
+            if not relax:
+                crossed = True
+            else:
+                lo, hi = max(lo, relax[0]), min(hi, relax[-1])
+        paths.append("crossed" if crossed else "shortcut" if hi - lo > EPS else "fold")
+    return paths
 
 
 def _shape_census(p, col) -> set:
