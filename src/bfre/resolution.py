@@ -388,12 +388,16 @@ def row_value(p: ProblemInstance, i: int, x) -> float:
 
 def satisfies_by_tables(tables: ResolutionTables, x) -> bool:
     """Membership test from the tables: in every column interval, and each
-    row witnessed by some restricted cell."""
-    for j in range(tables.n):
-        if not tables.col_interval[j].contains(x[j]):
+    row witnessed by some restricted cell.  ``x`` is read by index, so a
+    point shorter than the tables raises rather than passes."""
+    for j, col in enumerate(tables.col_interval):
+        if not col.contains(x[j]):
             return False
-    for i in range(tables.m):
-        if not any(tables.s_prime[i][j].contains(x[j]) for j in tables.row_support[i]):
+    for cells, support in zip(tables.s_prime, tables.row_support):
+        for j in support:
+            if cells[j].contains(x[j]):
+                break
+        else:
             return False
     return True
 

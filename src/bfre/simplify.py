@@ -17,7 +17,10 @@ columns and forced assignments chain until exhausted.  The dominance
 techniques make a single ascending pass against a shrinking list of
 survivors: whether one row (or column) dominates another depends only on
 their own cells, which no restriction changes, so a removal can only retire
-dominators and never creates a new domination.  The other column-fixing
+dominators and never creates a new domination.  A row's candidate
+dominators are the live rows of its own support columns, since a dominator's
+support lies inside the dominated row's; a live row with an empty support
+dominates every other row but a lower empty one.  The other column-fixing
 optimality techniques act once, on the state where they first became
 applicable.  Chaining those fixes further would be sound but produces a
 different, more aggressive reduction than the one this module documents and
@@ -29,10 +32,12 @@ whole pass works in place on one live view of the input tables, and its
 ``apply`` is the one place the reduction's state changes: each action drops
 its rows and columns from the live supports, updates the running bound and
 gets its own ledger step, bounded by the rows and columns that survive it.
-No cell is scanned again and no table is rebuilt between slots; one
-restriction at the end, made only when something was dropped, gives the
-search its compact tables.  The input tables are never mutated: the caller
-checks the answer against them.
+A step and its action are built by filling their instance dicts, not by
+the frozen dataclasses' ``__init__``; they are equal to, and behave as, the
+ones ``__init__`` would build.  No cell is scanned again and no table is
+rebuilt between slots; one restriction at the end, made only when
+something was dropped, gives the search its compact tables.  The input
+tables are never mutated: the caller checks the answer against them.
 """
 
 from __future__ import annotations
@@ -92,6 +97,13 @@ class LedgerStep:
             bits.append("removed cols {" + ",".join(str(j + 1) for j in a.cols) + "}")
         bits.append(f"bound {self.bound_before} -> {self.bound_after}")
         return ": ".join([bits[0], ", ".join(bits[1:])])
+
+
+# ``_LiveTables.apply`` builds its actions and steps with these, setting each
+# instance dict whole instead of one field at a time through the generated
+# frozen ``__init__``, as ``sets._new`` builds a ``SetForm``.
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass
@@ -209,7 +221,9 @@ class _LiveTables:
         Every position given must be live, and given once.  Each fixed
         value is checked against its column interval first.  The rows are
         then dropped, from ``rows`` and from the column supports, and after
-        them the columns, from ``cols`` and from the row supports.
+        them the columns, from ``cols`` and from the row supports.  The
+        step is built by ``_new`` and ``_set``, one dict per instance, not
+        by the dataclasses' ``__init__``.
         """
         row_ids, col_ids = self.row_ids, self.col_ids
         for j, v in fixed.items() if fixed else ():
@@ -239,10 +253,18 @@ class _LiveTables:
                 else:
                     zeros += 1
         self.product, self.zeros = product, zeros
-        action = Action(rule, {col_ids[j]: v for j, v in fixed.items()} if fixed else {},
-                        tuple([row_ids[i] for i in rows]), tuple([col_ids[j] for j in cols]),
-                        detail)
-        self.ledger.steps.append(LedgerStep(action, before, 0 if zeros else product))
+        action = _new(Action)
+        _set(action, "__dict__", {
+            "rule": rule,
+            "fixed": {col_ids[j]: v for j, v in fixed.items()} if fixed else {},
+            "rows": tuple([row_ids[i] for i in rows]) if rows else (),
+            "cols": tuple([col_ids[j] for j in cols]) if cols else (),
+            "detail": detail,
+        })
+        step = _new(LedgerStep)
+        _set(step, "__dict__", {"action": action, "bound_before": before,
+                                "bound_after": 0 if zeros else product})
+        self.ledger.steps.append(step)
 
 
 # -- individual techniques ---------------------------------------------------
@@ -293,6 +315,16 @@ def _masks(supports, live, size) -> list:
     return masks
 
 
+def _inside(cells, cells0, support) -> bool:
+    """Whether each of ``cells`` over the columns ``support`` sits inside
+    its cell of ``cells0``; a cell shared by both rows does without a test."""
+    for j in support:
+        c, c0 = cells[j], cells0[j]
+        if c is not c0 and not c.issubset(c0):
+            return False
+    return True
+
+
 def rule_dominated_row(t: _LiveTables, costs=None) -> None:
     """Rows made redundant by another surviving row, in a single ascending
     pass; one single-row action per removed row.
@@ -305,22 +337,37 @@ def rule_dominated_row(t: _LiveTables, costs=None) -> None:
     row kept once stays kept as the survivors shrink, so the removals are
     the fixed point of repeated single removals in ascending order.
     Dropping rows leaves every row support, and so every bitmask, as it is.
+
+    A dominator with a non-empty support lies inside row i0's, so it is a
+    live row of one of row i0's support columns: the candidates are read
+    off the live column supports, never the whole row list.  A row with an
+    empty support dominates every non-empty row, and of the empty rows the
+    lowest survives the others; so when a live row is empty, the lowest
+    such row stays and every other live row is dropped, ascending.
     """
-    s_prime, row_support, live = t.s_prime, t.row_support, t.rows
+    s_prime, row_support, col_support, live = t.s_prime, t.row_support, t.col_support, t.rows
+    keep = next((i for i in live if not row_support[i]), None)
+    if keep is not None:
+        for i0 in [i for i in live if i != keep]:
+            t.apply(Rule.DOMINATED_ROW, (i0,))
+        return
     masks = _masks(row_support, live, t.m)
     for i0 in list(live):
-        m0, cells0 = masks[i0], s_prime[i0]
-        for i in live:
-            mi = masks[i]
-            if i == i0 or mi & m0 != mi:
+        m0, cells0, sup0 = masks[i0], s_prime[i0], row_support[i0]
+        # a row met through several columns is met again; its mask test is
+        # cheaper than a set of the candidates
+        for j0 in sup0:
+            for i in col_support[j0]:
+                mi = masks[i]
+                if i == i0 or mi & m0 != mi or not _inside(s_prime[i], cells0, row_support[i]):
+                    continue
+                if i0 < i and mi == m0 and _inside(cells0, s_prime[i], sup0):
+                    continue
+                t.apply(Rule.DOMINATED_ROW, (i0,))
+                break
+            else:
                 continue
-            cells = s_prime[i]
-            if not all(cells[j].issubset(cells0[j]) for j in row_support[i]):
-                continue
-            if i0 < i and mi == m0 and all(cells0[j].issubset(cells[j]) for j in row_support[i0]):
-                continue
-            t.apply(Rule.DOMINATED_ROW, (i0,))
-            break
+            break    # i0 is dropped
 
 
 def rule_forced_assignment(t: _LiveTables, costs=None) -> None:
@@ -344,7 +391,13 @@ def rule_forced_assignment(t: _LiveTables, costs=None) -> None:
 def rule_two_point_row(t: _LiveTables, costs=None) -> None:
     """Rows holding a two-point restricted cell never constrain candidate
     minima; one action drops them all."""
-    rows = [i for i in t.rows if any(t.s_prime[i][j].is_pair for j in t.row_support[i])]
+    s_prime, row_support, rows = t.s_prime, t.row_support, []
+    for i in t.rows:
+        cells = s_prime[i]
+        for j in row_support[i]:
+            if cells[j].is_pair:
+                rows.append(i)
+                break
     if rows:
         t.apply(Rule.TWO_POINT_ROW, rows)
 
@@ -356,13 +409,17 @@ def rule_lower_bound_column(t: _LiveTables, costs=None) -> None:
     Matches are collected against the entry state; a row shared by several
     matching columns is dropped once, under the first.
     """
+    col_interval, col_support, s_prime = t.col_interval, t.col_support, t.s_prime
     fixed, rows = {}, {}
     for j in t.cols:
-        sup = t.col_support[j]
+        sup = col_support[j]
         if not sup:
             continue
-        lj = t.lower_bound(j)
-        if all(t.s_prime[i][j].contains(lj) for i in sup):
+        lj = col_interval[j][0]
+        for i in sup:
+            if not s_prime[i][j].contains(lj):
+                break
+        else:
             fixed[j] = lj
             rows.update(dict.fromkeys(sup))
     if fixed:
@@ -375,7 +432,8 @@ def rule_free_column(t: _LiveTables, costs=None) -> None:
     Columns with an empty interval are left alone; they belong to the
     feasibility check, not to the reducer.
     """
-    fixed = {j: t.lower_bound(j) for j in t.cols if not t.col_support[j] and t.col_interval[j]}
+    col_interval, col_support = t.col_interval, t.col_support
+    fixed = {j: col_interval[j][0] for j in t.cols if not col_support[j] and col_interval[j]}
     if fixed:
         t.apply(Rule.FREE_COLUMN, (), list(fixed), fixed)
 

@@ -338,6 +338,33 @@ class TestTableCriterion:
                 direct = all(abs(row_value(p, i, x) - p.b[i]) <= TOL for i in range(p.m))
                 assert direct == satisfies_by_tables(tb, x), (p, x)
 
+    def test_matches_cell_by_cell_reference(self):
+        """Against the criterion written cell by cell, at grid points and at
+        the column bounds, where a point passes every interval; a point one
+        coordinate short raises."""
+        def reference(tb, x):
+            return (all(tb.col_interval[j].contains(x[j]) for j in range(tb.n))
+                    and all(any(tb.s_prime[i][j].contains(x[j]) for j in tb.row_support[i])
+                            for i in range(tb.m)))
+
+        rng = random.Random(404)
+        passed = raised = 0
+        for _ in range(150):
+            p = random_case(rng)
+            tb = build_tables(p)
+            for _ in range(10):
+                x = [rng.choice((rng.randint(0, 20) / 20, c[0], c[-1])) if c else rng.random()
+                     for c in tb.col_interval]
+                got = satisfies_by_tables(tb, x)
+                assert got == reference(tb, x), (p, x)
+                passed += got
+            if all(tb.col_interval):
+                short = [c[0] for c in tb.col_interval][:-1]
+                with pytest.raises(IndexError):
+                    satisfies_by_tables(tb, short)
+                raised += 1
+        assert passed >= 20 and raised >= 20, (passed, raised)
+
 
 class TestRestrictedShape:
     def test_endpoints_pin_to_column_bounds(self):

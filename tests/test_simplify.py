@@ -1,12 +1,17 @@
+import dataclasses
+import hashlib
 import importlib
 import itertools
 import json
+import pickle
 import random
 import sys
+from collections import Counter
 
 import pytest
 
 from bfre import InconsistentReduction, Mode, build_tables, check_feasibility, simplify
+from bfre.cli import load_problem, main
 from bfre.oracle import (
     brute_force_optimum, planted_feasible_instance, random_feasible_instance, random_instance,
 )
@@ -20,6 +25,7 @@ from bfre.simplify import (
 from bfre.resolution import ProblemInstance, ResolutionTables
 
 from conftest import make_instance
+from test_optimize import _workloads
 from test_resolution import table_bits
 
 TOL = 1e-9
@@ -99,6 +105,112 @@ class TestDominatedRow:
     def test_disjoint_supports_untouched(self):
         p = make_instance([[0.9, 0.0], [0.0, 0.9]], [[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
         assert applied(rule_dominated_row, build_tables(p)) == []
+
+
+def synthetic_tables(cells, n, col_interval=None):
+    """Tables over n columns from ``cells``, one {column: cell} dict per
+    row; every column interval is [0, 1] unless ``col_interval`` is given."""
+    grid = [[row.get(j, SetForm.empty()) for j in range(n)] for row in cells]
+    m = len(cells)
+    return ResolutionTables(
+        col_interval or [SetForm.interval(0.0, 1.0)] * n, grid,
+        [sorted(row) for row in cells],
+        [[i for i, row in enumerate(cells) if j in row] for j in range(n)],
+        list(range(m)), list(range(n)), [0.5] * m,
+    )
+
+
+class TestDominatedRowEmptySupport:
+    """A row with an empty support has no column to be found through: it
+    dominates every non-empty row, and of two empty rows the lower index
+    survives.  Synthetic tables, checked against the all-pairs reference."""
+
+    def test_empty_row_drops_every_nonempty_row(self):
+        iv, point = SetForm.interval, SetForm.point
+        tables = synthetic_tables([{0: iv(0.2, 0.8)}, {1: point(0.4)}, {},
+                                   {0: point(0.3), 1: iv(0.1, 0.9)}], 2)
+        removed = dropped(applied(rule_dominated_row, tables))
+        assert removed == _ref_single_pass_dominated_row(tables) == [0, 1, 3]
+
+    def test_two_empty_rows_drop_the_higher(self):
+        iv = SetForm.interval
+        tables = synthetic_tables([{0: iv(0.2, 0.8)}, {}, {1: iv(0.3, 0.6)}, {}], 2)
+        removed = dropped(applied(rule_dominated_row, tables))
+        assert removed == _ref_single_pass_dominated_row(tables) == [0, 2, 3]
+        tables = synthetic_tables([{}, {}], 1)
+        assert dropped(applied(rule_dominated_row, tables)) == [1]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_row_emptied_by_a_singleton_column(self, mode):
+        # column 0's interval is the point 0; row 0's only cell there does
+        # not hold it, so fixing column 0 leaves row 0 with no column
+        iv, point = SetForm.interval, SetForm.point
+        tables = synthetic_tables(
+            [{0: point(0.5)}, {1: iv(0.2, 0.8)}, {0: point(0.0), 1: point(0.3)},
+             {1: point(0.6)}, {1: iv(0.1, 0.9)}], 2,
+            col_interval=[point(0.0), iv(0.0, 1.0)])
+        ledger = assert_same_reduction(tables, [1.0, 2.0], mode, "emptied")
+        assert [(s.action.rule, s.action.rows) for s in ledger.steps[:4]] == [
+            (Rule.SINGLETON_COLUMN, (2,)), (Rule.DOMINATED_ROW, (1,)),
+            (Rule.DOMINATED_ROW, (3,)), (Rule.DOMINATED_ROW, (4,))]
+
+
+class TestLedgerSteps:
+    """``apply`` builds each step without the dataclasses' ``__init__``;
+    the steps must be the instances ``__init__`` builds."""
+
+    @staticmethod
+    def _ledgers(example, example_tables):
+        p, _ = _workloads().grid_planted(random.Random(7), "yager", 2.0, 32, 32)
+        p = load_problem(p)
+        for tables, costs in ((example_tables, example.c), (build_tables(p), p.c)):
+            for mode in Mode:
+                yield simplify(tables, costs, mode)[1]
+
+    def test_same_as_built_by_init(self, example, example_tables):
+        rules = set()
+        for ledger in self._ledgers(example, example_tables):
+            steps = []
+            for s in ledger.steps:
+                a = s.action
+                want = LedgerStep(Action(a.rule, dict(a.fixed), tuple(a.rows), tuple(a.cols),
+                                         a.detail), s.bound_before, s.bound_after)
+                assert s == want and repr(s) == repr(want)
+                assert list(vars(s)) == list(vars(want))
+                assert list(vars(a)) == list(vars(want.action))
+                assert dataclasses.asdict(s) == dataclasses.asdict(want)
+                assert s.describe() == want.describe()
+                assert pickle.loads(pickle.dumps(s)) == s
+                steps.append(want)
+                rules.add(a.rule)
+            built = ReductionLedger(steps, ledger.initial_bound)
+            assert json.dumps(built.to_json()) == json.dumps(ledger.to_json())
+        assert rules == set(Rule) - {Rule.ZERO_RHS_ROW}
+
+    def test_frozen(self, example, example_tables):
+        ledger = next(self._ledgers(example, example_tables))
+        for s in ledger.steps:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                s.bound_after = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                s.action.rows = ()
+
+
+class TestPresolvePin:
+    """The presolve block of the 32×32 grid instance that CI's
+    console-script step solves: a change to any rule's ledger shows here."""
+
+    def test_ci_presolve(self, tmp_path, capsys):
+        problem, _ = _workloads().grid_planted(random.Random(7), "yager", 2.0, 32, 32)
+        path = tmp_path / "grid32.json"
+        path.write_text(json.dumps(problem))
+        assert main(["solve", str(path), "--json", "--no-timing"]) == 0
+        d = json.loads(capsys.readouterr().out)["presolve"]
+        assert Counter(s["rule"] for s in d["steps"]) == {
+            "DominatedRow": 17, "ForcedAssignment": 7, "TwoPointRow": 1,
+            "LowerBoundColumn": 1, "FreeColumn": 1, "DominatedColumn": 1}
+        assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == \
+            "82a453d7ac59ac5fc610e2765f4cbe72d0cd78244f021fce878345c93f8352c6"
 
 
 class TestForcedAssignment:
