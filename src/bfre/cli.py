@@ -6,12 +6,12 @@ Problem files are JSON objects with keys ``tnorm`` ({"family", "param"}),
 exceeded or an inconsistent reduction.  The BFRE_EPS environment variable
 overrides the comparison tolerance.
 
-``verify`` compares the solver with the brute-force oracle; on planted
-instances it also requires an optimum no costlier than the planted point,
-a check that does not go through the resolution tables.  Its random batch
-cycles through every built-in family.  With ``--json`` it also reports the
-worst objective gap and the worst row residual |row_value - b_i| of the
-optimal answers it checked.
+``verify`` compares the solver with the brute-force oracle, which reads the
+resolution tables ``solve`` built; on planted instances it also requires an
+optimum no costlier than the planted point, a check that does not go
+through the tables.  Its random batch cycles through every built-in family.
+With ``--json`` it also reports the worst objective gap and the worst row
+residual |row_value - b_i| of the optimal answers it checked.
 
 With ``--json`` standard output is one JSON document; the timing line, when
 not suppressed, goes to standard error.  It times a command from after it
@@ -170,11 +170,10 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     mode = Mode.FEASIBILITY_PRESERVING if args.no_simplify else Mode.OPTIMALITY_PRESERVING
     sol = solve(p, mode=mode, record=args.trace)
-    tables = build_tables(p) if args.tables else None
     if args.json:
         doc = _solution_json(sol, args.trace)
-        if tables is not None:
-            doc["tables"] = tables_to_json(p, tables)
+        if args.tables:
+            doc["tables"] = tables_to_json(p, sol.tables)
         print(json.dumps(doc, indent=2))
     else:
         print(f"status: {sol.status.value}")
@@ -199,8 +198,8 @@ def cmd_solve(args) -> int:
         if args.trace:
             for line in sol.trace_lines():
                 print(line)
-        if tables is not None:
-            _print_tables(p, tables)
+        if args.tables:
+            _print_tables(p, sol.tables)
     _print_timing(args, t0)
     return 0 if sol.optimal else 2
 
@@ -247,7 +246,7 @@ def _compare(p: ProblemInstance, cap: int, planted=None) -> tuple:
     the answer is OPTIMAL.
     """
     sol = solve(p)
-    rep = brute_force_optimum(build_tables(p), p.c, cap=cap)
+    rep = brute_force_optimum(sol.tables, p.c, cap=cap)
     mismatches = []
     gap = residual = 0.0
     if sol.optimal:

@@ -199,8 +199,8 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     """
     tables = reduced.tables
     costs = reduced.costs
-    m, n = tables.m, tables.n
-    base_x = [tables.lower_bound(j) for j in range(n)]
+    m = tables.m
+    base_x = [s[0] for s in tables.col_interval]
     base_z = sum((c * v for c, v in zip(costs, base_x)), 0.0)
     events: list = []
     if m == 0:
@@ -327,6 +327,11 @@ class InfeasibleReason(Enum):
 
 @dataclass
 class Solution:
+    """What ``solve`` found: the status, the optimum or the reason there is
+    none, the presolve ledger, the search counters and trace events, and
+    ``tables``, the unreduced resolution tables ``solve`` built (left out of
+    the repr)."""
+
     status: Status
     x: list | None = None
     objective: float | None = None
@@ -335,6 +340,7 @@ class Solution:
     ledger: ReductionLedger | None = None
     stats: SearchStats = field(default_factory=SearchStats)
     events: list = field(default_factory=list)
+    tables: ResolutionTables | None = field(default=None, repr=False)
 
     @property
     def optimal(self) -> bool:
@@ -358,20 +364,20 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
     report = check_feasibility(tables)
     if not report.ok:
         return Solution(Status.INFEASIBLE, reason=InfeasibleReason(report.status.value),
-                        witness=report.witness)
+                        witness=report.witness, tables=tables)
     reduced, ledger = simplify(tables, p.c, mode)
     result = branch_and_bound(reduced, modified=(mode is Mode.OPTIMALITY_PRESERVING),
                               record=record)
     if not result.found:
         return Solution(Status.INFEASIBLE, reason=InfeasibleReason.EXHAUSTED_SEARCH,
-                        ledger=ledger, stats=result.stats, events=result.events)
+                        ledger=ledger, stats=result.stats, events=result.events, tables=tables)
     x = reduced.lift(result.x)
     if not _is_feasible_point(p, x, reached, tables):
         raise InconsistentReduction(
             "reduction produced a candidate violating the original system")
     objective = sum((c * v for c, v in zip(p.c, x)), 0.0)
     return Solution(Status.OPTIMAL, x=x, objective=objective, ledger=ledger,
-                    stats=result.stats, events=result.events)
+                    stats=result.stats, events=result.events, tables=tables)
 
 
 def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = DEFAULT_CAP):

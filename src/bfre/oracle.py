@@ -69,8 +69,8 @@ def _batch_candidate(tables, e):
             inter = inter.intersect(tables.s_prime[i][j])
             if not inter:
                 return None
-        groups[j] = inter.minimum()
-    return [groups[j] if j in groups else tables.lower_bound(j) for j in range(tables.n)]
+        groups[j] = inter[0]
+    return [groups[j] if j in groups else tables.col_interval[j][0] for j in range(tables.n)]
 
 
 def brute_force_optimum(tables: ResolutionTables, costs, cap: int = DEFAULT_CAP) -> OracleReport:

@@ -170,12 +170,6 @@ class ResolutionTables:
     def n(self) -> int:
         return len(self.col_ids)
 
-    def lower_bound(self, j: int) -> float:
-        return self.col_interval[j].minimum()
-
-    def upper_bound(self, j: int) -> float:
-        return self.col_interval[j].maximum()
-
     def intersect_cells(self, j: int, rows) -> SetForm:
         """Intersection of column j's restricted cells over ``rows``, taken
         in the given order; empty when ``rows`` is."""
@@ -373,10 +367,13 @@ def check_feasibility(tables: ResolutionTables) -> FeasibilityReport:
 def row_value(p: ProblemInstance, i: int, x) -> float:
     """Left-hand side of equation i at the point x.
 
-    Each coordinate is checked and clamped into [0, 1] once; the
-    coefficients are already in range.  The t-norm's kernel is bound once
-    and evaluates every term unchecked.
+    ``x`` must have n coordinates, as for ``is_feasible_point``.  Each
+    coordinate is checked and clamped into [0, 1] once; the coefficients
+    are already in range.  The t-norm's kernel is bound once and evaluates
+    every term unchecked.
     """
+    if len(x) != p.n:
+        raise DomainError(f"point has {len(x)} coordinates, expected {p.n}")
     # evaluate's error for its second argument
     x = [_check_unit("y", x[j]) for j in range(p.n)]
     T = _evaluator(p.tnorm)

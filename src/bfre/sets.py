@@ -177,16 +177,6 @@ class SetForm(tuple):
     def is_pair(self) -> bool:
         return len(self) == 4 and self[0] == self[1] and self[2] == self[3]
 
-    def minimum(self) -> float:
-        if not self:
-            raise ValueError("minimum of empty set")
-        return self[0]
-
-    def maximum(self) -> float:
-        if not self:
-            raise ValueError("maximum of empty set")
-        return self[-1]
-
     # -- algebra ----------------------------------------------------------
 
     def contains(self, v: float) -> bool:

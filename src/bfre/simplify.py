@@ -195,8 +195,6 @@ class _LiveTables:
 
     m = ResolutionTables.m
     n = ResolutionTables.n
-    lower_bound = ResolutionTables.lower_bound
-    upper_bound = ResolutionTables.upper_bound
     intersect_cells = ResolutionTables.intersect_cells
 
     def __init__(self, tables: ResolutionTables):
@@ -300,7 +298,7 @@ def rule_singleton_column(t: _LiveTables, costs=None) -> None:
     """
     col_interval = t.col_interval
     for j in [j for j in t.cols if col_interval[j].is_point]:
-        _fix(Rule.SINGLETON_COLUMN, t, j, col_interval[j].minimum())
+        _fix(Rule.SINGLETON_COLUMN, t, j, col_interval[j][0])
 
 
 def _masks(supports, live, size) -> list:
@@ -382,7 +380,7 @@ def rule_forced_assignment(t: _LiveTables, costs=None) -> None:
     while k < len(live):
         i = live[k]
         if len(row_support[i]) == 1 and (cell := s_prime[i][row_support[i][0]]).is_point:
-            _fix(Rule.FORCED_ASSIGNMENT, t, row_support[i][0], cell.minimum())
+            _fix(Rule.FORCED_ASSIGNMENT, t, row_support[i][0], cell[0])
             k = 0
         else:
             k += 1
@@ -454,23 +452,23 @@ def rule_dominated_column(t: _LiveTables, costs) -> None:
     a single ascending pass over the surviving columns, each matched one
     leaving the candidates for j2, drains every match into one step.
     """
-    col_support, cols = t.col_support, t.cols
+    col_interval, col_support, cols = t.col_interval, t.col_support, t.cols
     masks = _masks(col_support, cols, t.n)
     inter = {j: t.intersect_cells(j, col_support[j]) for j in cols}
 
     def variant(j1, j2):
         inter1, inter2 = inter[j1], inter[j2]
-        l2 = t.lower_bound(j2)
-        if inter2.is_point and abs(inter2.minimum() - l2) <= EPS:
+        l2 = col_interval[j2][0]
+        if inter2.is_point and abs(inter2[0] - l2) <= EPS:
             return "a"
         if not (inter1.is_point and inter2.is_point):
             return None
-        v = inter1.minimum()
-        l1, u1 = t.lower_bound(j1), t.upper_bound(j1)
-        u2 = t.upper_bound(j2)
+        v = inter1[0]
+        l1, u1 = col_interval[j1][0], col_interval[j1][-1]
+        u2 = col_interval[j2][-1]
         if not (abs(v - l1) <= EPS or abs(v - u1) <= EPS):
             return None
-        if abs(inter2.minimum() - u2) > EPS:
+        if abs(inter2[0] - u2) > EPS:
             return None
         if costs[j2] * (u2 - l2) < costs[j1] * (v - l1) - EPS:
             return "b"
@@ -487,7 +485,7 @@ def rule_dominated_column(t: _LiveTables, costs) -> None:
             kind = variant(j1, j2)
             if kind is None:
                 continue
-            fixed[j1] = t.lower_bound(j1)
+            fixed[j1] = col_interval[j1][0]
             parts.append(f"{kind}:x{t.col_ids[j1] + 1}<-x{t.col_ids[j2] + 1}")
             break
     if fixed:

@@ -455,11 +455,38 @@ class TestVerifyCommand:
     def test_infeasible_answer_on_a_planted_instance(self, capsys, monkeypatch):
         from bfre.optimize import InfeasibleReason, Solution, Status
         monkeypatch.setattr(bfre.cli, "solve", lambda p: Solution(
-            Status.INFEASIBLE, reason=InfeasibleReason.EXHAUSTED_SEARCH))
+            Status.INFEASIBLE, reason=InfeasibleReason.EXHAUSTED_SEARCH,
+            tables=bfre.build_tables(p)))
         assert main(["verify", "--seed", "1", "--count", "2", "--json", "--no-timing"]) == 1
         found = json.loads(capsys.readouterr().out)["mismatches"]
         assert any(m.startswith("mismatch [product #1]: planted: solver=infeasible, "
                                 "planted point costs ") for m in found), found
+
+
+class TestOneResolutionPerCommand:
+    """Each command resolves its instance once: ``solve`` and ``verify``
+    read the tables ``solve`` built instead of building them again."""
+
+    @pytest.mark.parametrize("argv, builds", [
+        (["verify", "--seed", "1", "--count", "20"], 20),
+        (["solve", example_path(), "--tables"], 1),
+        (["solve", example_path()], 1),
+        (["resolve", example_path()], 1),
+    ])
+    def test_tables_built_once(self, capsys, monkeypatch, argv, builds):
+        import bfre.optimize as optimize
+        import bfre.resolution as resolution
+
+        build, calls = resolution._build_tables, []
+
+        def counted(p, reached):
+            calls.append(p)
+            return build(p, reached)
+
+        monkeypatch.setattr(resolution, "_build_tables", counted)
+        monkeypatch.setattr(optimize, "_build_tables", counted)
+        assert main([*argv, "--no-timing"]) == 0
+        assert len(calls) == builds
 
 
 class TestWholeTextOutput:

@@ -24,6 +24,7 @@ from bfre.tnorms import solve_u
 from bfre.tolerance import EPS
 from conftest import make_instance
 from setforms import kind, pair, same
+from test_resolution import table_bits
 
 TOL = 1e-9
 
@@ -68,8 +69,8 @@ class TestCandidateSolution:
     def test_unpicked_columns_sit_at_lower_bounds(self, example_tables):
         x = _batch_candidate(example_tables, E2)
         # columns 4, 5(0-based 3, 4) and 7 are never picked by E2
-        assert x[3] == example_tables.lower_bound(3)
-        assert x[6] == example_tables.lower_bound(6)
+        assert x[3] == example_tables.col_interval[3][0]
+        assert x[6] == example_tables.col_interval[6][0]
 
     def test_reduced_example_first_leaf(self, reduced_example):
         x = _batch_candidate(reduced_example.tables, (0, 1, 0))
@@ -210,7 +211,7 @@ class TestBranchAndBound:
 
 
 def _prefix_objective(tables, costs, prefix):
-    x = [tables.lower_bound(j) for j in range(tables.n)]
+    x = [tables.col_interval[j][0] for j in range(tables.n)]
     groups = {}
     for i, j in enumerate(prefix):
         groups.setdefault(j, []).append(i)
@@ -218,7 +219,7 @@ def _prefix_objective(tables, costs, prefix):
         inter = tables.s_prime[rows[0]][j]
         for i in rows[1:]:
             inter = inter.intersect(tables.s_prime[i][j])
-        x[j] = inter.minimum()
+        x[j] = inter[0]
     return sum(c * v for c, v in zip(costs, x))
 
 
@@ -255,6 +256,24 @@ class TestSolve:
         sol = solve(p)
         assert sol.status is Status.INFEASIBLE
         assert sol.reason is InfeasibleReason.EXHAUSTED_SEARCH
+
+    @pytest.mark.parametrize("mode", [Mode.OPTIMALITY_PRESERVING, Mode.FEASIBILITY_PRESERVING])
+    def test_solution_carries_the_tables_it_resolved(self, example, mode):
+        # the example is optimal, and seeded draws give each way to fail
+        cases = {Status.OPTIMAL: example}
+        rng = random.Random("solution_tables")
+        for _ in range(400):
+            p = random_instance(rng, "lukasiewicz", m=rng.randint(3, 6), n=rng.randint(3, 6))
+            sol = solve(p, mode)
+            cases.setdefault(sol.reason or sol.status, p)
+            if len(cases) == 4:
+                break
+        assert set(cases) == {Status.OPTIMAL, *InfeasibleReason}
+        for outcome, p in cases.items():
+            sol = solve(p, mode)
+            assert (sol.reason or sol.status) is outcome
+            assert table_bits(sol.tables) == table_bits(build_tables(p)), outcome
+            assert "tables" not in repr(sol) and "col_interval" not in repr(sol), outcome
 
     def test_modes_agree_on_randoms(self):
         rng = random.Random(246)
@@ -398,7 +417,7 @@ class TestDecomposition:
             for e, (_, box) in zip(picks, got):
                 x = _batch_candidate(sub, e)
                 for j in set(e):
-                    assert box[sub.col_ids[j]].minimum() == x[j], (k, e, j)
+                    assert box[sub.col_ids[j]][0] == x[j], (k, e, j)
             walks += 1
             boxes_seen += len(got)
         assert walks >= 400 and boxes_seen >= 1000, (walks, boxes_seen)
@@ -479,7 +498,7 @@ def _reference_branch_and_bound(reduced, modified, eps=EPS):
     the prefix, intersected in pick order."""
     tables, costs = reduced.tables, reduced.costs
     m, n = tables.m, tables.n
-    base_x = [tables.lower_bound(j) for j in range(n)]
+    base_x = [tables.col_interval[j][0] for j in range(n)]
     base_z = sum(c * v for c, v in zip(costs, base_x))
     stats = {"nodes_created": 0, "nodes_expanded": 0, "candidates_evaluated": 0,
              "prunes": 0, "incumbent_updates": 0, "jumps": 0, "max_live": 0}
@@ -509,9 +528,9 @@ def _reference_branch_and_bound(reduced, modified, eps=EPS):
         stats["nodes_created"] += 1
         x = list(parent["x"])
         z = parent["z"]
-        if inter.minimum() != x[j]:
-            z += costs[j] * (inter.minimum() - x[j])
-            x[j] = inter.minimum()
+        if inter[0] != x[j]:
+            z += costs[j] * (inter[0] - x[j])
+            x[j] = inter[0]
         return {"uid": counter, "picks": parent["picks"] + (j,),
                 "inter": {**parent["inter"], j: inter}, "x": x, "z": z,
                 "depth": parent["depth"] + 1}
@@ -780,14 +799,14 @@ class TestSharedNodeState:
             tables = problem.tables
             col_interval = list(tables.col_interval)
             s_prime = [list(row) for row in tables.s_prime]
-            lower = [tables.lower_bound(j) for j in range(tables.n)]
+            lower = [tables.col_interval[j][0] for j in range(tables.n)]
             for modified in (True, False):
                 res = branch_and_bound(problem, modified=modified)
                 if res.found:
                     assert res.x == _batch_candidate(tables, res.picks), (k, modified)
                 assert tables.col_interval == col_interval, (k, modified)
                 assert tables.s_prime == s_prime, (k, modified)
-                assert [tables.lower_bound(j) for j in range(tables.n)] == lower, (k, modified)
+                assert [tables.col_interval[j][0] for j in range(tables.n)] == lower, (k, modified)
 
 
 class TestDomainsMatchReference:

@@ -92,12 +92,12 @@ def _two_pass_oracle(tables, costs):
         return True
 
     def candidate(e):
-        x = [tables.lower_bound(j) for j in range(tables.n)]
+        x = [tables.col_interval[j][0] for j in range(tables.n)]
         for j, rows in groups(e).items():
             inter = tables.s_prime[rows[0]][j]
             for i in rows[1:]:
                 inter = inter.intersect(tables.s_prime[i][j])
-            x[j] = inter.minimum()
+            x[j] = inter[0]
         return x
 
     if any(not s for s in tables.col_interval):

@@ -376,7 +376,7 @@ class TestRestrictedShape:
                 ij = tb.col_interval[j]
                 if not ij:
                     continue
-                lo, hi = ij.minimum(), ij.maximum()
+                lo, hi = ij[0], ij[-1]
                 for i in range(p.m):
                     cell = tb.s_prime[i][j]
                     if not cell:
@@ -565,6 +565,15 @@ class TestRowValue:
         x = [0.4, 0.64, 0, math.nan, 0.3, 0, 0, 0.2, 0.8, 0.6]
         with pytest.raises(DomainError, match=r"^y=nan outside \[0, 1\]$"):
             row_value(example, 0, x)
+
+    @pytest.mark.parametrize("k", [9, 11])
+    def test_wrong_length_rejected_as_is_feasible_point_does(self, example, k):
+        x = [0.5] * k
+        with pytest.raises(DomainError) as want:
+            is_feasible_point(example, x)
+        with pytest.raises(DomainError) as got:
+            row_value(example, 0, x)
+        assert str(got.value) == str(want.value) == f"point has {k} coordinates, expected 10"
 
     def test_row_of_zero_coefficients_is_zero(self):
         p = ProblemInstance([[0.0]], [[0.0]], [0.3], [1.0], validate("product"))
@@ -842,7 +851,7 @@ class TestBuildTablesReference:
             col.append(inter)
         s_prime = [[None] * n for _ in range(m)]
         for j in range(n):
-            targets = () if not col[j] else (col[j].minimum(), col[j].maximum())
+            targets = () if not col[j] else (col[j][0], col[j][-1])
             for i in range(m):
                 s_prime[i][j] = cells[i][j][0].intersect(col[j]).snap(targets)
         return cells, col, s_prime
@@ -933,7 +942,7 @@ def _chain_tables(p):
     for j in range(n):
         if not col[j]:
             continue
-        targets = (col[j].minimum(), col[j].maximum())
+        targets = (col[j][0], col[j][-1])
         for i, cell in solved[j]:
             s_prime[i][j] = constructed_snap(constructed_intersect(cell, col[j]), targets)
     return col, s_prime

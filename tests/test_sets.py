@@ -20,10 +20,6 @@ class TestConstruction:
         assert not SetForm.interval(0.5, 0.2)
         assert kind(SetForm.interval(0.2, 0.5)) == "interval"
 
-    def test_minimum_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            SetForm.empty().minimum()
-
 
 class TestContains:
     def test_interval(self):

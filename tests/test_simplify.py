@@ -319,7 +319,7 @@ class TestFixedValueGuard:
     def test_fix_outside_the_column_interval_raises(self, monkeypatch, example_tables):
         def bad_rule(t, costs):
             j = t.cols[0]
-            t.apply(Rule.FREE_COLUMN, (), (j,), {j: t.upper_bound(j) + 0.5})
+            t.apply(Rule.FREE_COLUMN, (), (j,), {j: t.col_interval[j][-1] + 0.5})
 
         module = importlib.import_module("bfre.simplify")
         monkeypatch.setattr(module, "_SLOTS", (bad_rule,) + module._SLOTS[1:])
@@ -513,17 +513,17 @@ def _ref_dominated_column(tables, costs, eps=TOL):
                 if j2 == j1 or not support[j1] <= support[j2]:
                     continue
                 inter2 = support_intersection(j2)
-                l2 = tables.lower_bound(j2)
-                if inter2.is_point and abs(inter2.minimum() - l2) <= eps:
+                l2 = tables.col_interval[j2][0]
+                if inter2.is_point and abs(inter2[0] - l2) <= eps:
                     return ("a", j1, j2)
                 if not (inter1.is_point and inter2.is_point):
                     continue
-                v = inter1.minimum()
-                l1, u1 = tables.lower_bound(j1), tables.upper_bound(j1)
-                u2 = tables.upper_bound(j2)
+                v = inter1[0]
+                l1, u1 = tables.col_interval[j1][0], tables.col_interval[j1][-1]
+                u2 = tables.col_interval[j2][-1]
                 if not (abs(v - l1) <= eps or abs(v - u1) <= eps):
                     continue
-                if abs(inter2.minimum() - u2) > eps:
+                if abs(inter2[0] - u2) > eps:
                     continue
                 if costs[j2] * (u2 - l2) < costs[j1] * (v - l1) - eps:
                     return ("b", j1, j2)
@@ -533,7 +533,7 @@ def _ref_dominated_column(tables, costs, eps=TOL):
     fixed, cols, parts = {}, [], []
     while (hit := find(alive)) is not None:
         variant, j1, j2 = hit
-        fixed[tables.col_ids[j1]] = tables.lower_bound(j1)
+        fixed[tables.col_ids[j1]] = tables.col_interval[j1][0]
         cols.append(tables.col_ids[j1])
         parts.append(f"{variant}:x{tables.col_ids[j1] + 1}<-x{tables.col_ids[j2] + 1}")
         alive.remove(j1)
@@ -622,7 +622,7 @@ def _ref_singleton_column(tables):
         ij = tables.col_interval[j]
         if not ij.is_point:
             continue
-        k = ij.minimum()
+        k = ij[0]
         rows = tuple(tables.row_ids[i] for i in range(tables.m)
                      if tables.s_prime[i][j].contains(k))
         return Action(Rule.SINGLETON_COLUMN, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
@@ -638,7 +638,7 @@ def _ref_forced_assignment(tables):
         cell = tables.s_prime[i][j]
         if not cell.is_point:
             continue
-        k = cell.minimum()
+        k = cell[0]
         rows = tuple(tables.row_ids[r] for r in range(tables.m)
                      if tables.s_prime[r][j].contains(k))
         return Action(Rule.FORCED_ASSIGNMENT, {tables.col_ids[j]: k}, rows, (tables.col_ids[j],))
