@@ -209,7 +209,7 @@ def cmd_resolve(args) -> int:
     t0 = time.perf_counter()
     tables = build_tables(p)
     report = check_feasibility(tables)
-    boxes = enumerate_feasible_decomposition(p, cap=args.cap) if args.boxes else None
+    boxes = enumerate_feasible_decomposition(tables, cap=args.cap) if args.boxes else None
     if args.json:
         doc = {"feasibility": report.status.value}
         if report.witness is not None:

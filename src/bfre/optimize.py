@@ -66,7 +66,7 @@ from operator import itemgetter
 from .errors import DEFAULT_CAP, CapExceeded, InconsistentReduction
 from .resolution import (
     ProblemInstance, ResolutionTables, _build_tables, _is_feasible_point, _reached_columns,
-    admissible_upper_bound, build_tables, check_feasibility,
+    admissible_upper_bound, check_feasibility,
 )
 from .sets import SetForm
 from .simplify import Mode, ReducedProblem, ReductionLedger, _masks, simplify
@@ -380,21 +380,23 @@ def solve(p: ProblemInstance, mode: Mode = Mode.OPTIMALITY_PRESERVING,
                     stats=result.stats, events=result.events, tables=tables)
 
 
-def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = DEFAULT_CAP):
+def enumerate_feasible_decomposition(tables: ResolutionTables, cap: int = DEFAULT_CAP):
     """All compact boxes whose union is the feasible region.
 
-    Runs the feasibility-preserving reduction, then enumerates every
-    admissible assignment of the reduced problem depth-first, each row's
-    columns ascending, on an explicit stack, so a problem with many rows
-    needs no deep recursion.  Returns a list of (assignment, boxes) pairs in
-    original indexing: the assignment maps original row -> original column,
-    the boxes list one set per original variable.  Raises CapExceeded when
-    the support-size product exceeds cap.
+    ``tables`` are the instance's unreduced tables from ``build_tables``,
+    not a restriction of them.  Runs the feasibility-preserving reduction,
+    then enumerates every admissible assignment of the reduced problem
+    depth-first, each row's columns ascending, on an explicit stack, so a
+    problem with many rows needs no deep recursion.  Returns a list of
+    (assignment, boxes) pairs in original indexing: the assignment maps
+    original row -> original column, the boxes list one set per original
+    variable.  Raises CapExceeded when the reduced support-size product
+    exceeds cap.
     """
-    tables = build_tables(p)
     if not check_feasibility(tables).ok:
         return []
-    reduced, _ = simplify(tables, p.c, Mode.FEASIBILITY_PRESERVING)
+    # The feasibility-preserving rules read no costs.
+    reduced, _ = simplify(tables, [0.0] * tables.n, Mode.FEASIBILITY_PRESERVING)
     sub = reduced.tables
     bound = admissible_upper_bound(sub)
     if bound > cap:
@@ -414,7 +416,7 @@ def enumerate_feasible_decomposition(p: ProblemInstance, cap: int = DEFAULT_CAP)
             for j, s in reversed(_admissible_steps(inter, mask & masks[i], rows[i])):
                 stack.append((prefix + (j,), *_pick(inter, mask, j, s)))
             continue
-        box = [None] * p.n
+        box = [None] * reduced.n_original
         for j, v in reduced.fixed.items():
             box[j] = SetForm.point(v)
         for pos, j in enumerate(sub.col_ids):

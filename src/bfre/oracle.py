@@ -101,7 +101,10 @@ def grid_feasibility_census(p: ProblemInstance, step: float = 0.05,
     Cross-checks the table criterion on each point, and (when the enumerated
     box decomposition is supplied) box-union membership, recording every
     disagreement.  Box membership is tested with EPS-inflated boundaries.
+    A step other than 1/k for a positive integer k raises ValueError.
     """
+    if not 0 < step <= 1 or abs(1.0 / step - round(1.0 / step)) > 1e-9:
+        raise ValueError(f"grid step {step!r} is not 1/k for a positive integer k")
     k = round(1.0 / step)
     total = (k + 1) ** p.n
     if total > cap:

@@ -212,16 +212,17 @@ class _LiveTables:
                 self.zeros += 1
         self.ledger = ReductionLedger(initial_bound=0 if self.zeros else self.product)
 
-    def apply(self, rule: Rule, rows, cols=(), fixed=None, detail="") -> None:
+    def apply(self, rule: Rule, rows, fixed=None, detail="") -> None:
         """Apply one action, given in live positions, and record it, in
         original ids, as its ledger step.
 
-        Every position given must be live, and given once.  Each fixed
-        value is checked against its column interval first.  The rows are
-        then dropped, from ``rows`` and from the column supports, and after
-        them the columns, from ``cols`` and from the row supports.  The
-        step is built by ``_new`` and ``_set``, one dict per instance, not
-        by the dataclasses' ``__init__``.
+        Every position given must be live, and given once; the columns
+        dropped are the fixed ones, in ``fixed``'s order.  Each fixed value
+        is checked against its column interval first.  The rows are then
+        dropped, from ``rows`` and from the column supports, and after them
+        the columns, from ``cols`` and from the row supports.  The step is
+        built by ``_new`` and ``_set``, one dict per instance, not by the
+        dataclasses' ``__init__``.
         """
         row_ids, col_ids = self.row_ids, self.col_ids
         for j, v in fixed.items() if fixed else ():
@@ -240,7 +241,7 @@ class _LiveTables:
                 zeros -= 1
             for c in sup:
                 col_support[c].remove(i)
-        for j in cols:
+        for j in fixed or ():
             self.cols.remove(j)
             for r in col_support[j]:
                 sup = row_support[r]
@@ -256,7 +257,7 @@ class _LiveTables:
             "rule": rule,
             "fixed": {col_ids[j]: v for j, v in fixed.items()} if fixed else {},
             "rows": tuple([row_ids[i] for i in rows]) if rows else (),
-            "cols": tuple([col_ids[j] for j in cols]) if cols else (),
+            "cols": tuple([col_ids[j] for j in fixed]) if fixed else (),
             "detail": detail,
         })
         step = _new(LedgerStep)
@@ -285,7 +286,7 @@ def rule_zero_rhs(t: _LiveTables, costs=None) -> None:
 
 def _fix(rule, t: _LiveTables, j, k) -> None:
     """Fix column j at k and drop the live rows whose cell holds k."""
-    t.apply(rule, [i for i in t.col_support[j] if t.s_prime[i][j].contains(k)], (j,), {j: k})
+    t.apply(rule, [i for i in t.col_support[j] if t.s_prime[i][j].contains(k)], {j: k})
 
 
 def rule_singleton_column(t: _LiveTables, costs=None) -> None:
@@ -421,7 +422,7 @@ def rule_lower_bound_column(t: _LiveTables, costs=None) -> None:
             fixed[j] = lj
             rows.update(dict.fromkeys(sup))
     if fixed:
-        t.apply(Rule.LOWER_BOUND_COLUMN, list(rows), list(fixed), fixed)
+        t.apply(Rule.LOWER_BOUND_COLUMN, list(rows), fixed)
 
 
 def rule_free_column(t: _LiveTables, costs=None) -> None:
@@ -433,7 +434,7 @@ def rule_free_column(t: _LiveTables, costs=None) -> None:
     col_interval, col_support = t.col_interval, t.col_support
     fixed = {j: col_interval[j][0] for j in t.cols if not col_support[j] and col_interval[j]}
     if fixed:
-        t.apply(Rule.FREE_COLUMN, (), list(fixed), fixed)
+        t.apply(Rule.FREE_COLUMN, (), fixed)
 
 
 def rule_dominated_column(t: _LiveTables, costs) -> None:
@@ -489,7 +490,7 @@ def rule_dominated_column(t: _LiveTables, costs) -> None:
             parts.append(f"{kind}:x{t.col_ids[j1] + 1}<-x{t.col_ids[j2] + 1}")
             break
     if fixed:
-        t.apply(Rule.DOMINATED_COLUMN, (), list(fixed), fixed, ";".join(parts))
+        t.apply(Rule.DOMINATED_COLUMN, (), fixed, ";".join(parts))
 
 
 # -- driver -------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_06_box_decomposition_census():
             family, param = FAMILIES[done % len(FAMILIES)]
             gen = random_feasible_instance if done % 2 else random_instance
             p = gen(rng, family, param, m=rng.randint(1, 4), n=2)
-            boxes = enumerate_feasible_decomposition(p)
+            boxes = enumerate_feasible_decomposition(build_tables(p))
             census = grid_feasibility_census(p, step=0.05, boxes=boxes)
             assert census.mismatches == [], p
             assert census.box_feasible == census.eq_feasible, p

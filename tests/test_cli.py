@@ -465,13 +465,16 @@ class TestVerifyCommand:
 
 class TestOneResolutionPerCommand:
     """Each command resolves its instance once: ``solve`` and ``verify``
-    read the tables ``solve`` built instead of building them again."""
+    read the tables ``solve`` built instead of building them again, and
+    ``resolve --boxes`` hands its tables to the box walk."""
 
     @pytest.mark.parametrize("argv, builds", [
         (["verify", "--seed", "1", "--count", "20"], 20),
         (["solve", example_path(), "--tables"], 1),
         (["solve", example_path()], 1),
         (["resolve", example_path()], 1),
+        (["resolve", example_path(), "--boxes"], 1),
+        (["resolve", example_path(), "--boxes", "--tables", "--json"], 1),
     ])
     def test_tables_built_once(self, capsys, monkeypatch, argv, builds):
         import bfre.optimize as optimize

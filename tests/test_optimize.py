@@ -89,12 +89,13 @@ class TestFeasibleBox:
     def test_single_row_instance(self):
         p = make_instance([[0.9, 0.0]], [[0.0, 0.0]], [0.5])
         tb = build_tables(p)
-        [(_, box)] = enumerate_feasible_decomposition(p)
+        [(_, box)] = enumerate_feasible_decomposition(tb)
         assert str(box[0]) == "{0.6}" and same(box[1], tb.col_interval[1])
 
     def test_sampled_points_are_feasible(self, example):
         e2 = {0: 0, 1: 7, 3: 1, 4: 2, 7: 8, 9: 5}     # E2 on the rows the reduction keeps
-        box = next(box for a, box in enumerate_feasible_decomposition(example) if a == e2)
+        box = next(box for a, box in enumerate_feasible_decomposition(build_tables(example))
+                   if a == e2)
         rng = random.Random(3)
         for _ in range(100):
             x = []
@@ -338,7 +339,7 @@ class TestSolve:
 
 class TestDecomposition:
     def test_example_contains_known_assignments(self, example):
-        boxes = enumerate_feasible_decomposition(example)
+        boxes = enumerate_feasible_decomposition(build_tables(example))
         assignments = [a for a, _ in boxes]
         # restrictions of the two known admissible pick vectors survive
         e2 = {0: 0, 1: 7, 3: 1, 4: 2, 7: 8, 9: 5}
@@ -353,11 +354,11 @@ class TestDecomposition:
 
     def test_infeasible_instance_empty(self):
         p = make_instance([[0.1]], [[0.1]], [0.9])
-        assert enumerate_feasible_decomposition(p) == []
+        assert enumerate_feasible_decomposition(build_tables(p)) == []
 
     def test_cap_enforced(self, example):
         with pytest.raises(CapExceeded) as err:
-            enumerate_feasible_decomposition(example, cap=10)
+            enumerate_feasible_decomposition(build_tables(example), cap=10)
         assert err.value.bound > 10
 
     def test_union_matches_direct_evaluation_on_grid(self):
@@ -366,7 +367,7 @@ class TestDecomposition:
             fam, param = rng.choice([("lukasiewicz", None), ("yager", 2.0)])
             gen = random_feasible_instance if rng.random() < 0.5 else random_instance
             p = gen(rng, fam, param, m=2, n=2)
-            boxes = enumerate_feasible_decomposition(p)
+            boxes = enumerate_feasible_decomposition(build_tables(p))
             from bfre.resolution import row_value
             for xi in range(21):
                 for yi in range(21):
@@ -379,7 +380,7 @@ class TestDecomposition:
 
     def test_single_cell_instance_single_box(self):
         p = make_instance([[0.9]], [[0.0]], [0.5])
-        boxes = enumerate_feasible_decomposition(p)
+        boxes = enumerate_feasible_decomposition(build_tables(p))
         assert len(boxes) == 1
         assert str(boxes[0][1][0]) == "{0.6}"
 
@@ -388,7 +389,7 @@ class TestDecomposition:
         n = 1200
         p = make_instance([[0.9 if j == i else 0.0 for j in range(n)] for i in range(n)],
                           [[0.0] * n for _ in range(n)], [0.5] * n, family="product")
-        [(assignment, box)] = enumerate_feasible_decomposition(p)
+        [(assignment, box)] = enumerate_feasible_decomposition(build_tables(p))
         assert assignment == {i: i for i in range(n)}
         assert all(s.is_point and s[0] == pytest.approx(0.5 / 0.9, abs=TOL) for s in box)
 
@@ -405,8 +406,8 @@ class TestDecomposition:
             fam, param = fams[k % len(fams)]
             gen = random_feasible_instance if k % 3 else random_instance
             p = gen(rng, fam, param, m=rng.randint(1, 6), n=rng.randint(1, 6))
-            got = enumerate_feasible_decomposition(p)
             tables = build_tables(p)
+            got = enumerate_feasible_decomposition(tables)
             if not check_feasibility(tables).ok:
                 assert got == []
                 continue

@@ -156,7 +156,7 @@ class TestGridCensus:
                                      ("product", None)])
             gen = random_feasible_instance if rng.random() < 0.5 else random_instance
             p = gen(rng, fam, param, m=2, n=2)
-            boxes = enumerate_feasible_decomposition(p)
+            boxes = enumerate_feasible_decomposition(build_tables(p))
             census = grid_feasibility_census(p, step=0.05, boxes=boxes)
             assert census.mismatches == []
             assert census.box_feasible == census.eq_feasible
@@ -165,6 +165,21 @@ class TestGridCensus:
         p = make_instance([[0.5] * 5], [[0.5] * 5], [0.5])
         with pytest.raises(CapExceeded):
             grid_feasibility_census(p, step=0.05, cap=1000)
+
+    @pytest.mark.parametrize("step", [0.3, 0.7, -0.5, 0.0])
+    def test_step_not_one_over_an_integer_rejected(self, step):
+        # 0.3 would check the 1/3 grid, 0.7 only {0, 1}, -0.5 no point at
+        # all, and 0 would divide by zero
+        p = make_instance([[0.0, 0.0]], [[0.0, 0.0]], [0.0], family="product")
+        with pytest.raises(ValueError, match="not 1/k for a positive integer k"):
+            grid_feasibility_census(p, step=step)
+
+    @pytest.mark.parametrize("step, per_axis", [(0.05, 21), (0.25, 5), (0.5, 3), (1.0, 2)])
+    def test_unit_fraction_steps_keep_their_point_counts(self, step, per_axis):
+        p = make_instance([[0.0, 0.0]], [[0.0, 0.0]], [0.0], family="product")
+        census = grid_feasibility_census(p, step=step)
+        assert census.points == len(census.eq_feasible) == per_axis ** 2
+        assert census.step == step and census.mismatches == []
 
 
 class TestGenerators:

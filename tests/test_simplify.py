@@ -319,7 +319,7 @@ class TestFixedValueGuard:
     def test_fix_outside_the_column_interval_raises(self, monkeypatch, example_tables):
         def bad_rule(t, costs):
             j = t.cols[0]
-            t.apply(Rule.FREE_COLUMN, (), (j,), {j: t.col_interval[j][-1] + 0.5})
+            t.apply(Rule.FREE_COLUMN, (), {j: t.col_interval[j][-1] + 0.5})
 
         module = importlib.import_module("bfre.simplify")
         monkeypatch.setattr(module, "_SLOTS", (bad_rule,) + module._SLOTS[1:])
