@@ -36,10 +36,8 @@ __version__ = "0.1.0"
 def example_instance() -> ProblemInstance:
     """The bundled 10x10 Yager(p=2) demonstration instance."""
     from .cli import load_problem
-    import json
 
-    with resources.files(__package__).joinpath("data/example1.json").open() as fh:
-        return load_problem(json.load(fh))
+    return load_problem(example_path())
 
 
 def example_path() -> str:

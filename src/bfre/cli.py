@@ -3,8 +3,7 @@
 Problem files are JSON objects with keys ``tnorm`` ({"family", "param"}),
 ``a_plus``, ``a_minus`` (equal-shape matrices), ``b`` and ``c``.  Exit codes:
 0 success (optimum found / no mismatches), 2 infeasible, 1 bad input, cap
-exceeded or an inconsistent reduction.  The BFRE_EPS environment variable
-overrides the comparison tolerance.
+exceeded or an inconsistent reduction.
 
 ``verify`` compares the solver with the brute-force oracle, which reads the
 resolution tables ``solve`` built; on planted instances it also requires an

@@ -32,18 +32,17 @@ whole pass works in place on one live view of the input tables, and its
 ``apply`` is the one place the reduction's state changes: each action drops
 its rows and columns from the live supports, updates the running bound and
 gets its own ledger step, bounded by the rows and columns that survive it.
-A step and its action are built by filling their instance dicts, not by
-the frozen dataclasses' ``__init__``; they are equal to, and behave as, the
-ones ``__init__`` would build.  No cell is scanned again and no table is
-rebuilt between slots; one restriction at the end, made only when
-something was dropped, gives the search its compact tables.  The input
-tables are never mutated: the caller checks the answer against them.
+No cell is scanned again and no table is rebuilt between slots; one
+restriction at the end, made only when something was dropped, gives the
+search its compact tables.  The input tables are never mutated: the caller
+checks the answer against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import InconsistentReduction
 from .resolution import ResolutionTables, restrict
@@ -66,8 +65,7 @@ class Rule(Enum):
     DOMINATED_COLUMN = "DominatedColumn"
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """One applied reduction: variables fixed plus rows/columns dropped.
 
     Indices are original instance indices.
@@ -80,8 +78,7 @@ class Action:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class LedgerStep:
+class LedgerStep(NamedTuple):
     action: Action
     bound_before: int
     bound_after: int
@@ -97,13 +94,6 @@ class LedgerStep:
             bits.append("removed cols {" + ",".join(str(j + 1) for j in a.cols) + "}")
         bits.append(f"bound {self.bound_before} -> {self.bound_after}")
         return ": ".join([bits[0], ", ".join(bits[1:])])
-
-
-# ``_LiveTables.apply`` builds its actions and steps with these, setting each
-# instance dict whole instead of one field at a time through the generated
-# frozen ``__init__``, as ``sets._new`` builds a ``SetForm``.
-_new = object.__new__
-_set = object.__setattr__
 
 
 @dataclass
@@ -220,9 +210,7 @@ class _LiveTables:
         dropped are the fixed ones, in ``fixed``'s order.  Each fixed value
         is checked against its column interval first.  The rows are then
         dropped, from ``rows`` and from the column supports, and after them
-        the columns, from ``cols`` and from the row supports.  The step is
-        built by ``_new`` and ``_set``, one dict per instance, not by the
-        dataclasses' ``__init__``.
+        the columns, from ``cols`` and from the row supports.
         """
         row_ids, col_ids = self.row_ids, self.col_ids
         for j, v in fixed.items() if fixed else ():
@@ -252,18 +240,14 @@ class _LiveTables:
                 else:
                     zeros += 1
         self.product, self.zeros = product, zeros
-        action = _new(Action)
-        _set(action, "__dict__", {
-            "rule": rule,
-            "fixed": {col_ids[j]: v for j, v in fixed.items()} if fixed else {},
-            "rows": tuple([row_ids[i] for i in rows]) if rows else (),
-            "cols": tuple([col_ids[j] for j in fixed]) if fixed else (),
-            "detail": detail,
-        })
-        step = _new(LedgerStep)
-        _set(step, "__dict__", {"action": action, "bound_before": before,
-                                "bound_after": 0 if zeros else product})
-        self.ledger.steps.append(step)
+        action = Action(
+            rule,
+            {col_ids[j]: v for j, v in fixed.items()} if fixed else {},
+            tuple([row_ids[i] for i in rows]) if rows else (),
+            tuple([col_ids[j] for j in fixed]) if fixed else (),
+            detail,
+        )
+        self.ledger.steps.append(LedgerStep(action, before, 0 if zeros else product))
 
 
 # -- individual techniques ---------------------------------------------------
