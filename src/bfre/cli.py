@@ -131,19 +131,29 @@ def _load(path) -> ProblemInstance:
         raise _BadInput(exc) from exc
 
 
+class _Padded(dict):
+    """Spelling -> itself right-aligned in a table column, padded once per
+    distinct spelling."""
+
+    def __missing__(self, s):
+        text = self[s] = f"{s:>10}"
+        return text
+
+
 def _print_tables(p, tables):
     names = (("relaxation", "relaxation sets"), ("solution", "solution sets"),
              ("column_interval", "column intervals"), ("restricted", "restricted sets"))
     data = tables_to_json(p, tables)
+    pad = _Padded().__getitem__
     header = "      " + " ".join(f"{'x%d' % (j + 1):>10}" for j in tables.col_ids)
     for key, title in names:
         print(f"{title}:")
         print(header)
         if key == "column_interval":
-            print("    - " + " ".join(f"{s:>10}" for s in data[key]))
+            print("    - " + " ".join(map(pad, data[key])))
         else:
             for rid, row in zip(tables.row_ids, data[key]):
-                print(f"  {rid + 1:>3} " + " ".join(f"{s:>10}" for s in row))
+                print(f"  {rid + 1:>3} " + " ".join(map(pad, row)))
         print()
 
 

@@ -17,20 +17,20 @@ an unpicked column's entry is its interval, and the bitmask of its picked
 columns.  A row's domain is the columns whose running intersection survives
 that row's cell.  Tolerance-snapped intersection is not associative, so both
 searches use this one order, one step routine, ``_admissible_steps``, over a
-row's (column, cell) list and the bitmask of the row's picked columns, and
-one child rule, ``_pick``: a pick that returns its column's running
-intersection itself keeps the parent's list, any other pick copies the list,
-and either sets the column's bit.  So a built list is never mutated, and the
-box walk reads an unpicked column's box straight off it.  ``_bind_rows``
-gives a search every row's list and support bitmask once.  A row with no
-picked column steps to its own list, with no lookup and no intersection.
-The reuse rule lives in the branch-and-bound's walk (below), which decides
-every modified-mode row with a picked column by one rule: over the row's
-picked columns, lowest first, a running intersection that is the row's cell
-itself is kept on an identity test, any other is intersected with the cell,
-and the first that survives is the reuse.  A row whose picked columns all
-die in its cell steps to its unpicked columns, so no cell meets a picked
-column twice.
+row's (column, cell) list and the bitmask of the row's picked non-uniform
+columns (below), and one child rule, ``_pick``: a pick that returns its
+column's running intersection itself keeps the parent's list, any other
+pick copies the list, and either sets the column's bit.  So a built list is
+never mutated, and the box walk reads an unpicked column's box straight off
+it.  ``_bind_rows`` gives a search every row's list and support bitmask
+once.  A row with no picked non-uniform column steps to its own list, with
+no lookup and no intersection.  The reuse rule lives in the
+branch-and-bound's walk (below), which decides every modified-mode row with
+a picked column by one rule: over the row's picked columns, lowest first, a
+running intersection that is the row's cell itself is kept on an identity
+test, any other is intersected with the cell, and the first that survives
+is the reuse.  A row whose picked columns all die in its cell steps to its
+unpicked columns, so no cell meets a picked column twice.
 
 The tree discipline follows the worked reduction this package reproduces:
 after expanding a node, dive into its cheapest viable child; when a branch
@@ -53,6 +53,20 @@ cost, so the node walks down consecutive pass-through rows in place, in one
 loop, with a new uid and depth per row, and the run adds one link.  The
 resolution tables share one cell object among a column's equal cells, so a
 reuse that meets its own cell passes through on the identity test alone.
+
+``_bind_rows`` also gives every search the bitmask of uniform columns:
+those whose cells over their support are one object C (tested with
+``is``; equal but distinct cells do not count).  Such a column's running
+intersection is its interval until it is first picked, and every step of
+an unpicked column is its own cell, so the first pick makes it C.  Every
+later pick meets C with C, and ``intersect`` returns an operand equal to
+the other as itself, so it stays C.  A picked uniform column's step is
+therefore the row's own (j, C): both searches leave uniform columns out
+of the ``hit`` mask they give ``_admissible_steps``, so a row with no
+picked non-uniform column steps to its own list.  In modified mode a row
+whose lowest picked column is uniform, and is not the last row, passes
+through on that bit test alone.  The mask is exact, and costs one pass
+over the cells per search.
 
 Without the reuse rule (``modified=False``, the search behind the
 feasibility-preserving mode) many pick vectors reach the same state, so the
@@ -94,16 +108,24 @@ from .tolerance import EPS
 
 def _bind_rows(tables: ResolutionTables) -> tuple:
     """Every row's [(j, cell)] over its support, ascending (what
-    ``_admissible_steps`` walks), and every row's support bitmask."""
-    rows = [[(j, cells[j]) for j in sup] for cells, sup in zip(tables.s_prime, tables.row_support)]
-    return rows, _masks(tables.row_support, range(tables.m), tables.m)
+    ``_admissible_steps`` walks), every row's support bitmask, and the
+    bitmask of uniform columns: those whose cells over their support are
+    one object."""
+    s_prime = tables.s_prime
+    rows = [[(j, cells[j]) for j in sup] for cells, sup in zip(s_prime, tables.row_support)]
+    uniform = 0
+    for j, sup in enumerate(tables.col_support):
+        if len({id(s_prime[i][j]) for i in sup}) == 1:
+            uniform |= 1 << j
+    return rows, _masks(tables.row_support, range(tables.m), tables.m), uniform
 
 
 def _admissible_steps(inter: list, hit, row) -> list:
     """[(j, inter[j] ∩ cell)] for the (j, cell) pairs of a step row whose
     running intersection survives the cell (an unpicked column's is the
-    cell).  ``hit`` is the bitmask of the row's picked columns; with none,
-    the row itself is returned.  The reuse rule is not applied here: in
+    cell).  ``hit`` is the bitmask of the row's picked columns that need an
+    intersection (the searches leave uniform ones out); with none, the row
+    itself is returned.  The reuse rule is not applied here: in
     modified mode the branch-and-bound's walk decides every row with a
     picked column itself."""
     if not hit:
@@ -216,12 +238,13 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     docstring): no object is built per node.  In modified mode the node
     walks consecutive pass-through rows in place: per row one node created
     and one expanded, with its own uid and trace events, but nothing built,
-    priced or pushed.  A row's reuse is one loop over its picked columns,
-    lowest first: a running intersection that is the row's cell itself is
-    kept on an identity test, any other is intersected with the cell, and
-    the first that survives is the step; with none, the row steps to its
-    unpicked columns, and no picked column meets the cell twice.  Other
-    children are priced as live-set entries
+    priced or pushed.  A row whose lowest picked column is uniform passes
+    through on that bit test.  Any other row's reuse is one loop over its
+    picked columns, lowest first: a running intersection that is the row's
+    cell itself is kept on an identity test, any other is intersected with
+    the cell, and the first that survives is the step; with none, the row
+    steps to its unpicked columns, and no picked column meets the cell
+    twice.  Other children are priced as live-set entries
     (z, -depth, uid, link, j, s, inter, mask), each carrying its parent's
     state; siblings share a depth and their uids rise with their columns,
     so the cheapest entry is the cheapest child, ties to the lowest column.
@@ -249,7 +272,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
     if m == 0:
         return BnbResult(base_x, (), base_z, SearchStats(candidates_evaluated=1), events)
 
-    rows, masks = _bind_rows(tables)
+    rows, masks, uniform = _bind_rows(tables)
     s_prime = tables.s_prime
 
     created = expanded = candidates = prunes = updates = jumps = max_live = merged = 0
@@ -278,8 +301,13 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
         # row down at its cost, so the node moves there in place.  Each row
         # still counts one node created and expanded, with its own uid.
         # A row with a picked column reuses the smallest one that survives
-        # its cell; with none, it steps to its unpicked columns.
+        # its cell; with none, it steps to its unpicked columns.  A uniform
+        # lowest picked column is the row's own cell: it is the reuse.
         while modified and (hit := mask & masks[i]):
+            if hit & -hit & uniform and i + 1 < m:
+                run.append((hit & -hit).bit_length() - 1)
+                i += 1
+                continue
             cells, picked = s_prime[i], hit
             while hit:
                 j = (hit & -hit).bit_length() - 1
@@ -306,7 +334,7 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
             expanded += len(run)
             uid, link = created, (link, tuple(run))
         if steps is None:
-            steps = _admissible_steps(inter, mask & masks[i], rows[i])
+            steps = _admissible_steps(inter, mask & masks[i] & ~uniform, rows[i])
         depth = i + 1
         if depth == m:
             candidates += len(steps)
@@ -327,14 +355,11 @@ def branch_and_bound(reduced: ReducedProblem, modified=True, record=False) -> Bn
                 updates += 1
                 if record:
                     events.append(_event(incumbent, "incumbent"))
-                keep = []
-                for entry in sorted(live, key=itemgetter(2)):
-                    if entry[0] < bar:
-                        keep.append(entry)
-                    else:
-                        prunes += 1
-                        if record:
-                            events.append(_event(entry, "prune"))
+                keep = [entry for entry in live if entry[0] < bar]
+                prunes += len(live) - len(keep)
+                if record:
+                    pruned = sorted((entry for entry in live if entry[0] >= bar), key=itemgetter(2))
+                    events += [_event(entry, "prune") for entry in pruned]
                 heapify(keep)
                 live = keep
         created += len(steps)
@@ -454,7 +479,7 @@ def enumerate_feasible_decomposition(tables: ResolutionTables, cap: int = DEFAUL
         raise CapExceeded(bound, cap)
 
     out = []
-    rows, masks = _bind_rows(sub)
+    rows, masks, uniform = _bind_rows(sub)
     # An entry is a prefix of picks with its running intersections and mask;
     # the intersections, rooted at the column intervals, are the prefix's
     # feasible box.  A node's children are pushed in descending column
@@ -464,7 +489,7 @@ def enumerate_feasible_decomposition(tables: ResolutionTables, cap: int = DEFAUL
         prefix, inter, mask = stack.pop()
         i = len(prefix)
         if i < sub.m:
-            for j, s in reversed(_admissible_steps(inter, mask & masks[i], rows[i])):
+            for j, s in reversed(_admissible_steps(inter, mask & masks[i] & ~uniform, rows[i])):
                 stack.append((prefix + (j,), *_pick(inter, mask, j, s)))
             continue
         box = [None] * reduced.n_original

@@ -229,9 +229,11 @@ def _build_tables(p: ProblemInstance, reached: list) -> ResolutionTables:
 
     The cell objects each column shares among its rows (its interval, {lo},
     {hi} and {lo, hi}) let the search's reuse rule keep a running
-    intersection that is the row's cell itself on an identity test.  That
-    is a premise of its speed, not of its answers: equal but distinct cells
-    cost one intersection each and give the same search."""
+    intersection that is the row's cell itself on an identity test, and
+    make a column whose cells are all one object uniform in the searches'
+    mask (``optimize._bind_rows``), which steps it with no intersection.
+    Both are premises of the search's speed, not of its answers: equal but
+    distinct cells cost one intersection each and give the same search."""
     m, n = p.m, p.n
     u = _solver(p.tnorm)
     eps, neg_eps = EPS, -EPS
@@ -484,13 +486,24 @@ def cell_grids(p: ProblemInstance, tables: ResolutionTables) -> tuple:
     resolved again from the instance, cell by cell as ``bipolar_cell``
     does, on a kernel bound once (the instance holds every entry in
     [0, 1]); every unreachable cell comes back as one shared (∅, [0, 1])
-    pair, recognised by ``_resolve_cell`` returning ``_UNIT`` itself."""
+    pair.  Only the cells in the scan of ``_reached_columns`` are resolved:
+    every other one fails the reach test on both sides.  A resolved cell
+    is unreachable when ``_resolve_cell`` returns ``_UNIT`` itself."""
     u = _solver(p.tnorm)
     unreached = _cell_sets(_EMPTY, _UNIT)
-    cells = [[unreached if sets[1] is _UNIT else _cell_sets(*sets)
-              for sets in (_resolve_cell(u, p.a_plus[i][j], p.a_minus[i][j], p.b[i])
-                           for j in tables.col_ids)]
-             for i in tables.row_ids]
+    reached = _reached_columns(p)
+    position = {j: k for k, j in enumerate(tables.col_ids)}
+    cells = []
+    for i in tables.row_ids:
+        ap, am, b = p.a_plus[i], p.a_minus[i], p.b[i]
+        row = [unreached] * len(position)
+        for j in reached[i]:
+            k = position.get(j)
+            if k is not None:
+                sets = _resolve_cell(u, ap[j], am[j], b)
+                if sets[1] is not _UNIT:
+                    row[k] = _cell_sets(*sets)
+        cells.append(row)
     return ([[s for s, _ in row] for row in cells],
             [[r for _, r in row] for row in cells])
 

@@ -1053,3 +1053,44 @@ class TestUniformColumns:
         res = branch_and_bound(problem)
         assert res.found
         assert calls
+
+    def test_mask_holds_only_shared_cell_columns(self):
+        assert optimize._bind_rows(self._lowest_uniform())[2] & 1
+        assert not optimize._bind_rows(self._equal_distinct_cells())[2] & 1
+
+    @staticmethod
+    def _walk_matches_oracle(tables) -> int:
+        """The box walk lists the oracle's admissible pick vectors over the
+        feasibility-reduced tables, in order, each box the running
+        intersections of its picks; returns the number of boxes."""
+        got = enumerate_feasible_decomposition(tables)
+        sub = simplify(tables, [0.0] * tables.n, Mode.FEASIBILITY_PRESERVING)[0].tables
+        picks = enumerate_all_admissible(sub)
+        assert [a for a, _ in got] == [
+            {sub.row_ids[i]: sub.col_ids[j] for i, j in enumerate(e)} for e in picks]
+        for e, (_, box) in zip(picks, got):
+            for j, s in enumerate(_running(e, sub)):
+                assert s is None or box[sub.col_ids[j]] == s, (e, j)
+        return len(got)
+
+    @pytest.mark.parametrize("build", ["_lowest_uniform", "_lowest_not_uniform",
+                                       "_equal_distinct_cells", "_none_uniform"])
+    def test_box_walk_matches_oracle(self, build):
+        assert self._walk_matches_oracle(getattr(self, build)())
+
+    def test_planted_covers_feasibility_walks_never_intersect(self, monkeypatch):
+        # every column of a cover is uniform: neither search without the
+        # reuse rule meets a picked column's cell
+        calls = self._count_intersect(monkeypatch)
+        created = 0
+        for problem, _ in _planted_covers():
+            created += branch_and_bound(problem, modified=False).stats.nodes_created
+        assert created >= 5_000
+        assert calls == []
+        boxes = 0
+        for problem, _ in _planted_covers(count=6, rows=(7, 8), cols=(6, 8)):
+            boxes += len(enumerate_feasible_decomposition(problem.tables))
+            assert calls == []
+            self._walk_matches_oracle(problem.tables)
+            calls.clear()
+        assert boxes >= 5_000
